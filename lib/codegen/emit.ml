@@ -4,82 +4,162 @@ module Isa = Masc_asip.Isa
 module Cost = Masc_asip.Cost_model
 module MT = Masc_sema.Mtype
 
-let err fmt = Diag.error Codegen Loc.dummy fmt
+(* All text goes straight into one buffer: every writer below appends its
+   piece of C and returns unit, so emitting an instruction builds no
+   intermediate strings. *)
 
-let c_name (v : Mir.var) =
-  let safe =
-    String.map
-      (fun c ->
-        if (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-           || (c >= '0' && c <= '9')
-        then c
-        else '_')
-      v.Mir.vname
-  in
-  Printf.sprintf "%s_%d" safe v.Mir.vid
+let err fmt = Diag.error Codegen Loc.dummy fmt
 
 type env = {
   isa : Isa.t;
   mode : Cost.mode;
   buf : Buffer.t;
   mutable indent : int;
-  func : Mir.func;
-  mutated_params : (int, unit) Hashtbl.t;
 }
 
-let line env fmt =
-  Printf.ksprintf
-    (fun s ->
-      Buffer.add_string env.buf (String.make (2 * env.indent) ' ');
-      Buffer.add_string env.buf s;
-      Buffer.add_char env.buf '\n')
-    fmt
+let str env s = Buffer.add_string env.buf s
+let chr env c = Buffer.add_char env.buf c
+
+(* Decimal digits of [i], written without an intermediate string. *)
+let rec add_int b i =
+  if i < 0 then
+    if i = min_int then Buffer.add_string b (string_of_int i)
+    else begin
+      Buffer.add_char b '-';
+      add_int b (-i)
+    end
+  else begin
+    if i >= 10 then add_int b (i / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 + (i mod 10)))
+  end
+
+let int env i = add_int env.buf i
+
+(* C identifier for a MIR variable: the name with non-alphanumerics
+   mapped to '_', then '_' and the (unique) vid. *)
+let add_name b (v : Mir.var) =
+  let s = v.Mir.vname in
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    Buffer.add_char b
+      (if (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+          || (c >= '0' && c <= '9')
+       then c
+       else '_')
+  done;
+  Buffer.add_char b '_';
+  add_int b v.Mir.vid
+
+let c_name (v : Mir.var) =
+  let b = Buffer.create (String.length v.Mir.vname + 8) in
+  add_name b v;
+  Buffer.contents b
+
+let name env v = add_name env.buf v
+
+let start_line env =
+  for _ = 1 to env.indent do
+    str env "  "
+  done
+
+let end_line env = chr env '\n'
 
 let is_complex_sty (s : Mir.scalar_ty) = s.Mir.cplx = MT.Complex
 
-let sty_ctype (s : Mir.scalar_ty) =
-  if s.Mir.lanes > 1 then Printf.sprintf "masc_v%df64" s.Mir.lanes
-  else if is_complex_sty s then "masc_cplx"
+let is_int_sty (s : Mir.scalar_ty) =
+  (not (is_complex_sty s)) && (s.Mir.base = MT.Int || s.Mir.base = MT.Bool)
+
+let sty_ctype env (s : Mir.scalar_ty) =
+  if s.Mir.lanes > 1 then begin
+    str env "masc_v";
+    int env s.Mir.lanes;
+    str env "f64"
+  end
+  else if is_complex_sty s then str env "masc_cplx"
   else
     match s.Mir.base with
-    | MT.Double -> "double"
-    | MT.Int | MT.Bool -> "int"
+    | MT.Double -> str env "double"
+    | MT.Int | MT.Bool -> str env "int"
     | MT.Err -> invalid_arg "Emit.sty_ctype: poison type reached codegen"
+
+let elem_ctype env (v : Mir.var) = sty_ctype env (Mir.elem_ty v)
 
 let operand_sty (op : Mir.operand) =
   match Mir.operand_ty op with Mir.Tscalar s | Mir.Tarray (s, _) -> s
 
-let float_lit f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.17g" f
+(* Integral values print as "%.1f" would ("3.0", "-0.0"), other finite
+   ones with "%.17g"; non-finite ones as the <math.h> macros. *)
+let float_lit env f =
+  if Float.is_integer f && Float.abs f < 1e15 then begin
+    if Float.sign_bit f then chr env '-';
+    int env (int_of_float (Float.abs f));
+    str env ".0"
+  end
+  else if Float.is_nan f then str env "NAN"
+  else if f = Float.infinity then str env "INFINITY"
+  else if f = Float.neg_infinity then str env "(-INFINITY)"
+  else Printf.bprintf env.buf "%.17g" f
 
-let rec operand env (op : Mir.operand) =
-  ignore env;
+let operand env (op : Mir.operand) =
   match op with
-  | Mir.Ovar v -> c_name v
-  | Mir.Oconst (Mir.Cf f) -> float_lit f
-  | Mir.Oconst (Mir.Ci i) -> string_of_int i
-  | Mir.Oconst (Mir.Cb b) -> if b then "1" else "0"
+  | Mir.Ovar v -> name env v
+  | Mir.Oconst (Mir.Cf f) -> float_lit env f
+  | Mir.Oconst (Mir.Ci i) -> int env i
+  | Mir.Oconst (Mir.Cb b) -> chr env (if b then '1' else '0')
   | Mir.Oconst (Mir.Cc z) ->
-    Printf.sprintf "masc_cplx_make(%s, %s)" (float_lit z.Complex.re)
-      (float_lit z.Complex.im)
+    str env "masc_cplx_make(";
+    float_lit env z.Complex.re;
+    str env ", ";
+    float_lit env z.Complex.im;
+    chr env ')'
 
-(* Render an operand in a complex context, promoting reals. *)
-and cplx_operand env op =
-  if is_complex_sty (operand_sty op) then operand env op
-  else Printf.sprintf "masc_cplx_make(%s, 0.0)" (operand env op)
+(* Promotion of a real value into a complex context: the writes around
+   the value, when [promote] holds. *)
+let open_promote env promote = if promote then str env "masc_cplx_make("
+let close_promote env promote = if promote then str env ", 0.0)"
 
-let is_int_sty (s : Mir.scalar_ty) =
-  (not (is_complex_sty s)) && (s.Mir.base = MT.Int || s.Mir.base = MT.Bool)
+(* An operand in a complex context, promoting reals. *)
+let cplx_operand env op =
+  let promote = not (is_complex_sty (operand_sty op)) in
+  open_promote env promote;
+  operand env op;
+  close_promote env promote
+
+let operands env args =
+  List.iteri
+    (fun i a ->
+      if i > 0 then str env ", ";
+      operand env a)
+    args
 
 let rbin env (op : Mir.binop) a b =
   let sa = operand_sty a and sb = operand_sty b in
   let complex = is_complex_sty sa || is_complex_sty sb in
   let both_int = is_int_sty sa && is_int_sty sb in
-  let infix sym = Printf.sprintf "(%s %s %s)" (operand env a) sym (operand env b) in
-  let call2 f = Printf.sprintf "%s(%s, %s)" f (operand env a) (operand env b) in
+  let infix sym =
+    chr env '(';
+    operand env a;
+    chr env ' ';
+    str env sym;
+    chr env ' ';
+    operand env b;
+    chr env ')'
+  in
+  let call2 f =
+    str env f;
+    chr env '(';
+    operand env a;
+    str env ", ";
+    operand env b;
+    chr env ')'
+  in
   let ccall2 f =
-    Printf.sprintf "%s(%s, %s)" f (cplx_operand env a) (cplx_operand env b)
+    str env f;
+    chr env '(';
+    cplx_operand env a;
+    str env ", ";
+    cplx_operand env b;
+    chr env ')'
   in
   if complex then
     match op with
@@ -88,7 +168,10 @@ let rbin env (op : Mir.binop) a b =
     | Mir.Bmul -> ccall2 "masc_cplx_mul"
     | Mir.Bdiv -> ccall2 "masc_cplx_div"
     | Mir.Beq -> ccall2 "masc_cplx_eq"
-    | Mir.Bne -> Printf.sprintf "(!%s)" (ccall2 "masc_cplx_eq")
+    | Mir.Bne ->
+      str env "(!";
+      ccall2 "masc_cplx_eq";
+      chr env ')'
     | Mir.Bpow | Mir.Bmod | Mir.Bidiv | Mir.Bmin | Mir.Bmax | Mir.Blt
     | Mir.Ble | Mir.Bgt | Mir.Bge | Mir.Band | Mir.Bor ->
       err "operation not defined on complex values in C emission"
@@ -98,9 +181,13 @@ let rbin env (op : Mir.binop) a b =
     | Mir.Bsub -> infix "-"
     | Mir.Bmul -> infix "*"
     | Mir.Bdiv ->
-      if both_int then
-        Printf.sprintf "((double)%s / (double)%s)" (operand env a)
-          (operand env b)
+      if both_int then begin
+        str env "((double)";
+        operand env a;
+        str env " / (double)";
+        operand env b;
+        chr env ')'
+      end
       else infix "/"
     | Mir.Bidiv -> infix "/"
     | Mir.Bmod -> if both_int then call2 "masc_imod" else call2 "masc_mod"
@@ -119,44 +206,56 @@ let rbin env (op : Mir.binop) a b =
 let runop env (op : Mir.unop) a =
   let sa = operand_sty a in
   let complex = is_complex_sty sa in
+  let call f =
+    str env f;
+    operand env a;
+    chr env ')'
+  in
   match op with
-  | Mir.Uneg ->
-    if complex then Printf.sprintf "masc_cplx_neg(%s)" (operand env a)
-    else Printf.sprintf "(-%s)" (operand env a)
-  | Mir.Unot -> Printf.sprintf "(!%s)" (operand env a)
+  | Mir.Uneg -> if complex then call "masc_cplx_neg(" else call "(-"
+  | Mir.Unot -> call "(!"
   | Mir.Uabs ->
-    if complex then Printf.sprintf "masc_cplx_abs(%s)" (operand env a)
-    else if is_int_sty sa then Printf.sprintf "abs(%s)" (operand env a)
-    else Printf.sprintf "fabs(%s)" (operand env a)
+    if complex then call "masc_cplx_abs("
+    else if is_int_sty sa then call "abs("
+    else call "fabs("
   | Mir.Ure ->
-    if complex then Printf.sprintf "%s.re" (operand env a)
-    else Printf.sprintf "((double)%s)" (operand env a)
+    if complex then begin
+      operand env a;
+      str env ".re"
+    end
+    else call "((double)"
   | Mir.Uim ->
-    if complex then Printf.sprintf "%s.im" (operand env a) else "0.0"
-  | Mir.Uconj ->
-    if complex then Printf.sprintf "masc_cplx_conj(%s)" (operand env a)
-    else operand env a
+    if complex then begin
+      operand env a;
+      str env ".im"
+    end
+    else str env "0.0"
+  | Mir.Uconj -> if complex then call "masc_cplx_conj(" else operand env a
 
-let math_call env name args =
+let math_call env fname args =
   let arg0_cplx =
     match args with a :: _ -> is_complex_sty (operand_sty a) | [] -> false
   in
-  let rendered = List.map (operand env) args in
-  let call f = Printf.sprintf "%s(%s)" f (String.concat ", " rendered) in
-  if arg0_cplx then
-    match name with
-    | "exp" -> call "masc_cplx_exp"
-    | "sqrt" -> call "masc_cplx_sqrt"
-    | _ -> err "math function %s on complex values is not supported in C" name
-  else
-    match name with
-    | "log2" -> call "masc_log2"
-    | "sign" -> call "masc_sign"
-    | "mod" -> call "masc_mod"
-    | "rem" -> call "fmod"
-    | "round" -> call "round"
-    | "trunc" -> call "trunc"
-    | _ -> call name
+  let f =
+    if arg0_cplx then
+      match fname with
+      | "exp" -> "masc_cplx_exp"
+      | "sqrt" -> "masc_cplx_sqrt"
+      | _ -> err "math function %s on complex values is not supported in C" fname
+    else
+      match fname with
+      | "log2" -> "masc_log2"
+      | "sign" -> "masc_sign"
+      | "mod" -> "masc_mod"
+      | "rem" -> "fmod"
+      | "round" -> "round"
+      | "trunc" -> "trunc"
+      | _ -> fname
+  in
+  str env f;
+  chr env '(';
+  operands env args;
+  chr env ')'
 
 (* Array access rendering per mode. *)
 let array_numel (v : Mir.var) =
@@ -164,221 +263,261 @@ let array_numel (v : Mir.var) =
 
 (* MATLAB index expressions may be double-typed (e.g. n/2 in an FFT);
    they hold exact integral values, rounded like the simulator does. *)
-let index_str env idx =
-  let s = operand env idx in
-  if is_int_sty (operand_sty idx) then s
-  else Printf.sprintf "((int)(%s + 0.5))" s
+let index env idx =
+  if is_int_sty (operand_sty idx) then operand env idx
+  else begin
+    str env "((int)(";
+    operand env idx;
+    str env " + 0.5))"
+  end
 
 let access env (arr : Mir.var) idx =
+  name env arr;
   match env.mode with
-  | Cost.Proposed -> Printf.sprintf "%s[%s]" (c_name arr) (index_str env idx)
+  | Cost.Proposed ->
+    chr env '[';
+    index env idx;
+    chr env ']'
   | Cost.Coder ->
-    Printf.sprintf "%s.data[masc_bc(%s, %d)]" (c_name arr) (index_str env idx)
-      (array_numel arr)
+    str env ".data[masc_bc(";
+    index env idx;
+    str env ", ";
+    int env (array_numel arr);
+    str env ")]"
 
 let array_base_ptr env (arr : Mir.var) idx =
-  match env.mode with
-  | Cost.Proposed -> Printf.sprintf "&%s[%s]" (c_name arr) (index_str env idx)
-  | Cost.Coder ->
-    Printf.sprintf "&%s.data[%s]" (c_name arr) (index_str env idx)
+  chr env '&';
+  name env arr;
+  (match env.mode with
+  | Cost.Proposed -> chr env '['
+  | Cost.Coder -> str env ".data[");
+  index env idx;
+  chr env ']'
 
-let intrin_name env kind =
+let intrin_call env kind =
   match Isa.find env.isa kind with
-  | Some d -> d.Isa.iname
+  | Some d ->
+    str env d.Isa.iname;
+    chr env '('
   | None ->
     err "target %s lacks the %s instruction required by this code"
       env.isa.Isa.tname (Isa.kind_to_string kind)
 
-let rvalue env (v : Mir.var) (rv : Mir.rvalue) : string =
-  let target_complex = is_complex_sty (Mir.elem_ty v) in
-  let wrap s rv_sty =
-    (* Promote a real value assigned into a complex variable. *)
-    if target_complex && not (is_complex_sty rv_sty) then
-      Printf.sprintf "masc_cplx_make(%s, 0.0)" s
-    else s
-  in
+(* Whether an rvalue is complex-valued; a real one assigned into a
+   complex variable is promoted. *)
+let rvalue_cplx (rv : Mir.rvalue) =
   match rv with
-  | Mir.Rbin (op, a, b) ->
-    let sa = operand_sty a and sb = operand_sty b in
-    let result_cplx = is_complex_sty sa || is_complex_sty sb in
-    wrap (rbin env op a b)
-      { Mir.base = MT.Double;
-        cplx = (if result_cplx then MT.Complex else MT.Real);
-        lanes = 1 }
-  | Mir.Runop (op, a) ->
-    let res_cplx =
-      match op with
-      | Mir.Uneg | Mir.Uconj -> is_complex_sty (operand_sty a)
-      | Mir.Uabs | Mir.Unot | Mir.Ure | Mir.Uim -> false
-    in
-    wrap (runop env op a)
-      { Mir.base = MT.Double;
-        cplx = (if res_cplx then MT.Complex else MT.Real);
-        lanes = 1 }
-  | Mir.Rmath (name, args) ->
-    let res_cplx =
-      match args with
-      | a :: _ -> is_complex_sty (operand_sty a)
-      | [] -> false
-    in
-    wrap (math_call env name args)
-      { Mir.base = MT.Double;
-        cplx = (if res_cplx then MT.Complex else MT.Real);
-        lanes = 1 }
+  | Mir.Rbin (_, a, b) ->
+    is_complex_sty (operand_sty a) || is_complex_sty (operand_sty b)
+  | Mir.Runop ((Mir.Uneg | Mir.Uconj), a) | Mir.Rmove a ->
+    is_complex_sty (operand_sty a)
+  | Mir.Runop ((Mir.Uabs | Mir.Unot | Mir.Ure | Mir.Uim), _) -> false
+  | Mir.Rmath (_, args) -> (
+    match args with a :: _ -> is_complex_sty (operand_sty a) | [] -> false)
+  | Mir.Rload (arr, _) -> is_complex_sty (Mir.elem_ty arr)
+  | Mir.Rcomplex _ | Mir.Rvload _ | Mir.Rvbroadcast _ | Mir.Rvreduce _
+  | Mir.Rintrin _ ->
+    true
+
+let rvalue env (v : Mir.var) (rv : Mir.rvalue) =
+  let promote = is_complex_sty (Mir.elem_ty v) && not (rvalue_cplx rv) in
+  open_promote env promote;
+  (match rv with
+  | Mir.Rbin (op, a, b) -> rbin env op a b
+  | Mir.Runop (op, a) -> runop env op a
+  | Mir.Rmath (fname, args) -> math_call env fname args
   | Mir.Rcomplex (re, im) ->
-    Printf.sprintf "masc_cplx_make(%s, %s)" (operand env re) (operand env im)
-  | Mir.Rload (arr, idx) -> wrap (access env arr idx) (Mir.elem_ty arr)
-  | Mir.Rmove a -> (
-    let sa = operand_sty a in
-    let s = operand env a in
-    if target_complex && not (is_complex_sty sa) then
-      Printf.sprintf "masc_cplx_make(%s, 0.0)" s
-    else if (not target_complex) && is_int_sty (Mir.elem_ty v)
-            && not (is_int_sty sa)
-    then Printf.sprintf "(int)%s" s
-    else s)
+    str env "masc_cplx_make(";
+    operand env re;
+    str env ", ";
+    operand env im;
+    chr env ')'
+  | Mir.Rload (arr, idx) -> access env arr idx
+  | Mir.Rmove a ->
+    if is_int_sty (Mir.elem_ty v) && not (is_int_sty (operand_sty a)) then
+      str env "(int)";
+    operand env a
   | Mir.Rvload (arr, base, _) ->
-    Printf.sprintf "%s(%s)" (intrin_name env Isa.Kload)
-      (array_base_ptr env arr base)
+    intrin_call env Isa.Kload;
+    array_base_ptr env arr base;
+    chr env ')'
   | Mir.Rvbroadcast (a, _) ->
-    Printf.sprintf "%s(%s)" (intrin_name env Isa.Kbroadcast) (operand env a)
+    intrin_call env Isa.Kbroadcast;
+    operand env a;
+    chr env ')'
   | Mir.Rvreduce (r, a) ->
-    let kind =
-      match r with
+    intrin_call env
+      (match r with
       | Mir.Vsum | Mir.Vprod -> Isa.Kreduce_add
       | Mir.Vmin -> Isa.Kreduce_min
-      | Mir.Vmax -> Isa.Kreduce_max
-    in
-    Printf.sprintf "%s(%s)" (intrin_name env kind) (operand env a)
-  | Mir.Rintrin (name, args) ->
-    Printf.sprintf "%s(%s)" name
-      (String.concat ", " (List.map (operand env) args))
+      | Mir.Vmax -> Isa.Kreduce_max);
+    operand env a;
+    chr env ')'
+  | Mir.Rintrin (fname, args) ->
+    str env fname;
+    chr env '(';
+    operands env args;
+    chr env ')');
+  close_promote env promote
 
 (* Format-string rendering for fprintf: the MATLAB string's characters go
    into a C literal; conversions receive casts matching operand types. *)
-let c_string_literal s =
-  let b = Buffer.create (String.length s + 8) in
-  Buffer.add_char b '"';
+let c_string_literal env s =
+  chr env '"';
   String.iter
     (fun c ->
       match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
+      | '"' -> str env "\\\""
+      | '\n' -> str env "\\n"
+      | c -> chr env c)
     s;
-  Buffer.add_char b '"';
-  Buffer.contents b
+  chr env '"'
+
+(* A scalar operand as a printable real: complex values print their
+   real part. *)
+let print_operand env op =
+  operand env op;
+  if is_complex_sty (operand_sty op) then str env ".re"
 
 let rec emit_block env (block : Mir.block) =
   List.iter (emit_instr env) block
 
+(* " {", the block one level deeper, and the closing brace's line up to
+   the brace. *)
+and braced env block =
+  str env " {";
+  end_line env;
+  env.indent <- env.indent + 1;
+  emit_block env block;
+  env.indent <- env.indent - 1;
+  start_line env;
+  chr env '}'
+
 and emit_instr env (instr : Mir.instr) =
-  match instr.Mir.idesc with
-  | Mir.Idef (v, rv) -> line env "%s = %s;" (c_name v) (rvalue env v rv)
+  start_line env;
+  stmt env instr.Mir.idesc;
+  end_line env
+
+and stmt env (desc : Mir.instr_desc) =
+  match desc with
+  | Mir.Idef (v, rv) ->
+    name env v;
+    str env " = ";
+    rvalue env v rv;
+    chr env ';'
   | Mir.Istore (arr, idx, x) ->
-    let sty = Mir.elem_ty arr in
-    let s = operand env x in
-    let s =
-      if is_complex_sty sty && not (is_complex_sty (operand_sty x)) then
-        Printf.sprintf "masc_cplx_make(%s, 0.0)" s
-      else s
-    in
-    line env "%s = %s;" (access env arr idx) s
+    access env arr idx;
+    str env " = ";
+    if is_complex_sty (Mir.elem_ty arr) then cplx_operand env x
+    else operand env x;
+    chr env ';'
   | Mir.Ivstore (arr, base, x, _) ->
-    line env "%s(%s, %s);"
-      (intrin_name env Isa.Kstore)
-      (array_base_ptr env arr base)
-      (operand env x)
+    intrin_call env Isa.Kstore;
+    array_base_ptr env arr base;
+    str env ", ";
+    operand env x;
+    str env ");"
   | Mir.Iif (c, t, e) ->
-    line env "if (%s) {" (operand env c);
-    env.indent <- env.indent + 1;
-    emit_block env t;
-    env.indent <- env.indent - 1;
-    if e = [] then line env "}"
-    else begin
-      line env "} else {";
-      env.indent <- env.indent + 1;
-      emit_block env e;
-      env.indent <- env.indent - 1;
-      line env "}"
+    str env "if (";
+    operand env c;
+    chr env ')';
+    braced env t;
+    if e <> [] then begin
+      str env " else";
+      braced env e
     end
   | Mir.Iloop { ivar; lo; step; hi; body } ->
-    let iv = c_name ivar in
+    str env "for (";
+    name env ivar;
+    str env " = ";
+    operand env lo;
+    str env "; ";
     (match step with
-    | Mir.Oconst (Mir.Ci s) when s > 0 ->
-      line env "for (%s = %s; %s <= %s; %s += %d) {" iv (operand env lo) iv
-        (operand env hi) iv s
     | Mir.Oconst (Mir.Ci s) ->
-      line env "for (%s = %s; %s >= %s; %s += %d) {" iv (operand env lo) iv
-        (operand env hi) iv s
+      name env ivar;
+      str env (if s > 0 then " <= " else " >= ");
+      operand env hi
     | _ ->
-      line env
-        "for (%s = %s; (%s >= 0) ? (%s <= %s) : (%s >= %s); %s += %s) {" iv
-        (operand env lo) (operand env step) iv (operand env hi) iv
-        (operand env hi) iv (operand env step));
-    env.indent <- env.indent + 1;
-    emit_block env body;
-    env.indent <- env.indent - 1;
-    line env "}"
+      chr env '(';
+      operand env step;
+      str env " >= 0) ? (";
+      name env ivar;
+      str env " <= ";
+      operand env hi;
+      str env ") : (";
+      name env ivar;
+      str env " >= ";
+      operand env hi;
+      chr env ')');
+    str env "; ";
+    name env ivar;
+    str env " += ";
+    operand env step;
+    chr env ')';
+    braced env body
   | Mir.Iwhile { cond_block; cond; body } ->
-    line env "for (;;) {";
+    str env "for (;;) {";
+    end_line env;
     env.indent <- env.indent + 1;
     emit_block env cond_block;
-    line env "if (!(%s)) break;" (operand env cond);
+    start_line env;
+    str env "if (!(";
+    operand env cond;
+    str env ")) break;";
+    end_line env;
     emit_block env body;
     env.indent <- env.indent - 1;
-    line env "}"
-  | Mir.Ibreak -> line env "break;"
-  | Mir.Icontinue -> line env "continue;"
-  | Mir.Ireturn -> line env "goto masc_done;"
-  | Mir.Icomment s -> line env "/* %s */" s
+    start_line env;
+    chr env '}'
+  | Mir.Ibreak -> str env "break;"
+  | Mir.Icontinue -> str env "continue;"
+  | Mir.Ireturn -> str env "goto masc_done;"
+  | Mir.Icomment s ->
+    str env "/* ";
+    str env s;
+    str env " */"
   | Mir.Iprint (fmt, ops) -> emit_print env fmt ops
 
+(* One line per printed item, except that a format string with scalar
+   operands is one printf; [emit_instr] frames the first and last. *)
 and emit_print env fmt ops =
-  let scalar_ops, array_ops =
-    List.partition
-      (fun op ->
-        match op with
-        | Mir.Ovar v -> not (Mir.is_array v)
-        | Mir.Oconst _ -> true)
-      ops
+  let is_scalar op =
+    match op with Mir.Ovar v -> not (Mir.is_array v) | Mir.Oconst _ -> true
   in
   match fmt with
-  | Some f when array_ops = [] ->
+  | Some f when List.for_all is_scalar ops ->
     (* Match conversions to operands, casting ints for %d. *)
-    let args =
-      List.map
-        (fun op ->
-          let s = operand env op in
-          if is_complex_sty (operand_sty op) then s ^ ".re" else s)
-        scalar_ops
-    in
-    line env "printf(%s%s);" (c_string_literal f)
-      (match args with [] -> "" | _ -> ", " ^ String.concat ", " args)
-  | Some _ | None ->
+    str env "printf(";
+    c_string_literal env f;
     List.iter
       (fun op ->
+        str env ", ";
+        print_operand env op)
+      ops;
+    str env ");"
+  | Some _ | None ->
+    List.iteri
+      (fun i op ->
+        if i > 0 then begin
+          end_line env;
+          start_line env
+        end;
         match op with
         | Mir.Ovar v when Mir.is_array v ->
-          let n = array_numel v in
-          let elem =
-            match env.mode with
-            | Cost.Proposed -> Printf.sprintf "%s[masc_pi]" (c_name v)
-            | Cost.Coder -> Printf.sprintf "%s.data[masc_pi]" (c_name v)
-          in
-          let elem =
-            if is_complex_sty (Mir.elem_ty v) then elem ^ ".re" else elem
-          in
-          line env
-            "{ int masc_pi; for (masc_pi = 0; masc_pi < %d; masc_pi++) \
-             printf(\"%%g \", (double)%s); printf(\"\\n\"); }"
-            n elem
+          str env "{ int masc_pi; for (masc_pi = 0; masc_pi < ";
+          int env (array_numel v);
+          str env "; masc_pi++) printf(\"%g \", (double)";
+          name env v;
+          str env
+            (match env.mode with
+            | Cost.Proposed -> "[masc_pi]"
+            | Cost.Coder -> ".data[masc_pi]");
+          if is_complex_sty (Mir.elem_ty v) then str env ".re";
+          str env "); printf(\"\\n\"); }"
         | op ->
-          let s = operand env op in
-          let s =
-            if is_complex_sty (operand_sty op) then s ^ ".re" else s
-          in
-          line env "printf(\"%%g\\n\", (double)%s);" s)
+          str env "printf(\"%g\\n\", (double)";
+          print_operand env op;
+          str env ");")
       ops
 
 (* ---------- declarations and function shell ---------- *)
@@ -408,125 +547,190 @@ let stored_arrays (f : Mir.func) : (int, unit) Hashtbl.t =
   go f.Mir.body;
   tbl
 
-let elem_ctype _env (v : Mir.var) = sty_ctype (Mir.elem_ty v)
+(* Whether an early [return] anywhere needs the epilogue label; stops at
+   the first one. *)
+let rec has_return (block : Mir.block) =
+  List.exists
+    (fun (i : Mir.instr) ->
+      match i.Mir.idesc with
+      | Mir.Ireturn -> true
+      | Mir.Iif (_, t, e) -> has_return t || has_return e
+      | Mir.Iloop l -> has_return l.Mir.body
+      | Mir.Iwhile { cond_block; body; _ } ->
+        has_return cond_block || has_return body
+      | Mir.Idef _ | Mir.Istore _ | Mir.Ivstore _ | Mir.Ibreak
+      | Mir.Icontinue | Mir.Iprint _ | Mir.Icomment _ ->
+        false)
+    block
 
 let param_decl env stored (p : Mir.var) =
   match p.Mir.vty with
-  | Mir.Tscalar s -> Printf.sprintf "%s %s" (sty_ctype s) (c_name p)
+  | Mir.Tscalar s ->
+    sty_ctype env s;
+    chr env ' ';
+    name env p
   | Mir.Tarray (_, n) -> (
-    let base = elem_ctype env p in
     match env.mode with
     | Cost.Proposed ->
-      let const = if Hashtbl.mem stored p.Mir.vid then "" else "const " in
-      Printf.sprintf "%s%s %s[%d]" const base (c_name p) n
+      if not (Hashtbl.mem stored p.Mir.vid) then str env "const ";
+      elem_ctype env p;
+      chr env ' ';
+      name env p;
+      chr env '[';
+      int env n;
+      chr env ']'
     | Cost.Coder ->
-      let ty =
-        if is_complex_sty (Mir.elem_ty p) then "masc_emx_c" else "masc_emx"
-      in
-      Printf.sprintf "%s %s" ty (c_name p))
+      str env
+        (if is_complex_sty (Mir.elem_ty p) then "masc_emx_c " else "masc_emx ");
+      name env p)
 
 let ret_decl env (r : Mir.var) =
   match r.Mir.vty with
-  | Mir.Tscalar s -> Printf.sprintf "%s *masc_out_%s" (sty_ctype s) (c_name r)
+  | Mir.Tscalar s ->
+    sty_ctype env s;
+    str env " *masc_out_";
+    name env r
   | Mir.Tarray (_, n) ->
-    Printf.sprintf "%s masc_out_%s[%d]" (elem_ctype env r) (c_name r) n
+    elem_ctype env r;
+    str env " masc_out_";
+    name env r;
+    chr env '[';
+    int env n;
+    chr env ']'
 
-let func ~isa ~mode (f : Mir.func) : string =
-  let env =
-    { isa; mode; buf = Buffer.create 4096; indent = 0; func = f;
-      mutated_params = Hashtbl.create 8 }
-  in
+(* Declarations: every non-parameter variable up front (C89 style, as
+   ASIP toolchains prefer). *)
+let var_decl env (v : Mir.var) =
+  start_line env;
+  (match v.Mir.vty with
+  | Mir.Tscalar s ->
+    sty_ctype env s;
+    chr env ' ';
+    name env v;
+    str env
+      (if s.Mir.lanes > 1 then " = {{0.0}};"
+       else if is_complex_sty s then " = {0.0, 0.0};"
+       else " = 0;")
+  | Mir.Tarray (_, n) -> (
+    match env.mode with
+    | Cost.Proposed ->
+      elem_ctype env v;
+      chr env ' ';
+      name env v;
+      chr env '[';
+      int env n;
+      str env "];"
+    | Cost.Coder ->
+      elem_ctype env v;
+      chr env ' ';
+      name env v;
+      str env "_data[";
+      int env n;
+      str env "];";
+      end_line env;
+      start_line env;
+      str env
+        (if is_complex_sty (Mir.elem_ty v) then "masc_emx_c " else "masc_emx ");
+      name env v;
+      str env " = { ";
+      name env v;
+      str env "_data, ";
+      int env n;
+      str env ", 1 };"));
+  end_line env
+
+(* Epilogue: copy a return variable to its out-parameter. *)
+let ret_copy env (r : Mir.var) =
+  start_line env;
+  (match r.Mir.vty with
+  | Mir.Tscalar _ ->
+    str env "*masc_out_";
+    name env r;
+    str env " = ";
+    name env r;
+    chr env ';'
+  | Mir.Tarray (_, n) ->
+    str env "{ int masc_ci; for (masc_ci = 0; masc_ci < ";
+    int env n;
+    str env "; masc_ci++) masc_out_";
+    name env r;
+    str env "[masc_ci] = ";
+    name env r;
+    str env
+      (match env.mode with
+      | Cost.Proposed -> "[masc_ci]; }"
+      | Cost.Coder -> ".data[masc_ci]; }"));
+  end_line env
+
+let emit_func env (f : Mir.func) =
   let stored = stored_arrays f in
-  List.iter
-    (fun (p : Mir.var) ->
-      if Hashtbl.mem stored p.Mir.vid then
-        Hashtbl.replace env.mutated_params p.Mir.vid ())
-    f.Mir.params;
-  let params =
-    List.map (param_decl env stored) f.Mir.params
-    @ List.map (ret_decl env) f.Mir.rets
-  in
-  line env "void %s(%s)" f.Mir.name
-    (if params = [] then "void" else String.concat ", " params);
-  line env "{";
+  str env "void ";
+  str env f.Mir.name;
+  chr env '(';
+  if f.Mir.params = [] && f.Mir.rets = [] then str env "void"
+  else begin
+    List.iteri
+      (fun i p ->
+        if i > 0 then str env ", ";
+        param_decl env stored p)
+      f.Mir.params;
+    List.iteri
+      (fun i r ->
+        if i > 0 || f.Mir.params <> [] then str env ", ";
+        ret_decl env r)
+      f.Mir.rets
+  end;
+  chr env ')';
+  end_line env;
+  chr env '{';
+  end_line env;
   env.indent <- 1;
-  (* Declarations: every non-parameter variable up front (C89 style, as
-     ASIP toolchains prefer). *)
-  let param_ids = List.map (fun (p : Mir.var) -> p.Mir.vid) f.Mir.params in
   List.iter
     (fun (v : Mir.var) ->
-      if not (List.mem v.Mir.vid param_ids) then
-        match v.Mir.vty with
-        | Mir.Tscalar s -> line env "%s %s = %s;" (sty_ctype s) (c_name v)
-            (if s.Mir.lanes > 1 then "{{0.0}}"
-             else if is_complex_sty s then "{0.0, 0.0}"
-             else "0")
-        | Mir.Tarray (_, n) -> (
-          match mode with
-          | Cost.Proposed ->
-            line env "%s %s[%d];" (elem_ctype env v) (c_name v) n
-          | Cost.Coder ->
-            let ety = elem_ctype env v in
-            let dty = if is_complex_sty (Mir.elem_ty v) then "masc_emx_c" else "masc_emx" in
-            line env "%s %s_data[%d];" ety (c_name v) n;
-            line env "%s %s = { %s_data, %d, 1 };" dty (c_name v) (c_name v) n))
+      if
+        not
+          (List.exists
+             (fun (p : Mir.var) -> p.Mir.vid = v.Mir.vid)
+             f.Mir.params)
+      then var_decl env v)
     f.Mir.vars;
-  line env "";
+  start_line env;
+  end_line env;
   emit_block env f.Mir.body;
-  (* Epilogue: copy return variables to out-parameters. *)
-  line env "";
-  if
-    List.exists
-      (fun (i : Mir.instr) -> i.Mir.idesc = Mir.Ireturn)
-      (let acc = ref [] in
-       let rec collect b =
-         List.iter
-           (fun (i : Mir.instr) ->
-             acc := i :: !acc;
-             match i.Mir.idesc with
-             | Mir.Iif (_, t, e) ->
-               collect t;
-               collect e
-             | Mir.Iloop l -> collect l.Mir.body
-             | Mir.Iwhile { cond_block; body; _ } ->
-               collect cond_block;
-               collect body
-             | _ -> ())
-           b
-       in
-       collect f.Mir.body;
-       !acc)
-  then line env "masc_done: ;";
-  List.iter
-    (fun (r : Mir.var) ->
-      match r.Mir.vty with
-      | Mir.Tscalar _ -> line env "*masc_out_%s = %s;" (c_name r) (c_name r)
-      | Mir.Tarray (_, n) -> (
-        match mode with
-        | Cost.Proposed ->
-          line env
-            "{ int masc_ci; for (masc_ci = 0; masc_ci < %d; masc_ci++) \
-             masc_out_%s[masc_ci] = %s[masc_ci]; }"
-            n (c_name r) (c_name r)
-        | Cost.Coder ->
-          line env
-            "{ int masc_ci; for (masc_ci = 0; masc_ci < %d; masc_ci++) \
-             masc_out_%s[masc_ci] = %s.data[masc_ci]; }"
-            n (c_name r) (c_name r)))
-    f.Mir.rets;
+  start_line env;
+  end_line env;
+  if has_return f.Mir.body then begin
+    start_line env;
+    str env "masc_done: ;";
+    end_line env
+  end;
+  List.iter (ret_copy env) f.Mir.rets;
   env.indent <- 0;
-  line env "}";
+  chr env '}';
+  end_line env
+
+(* Presize for the whole translation unit: about one declaration and one
+   statement per variable. *)
+let create ~isa ~mode (f : Mir.func) =
+  { isa; mode; indent = 0;
+    buf = Buffer.create (1024 + (64 * List.length f.Mir.vars)) }
+
+let func ~isa ~mode (f : Mir.func) : string =
+  let env = create ~isa ~mode f in
+  emit_func env f;
   Buffer.contents env.buf
 
 let program ~isa ~mode (f : Mir.func) : string =
-  Printf.sprintf
-    "/* Generated by masc — MATLAB-to-C compiler targeting ASIPs.\n\
-    \ * target: %s (%s)\n\
-    \ * style:  %s\n\
-    \ */\n\
-     #include \"%s\"\n\n\
-     %s"
-    isa.Isa.tname isa.Isa.description
-    (Cost.mode_name mode)
-    Runtime.header_filename
-    (func ~isa ~mode f)
+  let env = create ~isa ~mode f in
+  str env "/* Generated by masc — MATLAB-to-C compiler targeting ASIPs.\n";
+  str env " * target: ";
+  str env isa.Isa.tname;
+  str env " (";
+  str env isa.Isa.description;
+  str env ")\n * style:  ";
+  str env (Cost.mode_name mode);
+  str env "\n */\n#include \"";
+  str env Runtime.header_filename;
+  str env "\"\n\n";
+  emit_func env f;
+  Buffer.contents env.buf

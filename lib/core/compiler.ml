@@ -346,8 +346,11 @@ let compile_file_cached ?error_budget config ~source ~entry ~arg_types =
   | `Uncacheable -> (
     match !outcome with Some r -> r | None -> assert false)
 
+(* C emission is the last compile stage and gets its own "stage" span,
+   so --trace and MASC_TIME_STAGES attribute it like the others. *)
 let c_source c =
-  Masc_codegen.Emit.program ~isa:c.config.isa ~mode:c.config.mode c.mir
+  Masc_obs.Trace.span ~cat:"stage" "emit" (fun () ->
+      Masc_codegen.Emit.program ~isa:c.config.isa ~mode:c.config.mode c.mir)
 
 let runtime_header c = Masc_codegen.Runtime.header c.config.isa
 

@@ -133,7 +133,8 @@ val clear_memory_cache : unit -> unit
     from any domain. *)
 val plan : compiled -> Masc_vm.Plan.t
 
-(** Generated translation unit (without the runtime header). *)
+(** Generated translation unit (without the runtime header), emitted
+    inside the ["emit"] stage span. *)
 val c_source : compiled -> string
 
 (** The matching self-contained runtime header text. *)

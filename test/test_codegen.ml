@@ -179,6 +179,176 @@ let test_gcc_widths () =
     [ Masc_asip.Targets.dsp4; Masc_asip.Targets.dsp16;
       Masc_asip.Targets.dsp8_simd_only; Masc_asip.Targets.dsp8_cplx_only ]
 
+(* ---- exact bytes, strict C validity, non-finite constants ---- *)
+
+(* The paper kernels under every emission style the evaluation uses. *)
+let digest_configs =
+  [ ("scalar", fun () -> C.proposed ~isa:Masc_asip.Targets.scalar ());
+    ("dsp4", fun () -> C.proposed ~isa:Masc_asip.Targets.dsp4 ());
+    ("dsp8", fun () -> C.proposed ~isa:Masc_asip.Targets.dsp8 ());
+    ("dsp16", fun () -> C.proposed ~isa:Masc_asip.Targets.dsp16 ());
+    ("coder", fun () -> C.coder_baseline ()) ]
+
+let kernel_units () =
+  List.concat_map
+    (fun (k : K.kernel) ->
+      List.map
+        (fun (cname, config) ->
+          ( k.K.kname,
+            cname,
+            C.compile (config ()) ~source:k.K.source ~entry:k.K.entry
+              ~arg_types:k.K.arg_types ))
+        digest_configs)
+    (K.all ())
+
+(* MD5 of [Compiler.c_source] per kernel and style: any change to the
+   emitted bytes, however small, shows up here. *)
+let expected_digests =
+  [ ("fir", "scalar", "49832b32822bdd152868b1801a7d2803");
+    ("fir", "dsp4", "974d7fffc58ebd80b2f1204daec788d0");
+    ("fir", "dsp8", "9c12a36560f1acdf4050b759e288b739");
+    ("fir", "dsp16", "4e127498727f42d899bef85f47312818");
+    ("fir", "coder", "ff984ab4fc584ba50d3027af14e96a68");
+    ("iir", "scalar", "45564e54fc427c2d038e55f3280c4080");
+    ("iir", "dsp4", "0dafb8f2f552834269b06af66f0dda38");
+    ("iir", "dsp8", "81f25686b69fcc436dff5acafaaa7c8c");
+    ("iir", "dsp16", "9de5701f760e19658089b2d984a8b2cb");
+    ("iir", "coder", "278be6568123571764cb9d16bdd8e927");
+    ("fft", "scalar", "dd9b91e92b9f0bac96d92accdfaa4b8f");
+    ("fft", "dsp4", "0d32701ef938d9309f4fedc5fea4390b");
+    ("fft", "dsp8", "f7c99c23c1393b0879293ba812cb8d62");
+    ("fft", "dsp16", "3b897a66b3b0d24e4cd75681338b6558");
+    ("fft", "coder", "cc7e0ce687c23c7c7126918b70064447");
+    ("matmul", "scalar", "96d2f5a9f24e5d5c69e0a1d125a207ea");
+    ("matmul", "dsp4", "1fbdb306f057b5c01e9818643624c293");
+    ("matmul", "dsp8", "b7ac604c3be12bcf019b5a9d234b98c6");
+    ("matmul", "dsp16", "0bf207e888491ee7b8c7aab87cab52ba");
+    ("matmul", "coder", "504ff6002bfbadfb791947489e49314e");
+    ("xcorr", "scalar", "2027ebd695b51b9d00b0f56d4a0878ad");
+    ("xcorr", "dsp4", "fadf62746766bad443108ad67d6f2b46");
+    ("xcorr", "dsp8", "1aa412c883e4f911d93ff3b7b676f3c2");
+    ("xcorr", "dsp16", "4ee90366e5a90b6b7f59cd9f2d54199f");
+    ("xcorr", "coder", "52b04ae493ba855b880d033ca34c0625");
+    ("fmdemod", "scalar", "3cdf2483537f36729156b831e6239b1a");
+    ("fmdemod", "dsp4", "a1bf5a5b0daf0c750276d94afe2dbf67");
+    ("fmdemod", "dsp8", "d3e8353c53e98ad3e4564a43bab98f94");
+    ("fmdemod", "dsp16", "1683d394b65a7ea83a01e705e9c82643");
+    ("fmdemod", "coder", "380ba0732c192ab5963de9694b7614e0") ]
+
+let test_c_digests () =
+  let got =
+    List.map
+      (fun (k, cname, c) ->
+        (k, cname, Digest.to_hex (Digest.string (C.c_source c))))
+      (kernel_units ())
+  in
+  Alcotest.(check (list (triple string string string)))
+    "MD5 of the generated C" expected_digests got
+
+(* 1/0, -(1/0) and 0/0 fold to non-finite constants, which C spells with
+   the <math.h> macros. *)
+let nonfinite_source =
+  "function y = f(a)\n\
+   p = 1/0;\n\
+   q = 0/0;\n\
+   y = zeros(1, 4);\n\
+   y(1) = a(1) + p;\n\
+   y(2) = -p;\n\
+   y(3) = min(a(2), p);\n\
+   y(4) = a(3) + q;\n\
+   end"
+
+let nonfinite_units () =
+  List.map
+    (fun (cname, config) ->
+      ( "nonfinite",
+        cname,
+        compile (config ()) ~args:[ Mtype.row_vector Mtype.Double 4 ]
+          nonfinite_source ))
+    (List.filter
+       (fun (cname, _) -> cname = "dsp8" || cname = "coder")
+       digest_configs)
+
+let test_c_nonfinite_constants () =
+  List.iter
+    (fun (_, cname, c) ->
+      let src = C.c_source c in
+      (* The coder baseline compiles at O0: nothing folds, and the
+         division happens at run time. *)
+      if cname <> "coder" then
+        List.iter
+          (fun needle ->
+            Alcotest.(check bool) (cname ^ " has " ^ needle) true
+              (contains ~needle src))
+          [ "INFINITY"; "(-INFINITY)"; "NAN" ];
+      List.iter
+        (fun needle ->
+          Alcotest.(check bool) (cname ^ " lacks " ^ needle) false
+            (contains ~needle src))
+        [ " inf"; "nan)"; "nan;" ];
+      if Lazy.force cc_available then begin
+        let input = [| 0.5; -0.25; 2.0; 1.0 |] in
+        let sim = C.run c [ I.Xarray (Array.map (fun f -> V.Sf f) input) ] in
+        let full =
+          H.full_program ~isa:c.C.config.C.isa ~mode:c.C.config.C.mode
+            c.C.mir [ H.Harray input ]
+        in
+        let c_vals = floats_of_lines (run_c_program full) in
+        let sim_vals = sim_floats sim in
+        Alcotest.(check int) (cname ^ " output count") (List.length sim_vals)
+          (List.length c_vals);
+        List.iteri
+          (fun i (a, b) ->
+            if not (Float.equal a b) then
+              Alcotest.failf "%s: C output %d: %h vs simulator %h" cname i b a)
+          (List.combine sim_vals c_vals)
+      end)
+    (nonfinite_units ())
+
+(* The kernels' translation units and the non-finite program pass a
+   strict ISO C99 syntax check with warnings as errors. Unused variables
+   are exempt: every MIR variable is declared up front, and O0 keeps dead
+   definitions. *)
+let strict_flags =
+  "-std=c99 -pedantic-errors -Wall -Werror -Wno-unused-variable \
+   -Wno-unused-but-set-variable -fsyntax-only"
+
+let test_c_strict_validity () =
+  if Lazy.force cc_available then begin
+    let units = kernel_units () @ nonfinite_units () in
+    (* The runtime header depends on the target, so each style gets its
+       own directory. *)
+    List.iter
+      (fun (cname, _) ->
+        let units = List.filter (fun (_, c, _) -> c = cname) units in
+        let dir = Filename.temp_file "mascstrict" "" in
+        Sys.remove dir;
+        Unix.mkdir dir 0o755;
+        let write file text =
+          Out_channel.with_open_text (Filename.concat dir file) (fun oc ->
+              output_string oc text)
+        in
+        let _, _, first = List.hd units in
+        write Masc_codegen.Runtime.header_filename (C.runtime_header first);
+        let files =
+          List.map
+            (fun (k, _, c) ->
+              let file = Filename.concat dir (k ^ ".c") in
+              write (k ^ ".c") (C.c_source c);
+              file)
+            units
+        in
+        let log = Filename.concat dir "cc.log" in
+        let cmd =
+          Printf.sprintf "cc %s %s 2>%s" strict_flags
+            (String.concat " " files) log
+        in
+        if Sys.command cmd <> 0 then
+          Alcotest.failf "%s: strict C check failed:\n%s" cname
+            (In_channel.with_open_text log In_channel.input_all))
+      digest_configs
+  end
+
 let suites =
   [ ( "codegen",
       [ Alcotest.test_case "proposed C structure" `Quick
@@ -192,4 +362,9 @@ let suites =
           test_gcc_proposed_kernels;
         Alcotest.test_case "cc run matches simulator (coder)" `Slow
           test_gcc_coder_kernels;
-        Alcotest.test_case "cc run across widths" `Slow test_gcc_widths ] ) ]
+        Alcotest.test_case "cc run across widths" `Slow test_gcc_widths;
+        Alcotest.test_case "C bytes pinned by digest" `Quick test_c_digests;
+        Alcotest.test_case "non-finite constants in C" `Quick
+          test_c_nonfinite_constants;
+        Alcotest.test_case "strict C99 validity" `Slow test_c_strict_validity
+      ] ) ]
