@@ -389,17 +389,7 @@ let bechamel_print data =
 let json () =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let esc s =
-    let b = Buffer.create (String.length s) in
-    String.iter
-      (function
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-  in
+  let esc = Masc_obs.Ojson.escape in
   let jfloat f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null" in
   let sep xs f = List.iteri (fun i x -> (if i > 0 then add ","); f x) xs in
   add "{\n";

@@ -4,8 +4,8 @@
      compile   FILE.m -> ANSI C with ASIP intrinsics (+ runtime header)
      run       compile and execute on the cycle-accounting simulator
      batch     execute newline-framed compile/run requests through the
-               fault-tolerant service core (deadlines, retries,
-               quarantine, persistent cache)
+               service core (deadlines, crash isolation, quarantine,
+               persistent cache)
      targets   list built-in target descriptions
      kernels   list the bundled benchmark kernels
 
@@ -513,19 +513,12 @@ let do_run file entry args_spec target isa_file opt_level coder no_vectorize
 
 (* ---- batch ---- *)
 
-let do_batch reqfile jobs target isa_file cache_dir timeout retries backoff_ms
-    quarantine fault_spec fault_seed summary journal heartbeat trace metrics =
+let do_batch reqfile jobs target isa_file cache_dir timeout quarantine summary
+    journal heartbeat trace metrics =
   handle_errors @@ fun () ->
   setup_telemetry ~journal ~trace ~metrics ();
   let isa = resolve_target target isa_file in
   install_cache_dir cache_dir;
-  (match fault_spec with
-  | Some spec -> (
-    (* --fault overrides MASC_FAULT (already armed at startup). *)
-    match Masc_fault.Fault.parse_spec spec with
-    | bindings -> Masc_fault.Fault.configure ~seed:fault_seed bindings
-    | exception Invalid_argument msg -> usage "%s" msg)
-  | None -> ());
   let text =
     match reqfile with
     | "-" -> In_channel.input_all In_channel.stdin
@@ -535,14 +528,7 @@ let do_batch reqfile jobs target isa_file cache_dir timeout retries backoff_ms
   let items = Batch.parse ~default_isa:isa text in
   if items = [] then
     usage "no requests in %s" (if reqfile = "-" then "stdin" else reqfile);
-  let policy =
-    { Req.default_policy with
-      Req.max_retries = retries;
-      backoff_base_ms = backoff_ms;
-      quarantine_after = quarantine;
-      timeout_ms = timeout;
-      retry_seed = fault_seed }
-  in
+  let policy = { Req.quarantine_after = quarantine; timeout_ms = timeout } in
   let jobs = if jobs <= 0 then Masc.Parallel.default_jobs () else jobs in
   (* --heartbeat: a sampling domain prints a [masc-health] line to
      stderr every MS, fed by per-outcome callbacks from the worker
@@ -801,8 +787,22 @@ let profile_json_arg =
        & info [ "profile-json" ] ~docv:"FILE.json"
            ~doc:"Write the simulation profile as JSON to $(docv)")
 
+(* A limit of zero or less cannot be met by any request: it would trap,
+   time out or quarantine every one. Refuse it as a usage error. *)
+let positive conv zero =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when compare v zero > 0 -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%s is not positive" s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let pos_int = positive Arg.int 0
+let pos_float = positive Arg.float 0.0
+
 let fuel_arg =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some pos_int) None
        & info [ "fuel" ] ~docv:"N"
            ~doc:"Dynamic-instruction budget for the simulator (default \
                  1e9); exceeding it raises a structured trap instead of \
@@ -816,7 +816,7 @@ let cache_dir_arg =
                  entries are detected, counted and recompiled")
 
 let timeout_arg =
-  Arg.(value & opt (some float) None
+  Arg.(value & opt (some pos_float) None
        & info [ "compile-timeout" ] ~docv:"MS"
            ~doc:"Wall-clock budget per work item, in milliseconds; \
                  cancellation is cooperative at pass/stage boundaries \
@@ -830,41 +830,17 @@ let batch_file_arg =
                  [args=SPEC] [entry=NAME] [target=NAME] [seed=N] [fuel=N] \
                  [O=N] [coder] [no-vectorize] [no-complex]; '#' comments")
 
-let retries_arg =
-  Arg.(value & opt int 3
-       & info [ "retries" ] ~docv:"N"
-           ~doc:"Retry budget per request for retryable (injected/cache \
-                 I/O) failures")
-
-let backoff_arg =
-  Arg.(value & opt float 1.0
-       & info [ "backoff-ms" ] ~docv:"MS"
-           ~doc:"Base retry backoff; doubles per attempt, with \
-                 deterministic jitter")
-
 let quarantine_arg =
-  Arg.(value & opt int 3
+  Arg.(value & opt pos_int 3
        & info [ "quarantine-after" ] ~docv:"K"
            ~doc:"Open the per-input circuit breaker after K consecutive \
-                 failures")
-
-let fault_arg =
-  Arg.(value & opt (some string) None
-       & info [ "fault" ] ~docv:"SPEC"
-           ~doc:"Deterministic fault injection, e.g. \
-                 'cache.read:0.1,sim.step:0.05' or 'all:0.05' \
-                 (overrides \\$MASC_FAULT)")
-
-let fault_seed_arg =
-  Arg.(value & opt int 0
-       & info [ "fault-seed" ] ~docv:"N"
-           ~doc:"Seed for fault injection and retry jitter")
+                 timeouts or crashes of the same input")
 
 let summary_arg =
   Arg.(value & opt (some string) None
        & info [ "summary" ] ~docv:"FILE.json"
            ~doc:"Write the batch JSON summary (per-request outcomes, \
-                 latency percentiles, retry/timeout/quarantine and \
+                 latency percentiles, timeout/quarantine and \
                  cache counters) to $(docv)")
 
 let journal_arg =
@@ -872,8 +848,8 @@ let journal_arg =
        & info [ "journal" ] ~docv:"FILE.jsonl"
            ~doc:"Stream the request-correlated flight recorder to \
                  $(docv) as JSONL, one flushed line per event: request \
-                 lifecycle, retries, deadline hits, injected faults, \
-                 cache traffic, quarantine transitions, traps")
+                 lifecycle, deadline hits, cache traffic, quarantine \
+                 transitions, traps")
 
 let heartbeat_arg =
   Arg.(value & opt (some float) None
@@ -941,15 +917,14 @@ let run_cmd =
 
 let batch_cmd =
   let doc =
-    "execute newline-framed compile/run requests through the \
-     fault-tolerant service core"
+    "execute newline-framed compile/run requests through the service \
+     core"
   in
   Cmd.v
     (Cmd.info "batch" ~doc ~exits)
     Term.(
       const do_batch $ batch_file_arg $ jobs_arg $ target_arg $ isa_arg
-      $ cache_dir_arg $ timeout_arg $ retries_arg $ backoff_arg
-      $ quarantine_arg $ fault_arg $ fault_seed_arg $ summary_arg
+      $ cache_dir_arg $ timeout_arg $ quarantine_arg $ summary_arg
       $ journal_arg $ heartbeat_arg $ trace_arg $ metrics_arg)
 
 let bench_cmd =
@@ -979,13 +954,6 @@ let kernels_cmd =
     Term.(const do_kernels $ const ())
 
 let () =
-  (* Arm fault injection from the environment before any subcommand
-     runs, so MASC_FAULT exercises every entry point, not just batch. *)
-  (match Masc_fault.Fault.init_from_env () with
-  | (_ : bool) -> ()
-  | exception Invalid_argument msg ->
-    Printf.eprintf "mascc: %s\n" msg;
-    exit 2);
   let doc = "retargetable MATLAB-to-C compiler for ASIPs" in
   let info = Cmd.info "mascc" ~version:"1.0.0" ~doc ~exits in
   let code =

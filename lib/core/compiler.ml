@@ -93,9 +93,8 @@ let compile_with ?passes ~sink config ~source ~entry ~arg_types =
   let degrade stage phase scalar zero_stats f =
     try f () with
     | Diag.Budget_exhausted _ as e -> raise e
-    (* Injected faults must stay retryable and deadline expiry must
-       stay a timeout: neither is a stage failure to degrade over. *)
-    | Masc_fault.Fault.Injected _ as e -> raise e
+    (* Deadline expiry must stay a timeout, not a stage failure to
+       degrade over. *)
     | Masc_fault.Cancel.Deadline_exceeded _ as e -> raise e
     | e ->
       Diag.report sink Diag.Severity.Warning phase Loc.dummy
@@ -166,10 +165,6 @@ let plan c =
       match c.plan_memo with
       | Some p -> p
       | None ->
-        (* Fault site: plan construction is a schedulable operation of
-           a run request; an injection here leaves the memo empty, so
-           the retry simply rebuilds. *)
-        Masc_fault.Fault.check "plan.compile";
         let p =
           Masc_vm.Plan.compile ~isa:c.config.isa ~mode:c.config.mode c.mir
         in

@@ -107,7 +107,6 @@ let invalidate ~dir ~key =
   unlink_quiet (path_of_key ~dir ~key)
 
 let find ~dir ~version ~key =
-  Masc_fault.Fault.check "cache.read";
   let path = path_of_key ~dir ~key in
   match read_file path with
   | exception Unix.Unix_error (Unix.ENOENT, _, _) ->
@@ -137,7 +136,6 @@ let find ~dir ~version ~key =
 (* ---- write side ---- *)
 
 let store ~dir ~version ~key payload =
-  Masc_fault.Fault.check "cache.write";
   let path = path_of_key ~dir ~key in
   let tmp =
     Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())

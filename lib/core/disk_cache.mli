@@ -22,11 +22,8 @@
 
     All file I/O retries [EINTR]. Real read-side I/O errors degrade to
     a miss (["cache.disk_read_errors"]); write-side errors are swallowed
-    after counting (["cache.disk_write_errors"]) — both are recovery
-    paths, exercised by the ["cache.read"]/["cache.write"] fault sites
-    ({!Masc_fault.Fault}), which raise {!Masc_fault.Fault.Injected}
-    before the operation so the service layer's retry is tested
-    end-to-end. *)
+    after counting (["cache.disk_write_errors"]). Neither ever reaches
+    the caller, so a cache fault never fails or retries a request. *)
 
 (** [find ~dir ~version ~key] returns the payload stored for [key], or
     [None] on miss/corruption/read error. Counts

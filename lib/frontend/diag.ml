@@ -196,22 +196,6 @@ let render ?source d =
 
 (* ---------------- machine-readable form ---------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* One JSON object per diagnostic — a stable machine-readable contract
    for batch/CI drivers ([mascc --diag-format json] emits one per
    line). Dummy spans serialize as zeros. *)
@@ -225,7 +209,7 @@ let to_json d =
     (max 0 sp.Loc.start_pos.Loc.col)
     (max 0 sp.Loc.end_pos.Loc.line)
     (max 0 sp.Loc.end_pos.Loc.col)
-    (json_escape d.message)
+    (Masc_obs.Ojson.escape d.message)
 
 (* ---------------- legacy exception rendering ---------------- *)
 

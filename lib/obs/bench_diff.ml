@@ -243,9 +243,9 @@ let render_json v =
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
         (Printf.sprintf "\n{\"name\":\"%s\",\"status\":\"%s\",\"message\":\"%s\"}"
-           (Trace_escape.json c.c_name)
+           (Ojson.escape c.c_name)
            (status_word c.c_status)
-           (Trace_escape.json c.c_msg)))
+           (Ojson.escape c.c_msg)))
     v.v_checks;
   Buffer.add_string b "\n]}\n";
   Buffer.contents b

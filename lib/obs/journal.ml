@@ -1,9 +1,9 @@
 (* Request-correlated flight recorder.
 
    A structured, append-only event log for the service layer: request
-   lifecycle, retries, deadline hits, injected faults, cache traffic,
-   quarantine transitions and simulator traps. Events are stamped with
-   monotonic time, the current request id and attempt number (held in
+   lifecycle, deadline hits, cache traffic, quarantine transitions and
+   simulator traps. Events are stamped with monotonic time, the current
+   request id (held in
    domain-local storage, installed by [Svc.Request.execute] — each
    batch request runs wholly inside one domain of the pool, so DLS is a
    correct carrier), and the recording domain id.
@@ -21,7 +21,6 @@ type event = {
   seq : int;  (* global arrival index, 0-based *)
   ts_ns : int64;  (* monotonic, relative to [enable] *)
   rid : int;  (* request id; -1 = process scope *)
-  attempt : int;  (* attempt number within the request; -1 = none *)
   dom : int;  (* Domain.self at record time *)
   kind : string;
   detail : (string * string) list;
@@ -34,9 +33,8 @@ let ring : event option array ref = ref [||]
 let total_count = ref 0
 let sink : out_channel option ref = ref None
 
-(* (rid, attempt) context per domain. *)
-let context : (int * int) ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref (-1, -1))
+(* Request id context per domain. *)
+let context : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref (-1))
 
 let now_ns () = Monotonic_clock.now ()
 let default_capacity = 65536
@@ -72,21 +70,15 @@ let close_stream () =
 
 let current_rid () =
   if not (Atomic.get enabled) then -1
-  else fst !(Domain.DLS.get context)
+  else !(Domain.DLS.get context)
 
 let with_request ~rid f =
   if not (Atomic.get enabled) then f ()
   else begin
     let cell = Domain.DLS.get context in
     let saved = !cell in
-    cell := (rid, -1);
+    cell := rid;
     Fun.protect ~finally:(fun () -> cell := saved) f
-  end
-
-let set_attempt n =
-  if Atomic.get enabled then begin
-    let cell = Domain.DLS.get context in
-    cell := (fst !cell, n)
   end
 
 (* One JSON object per line; detail pairs are flattened in as string
@@ -95,27 +87,24 @@ let render_event ev =
   let b = Buffer.create 128 in
   Buffer.add_string b
     (Printf.sprintf
-       "{\"seq\":%d,\"ts_ns\":%Ld,\"rid\":%d,\"attempt\":%d,\"dom\":%d,\"kind\":\"%s\""
-       ev.seq ev.ts_ns ev.rid ev.attempt ev.dom (Trace_escape.json ev.kind));
+       "{\"seq\":%d,\"ts_ns\":%Ld,\"rid\":%d,\"dom\":%d,\"kind\":\"%s\""
+       ev.seq ev.ts_ns ev.rid ev.dom (Ojson.escape ev.kind));
   List.iter
     (fun (k, v) ->
       Buffer.add_string b
-        (Printf.sprintf ",\"%s\":\"%s\"" (Trace_escape.json k)
-           (Trace_escape.json v)))
+        (Printf.sprintf ",\"%s\":\"%s\"" (Ojson.escape k) (Ojson.escape v)))
     ev.detail;
   Buffer.add_char b '}';
   Buffer.contents b
 
 let emit ?rid ?(detail = []) kind =
   if Atomic.get enabled then begin
-    let ctx = !(Domain.DLS.get context) in
-    let rid = match rid with Some r -> r | None -> fst ctx in
-    let attempt = snd ctx in
+    let rid = match rid with Some r -> r | None -> !(Domain.DLS.get context) in
     let dom = (Domain.self () :> int) in
     Mutex.protect lock (fun () ->
         let ts_ns = Int64.sub (now_ns ()) !t0 in
         let seq = !total_count in
-        let ev = { seq; ts_ns; rid; attempt; dom; kind; detail } in
+        let ev = { seq; ts_ns; rid; dom; kind; detail } in
         let cap = Array.length !ring in
         if cap > 0 then !ring.(seq mod cap) <- Some ev;
         incr total_count;
@@ -163,9 +152,9 @@ let to_jsonl () =
 
 (* ---- normalizing comparator ----
 
-   Two journals from reruns with the same fault seed differ only in
+   Two journals from reruns of the same batch differ only in
    time-valued fields: [ts_ns] and any detail key ending in [_ms] or
-   [_ns] (latencies, backoff delays). [normalize] rewrites those values
+   [_ns] (latencies, deadline budgets). [normalize] rewrites those values
    to 0 so byte comparison tests determinism of everything else. *)
 
 let is_numchar c =
@@ -239,9 +228,9 @@ let render_flight ?(limit = 50) ?rid () =
   List.iter
     (fun ev ->
       Buffer.add_string b
-        (Printf.sprintf "[flight] #%-5d %9.3fms rid=%-3d att=%-2d %-18s" ev.seq
+        (Printf.sprintf "[flight] #%-5d %9.3fms rid=%-3d %-18s" ev.seq
            (Int64.to_float ev.ts_ns /. 1e6)
-           ev.rid ev.attempt ev.kind);
+           ev.rid ev.kind);
       List.iter
         (fun (k, v) -> Buffer.add_string b (Printf.sprintf " %s=%s" k v))
         ev.detail;

@@ -1,10 +1,10 @@
 (** Request-correlated flight recorder.
 
-    A structured, append-only event log: request lifecycle, retries,
-    deadline hits, injected faults, cache traffic, quarantine
-    transitions, simulator traps. Each event carries monotonic time,
-    the current request id and attempt number (domain-local context
-    installed by [Svc.Request.execute]) and the recording domain id.
+    A structured, append-only event log: request lifecycle, deadline
+    hits, cache traffic, quarantine transitions, simulator traps. Each
+    event carries monotonic time, the current request id (domain-local
+    context installed by [Svc.Request.execute]) and the recording
+    domain id.
 
     Events live in a bounded in-memory ring with a drop counter, and
     are optionally streamed to an [out_channel] as JSONL, one flushed
@@ -15,7 +15,6 @@ type event = {
   seq : int;  (** global arrival index, 0-based *)
   ts_ns : int64;  (** monotonic, relative to [enable] *)
   rid : int;  (** request id; -1 = process scope *)
-  attempt : int;  (** attempt number; -1 = none *)
   dom : int;  (** recording domain id *)
   kind : string;
   detail : (string * string) list;
@@ -35,10 +34,8 @@ val stream_to : out_channel -> unit
 val close_stream : unit -> unit
 
 (** Run [f] with the domain-local request context set to [rid];
-    restored (including attempt number) on exit. *)
+    restored on exit. *)
 val with_request : rid:int -> (unit -> 'a) -> 'a
-
-val set_attempt : int -> unit
 
 (** Request id of the current domain context; -1 when none or when the
     journal is disabled. *)
@@ -68,7 +65,7 @@ val to_jsonl : unit -> string
 val render_event : event -> string
 
 (** Zero every time-valued field ([ts_ns] and any key ending in [_ms]
-    or [_ns]) so journals from reruns with the same fault seed compare
+    or [_ns]) so journals from reruns of the same batch compare
     byte-identical. *)
 val normalize : string -> string
 

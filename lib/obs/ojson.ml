@@ -1,4 +1,5 @@
-(* Minimal JSON reader for the bench regression gate.
+(* Minimal JSON support: the one string escaper every emitter shares,
+   and a reader for the bench regression gate.
 
    The repo has no JSON dependency — emitters hand-print stable
    schemas, and tests validate shape with a hand-rolled checker. The
@@ -6,6 +7,22 @@
    this is a small strict recursive-descent parser: objects keep field
    order, numbers parse to float (exact for the integer cycle counts
    the gate compares bit-identically). *)
+
+let escape s =
+  let b = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
+      | '\r' -> Buffer.add_string b "\\r"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
 
 type t =
   | Null

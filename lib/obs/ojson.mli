@@ -1,6 +1,12 @@
-(** Minimal strict JSON reader (no external dependency), used by the
+(** Minimal JSON support (no external dependency): the string escaper
+    shared by every JSON emitter, and a strict reader used by the
     [mascc bench diff] regression gate. Objects keep field order;
     numbers parse to [float], exact for integer cycle counts. *)
+
+(** The body of a JSON string literal for [s], without the quotes.
+    Double quote, backslash, newline, tab and carriage return get their
+    short escapes; every other control character becomes [\u00XX]. *)
+val escape : string -> string
 
 type t =
   | Null

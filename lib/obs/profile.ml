@@ -149,7 +149,7 @@ let to_json snap =
         if i > 0 then Buffer.add_char b ',';
         Buffer.add_string b
           (Printf.sprintf "{\"name\":\"%s\",\"cycles\":%d,\"instrs\":%d}"
-             (Trace.json_escape r.key) r.cycles r.instrs))
+             (Ojson.escape r.key) r.cycles r.instrs))
       rows;
     Buffer.add_string b "]"
   in

@@ -88,8 +88,6 @@ let dump () = Mutex.protect lock (fun () -> List.rev !events)
    The "JSON Array Format" with complete ("ph":"X") events; loadable in
    chrome://tracing and Perfetto. Timestamps are microseconds. *)
 
-let json_escape = Trace_escape.json
-
 (* Requests get their own lanes, offset past any plausible domain id,
    so chrome://tracing shows one row per request instead of one
    undifferentiated stream per domain. *)
@@ -136,7 +134,7 @@ let chrome_json () =
       add_event
         (Printf.sprintf
            "\n{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d"
-           (json_escape ev.name) (json_escape ev.cat)
+           (Ojson.escape ev.name) (Ojson.escape ev.cat)
            (Int64.to_float ev.ts_ns /. 1e3)
            (Int64.to_float ev.dur_ns /. 1e3)
            (lane_of ev));
@@ -152,7 +150,7 @@ let chrome_json () =
           (fun j (k, v) ->
             if j > 0 then Buffer.add_char b ',';
             Buffer.add_string b
-              (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
+              (Printf.sprintf "\"%s\":\"%s\"" (Ojson.escape k) (Ojson.escape v)))
           args;
         Buffer.add_char b '}');
       Buffer.add_char b '}')

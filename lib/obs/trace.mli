@@ -50,5 +50,3 @@ val chrome_json : unit -> string
     summed durations and call counts. Deterministic for a fixed span
     structure regardless of domain interleaving. *)
 val summary : unit -> string
-
-val json_escape : string -> string

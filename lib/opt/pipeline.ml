@@ -121,18 +121,6 @@ let max_steps_per_pass = 24
 
 let run_fixpoint (pass_list : (string * (Masc_mir.Mir.func -> Masc_mir.Mir.func)) list)
     func =
-  (* Fault site: one draw per fixpoint invocation (the optimize and
-     cleanup stages each count as one schedulable operation), so a
-     request-level retry probability composes predictably instead of
-     scaling with however many pass runs the schedule happens to
-     need. *)
-  (* The schedule's head pass names the stage (optimize vs cleanup run
-     disjoint schedules), which is what the flight recorder needs to
-     attribute the fault. *)
-  Masc_fault.Fault.check "pass.run"
-    ~detail:
-      [ ("sched", match pass_list with (name, _) :: _ -> name | [] -> "empty");
-        ("passes", string_of_int (List.length pass_list)) ];
   let arr = Array.of_list pass_list in
   let n = Array.length arr in
   let stats =

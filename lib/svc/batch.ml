@@ -99,7 +99,10 @@ let parse_opt (o : opts) tok =
     | "entry" -> o.entry <- Some v
     | "target" -> o.target <- Some v
     | "seed" -> o.seed <- Some (int_v ())
-    | "fuel" -> o.fuel <- Some (int_v ())
+    | "fuel" ->
+      let n = int_v () in
+      if n <= 0 then bad "fuel must be positive: fuel=%d" n;
+      o.fuel <- Some n
     | "O" ->
       let n = int_v () in
       if n < 0 || n > 2 then bad "bad optimization level: O=%d" n;
@@ -266,7 +269,7 @@ let run ?(jobs = 1) ?on_outcome ~policy items =
         Masc_obs.Metrics.incr "svc.requests";
         Masc_obs.Metrics.incr "svc.status.invalid";
         Masc_obs.Journal.emit ~rid:it.bx_index "request.done"
-          ~detail:[ ("class", "invalid"); ("retries", "0") ];
+          ~detail:[ ("class", "invalid") ];
         {
           Request.o_label = it.bx_label;
           o_op = it.bx_op;
@@ -284,28 +287,13 @@ let run ?(jobs = 1) ?on_outcome ~policy items =
   Masc.Parallel.map ~jobs exec items
 
 let render_line ~index (o : Request.outcome) =
-  Printf.sprintf "req %d %s %s %s retries=%d %s latency_ms=%.2f" index
+  Printf.sprintf "req %d %s %s %s %s latency_ms=%.2f" index
     (Request.status_class o.Request.o_status)
-    (op_name o.Request.o_op) o.Request.o_label o.Request.o_retries
+    (op_name o.Request.o_op) o.Request.o_label
     (Request.status_detail o.Request.o_status)
     o.Request.o_latency_ms
 
 (* ---- JSON summary ---- *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 let metric name =
   int_of_float (Option.value ~default:0.0 (Masc_obs.Metrics.get name))
@@ -342,14 +330,14 @@ let summary_json (outcomes : Request.outcome list) =
       Buffer.add_string b
         (Printf.sprintf
            "    {\"index\": %d, \"label\": \"%s\", \"op\": \"%s\", \
-            \"status\": \"%s\", \"detail\": \"%s\", \"retries\": %d, \
-            \"latency_ms\": %.3f%s}%s\n"
+            \"status\": \"%s\", \"detail\": \"%s\", \"latency_ms\": \
+            %.3f%s}%s\n"
            i
-           (json_escape o.Request.o_label)
+           (Masc_obs.Ojson.escape o.Request.o_label)
            (op_name o.Request.o_op)
            (Request.status_class o.Request.o_status)
-           (json_escape (Request.status_detail o.Request.o_status))
-           o.Request.o_retries o.Request.o_latency_ms journal
+           (Masc_obs.Ojson.escape (Request.status_detail o.Request.o_status))
+           o.Request.o_latency_ms journal
            (if i = n - 1 then "" else ",")))
     outcomes;
   Buffer.add_string b "  ],\n";
@@ -367,12 +355,8 @@ let summary_json (outcomes : Request.outcome list) =
        (percentile lat 50.0) (percentile lat 90.0) (percentile lat 99.0)
        (Array.fold_left Float.max 0.0 lat));
   Buffer.add_string b
-    (Printf.sprintf
-       "  \"retries\": %d,\n  \"timeouts\": %d,\n  \"quarantined\": %d,\n"
-       (metric "svc.retries") (metric "svc.timeouts")
-       (metric "svc.quarantined"));
-  Buffer.add_string b
-    (Printf.sprintf "  \"faults_injected\": %d,\n" (metric "fault.injected"));
+    (Printf.sprintf "  \"timeouts\": %d,\n  \"quarantined\": %d,\n"
+       (metric "svc.timeouts") (metric "svc.quarantined"));
   let hits = metric "compile.cache_hits" in
   let misses = metric "compile.cache_misses" in
   Buffer.add_string b

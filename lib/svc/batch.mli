@@ -15,7 +15,7 @@
     names the program ([kernel:<name>] from the built-in suite, or a
     [.m] file path). The rest are [key=value] options ([args], [entry],
     [target], [seed], [fuel], [O]) and flags ([coder], [no-vectorize],
-    [no-complex]).
+    [no-complex]). [fuel] must be positive.
 
     A malformed line — or an unreadable file — becomes a request with
     status {!Request.Invalid}; it occupies its slot in the report and
@@ -58,13 +58,13 @@ val run :
   Request.outcome list
 
 (** One deterministic report line per request, e.g.
-    [req 3 ok run kernel:fft retries=0 cycles=9188 dyn=5120 latency_ms=1.42]
+    [req 3 ok run kernel:fft cycles=9188 dyn=5120 latency_ms=1.42]
     (latency last, so tests can [sed] it off). *)
 val render_line : index:int -> Request.outcome -> string
 
 (** JSON summary: per-request records (in order), counts by status
     class, latency percentiles (nearest-rank p50/p90/p99 and max),
-    total retries, and the fault / cache / service counters from
+    and the timeout / quarantine / cache counters from
     {!Masc_obs.Metrics}. When the journal is enabled, every non-ok
     request record carries a ["journal"] array of its flight-recorder
     event offsets. *)

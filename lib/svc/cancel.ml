@@ -30,12 +30,6 @@ let check () =
     raise (Deadline_exceeded { budget_ms })
   | _ -> ()
 
-let remaining_ms () =
-  match !(Domain.DLS.get key) with
-  | None -> None
-  | Some { deadline_ns; _ } ->
-    Some (Int64.to_float (Int64.sub deadline_ns (now_ns ())) /. 1e6)
-
 let with_deadline ~ms f =
   let cell = Domain.DLS.get key in
   let saved = !cell in

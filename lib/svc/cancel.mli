@@ -32,8 +32,3 @@ val armed : unit -> bool
 (** Raises {!Deadline_exceeded} if the current domain's deadline has
     passed; otherwise (or with no deadline installed) returns unit. *)
 val check : unit -> unit
-
-(** Milliseconds until the current deadline; [None] when unarmed.
-    Negative when already past. Used by the retry loop to refuse a
-    backoff sleep that cannot complete. *)
-val remaining_ms : unit -> float option

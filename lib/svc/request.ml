@@ -1,16 +1,15 @@
-(* Fault-tolerant request execution: see the .mli for the contract.
+(* Isolated request execution: see the .mli for the contract.
 
-   Retryability is a *classification* decision, made in exactly one
-   place (the exception dispatch in `execute`): injected faults are
-   transient by construction, so they retry; diagnostics and simulator
-   traps are pure functions of the input, so retrying them would only
-   burn the budget reproducing the same failure. *)
+   Outcome classification happens in exactly one place (the exception
+   dispatch in `execute`). Nothing is retried: diagnostics and
+   simulator traps are pure functions of the input, and the persistent
+   cache already turns its own I/O errors into misses, so a second
+   attempt could only reproduce the first. *)
 
 module MT = Masc_sema.Mtype
 module I = Masc_vm.Interp
 module V = Masc_vm.Value
 module C = Masc.Compiler
-module Fault = Masc_fault.Fault
 module Cancel = Masc_fault.Cancel
 module Metrics = Masc_obs.Metrics
 module Journal = Masc_obs.Journal
@@ -46,26 +45,9 @@ type outcome = {
   o_retries : int;
 }
 
-type policy = {
-  max_retries : int;
-  backoff_base_ms : float;
-  backoff_factor : float;
-  backoff_jitter : float;
-  quarantine_after : int;
-  timeout_ms : float option;
-  retry_seed : int;
-}
+type policy = { quarantine_after : int; timeout_ms : float option }
 
-let default_policy =
-  {
-    max_retries = 3;
-    backoff_base_ms = 1.0;
-    backoff_factor = 2.0;
-    backoff_jitter = 0.5;
-    quarantine_after = 3;
-    timeout_ms = None;
-    retry_seed = 0;
-  }
+let default_policy = { quarantine_after = 3; timeout_ms = None }
 
 (* ---- circuit breaker ---- *)
 
@@ -134,25 +116,6 @@ let random_inputs ~seed (arg_types : MT.t list) : I.xvalue list =
             (Array.map (fun v -> { Complex.re = v; im = 0.5 *. v }) vals))
     arg_types
 
-(* ---- backoff jitter: deterministic per (seed, input key, attempt) ---- *)
-
-let splitmix64 x =
-  let x = Int64.add x 0x9E3779B97F4A7C15L in
-  let x =
-    Int64.mul (Int64.logxor x (Int64.shift_right_logical x 30))
-      0xBF58476D1CE4E5B9L
-  in
-  let x =
-    Int64.mul (Int64.logxor x (Int64.shift_right_logical x 27))
-      0x94D049BB133111EBL
-  in
-  Int64.logxor x (Int64.shift_right_logical x 31)
-
-let jitter_unit ~seed ~key ~attempt =
-  let h = Hashtbl.hash (key, attempt) in
-  let bits = splitmix64 (Int64.of_int (seed lxor (h * 0x2545F491))) in
-  Int64.to_float (Int64.shift_right_logical bits 11) /. 9007199254740992.0
-
 (* ---- one attempt ---- *)
 
 let digest_rets (rets : I.xvalue list) =
@@ -193,11 +156,9 @@ let attempt (s : spec) : status =
           Trapped (Masc_vm.Exec.trap_message ~kind ~loc ~steps_executed)
         | exception I.Runtime_error msg -> Trapped msg))
 
-(* ---- retry loop ---- *)
+(* ---- execution ---- *)
 
 let now_ms () = Int64.to_float (Monotonic_clock.now ()) /. 1e6
-
-let sleep_ms ms = if ms > 0.0 then Unix.sleepf (ms /. 1000.0)
 
 let status_class = function
   | Ok_run _ | Ok_compile _ -> "ok"
@@ -221,38 +182,35 @@ let status_detail = function
   | Crashed msg -> Printf.sprintf "reason=%S" msg
   | Invalid msg -> Printf.sprintf "reason=%S" msg
 
-(* A failure the breaker should count: the non-deterministic (or
-   resource-exhaustion) classes that poison throughput when the same
-   input keeps cycling. Rejected/Trapped are the input behaving as
-   specified — not counted. *)
+(* A failure the breaker should count: the resource-exhaustion and
+   internal-error classes that poison throughput when the same input
+   keeps cycling. Rejected/Trapped are the input behaving as specified
+   — not counted. (An open breaker short-circuits before any status is
+   noted, so Quarantined never reaches here.) *)
 let breaker_counts = function
-  | Timed_out _ | Quarantined _ | Crashed _ -> true
-  | Ok_run _ | Ok_compile _ | Rejected _ | Trapped _ | Invalid _ -> false
+  | Timed_out _ | Crashed _ -> true
+  | Ok_run _ | Ok_compile _ | Rejected _ | Trapped _ | Quarantined _
+  | Invalid _ ->
+    false
 
 let execute ?breaker ?(rid = -1) ~policy (s : spec) : outcome =
   Journal.with_request ~rid @@ fun () ->
   Metrics.incr "svc.requests";
   let key = input_key s in
   let t0 = now_ms () in
-  let finish ~retries status =
-    (match breaker with
-    | Some b ->
-      breaker_note b ~key ~threshold:policy.quarantine_after
-        ~failed:(breaker_counts status)
-    | None -> ());
+  let finish status =
     Metrics.incr ("svc.status." ^ status_class status);
     let latency = now_ms () -. t0 in
     Journal.emit "request.done"
       ~detail:
         [ ("class", status_class status);
-          ("retries", string_of_int retries);
           ("latency_ms", Printf.sprintf "%.3f" latency) ];
     {
       o_label = s.label;
       o_op = s.op;
       o_status = status;
       o_latency_ms = latency;
-      o_retries = retries;
+      o_retries = 0;
     }
   in
   let circuit_open =
@@ -261,102 +219,38 @@ let execute ?breaker ?(rid = -1) ~policy (s : spec) : outcome =
     | None -> false
   in
   if circuit_open then begin
-    (* Short-circuit without `finish`: the open breaker must neither
-       re-count a failure nor reset. *)
+    (* Short-circuit without noting the breaker: an open breaker must
+       neither re-count a failure nor reset. *)
     Metrics.incr "svc.quarantined";
-    Metrics.incr "svc.status.quarantined";
     Journal.emit "quarantine.hit" ~detail:[ ("input", key) ];
-    let latency = now_ms () -. t0 in
-    Journal.emit "request.done"
-      ~detail:
-        [ ("class", "quarantined"); ("retries", "0");
-          ("latency_ms", Printf.sprintf "%.3f" latency) ];
-    {
-      o_label = s.label;
-      o_op = s.op;
-      o_status =
-        Quarantined
-          {
-            reason =
-              Printf.sprintf "circuit open after %d consecutive failures"
-                policy.quarantine_after;
-          };
-      o_latency_ms = latency;
-      o_retries = 0;
-    }
+    finish
+      (Quarantined
+         {
+           reason =
+             Printf.sprintf "circuit open after %d consecutive failures"
+               policy.quarantine_after;
+         })
   end
   else
-    let rec go attempt_no =
-      Journal.set_attempt attempt_no;
-      Journal.emit "attempt.start";
-      let ended cls detail =
-        Journal.emit "attempt.end" ~detail:(("class", cls) :: detail)
-      in
-      match attempt s with
-      | status ->
-        ended (status_class status) [];
-        finish ~retries:attempt_no status
-      | exception Fault.Injected { site; occurrence } ->
-        ended "fault"
-          [ ("site", site); ("occurrence", string_of_int occurrence) ];
-        if attempt_no >= policy.max_retries then begin
-          Metrics.incr "svc.quarantined";
-          finish ~retries:attempt_no
-            (Quarantined
-               {
-                 reason =
-                   Printf.sprintf
-                     "retries exhausted: fault at %s (occurrence %d)" site
-                     occurrence;
-               })
-        end
-        else begin
-          Metrics.incr "svc.retries";
-          let delay =
-            policy.backoff_base_ms
-            *. (policy.backoff_factor ** float_of_int attempt_no)
-            *. (1.0
-               +. policy.backoff_jitter
-                  *. jitter_unit ~seed:policy.retry_seed ~key
-                       ~attempt:attempt_no)
-          in
-          (match Cancel.remaining_ms () with
-          | Some left when left <= delay ->
-            (* The sleep alone would blow the deadline; report the
-               timeout now instead of sleeping into it. Counted by the
-               handler below, like any other deadline hit. *)
-            raise
-              (Cancel.Deadline_exceeded
-                 { budget_ms = Option.value ~default:0.0 policy.timeout_ms })
-          | _ -> ());
-          Journal.emit "retry.backoff"
-            ~detail:
-              [ ("site", site);
-                ("next_attempt", string_of_int (attempt_no + 1));
-                ("delay_ms", Printf.sprintf "%.3f" delay) ];
-          sleep_ms delay;
-          go (attempt_no + 1)
-        end
+    let body () = attempt s in
+    let status =
+      match
+        match policy.timeout_ms with
+        | None -> body ()
+        | Some ms -> Cancel.with_deadline ~ms body
+      with
+      | status -> status
       | exception Cancel.Deadline_exceeded { budget_ms } ->
-        ended "timeout" [];
         Metrics.incr "svc.timeouts";
-        finish ~retries:attempt_no (Timed_out { budget_ms })
+        Timed_out { budget_ms }
       | exception e ->
         (* Crash isolation: anything unexpected is contained to this
            request and reported, not propagated into the batch. *)
-        ended "crashed" [];
-        finish ~retries:attempt_no (Crashed (Printexc.to_string e))
+        Crashed (Printexc.to_string e)
     in
-    let body () = go 0 in
-    match policy.timeout_ms with
-    | None -> (
-      try body ()
-      with Cancel.Deadline_exceeded { budget_ms } ->
-        (* The backoff-refusal raise under a caller-installed deadline. *)
-        Metrics.incr "svc.timeouts";
-        finish ~retries:0 (Timed_out { budget_ms }))
-    | Some ms -> (
-      try Cancel.with_deadline ~ms body
-      with Cancel.Deadline_exceeded { budget_ms } ->
-        Metrics.incr "svc.timeouts";
-        finish ~retries:0 (Timed_out { budget_ms }))
+    (match breaker with
+    | Some b ->
+      breaker_note b ~key ~threshold:policy.quarantine_after
+        ~failed:(breaker_counts status)
+    | None -> ());
+    finish status

@@ -1,27 +1,25 @@
-(** Fault-tolerant execution of one compile/run work item.
+(** Isolated execution of one compile/run work item.
 
     The service layer treats every request as untrusted work with a
-    bounded blast radius:
+    bounded blast radius. Each mechanism handles a failure real inputs
+    produce:
 
     - a wall-clock {e deadline} ([policy.timeout_ms]) installed via
       {!Masc_fault.Cancel.with_deadline} and honored cooperatively at
       every pass/stage boundary and every
-      {!Masc_vm.Exec.guard_mask}+1 simulated instructions;
-    - a {e retry policy} with exponential backoff and deterministic
-      jitter for {e retryable} failures only — injected faults
-      ({!Masc_fault.Fault.Injected}) and cache I/O faults. Deterministic
-      outcomes (diagnostics, simulator traps) are never retried: the
-      same input would fail the same way;
+      {!Masc_vm.Exec.guard_mask}+1 simulated instructions — slow or
+      runaway inputs become {!Timed_out};
+    - {e crash isolation}: [execute] never raises — an internal
+      compiler error or a library input the compiler cannot handle
+      becomes a {!Crashed} outcome for that request alone;
     - a per-input {e circuit breaker}: after [quarantine_after]
-      consecutive non-deterministic failures of the same input, further
-      requests for it short-circuit to {!Quarantined} instead of
-      burning retries batch-wide;
-    - {e crash isolation}: [execute] never raises — an unexpected
-      exception becomes a {!Crashed} outcome for that request alone.
+      consecutive {!Timed_out}/{!Crashed} outcomes of the same input,
+      further requests for it short-circuit to {!Quarantined} instead
+      of burning a worker batch-wide.
 
-    A request that exhausts its retries is itself reported
-    {!Quarantined} with a structured reason: the caller learns exactly
-    which site gave up, and the batch goes on. *)
+    Nothing is retried. Diagnostics and simulator traps are pure
+    functions of the input, and persistent-cache I/O errors never reach
+    this layer: {!Masc.Disk_cache} turns them into misses. *)
 
 module MT := Masc_sema.Mtype
 module I := Masc_vm.Interp
@@ -57,21 +55,15 @@ type outcome = {
   o_op : op;
   o_status : status;
   o_latency_ms : float;
-  o_retries : int;
+  o_retries : int;  (** always 0: requests are never retried *)
 }
 
 type policy = {
-  max_retries : int;  (** retryable-failure budget per request *)
-  backoff_base_ms : float;
-  backoff_factor : float;
-  backoff_jitter : float;  (** delay is scaled by [1 + jitter*u], u in [0,1) *)
   quarantine_after : int;  (** consecutive failures before the breaker opens *)
   timeout_ms : float option;  (** whole-request wall-clock deadline *)
-  retry_seed : int;  (** jitter determinism *)
 }
 
-(** 3 retries, 1 ms base doubling, 0.5 jitter, quarantine after 3,
-    no deadline, seed 0. *)
+(** Quarantine after 3, no deadline. *)
 val default_policy : policy
 
 (** Consecutive-failure counts per input identity; share one breaker
@@ -95,6 +87,5 @@ val status_detail : status -> string
     is the request's journal/trace correlation id: it is installed as
     the domain-local {!Masc_obs.Journal} context for the request's
     whole extent, so every journal event and trace span recorded
-    below — attempts, retries, faults, cache traffic, traps — carries
-    it. *)
+    below — cache traffic, deadline hits, traps — carries it. *)
 val execute : ?breaker:breaker -> ?rid:int -> policy:policy -> spec -> outcome

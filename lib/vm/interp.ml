@@ -57,8 +57,6 @@ type state = {
   out : Buffer.t;
   prof : Masc_obs.Profile.t option;
   guard_on : bool;  (* deadline armed at entry, pre-decided *)
-  fault_step : int;  (* dyn index of an injected sim.step fault; -1 = never *)
-  fault_occ : int;
 }
 
 (* Every charge names the source line it belongs to, so when profiling
@@ -75,14 +73,11 @@ let charge st line cls cycles =
     Masc_obs.Profile.add_line p line ~cycles ~instrs:1;
     Masc_obs.Profile.add_class p cls ~cycles ~instrs:1
   | None -> ());
-  (* Same cancellation/fault-injection points as the plan engine
-     (Plan.charge), at the same steps, so the differential contract
-     holds under deadlines and injected faults too. *)
+  (* Same cancellation points as the plan engine (Plan.charge), at the
+     same steps, so the differential contract holds under deadlines
+     too. *)
   if st.guard_on && st.dyn land Exec.guard_mask = 0 then
     Masc_fault.Cancel.check ();
-  if st.dyn = st.fault_step then
-    raise
-      (Masc_fault.Fault.injected ~site:"sim.step" ~occurrence:st.fault_occ ());
   if st.dyn > st.fuel then
     Exec.raise_trap
       ~kind:(Exec.Fuel_exhausted { fuel = st.fuel })
@@ -363,16 +358,11 @@ let run_tree ?(max_cycles = 4_000_000_000) ?(fuel = Exec.default_fuel)
       (List.length f.Mir.params) (List.length args);
   Exec.check_alloc ~loc:f.Mir.name ~cap_bytes:max_alloc_bytes
     (Exec.array_bytes_of_func f);
-  let fault_occ, fault_step =
-    match Masc_fault.Fault.draw "sim.step" with
-    | Some (occ, step) -> (occ, step)
-    | None -> (0, -1)
-  in
   let st =
     { isa; mode; cells = Hashtbl.create 64; cycles = 0; dyn = 0; max_cycles;
       fuel; floc = f.Mir.name; hist = Hashtbl.create 16;
       out = Buffer.create 256; prof = profile;
-      guard_on = Masc_fault.Cancel.armed (); fault_occ; fault_step }
+      guard_on = Masc_fault.Cancel.armed () }
   in
   List.iter2
     (fun (p : Mir.var) arg ->

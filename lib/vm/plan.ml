@@ -70,8 +70,6 @@ type state = {
   pon : bool;  (* pcol <> None, pre-decided for the hot path *)
   pcnt : int array;  (* dynamic instr count per class id, when profiling *)
   guard_on : bool;  (* deadline armed at entry, pre-decided *)
-  fault_step : int;  (* dyn index where an injected sim.step fault fires; -1 = never *)
-  fault_occ : int;  (* the draw's occurrence index, for the report *)
 }
 
 let charge st cls cycles =
@@ -89,9 +87,6 @@ let charge st cls cycles =
      default) this costs one bool load per instruction. *)
   if st.guard_on && st.dyn land Exec.guard_mask = 0 then
     Masc_fault.Cancel.check ();
-  if st.dyn = st.fault_step then
-    raise
-      (Masc_fault.Fault.injected ~site:"sim.step" ~occurrence:st.fault_occ ());
   if st.dyn > st.fuel then
     Exec.raise_trap
       ~kind:(Exec.Fuel_exhausted { fuel = st.fuel })
@@ -2462,14 +2457,6 @@ let execute ?(max_cycles = 4_000_000_000) ?(fuel = Exec.default_fuel)
       "Plan.execute: profile collector passed to a plan compiled without \
        ~profile:true";
   Exec.check_alloc ~loc:p.fname ~cap_bytes:max_alloc_bytes p.abytes;
-  (* Fault site: one draw per simulation; a firing draw schedules the
-     failure at a seed-chosen dynamic-instruction index so mid-run
-     recovery is exercised, not just entry failures. *)
-  let fault_occ, fault_step =
-    match Masc_fault.Fault.draw "sim.step" with
-    | Some (occ, step) -> (occ, step)
-    | None -> (0, -1)
-  in
   let ncls = Array.length p.classes in
   (* Fresh typed state. Unwritten registers read as the zero of their
      declared type, like the tree-walker's lazily-created cells;
@@ -2510,9 +2497,7 @@ let execute ?(max_cycles = 4_000_000_000) ?(fuel = Exec.default_fuel)
       pcol = profile;
       pon = profile <> None;
       pcnt = (if profile = None then [||] else Array.make ncls 0);
-      guard_on = Masc_fault.Cancel.armed ();
-      fault_step = fault_step;
-      fault_occ = fault_occ }
+      guard_on = Masc_fault.Cancel.armed () }
   in
   Array.iter (fun (i, v) -> st.fregs.(i) <- v) p.finit;
   Array.iter (fun (i, v) -> st.iregs.(i) <- v) p.iinit;

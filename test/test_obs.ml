@@ -358,9 +358,8 @@ let test_journal_lifecycle () =
   Obs.Journal.emit "proc.start";
   Obs.Journal.with_request ~rid:7 (fun () ->
       Alcotest.(check int) "context installed" 7 (Obs.Journal.current_rid ());
-      Obs.Journal.set_attempt 2;
-      Obs.Journal.emit "attempt.start";
-      Obs.Journal.emit ~detail:[ ("site", "cache.read") ] "fault.injected");
+      Obs.Journal.emit "request.start";
+      Obs.Journal.emit ~detail:[ ("reason", "decode") ] "cache.corrupt");
   Alcotest.(check int) "context restored" (-1) (Obs.Journal.current_rid ());
   Obs.Journal.emit ~rid:9 "request.done";
   let evs = Obs.Journal.events () in
@@ -369,8 +368,6 @@ let test_journal_lifecycle () =
     (List.map (fun (e : Obs.Journal.event) -> e.Obs.Journal.seq) evs);
   Alcotest.(check (list int)) "rid stamped from context" [ -1; 7; 7; 9 ]
     (List.map (fun (e : Obs.Journal.event) -> e.Obs.Journal.rid) evs);
-  Alcotest.(check (list int)) "attempt stamped" [ -1; 2; 2; -1 ]
-    (List.map (fun (e : Obs.Journal.event) -> e.Obs.Journal.attempt) evs);
   Alcotest.(check (list int)) "seqs_for one request" [ 1; 2 ]
     (Obs.Journal.seqs_for ~rid:7);
   List.iter
@@ -381,7 +378,7 @@ let test_journal_lifecycle () =
   Alcotest.(check bool) "flight dump tagged" true
     (contains ~sub:"[flight] #" flight);
   Alcotest.(check bool) "flight dump carries detail" true
-    (contains ~sub:"site=cache.read" flight);
+    (contains ~sub:"reason=decode" flight);
   Obs.Journal.disable ();
   Obs.Journal.emit "ignored";
   Alcotest.(check int) "disabled emit is dropped" 0 (Obs.Journal.total ());
@@ -432,13 +429,13 @@ let test_journal_stream () =
 
 let test_journal_normalize () =
   let line =
-    "{\"seq\":3,\"ts_ns\":123456,\"rid\":1,\"attempt\":0,\"dom\":2,\
-     \"kind\":\"retry.backoff\",\"delay_ms\":\"1.495\",\"site\":\"cache.read\"}"
+    "{\"seq\":3,\"ts_ns\":123456,\"rid\":1,\"dom\":2,\
+     \"kind\":\"request.done\",\"latency_ms\":\"1.495\",\"class\":\"ok\"}"
   in
   let norm = Obs.Journal.normalize_line line in
   Alcotest.(check string) "times zeroed, the rest untouched"
-    "{\"seq\":3,\"ts_ns\":0,\"rid\":1,\"attempt\":0,\"dom\":2,\
-     \"kind\":\"retry.backoff\",\"delay_ms\":\"0\",\"site\":\"cache.read\"}"
+    "{\"seq\":3,\"ts_ns\":0,\"rid\":1,\"dom\":2,\
+     \"kind\":\"request.done\",\"latency_ms\":\"0\",\"class\":\"ok\"}"
     norm;
   Alcotest.(check bool) "normalized line still valid JSON" true
     (json_valid norm);

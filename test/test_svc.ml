@@ -1,22 +1,16 @@
-(* Service-core tests: deterministic fault injection, cooperative
-   deadlines, retry/quarantine/breaker semantics, and crash recovery of
-   the persistent compile cache.
+(* Service-core tests: cooperative deadlines, crash isolation, the
+   per-input breaker, and crash recovery of the persistent compile
+   cache — each driven by a failure real inputs produce.
 
-   Fault configuration and the metrics registry are process-global, so
-   every test that arms faults disables them on exit (Fun.protect) and
-   metric assertions are deltas, never absolutes. *)
+   The metrics registry is process-global, so metric assertions are
+   deltas, never absolutes. *)
 
-module Fault = Masc_fault.Fault
 module Cancel = Masc_fault.Cancel
 module Req = Masc_svc.Request
 module Batch = Masc_svc.Batch
 module C = Masc.Compiler
 module K = Masc_kernels.Kernels
 module Metrics = Masc_obs.Metrics
-
-let with_faults ~seed spec f =
-  Fault.configure ~seed spec;
-  Fun.protect ~finally:Fault.disable f
 
 let metric name = Option.value ~default:0.0 (Metrics.get name)
 
@@ -37,52 +31,6 @@ let spec_of_kernel ?(op = Req.Run) name =
     config = C.proposed ();
     fuel = None;
   }
-
-(* ---- fault injection ---- *)
-
-let test_fault_determinism () =
-  (* The decision sequence for a site is a pure function of
-     (seed, occurrence): two identical configurations draw identical
-     sequences; a different seed draws a different one. *)
-  let draw_seq seed n =
-    with_faults ~seed [ ("cache.read", 0.3) ] (fun () ->
-        List.init n (fun _ -> Fault.draw "cache.read"))
-  in
-  let a = draw_seq 7 200 and b = draw_seq 7 200 in
-  Alcotest.(check bool) "same seed, same sequence" true (a = b);
-  let c = draw_seq 8 200 in
-  Alcotest.(check bool) "different seed, different sequence" false (a = c);
-  let fired = List.length (List.filter Option.is_some a) in
-  Alcotest.(check bool)
-    (Printf.sprintf "p=0.3 fires sometimes, not always (fired %d/200)" fired)
-    true
-    (fired > 20 && fired < 120)
-
-let test_fault_spec_parsing () =
-  let bindings = Fault.parse_spec "cache.read:0.5,sim.step:0.1" in
-  Alcotest.(check int) "two bindings" 2 (List.length bindings);
-  let all = Fault.parse_spec "all:0.05" in
-  Alcotest.(check int) "all expands the catalog" (List.length Fault.sites)
-    (List.length all);
-  let expect_invalid s =
-    match Fault.parse_spec s with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.failf "expected Invalid_argument on %S" s
-  in
-  expect_invalid "bogus.site:0.5";
-  expect_invalid "cache.read:1.5";
-  expect_invalid "cache.read:x";
-  expect_invalid "cache.read"
-
-let test_fault_check_raises () =
-  with_faults ~seed:1 [ ("cache.write", 1.0) ] (fun () ->
-      match Fault.check "cache.write" with
-      | exception Fault.Injected { site; occurrence } ->
-        Alcotest.(check string) "site" "cache.write" site;
-        Alcotest.(check int) "first occurrence" 0 occurrence
-      | () -> Alcotest.fail "p=1.0 must fire");
-  (* disabled: checks are free and never fire *)
-  Fault.check "cache.write"
 
 (* ---- cooperative deadlines ---- *)
 
@@ -141,40 +89,8 @@ let test_request_ok () =
   | st -> Alcotest.failf "expected ok, got %s" (Req.status_class st));
   Alcotest.(check int) "no retries" 0 o.Req.o_retries
 
-let test_request_retries_then_succeeds () =
-  (* sim.step at a moderate p: some attempts fail, the retry budget
-     absorbs them, and the final result matches the fault-free run. *)
-  let s = spec_of_kernel "fir" in
-  let clean = Req.execute ~policy:Req.default_policy s in
-  let digest_of o =
-    match o.Req.o_status with
-    | Req.Ok_run { rets_digest; _ } -> rets_digest
-    | st -> Alcotest.failf "expected ok, got %s" (Req.status_class st)
-  in
-  let clean_digest = digest_of clean in
-  with_faults ~seed:3 [ ("sim.step", 0.5) ] (fun () ->
-      let policy = { Req.default_policy with Req.max_retries = 50 } in
-      let o = Req.execute ~policy s in
-      Alcotest.(check string) "bit-identical to fault-free run" clean_digest
-        (digest_of o))
-
-let test_request_quarantines_on_exhaustion () =
-  let s = spec_of_kernel "fir" in
-  with_faults ~seed:1 [ ("sim.step", 1.0) ] (fun () ->
-      let policy = { Req.default_policy with Req.max_retries = 2 } in
-      let o = Req.execute ~policy s in
-      (match o.Req.o_status with
-      | Req.Quarantined { reason } ->
-        Alcotest.(check bool) "structured reason names the site" true
-          (String.length reason > 0
-          && Option.is_some
-               (String.index_opt reason ':')) (* "retries exhausted: ..." *)
-      | st -> Alcotest.failf "expected quarantined, got %s" (Req.status_class st));
-      Alcotest.(check int) "used the whole retry budget" 2 o.Req.o_retries)
-
 let test_request_rejected_not_retried () =
-  (* A deterministic diagnostic must never consume retries. *)
-  let retries0 = metric "svc.retries" in
+  (* A deterministic diagnostic is the input behaving as specified. *)
   let s =
     {
       Req.op = Req.Compile;
@@ -192,9 +108,7 @@ let test_request_rejected_not_retried () =
   | Req.Rejected diags ->
     Alcotest.(check bool) "diags present" true (diags <> [])
   | st -> Alcotest.failf "expected rejected, got %s" (Req.status_class st));
-  Alcotest.(check int) "no retries" 0 o.Req.o_retries;
-  Alcotest.(check (float 0.0)) "retry metric untouched" retries0
-    (metric "svc.retries")
+  Alcotest.(check int) "no retries" 0 o.Req.o_retries
 
 let test_request_timeout () =
   let s = spec_of_kernel "matmul" in
@@ -206,37 +120,57 @@ let test_request_timeout () =
   | st -> Alcotest.failf "expected timeout, got %s" (Req.status_class st)
 
 let test_circuit_breaker () =
-  let s = spec_of_kernel "fir" in
-  with_faults ~seed:1 [ ("sim.step", 1.0) ] (fun () ->
-      let policy =
-        { Req.default_policy with Req.max_retries = 0; quarantine_after = 2 }
-      in
-      let b = Req.create_breaker () in
-      let o1 = Req.execute ~breaker:b ~policy s in
-      let o2 = Req.execute ~breaker:b ~policy s in
-      let o3 = Req.execute ~breaker:b ~policy s in
-      let reason o =
-        match o.Req.o_status with
-        | Req.Quarantined { reason } -> reason
-        | st -> Alcotest.failf "expected quarantined, got %s" (Req.status_class st)
-      in
-      let starts_with prefix s =
-        String.length s >= String.length prefix
-        && String.sub s 0 (String.length prefix) = prefix
-      in
-      (* Reasons carry per-attempt occurrence numbers; classify by
-         prefix, not full equality. *)
-      Alcotest.(check bool) "first two exhaust retries" true
-        (starts_with "retries exhausted" (reason o1)
-        && starts_with "retries exhausted" (reason o2));
-      Alcotest.(check bool) "third short-circuits on the open breaker" true
-        (starts_with "circuit open" (reason o3));
-      Alcotest.(check int) "open breaker burns no attempts" 0 o3.Req.o_retries);
-  (* Success closes the breaker again. *)
+  (* A 1 us deadline is far below matmul's compile-plus-simulate time:
+     a real, repeatable timeout. *)
+  let s = spec_of_kernel "matmul" in
+  let policy = { Req.quarantine_after = 2; timeout_ms = Some 0.001 } in
   let b = Req.create_breaker () in
-  let o = Req.execute ~breaker:b ~policy:Req.default_policy s in
-  Alcotest.(check string) "healthy input passes the same breaker" "ok"
+  let cls o = Req.status_class o.Req.o_status in
+  let run policy = cls (Req.execute ~breaker:b ~policy s) in
+  (* A success in between resets the count: one timeout, then an
+     unbounded run, then a fresh pair of timeouts to open it. *)
+  Alcotest.(check string) "first timeout" "timeout" (run policy);
+  Alcotest.(check string) "success closes" "ok"
+    (run { policy with Req.timeout_ms = None });
+  Alcotest.(check string) "timeout after reset" "timeout" (run policy);
+  Alcotest.(check string) "second consecutive timeout" "timeout" (run policy);
+  let o = Req.execute ~breaker:b ~policy:{ policy with Req.timeout_ms = None } s in
+  (match o.Req.o_status with
+  | Req.Quarantined { reason } ->
+    Alcotest.(check string) "reason" "circuit open after 2 consecutive failures"
+      reason
+  | st -> Alcotest.failf "expected quarantined, got %s" (Req.status_class st));
+  (* The breaker is per input: another kernel passes the open breaker. *)
+  let o = Req.execute ~breaker:b ~policy:Req.default_policy (spec_of_kernel "fir") in
+  Alcotest.(check string) "other input unaffected" "ok"
     (Req.status_class o.Req.o_status)
+
+(* fir's parameters are doubles; binding complex values to them is a
+   library-call mistake the compiler does not anticipate. *)
+let mistyped_fir () =
+  let s = spec_of_kernel "fir" in
+  let complex_types =
+    List.map (fun ty -> { ty with Masc_sema.Mtype.cplx = Masc_sema.Mtype.Complex })
+      s.Req.arg_types
+  in
+  { s with Req.inputs = Req.random_inputs ~seed:1 complex_types }
+
+let test_crash_isolation () =
+  let o = Req.execute ~policy:Req.default_policy (mistyped_fir ()) in
+  Alcotest.(check string) "isolated as crashed" "crashed"
+    (Req.status_class o.Req.o_status);
+  (* In a batch, the crash costs exactly its own slot. *)
+  let item i spec =
+    { Batch.bx_index = i; bx_label = spec.Req.label; bx_op = spec.Req.op;
+      bx_parsed = Ok spec }
+  in
+  let items =
+    [ item 0 (spec_of_kernel "iir"); item 1 (mistyped_fir ());
+      item 2 (spec_of_kernel "fir") ]
+  in
+  let outcomes = Batch.run ~jobs:2 ~policy:Req.default_policy items in
+  Alcotest.(check (list string)) "neighbours complete" [ "ok"; "crashed"; "ok" ]
+    (List.map (fun o -> Req.status_class o.Req.o_status) outcomes)
 
 (* ---- persistent cache ---- *)
 
@@ -362,15 +296,33 @@ let test_cache_version_skew () =
         ^ "v:masc-cc-0|ancient\n"
         ^ String.sub raw (nl2 + 1) (String.length raw - nl2 - 1)))
 
-let test_cache_fault_injection_is_miss () =
-  (* An injected cache.read fault surfaces as Fault.Injected (for the
-     retry loop), not as a hard error; cache.write faults likewise. *)
-  with_cache_dir (fun _dir ->
-      with_faults ~seed:1 [ ("cache.read", 1.0) ] (fun () ->
-          match compile_fir () with
-          | exception Fault.Injected { site; _ } ->
-            Alcotest.(check string) "read fault surfaces" "cache.read" site
-          | _ -> Alcotest.fail "armed cache.read must fire"))
+let test_cache_io_errors_are_misses () =
+  (* Real I/O failures, not corruption: an entry path that is a
+     directory cannot be read, and a shard path that is a file cannot
+     be created. Both degrade to a miss and a recompile. *)
+  with_cache_dir (fun dir ->
+      let clean = c_of (compile_fir ()) in
+      let path =
+        match entry_paths dir with
+        | [ p ] -> p
+        | ps -> Alcotest.failf "expected one entry, got %d" (List.length ps)
+      in
+      Sys.remove path;
+      Sys.mkdir path 0o755;
+      let read_errors0 = metric "cache.disk_read_errors" in
+      C.clear_memory_cache ();
+      Alcotest.(check string) "unreadable entry recompiles" clean
+        (c_of (compile_fir ()));
+      Alcotest.(check (float 0.0)) "read error counted" (read_errors0 +. 1.0)
+        (metric "cache.disk_read_errors");
+      ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)));
+      Out_channel.with_open_bin dir (fun _ -> ());
+      let write_errors0 = metric "cache.disk_write_errors" in
+      C.clear_memory_cache ();
+      Alcotest.(check string) "unwritable cache still compiles" clean
+        (c_of (compile_fir ()));
+      Alcotest.(check (float 0.0)) "write error counted" (write_errors0 +. 1.0)
+        (metric "cache.disk_write_errors"))
 
 (* ---- batch front end ---- *)
 
@@ -385,14 +337,15 @@ let test_batch_parse () =
        compile kernel:fft target=dsp4 fuel=1000\n\
        run kernel:nope\n\
        frobnicate kernel:fir\n\
-       run kernel:fir bogus-flag\n"
+       run kernel:fir bogus-flag\n\
+       run kernel:fir fuel=0\n"
   in
-  Alcotest.(check int) "comments and blanks skipped" 5 (List.length items);
+  Alcotest.(check int) "comments and blanks skipped" 6 (List.length items);
   let ok_count =
     List.length
       (List.filter (fun i -> Result.is_ok i.Batch.bx_parsed) items)
   in
-  Alcotest.(check int) "two parse, three rejected" 2 ok_count;
+  Alcotest.(check int) "two parse, four rejected" 2 ok_count;
   match (List.nth items 0).Batch.bx_parsed with
   | Ok spec ->
     Alcotest.(check string) "label" "kernel:fir" spec.Req.label;
@@ -423,16 +376,15 @@ let test_batch_summary_json () =
       Alcotest.(check bool) (Printf.sprintf "summary has %s" key) true
         (contains key))
     [ "\"requests\""; "\"counts\""; "\"latency_ms\""; "\"p99\"";
-      "\"faults_injected\""; "\"cache\""; "\"hit_rate\"" ]
+      "\"timeouts\""; "\"cache\""; "\"hit_rate\"" ]
 
 (* ---- flight-recorder soak: determinism and reconstruction ----
 
-   The CI fault-soak workload (6 kernels x 4 targets x run+compile x 5
-   reps = 240 requests) under all:0.05 fault injection, run in-process
-   at jobs=1 so the journal's event order is a pure function of the
-   fault seed. Two runs with the same seed must produce byte-identical
-   journals modulo time-valued fields, and every outcome must be
-   reconstructible from the journal alone. *)
+   The CI soak workload (6 kernels x 4 targets x run+compile x 5 reps =
+   240 requests), run in-process at jobs=1 so the journal's event order
+   is a pure function of the batch. Two runs must produce
+   byte-identical journals modulo time-valued fields, and every outcome
+   must be reconstructible from the journal alone. *)
 
 module Journal = Masc_obs.Journal
 
@@ -452,42 +404,35 @@ let soak_reqs =
   done;
   Buffer.contents b
 
-let run_soak ~seed =
+let run_soak () =
   let dir = tmpdir () in
   C.clear_memory_cache ();
   C.set_cache_dir (Some dir);
   Journal.reset ();
-  Fault.configure ~seed (Fault.parse_spec "all:0.05");
-  let policy =
-    { Req.default_policy with
-      Req.max_retries = 6;
-      backoff_base_ms = 0.01;
-      quarantine_after = 3;
-      retry_seed = seed }
-  in
   Fun.protect
     ~finally:(fun () ->
-      Fault.disable ();
       C.set_cache_dir None;
       C.clear_memory_cache ();
       ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir))))
     (fun () ->
       let items = Batch.parse ~default_isa:dsp8 soak_reqs in
-      Batch.run ~jobs:1 ~policy items)
+      Batch.run ~jobs:1 ~policy:Req.default_policy items)
 
 let detail key (ev : Journal.event) = List.assoc_opt key ev.Journal.detail
 
 let test_soak_journal () =
   Journal.enable ();
   Fun.protect ~finally:Journal.disable @@ fun () ->
-  let o1 = run_soak ~seed:7 in
+  let o1 = run_soak () in
   let j1 = Journal.normalize (Journal.to_jsonl ()) in
-  let o2 = run_soak ~seed:7 in
+  let o2 = run_soak () in
   let j2 = Journal.normalize (Journal.to_jsonl ()) in
   Alcotest.(check int) "240 outcomes" 240 (List.length o2);
   Alcotest.(check int) "nothing dropped from the ring" 0 (Journal.dropped ());
   let classes os = List.map (fun o -> Req.status_class o.Req.o_status) os in
-  Alcotest.(check (list string)) "same seed, same outcome classes"
+  Alcotest.(check (list string)) "every request ok" (List.init 240 (fun _ -> "ok"))
+    (classes o1);
+  Alcotest.(check (list string)) "same batch, same outcome classes"
     (classes o1) (classes o2);
   Alcotest.(check bool) "journals byte-identical modulo timestamps" true
     (j1 = j2);
@@ -495,13 +440,10 @@ let test_soak_journal () =
   let kinds k =
     List.length (List.filter (fun (e : Journal.event) -> e.Journal.kind = k) all)
   in
-  Alcotest.(check bool) "faults actually fired" true
-    (kinds "fault.injected" > 0);
   Alcotest.(check bool) "cache traffic journaled" true
     (kinds "cache.miss" > 0 || kinds "cache.hit" > 0);
-  (* Reconstruction: every outcome's story — acceptance, attempt count,
-     retry count, final class — must be recoverable from its rid's
-     journal slice alone. *)
+  (* Reconstruction: every outcome's story — acceptance and final
+     class — must be recoverable from its rid's journal slice alone. *)
   List.iteri
     (fun i (o : Req.outcome) ->
       let evs = Journal.events_for ~rid:i in
@@ -512,11 +454,11 @@ let test_soak_journal () =
       Alcotest.(check int)
         (Printf.sprintf "req %d accepted exactly once" i)
         1 (count "request.accepted");
-      (match
-         List.filter
-           (fun (e : Journal.event) -> e.Journal.kind = "request.done")
-           evs
-       with
+      match
+        List.filter
+          (fun (e : Journal.event) -> e.Journal.kind = "request.done")
+          evs
+      with
       | [ d ] ->
         Alcotest.(check (option string))
           (Printf.sprintf "req %d final class from journal" i)
@@ -524,64 +466,29 @@ let test_soak_journal () =
           (detail "class" d)
       | ds ->
         Alcotest.failf "req %d: expected exactly one request.done, got %d" i
-          (List.length ds));
-      Alcotest.(check int)
-        (Printf.sprintf "req %d retries = backoff events" i)
-        o.Req.o_retries (count "retry.backoff");
-      let short_circuited = count "quarantine.hit" > 0 in
-      if (not short_circuited) && Req.status_class o.Req.o_status <> "invalid"
-      then
-        Alcotest.(check int)
-          (Printf.sprintf "req %d attempts = retries + 1" i)
-          (o.Req.o_retries + 1)
-          (count "attempt.start"))
-    o2;
-  (* The batch summary cites journal offsets for every non-ok request,
-     and the offsets point at that request's own events. *)
-  let json = Batch.summary_json o2 in
-  let non_ok =
-    List.filteri
-      (fun _ o -> Req.status_class o.Req.o_status <> "ok")
-      o2
-  in
-  if non_ok <> [] then begin
-    let contains sub =
-      let n = String.length sub and m = String.length json in
-      let rec at i = i + n <= m && (String.sub json i n = sub || at (i + 1)) in
-      at 0
-    in
-    Alcotest.(check bool) "summary cites journal offsets" true
-      (contains "\"journal\": [")
-  end
+          (List.length ds))
+    o2
 
 let suites =
-  [ ( "svc fault injection",
-      [ Alcotest.test_case "deterministic draws" `Quick test_fault_determinism;
-        Alcotest.test_case "spec parsing" `Quick test_fault_spec_parsing;
-        Alcotest.test_case "armed check raises" `Quick test_fault_check_raises
-      ] );
-    ( "svc deadlines",
+  [ ( "svc deadlines",
       [ Alcotest.test_case "deadline fires" `Quick test_deadline_fires;
         Alcotest.test_case "nesting and restore" `Quick test_deadline_restores
       ] );
     ( "svc requests",
       [ Alcotest.test_case "ok run matches direct" `Quick test_request_ok;
-        Alcotest.test_case "retries then succeeds" `Quick
-          test_request_retries_then_succeeds;
-        Alcotest.test_case "quarantine on exhaustion" `Quick
-          test_request_quarantines_on_exhaustion;
         Alcotest.test_case "rejected not retried" `Quick
           test_request_rejected_not_retried;
         Alcotest.test_case "timeout" `Quick test_request_timeout;
-        Alcotest.test_case "circuit breaker" `Quick test_circuit_breaker ] );
+        Alcotest.test_case "circuit breaker" `Quick test_circuit_breaker;
+        Alcotest.test_case "crash isolation" `Quick test_crash_isolation ] );
     ( "svc persistent cache",
       [ Alcotest.test_case "disk round-trip" `Quick test_disk_cache_roundtrip;
         Alcotest.test_case "truncation recovery" `Quick test_cache_truncation;
         Alcotest.test_case "bit-flip recovery" `Quick test_cache_bitflip;
         Alcotest.test_case "version-skew recovery" `Quick
           test_cache_version_skew;
-        Alcotest.test_case "read fault is retryable" `Quick
-          test_cache_fault_injection_is_miss ] );
+        Alcotest.test_case "I/O errors are misses" `Quick
+          test_cache_io_errors_are_misses ] );
     ( "svc batch",
       [ Alcotest.test_case "line grammar" `Quick test_batch_parse;
         Alcotest.test_case "order and isolation" `Quick
