@@ -6,9 +6,20 @@ let run (func : Mir.func) : Mir.func =
      boundary inside a block, so clearing it between blocks is the same
      discipline — and saves a table allocation per block per run. *)
   let map : (int, Mir.operand) Hashtbl.t = Hashtbl.create 16 in
-  (* Per-def [kill] scan callbacks are built once over refs (not per
-     call over the killed vid), so the common nothing-stale kill
-     allocates nothing. *)
+  (* Variable ids occurring as a value in [map] since it was last
+     cleared (a superset: removals do not un-mark). [kill vid] scans the
+     values only when [vid] is in it, so redefining a variable no copy
+     reads costs one byte read instead of a [Hashtbl.iter] (which also
+     allocates a closure). The scan callback is built once over refs
+     instead of closing over the killed vid per call. A run that changes
+     nothing still allocates this set, the map's entries and per-segment
+     closures: about 3–4 kwords per run on compile-large's programs
+     (EXPERIMENTS.md, "Optimizer and inference re-scans"). *)
+  let sources = Rewrite.Vid_set.create (List.length func.Mir.vars) in
+  let clear_map () =
+    Hashtbl.clear map;
+    Rewrite.Vid_set.clear sources
+  in
   let kill_vid = ref (-1) in
   let stale = ref [] in
   let scan k op =
@@ -18,7 +29,7 @@ let run (func : Mir.func) : Mir.func =
   in
   let rm k = Hashtbl.remove map k in
   let process_segment (block : Mir.block) : Mir.block =
-    Hashtbl.clear map;
+    clear_map ();
     let subst (op : Mir.operand) =
       match op with
       | Mir.Ovar v -> (
@@ -27,13 +38,15 @@ let run (func : Mir.func) : Mir.func =
     in
     let kill vid =
       Hashtbl.remove map vid;
-      kill_vid := vid;
-      Hashtbl.iter scan map;
-      match !stale with
-      | [] -> ()
-      | l ->
-        List.iter rm l;
-        stale := []
+      if Rewrite.Vid_set.mem sources vid then begin
+        kill_vid := vid;
+        Hashtbl.iter scan map;
+        match !stale with
+        | [] -> ()
+        | l ->
+          List.iter rm l;
+          stale := []
+      end
     in
     let subst_rvalue rv = Rewrite.map_operands subst rv in
     Rewrite.smap
@@ -50,7 +63,8 @@ let run (func : Mir.func) : Mir.func =
             Hashtbl.replace map v.Mir.vid op
           | Mir.Rmove (Mir.Ovar src as op)
             when src.Mir.vty = v.Mir.vty && not (Mir.is_array src) ->
-            Hashtbl.replace map v.Mir.vid op
+            Hashtbl.replace map v.Mir.vid op;
+            Rewrite.Vid_set.add sources src.Mir.vid
           | _ -> ());
           if rv' == rv then instr else Mir.redesc instr (Mir.Idef (v, rv'))
         | Mir.Istore (arr, idx, x) ->
@@ -63,18 +77,18 @@ let run (func : Mir.func) : Mir.func =
           else Mir.redesc instr (Mir.Ivstore (arr, base', x', l))
         | Mir.Iif (c, t, e) ->
           let c' = subst c in
-          Hashtbl.clear map;
+          clear_map ();
           if c' == c then instr else Mir.redesc instr (Mir.Iif (c', t, e))
         | Mir.Iloop l ->
           let lo' = subst l.Mir.lo
           and step' = subst l.Mir.step
           and hi' = subst l.Mir.hi in
-          Hashtbl.clear map;
+          clear_map ();
           if lo' == l.Mir.lo && step' == l.Mir.step && hi' == l.Mir.hi then
             instr
           else Mir.redesc instr (Mir.Iloop { l with Mir.lo = lo'; step = step'; hi = hi' })
         | Mir.Iwhile _ ->
-          Hashtbl.clear map;
+          clear_map ();
           instr
         | Mir.Iprint (fmt, ops) ->
           let ops' = Rewrite.smap subst ops in

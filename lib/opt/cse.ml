@@ -12,10 +12,29 @@ let run (func : Mir.func) : Mir.func =
     Hashtbl.create 8
   in
   let subst_map : (int, Mir.operand) Hashtbl.t = Hashtbl.create 16 in
-  (* [kill] runs per definition, so its table scans must not allocate on
-     the (overwhelmingly common) nothing-stale outcome: the callbacks
-     are built once here over [kill_vid]/accumulator refs instead of
-     closing over the killed vid per call. *)
+  (* Every variable id occurring in the three tables since they were
+     last cleared: holder, operands and load base of an [available]
+     entry, stored index and value of a [store_avail] entry, key and
+     value of a [subst_map] entry. Entries are removed without
+     un-marking, so this is a superset, which is all [kill] needs: a
+     vid outside it cannot make any entry stale. Most defs target a
+     fresh temporary nothing mentions yet, so most kills stop at one
+     byte read instead of scanning every available entry (each
+     [Hashtbl.iter] also allocates a closure). A run that changes
+     nothing still allocates the tables' entries, this set and the
+     per-segment closures: about 7–10 kwords per run on compile-large's
+     programs (EXPERIMENTS.md, "Optimizer and inference re-scans"). *)
+  let mentioned = Rewrite.Vid_set.create (List.length func.Mir.vars) in
+  let mention = Rewrite.Vid_set.add mentioned in
+  let mention_op = Rewrite.Vid_set.add_operand mentioned in
+  let clear_tables () =
+    Hashtbl.clear available;
+    Hashtbl.clear store_avail;
+    Hashtbl.clear subst_map;
+    Rewrite.Vid_set.clear mentioned
+  in
+  (* The scan callbacks are built once here over [kill_vid]/accumulator
+     refs instead of closing over the killed vid per call. *)
   let kill_vid = ref (-1) in
   let is_kill = function
     | Mir.Ovar v -> v.Mir.vid = !kill_vid
@@ -23,7 +42,7 @@ let run (func : Mir.func) : Mir.func =
   in
   let stale_rvs = ref [] in
   let scan_avail rv (v : Mir.var) =
-    if v.Mir.vid = !kill_vid || Rewrite.exists_operand is_kill rv then
+    if v.Mir.vid = !kill_vid || Rewrite.reads_var !kill_vid rv then
       stale_rvs := rv :: !stale_rvs
   in
   let scan_loads rv _ =
@@ -45,9 +64,7 @@ let run (func : Mir.func) : Mir.func =
   let rm_store arr = Hashtbl.remove store_avail arr in
   let rm_subst k = Hashtbl.remove subst_map k in
   let process (block : Mir.block) : Mir.block =
-    Hashtbl.clear available;
-    Hashtbl.clear store_avail;
-    Hashtbl.clear subst_map;
+    clear_tables ();
     let subst (op : Mir.operand) =
       match op with
       | Mir.Ovar v -> (
@@ -57,27 +74,42 @@ let run (func : Mir.func) : Mir.func =
       | Mir.Oconst _ -> op
     in
     let subst_rvalue rv = Rewrite.map_operands subst rv in
+    let cacheable = function
+      | Mir.Rbin _ | Mir.Runop _ | Mir.Rmath _ | Mir.Rcomplex _
+      | Mir.Rload _ | Mir.Rvload _ | Mir.Rvbroadcast _ | Mir.Rvreduce _ ->
+        true
+      | Mir.Rmove _ | Mir.Rintrin _ -> false
+    in
     let kill vid =
-      kill_vid := vid;
-      Hashtbl.iter scan_avail available;
-      (match !stale_rvs with
-      | [] -> ()
-      | l ->
-        List.iter rm_avail l;
-        stale_rvs := []);
-      Hashtbl.iter scan_stores store_avail;
-      (match !stale_arrs with
-      | [] -> ()
-      | l ->
-        List.iter rm_store l;
-        stale_arrs := []);
-      Hashtbl.remove subst_map vid;
-      Hashtbl.iter scan_subst subst_map;
-      match !stale_subst with
-      | [] -> ()
-      | l ->
-        List.iter rm_subst l;
-        stale_subst := []
+      if Rewrite.Vid_set.mem mentioned vid then begin
+        kill_vid := vid;
+        Hashtbl.iter scan_avail available;
+        (match !stale_rvs with
+        | [] -> ()
+        | l ->
+          List.iter rm_avail l;
+          stale_rvs := []);
+        Hashtbl.iter scan_stores store_avail;
+        (match !stale_arrs with
+        | [] -> ()
+        | l ->
+          List.iter rm_store l;
+          stale_arrs := []);
+        Hashtbl.remove subst_map vid;
+        Hashtbl.iter scan_subst subst_map;
+        match !stale_subst with
+        | [] -> ()
+        | l ->
+          List.iter rm_subst l;
+          stale_subst := []
+      end
+    in
+    let remember rv (v : Mir.var) =
+      if cacheable rv then begin
+        Hashtbl.replace available rv v;
+        mention v.Mir.vid;
+        Rewrite.Vid_set.add_reads mentioned rv
+      end
     in
     let kill_loads () =
       Hashtbl.iter scan_loads available;
@@ -86,12 +118,6 @@ let run (func : Mir.func) : Mir.func =
       | l ->
         List.iter rm_avail l;
         stale_rvs := []
-    in
-    let cacheable = function
-      | Mir.Rbin _ | Mir.Runop _ | Mir.Rmath _ | Mir.Rcomplex _
-      | Mir.Rload _ | Mir.Rvload _ | Mir.Rvbroadcast _ | Mir.Rvreduce _ ->
-        true
-      | Mir.Rmove _ | Mir.Rintrin _ -> false
     in
     Rewrite.smap
       (fun (instr : Mir.instr) ->
@@ -111,21 +137,25 @@ let run (func : Mir.func) : Mir.func =
           match Hashtbl.find available rv' with
           | exception Not_found ->
             kill v.Mir.vid;
-            if cacheable rv' then Hashtbl.replace available rv' v;
+            remember rv' v;
             if rv' == rv then instr else Mir.redesc instr (Mir.Idef (v, rv'))
           | prior
             when prior.Mir.vid <> v.Mir.vid && prior.Mir.vty = v.Mir.vty ->
             kill v.Mir.vid;
             Hashtbl.replace subst_map v.Mir.vid (Mir.Ovar prior);
+            mention v.Mir.vid;
+            mention prior.Mir.vid;
             Mir.redesc instr (Mir.Idef (v, Mir.Rmove (Mir.Ovar prior)))
           | _ ->
             kill v.Mir.vid;
-            if cacheable rv' then Hashtbl.replace available rv' v;
+            remember rv' v;
             if rv' == rv then instr else Mir.redesc instr (Mir.Idef (v, rv')))
         | Mir.Istore (arr, idx, x) ->
           kill_loads ();
           let idx' = subst idx and x' = subst x in
           Hashtbl.replace store_avail arr.Mir.vid (idx', x');
+          mention_op idx';
+          mention_op x';
           if idx' == idx && x' == x then instr
           else Mir.redesc instr (Mir.Istore (arr, idx', x'))
         | Mir.Ivstore (arr, base, x, l) ->
@@ -135,9 +165,7 @@ let run (func : Mir.func) : Mir.func =
           if base' == base && x' == x then instr
           else Mir.redesc instr (Mir.Ivstore (arr, base', x', l))
         | Mir.Iif _ | Mir.Iloop _ | Mir.Iwhile _ ->
-          Hashtbl.clear available;
-          Hashtbl.clear subst_map;
-          Hashtbl.clear store_avail;
+          clear_tables ();
           instr
         | Mir.Iprint (fmt, ops) ->
           let ops' = Rewrite.smap subst ops in

@@ -112,8 +112,10 @@ let run (func : Mir.func) : Mir.func =
   in
   let changed = ref false in
   (* Sharing-preserving filter: a block with nothing to remove is
-     returned physically, so no-change rounds (and clean pipeline runs)
-     allocate nothing. *)
+     returned physically, so a no-change round rebuilds no list. A run
+     that removes nothing still pays for the read-count table and the
+     per-block closures: about 5 kwords per run on compile-large's
+     programs (EXPERIMENTS.md, "Optimizer and inference re-scans"). *)
   let prune (block : Mir.block) : Mir.block =
     let rec go (l : Mir.block) : Mir.block =
       match l with

@@ -15,7 +15,7 @@ type summary = {
          vectorizer, which bails on mixed classes *)
 }
 
-let summarize (body : Mir.block) : summary =
+let summarize_exn (body : Mir.block) : summary =
   let defs = Hashtbl.create 16 in
   let loads = ref [] in
   let stores = ref [] in
@@ -54,6 +54,11 @@ let summarize (body : Mir.block) : summary =
     body;
   { defs; loads = !loads; stores = !stores; scalar_reads;
     has_complex = !has_complex }
+
+(* [None]: the body is not straight-line or defines a variable twice,
+   so the loop fuses with neither neighbour. *)
+let summarize body =
+  match summarize_exn body with s -> Some s | exception No_fuse -> None
 
 let int_ivar (v : Mir.var) =
   match v.Mir.vty with
@@ -97,15 +102,20 @@ let rename_ivar ~from_v ~to_v (body : Mir.block) : Mir.block =
       | _ -> i)
     body
 
-let try_fuse (l1 : Mir.loop) (l2 : Mir.loop) : Mir.loop option =
+(* [s1]/[s2] are the loops' body summaries, forced only once the cheap
+   header checks pass. *)
+let try_fuse (l1 : Mir.loop) s1 (l2 : Mir.loop) s2 : Mir.loop option =
   match
     if not (int_ivar l1.Mir.ivar && int_ivar l2.Mir.ivar) then raise No_fuse;
     if l1.Mir.lo <> l2.Mir.lo || l1.Mir.step <> l2.Mir.step
        || l1.Mir.hi <> l2.Mir.hi
     then raise No_fuse;
     if l1.Mir.step <> Mir.Oconst (Mir.Ci 1) then raise No_fuse;
-    let s1 = summarize l1.Mir.body in
-    let s2 = summarize l2.Mir.body in
+    let force s =
+      match Lazy.force s with Some s -> s | None -> raise No_fuse
+    in
+    let s1 = force s1 in
+    let s2 = force s2 in
     if s1.has_complex <> s2.has_complex then raise No_fuse;
     (* The loops' scalars must be independent: loop 2 must not read a
        scalar defined by loop 1 (its value would change from "after all
@@ -155,22 +165,34 @@ let try_fuse (l1 : Mir.loop) (l2 : Mir.loop) : Mir.loop option =
   | exception No_fuse -> None
 
 let run (func : Mir.func) : Mir.func =
+  let summary_of (l : Mir.loop) = lazy (summarize l.Mir.body) in
+  let not_a_loop = Lazy.from_val None in
+  let head_summary (bl : Mir.block) =
+    match bl with
+    | { Mir.idesc = Mir.Iloop l; _ } :: _ -> summary_of l
+    | _ -> not_a_loop
+  in
+  (* [go bl s]: [s] is the summary of [bl]'s head when that is a loop.
+     A rejected pair hands loop 2's summary on as the next pair's loop
+     1, so each loop is summarized at most once per run. *)
   let process (block : Mir.block) : Mir.block =
-    let rec go (l : Mir.block) : Mir.block =
+    let rec go (l : Mir.block) s1 : Mir.block =
       match l with
       | ({ Mir.idesc = Mir.Iloop l1; _ } as i1)
         :: ({ Mir.idesc = Mir.Iloop l2; _ } :: rest as tl) -> (
+        let s2 = summary_of l2 in
         (* The fused loop keeps the first loop's source span. *)
-        match try_fuse l1 l2 with
-        | Some fused -> go (Mir.redesc i1 (Mir.Iloop fused) :: rest)
+        match try_fuse l1 s1 l2 s2 with
+        | Some fused ->
+          go (Mir.redesc i1 (Mir.Iloop fused) :: rest) (summary_of fused)
         | None ->
-          let tl' = go tl in
+          let tl' = go tl s2 in
           if tl' == tl then l else i1 :: tl')
       | i :: rest ->
-        let rest' = go rest in
+        let rest' = go rest (head_summary rest) in
         if rest' == rest then l else i :: rest'
       | [] -> l
     in
-    go block
+    go block (head_summary block)
   in
   Rewrite.map_blocks process func

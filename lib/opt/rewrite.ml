@@ -156,7 +156,82 @@ let forall_operands p rv =
   | Mir.Rvreduce (_, a) -> p a
   | Mir.Rintrin (_, args) -> List.for_all p args
 
-let exists_operand p rv = not (forall_operands (fun o -> not (p o)) rv)
+(* Direct per-constructor checks, no callback and no boxing: CSE's
+   [kill] asks this of every available entry that may mention a
+   redefined variable. *)
+let reads_op vid = function
+  | Mir.Ovar v -> v.Mir.vid = vid
+  | Mir.Oconst _ -> false
+
+let rec reads_any vid = function
+  | [] -> false
+  | a :: tl -> reads_op vid a || reads_any vid tl
+
+let reads_var vid (rv : Mir.rvalue) =
+  match rv with
+  | Mir.Rbin (_, a, b) | Mir.Rcomplex (a, b) -> reads_op vid a || reads_op vid b
+  | Mir.Runop (_, a) | Mir.Rmove a | Mir.Rvbroadcast (a, _) | Mir.Rvreduce (_, a)
+    ->
+    reads_op vid a
+  | Mir.Rmath (_, args) | Mir.Rintrin (_, args) -> reads_any vid args
+  | Mir.Rload (arr, idx) -> arr.Mir.vid = vid || reads_op vid idx
+  | Mir.Rvload (arr, base, _) -> arr.Mir.vid = vid || reads_op vid base
+
+module Vid_set = struct
+  (* Membership is [stamp.[vid] = epoch], one byte per id, so [clear]
+     is an increment (and a refill once every 255 clears), and neither
+     [add] nor [mem] allocates once the bytes cover the function's ids
+     (they are dense from 0, see [Mir.Builder]). *)
+  type t = { mutable stamp : Bytes.t; mutable epoch : int }
+
+  let create n = { stamp = Bytes.make (max n 1) '\000'; epoch = 1 }
+
+  let add s vid =
+    let n = Bytes.length s.stamp in
+    if vid >= n then begin
+      let grown = Bytes.make (max (vid + 1) (2 * n)) '\000' in
+      Bytes.blit s.stamp 0 grown 0 n;
+      s.stamp <- grown
+    end;
+    Bytes.set s.stamp vid (Char.chr s.epoch)
+
+  let add_operand s = function
+    | Mir.Ovar v -> add s v.Mir.vid
+    | Mir.Oconst _ -> ()
+
+  let rec add_operands s = function
+    | [] -> ()
+    | a :: tl ->
+      add_operand s a;
+      add_operands s tl
+
+  let add_reads s (rv : Mir.rvalue) =
+    match rv with
+    | Mir.Rbin (_, a, b) | Mir.Rcomplex (a, b) ->
+      add_operand s a;
+      add_operand s b
+    | Mir.Runop (_, a) | Mir.Rmove a | Mir.Rvbroadcast (a, _)
+    | Mir.Rvreduce (_, a) ->
+      add_operand s a
+    | Mir.Rmath (_, args) | Mir.Rintrin (_, args) ->
+      add_operands s args
+    | Mir.Rload (arr, idx) ->
+      add s arr.Mir.vid;
+      add_operand s idx
+    | Mir.Rvload (arr, base, _) ->
+      add s arr.Mir.vid;
+      add_operand s base
+
+  let mem s vid =
+    vid < Bytes.length s.stamp && Char.code (Bytes.get s.stamp vid) = s.epoch
+
+  let clear s =
+    if s.epoch < 255 then s.epoch <- s.epoch + 1
+    else begin
+      Bytes.fill s.stamp 0 (Bytes.length s.stamp) '\000';
+      s.epoch <- 1
+    end
+end
 
 let use_counts (func : Mir.func) : (int, int) Hashtbl.t =
   let tbl = Hashtbl.create 64 in
@@ -188,32 +263,6 @@ let use_counts (func : Mir.func) : (int, int) Hashtbl.t =
   in
   iter_instrs instr func;
   List.iter (fun r -> bump (Mir.Ovar r)) func.Mir.rets;
-  tbl
-
-let defined_in (b : Mir.block) : (int, unit) Hashtbl.t =
-  let tbl = Hashtbl.create 16 in
-  iter_block
-    (fun i ->
-      match i.Mir.idesc with
-      | Mir.Idef (v, _) -> Hashtbl.replace tbl v.Mir.vid ()
-      | Mir.Iloop l -> Hashtbl.replace tbl l.Mir.ivar.Mir.vid ()
-      | Mir.Istore _ | Mir.Ivstore _ | Mir.Iif _ | Mir.Iwhile _ | Mir.Ibreak
-      | Mir.Icontinue | Mir.Ireturn | Mir.Iprint _ | Mir.Icomment _ ->
-        ())
-    b;
-  tbl
-
-let stored_in (b : Mir.block) : (int, unit) Hashtbl.t =
-  let tbl = Hashtbl.create 16 in
-  iter_block
-    (fun i ->
-      match i.Mir.idesc with
-      | Mir.Istore (arr, _, _) | Mir.Ivstore (arr, _, _, _) ->
-        Hashtbl.replace tbl arr.Mir.vid ()
-      | Mir.Idef _ | Mir.Iif _ | Mir.Iloop _ | Mir.Iwhile _ | Mir.Ibreak
-      | Mir.Icontinue | Mir.Ireturn | Mir.Iprint _ | Mir.Icomment _ ->
-        ())
-    b;
   tbl
 
 let pure = function

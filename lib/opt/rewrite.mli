@@ -39,30 +39,48 @@ val iter_instrs : (Mir.instr -> unit) -> Mir.func -> unit
     Return variables are counted as used. *)
 val use_counts : Mir.func -> (int, int) Hashtbl.t
 
-(** Variable ids assigned anywhere in a block (including nested), i.e.
-    [Idef] targets and loop induction variables. *)
-val defined_in : Mir.block -> (int, unit) Hashtbl.t
-
-(** Array variable ids stored to anywhere in a block (including nested). *)
-val stored_in : Mir.block -> (int, unit) Hashtbl.t
-
 (** [operands_of_rvalue rv] lists the operands an rvalue reads. Prefer
-    the allocation-free {!iter_operands}/{!forall_operands} in per-run
+    the list-free {!iter_operands}/{!forall_operands} in per-run
     pass analyses; the list form is for call sites that genuinely need
     a list value. *)
 val operands_of_rvalue : Mir.rvalue -> Mir.operand list
 
 (** [iter_operands f rv] applies [f] to each operand [rv] reads without
-    materializing a list (the base array of a load is passed boxed as
-    [Ovar], the only allocation). *)
+    materializing a list. The base array of a load is passed boxed as
+    [Ovar], a fresh two-word block per load visited, and a callback that
+    closes over a local value is itself a closure allocated wherever it
+    is built: hoist it out of per-instruction code. *)
 val iter_operands : (Mir.operand -> unit) -> Mir.rvalue -> unit
 
 (** [forall_operands p rv] — [p] holds for every operand of [rv];
     short-circuiting and list-free. *)
 val forall_operands : (Mir.operand -> bool) -> Mir.rvalue -> bool
 
-(** [exists_operand p rv] — [p] holds for some operand of [rv]. *)
-val exists_operand : (Mir.operand -> bool) -> Mir.rvalue -> bool
+(** [reads_var vid rv] — [rv] reads variable [vid], as an operand or as
+    the base array of a load. Allocation-free. *)
+val reads_var : int -> Mir.rvalue -> bool
+
+(** Sets of variable ids for per-run pass analyses. Ids are dense per
+    function (from 0), so a set is one stamped byte per id: [add] and
+    [mem] allocate nothing once the bytes cover the ids, and [clear] is
+    constant-time amortized. *)
+module Vid_set : sig
+  type t
+
+  (** [create n] is an empty set presized for ids below [n]; larger ids
+      grow it. *)
+  val create : int -> t
+
+  val add : t -> int -> unit
+  val add_operand : t -> Mir.operand -> unit
+
+  (** [add_reads s rv] adds every variable [rv] reads, load base
+      included: exactly the ids {!reads_var} can hold for. *)
+  val add_reads : t -> Mir.rvalue -> unit
+
+  val mem : t -> int -> bool
+  val clear : t -> unit
+end
 
 (** [pure rv] holds when re-evaluating the rvalue is safe (no memory
     reads; loads are excluded because stores may intervene). *)

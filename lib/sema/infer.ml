@@ -128,24 +128,50 @@ let record_binding fctx name (ty : Mtype.t) span =
          requires a fixed shape per variable"
         name (Mtype.to_string prev) (Mtype.to_string ty))
 
-let join_env span (a : env) (b : env) : env =
-  Smap.merge
-    (fun name x y ->
-      match (x, y) with
-      | Some ix, Some iy -> (
-        match Info.join ix iy with
-        | Some j -> Some j
-        | None ->
-          err span
-            "variable '%s' has shape %s on one path and %s on another"
-            name
-            (Mtype.to_string ix.Info.ty)
-            (Mtype.to_string iy.Info.ty))
-      | (Some _ as s), None | None, (Some _ as s) -> s
-      | None, None -> None)
-    a b
+(* [Info.join x x] is [x] except that it drops a NaN constant (NaN is
+   not equal to itself), so only a binding [b] shares physically with
+   [a] and whose constant is not a NaN can skip the join. *)
+let join_is_identity (info : Info.t) =
+  match info.Info.const with
+  | Some (Info.Cfloat f) -> not (Float.is_nan f)
+  | Some (Info.Cint _ | Info.Cbool _) | None -> true
 
-let env_equal (a : env) (b : env) = Smap.equal ( = ) a b
+(* The join of two environments: [a]'s bindings, overridden by [b]'s
+   where [b] binds a name [a] lacks or differs from [a]. Folding over
+   [b] from [a] rebuilds only the paths to changed names, so a loop
+   fixpoint step allocates for what its body rebound, and a step that
+   changed nothing gets [a] itself back. When several names have
+   incompatible shapes, the greatest one is reported. *)
+let join_env span (a : env) (b : env) : env =
+  let conflict = ref None in
+  let joined =
+    Smap.fold
+      (fun name iy acc ->
+        match Smap.find name a with
+        | exception Not_found -> Smap.add name iy acc
+        | ix when ix == iy && join_is_identity ix -> acc
+        | ix -> (
+          match Info.join ix iy with
+          | Some j when j = ix -> acc
+          | Some j -> Smap.add name j acc
+          | None ->
+            conflict := Some (name, ix, iy);
+            acc))
+      b a
+  in
+  match !conflict with
+  | None -> joined
+  | Some (name, ix, iy) ->
+    err span "variable '%s' has shape %s on one path and %s on another" name
+      (Mtype.to_string ix.Info.ty)
+      (Mtype.to_string iy.Info.ty)
+
+(* A converged fixpoint step gets [a] back from [join_env] itself; a
+   step that bound a new name differs in size. Neither allocates. *)
+let env_equal (a : env) (b : env) =
+  a == b
+  || Smap.cardinal a = Smap.cardinal b
+     && Smap.equal (fun x y -> x == y || x = y) a b
 
 (* ---------- expressions ---------- *)
 

@@ -340,4 +340,43 @@ let fusion_suites =
         Alcotest.test_case "x^2 strength reduction" `Quick
           test_pow_strength_reduction ] ) ]
 
-let suites = base_suites @ fusion_suites
+(* --- per-definition kill scans stay linear --- *)
+
+(* One loop whose body defines [n] distinct cacheable values, each read
+   once by a running sum. CSE and copy-prop kill a variable at every
+   definition; a kill that scans every table entry of the segment makes
+   one run quadratic in [n]. *)
+let wide_loop n =
+  let b = Buffer.create (n * 32) in
+  Buffer.add_string b "function y = f(x)\ny = 0;\nfor i = 1:4\n";
+  for k = 1 to n do
+    Printf.bprintf b "t%d = x * %d + i;\ny = y + t%d;\n" k k k
+  done;
+  Buffer.add_string b "end\nend\n";
+  lower ~args:[ Mtype.double ] (Buffer.contents b)
+
+let minor_words_of pass f =
+  ignore (pass f);
+  let w0 = Gc.minor_words () in
+  ignore (pass f);
+  Gc.minor_words () -. w0
+
+let test_kill_scans_linear () =
+  let small = wide_loop 40 and large = wide_loop 400 in
+  List.iter
+    (fun (name, pass) ->
+      let ws = minor_words_of pass small and wl = minor_words_of pass large in
+      let ratio = wl /. ws in
+      if ratio > 15.0 then
+        Alcotest.failf
+          "%s allocates %.0f words at 400 defs, %.0f at 40: %.1fx for 10x \
+           the defs"
+          name wl ws ratio)
+    [ ("cse", Masc_opt.Cse.run); ("copy-prop", Masc_opt.Copy_prop.run) ]
+
+let scaling_suites =
+  [ ( "opt scaling",
+      [ Alcotest.test_case "kill scans are linear" `Quick
+          test_kill_scans_linear ] ) ]
+
+let suites = base_suites @ fusion_suites @ scaling_suites

@@ -241,6 +241,80 @@ let test_shape_stability () =
     (local_ty ~args:[]
        "function y = f()\nv = 1;\nv = 2.5;\ny = v;\nend" "v")
 
+(* Constants through control-flow joins. [n] holds a NaN constant
+   (inf - inf). Joining a NaN constant with itself drops it, because NaN
+   is not equal to itself, so after any [for], [while] or [if] it no
+   longer sizes an array; ordinary constants survive all three joins. *)
+let joins_src =
+  "function y = f(x)\n\
+   a = 1e308 * 10;\n\
+   n = a - a;\n\
+   k = 3;\n\
+   w = zeros(1, 3 + (n ~= n));\n\
+   for i = 1:2\n  x = x + k;\nend\n\
+   j = 0;\n\
+   while j < 2\n  j = j + 1;\nend\n\
+   if x > 0\n  m = n;\n  c = 5;\nelse\n  m = n;\n  c = 5;\nend\n\
+   z = zeros(1, k);\n\
+   u = zeros(1, c);\n\
+   y = w(1) + z(1) + u(1) + x + m + j;\n\
+   end"
+
+let test_constants_through_joins () =
+  let args = [ Mtype.double ] in
+  let p = infer ~args joins_src in
+  (* Digest of the whole typed program, recorded with a join that
+     merged every binding: skipping shared bindings must not change
+     what inference produces. *)
+  Alcotest.(check string)
+    "typed program" "c3e4297995f3740878de565c8ca272c3"
+    (Digest.to_hex (Digest.string (Marshal.to_string p [ Marshal.No_sharing ])));
+  let ty name = local_ty ~args joins_src name in
+  Alcotest.check mty "NaN constant sizes before any join"
+    (Mtype.row_vector Mtype.Double 3) (ty "w");
+  Alcotest.check mty "constant through for, while and if"
+    (Mtype.row_vector Mtype.Double 3) (ty "z");
+  Alcotest.check mty "equal constants from both if arms"
+    (Mtype.row_vector Mtype.Double 5) (ty "u");
+  List.iter
+    (fun join ->
+      expect_sema_error ~args
+        ("function y = f(x)\na = 1e308 * 10;\nn = a - a;\n" ^ join
+       ^ "w = zeros(1, 3 + (n ~= n));\ny = w(1) + x;\nend"))
+    [ "for i = 1:2\n  x = x + 1;\nend\n";
+      "while x < 2\n  x = x + 1;\nend\n";
+      "if x > 0\n  x = 1;\nend\n" ]
+
+(* A function of [n] counted loops, each defining one new variable:
+   every loop's fixpoint joins the whole environment, so inference
+   allocation is quadratic in [n] when a join rebuilds the map. *)
+let loops_program n =
+  let b = Buffer.create (n * 32) in
+  Buffer.add_string b "function y = f(x)\ny = x;\n";
+  for k = 1 to n do
+    Printf.bprintf b "for i = 1:2\n  v%d = y + %d;\nend\n" k k
+  done;
+  Buffer.add_string b "end\n";
+  Masc_frontend.Parser.parse_program (Buffer.contents b)
+
+let test_join_allocation_linear () =
+  let words ast =
+    let run () =
+      ignore (Infer.infer_program ast ~entry:"f" ~arg_types:[ Mtype.double ])
+    in
+    run ();
+    let w0 = Gc.minor_words () in
+    run ();
+    Gc.minor_words () -. w0
+  in
+  let w32 = words (loops_program 32) and w256 = words (loops_program 256) in
+  let ratio = w256 /. w32 in
+  if ratio > 16.0 then
+    Alcotest.failf
+      "inference allocates %.0f words for 256 loops, %.0f for 32: %.1fx for \
+       8x the statements"
+      w256 w32 ratio
+
 let suites =
   [ ( "sema",
       [ Alcotest.test_case "scalar types" `Quick test_scalar_types;
@@ -254,4 +328,8 @@ let suites =
         Alcotest.test_case "user functions" `Quick test_user_functions;
         Alcotest.test_case "multi-return" `Quick test_multi_return_functions;
         Alcotest.test_case "subset restrictions" `Quick test_subset_errors;
-        Alcotest.test_case "shape stability" `Quick test_shape_stability ] ) ]
+        Alcotest.test_case "shape stability" `Quick test_shape_stability;
+        Alcotest.test_case "constants through joins" `Quick
+          test_constants_through_joins;
+        Alcotest.test_case "join allocation is linear" `Quick
+          test_join_allocation_linear ] ) ]
