@@ -426,46 +426,6 @@ let json () =
   add "  \"metrics\": %s\n}\n" (Masc_obs.Metrics.dump_json ());
   print_string (Buffer.contents buf)
 
-(* ---------------- overhead: profiler cost measurement ---------------- *)
-
-(* Times the production plan against a profiled plan built from the same
-   compilation — the measured cost of `mascc --profile`, recorded in
-   EXPERIMENTS.md. Telemetry-*off* overhead is not measured here because
-   it is structurally zero: profiling closures are only compiled into a
-   plan built with [~profile:true], and BENCH_5 vs BENCH_4 pins the
-   unprofiled cycle tables bit-identical. *)
-let overhead () =
-  header "profiler overhead: production plan vs profiled plan (wall clock)";
-  Printf.printf "%-12s %12s %12s %9s\n" "case" "plan ns" "profiled ns"
-    "overhead";
-  let time_runs f =
-    for _ = 1 to 3 do f () done;
-    let reps = 30 in
-    let t0 = Monotonic_clock.now () in
-    for _ = 1 to reps do f () done;
-    Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0)
-    /. float_of_int reps
-  in
-  List.iter
-    (fun (name, (k : K.kernel)) ->
-      let compiled = compile (C.proposed ()) k in
-      let inputs = k.K.inputs () in
-      let isa = compiled.C.config.C.isa
-      and mode = compiled.C.config.C.mode in
-      let plan = Masc_vm.Plan.compile ~isa ~mode compiled.C.mir in
-      let prof_plan =
-        Masc_vm.Plan.compile ~profile:true ~isa ~mode compiled.C.mir
-      in
-      let t_plan = time_runs (fun () ->
-          ignore (Masc_vm.Plan.execute plan inputs))
-      and t_prof = time_runs (fun () ->
-          let col = Masc_obs.Profile.create () in
-          ignore (Masc_vm.Plan.execute ~profile:col prof_plan inputs))
-      in
-      Printf.printf "%-12s %12.0f %12.0f %8.2fx\n" name t_plan t_prof
-        (t_prof /. t_plan))
-    [ ("fir1024", K.fir ~n:1024 ~m:32 ()); ("fft1024", K.fft ~n:1024 ()) ]
-
 (* ---------------- smoke: reduced-set CI gate ---------------- *)
 
 (* Exercises the full compile-and-simulate plumbing on small kernels and
@@ -522,7 +482,6 @@ let () =
   match cmd with
   | "json" -> json ()
   | "smoke" -> smoke ()
-  | "overhead" -> overhead ()
   | "tables" ->
     table1 ();
     ignore (table2 ());

@@ -361,22 +361,19 @@ let run ?max_cycles ?fuel ?max_alloc_bytes c inputs =
     (float_of_int r.Masc_vm.Exec.dyn_instrs);
   r
 
-(* Profiled runs build a separate plan with attribution wrappers
-   compiled in; the memoized fast plan above stays untouched, so
-   profiling a compilation never perturbs its benchmark numbers. The
-   profiled plan is rebuilt per call — profiling is a diagnostic act,
-   not a hot path. *)
+(* Profiled runs re-execute on the reference tree-walker, which charges
+   every cycle to its source line; the memoized plan above stays
+   untouched, so profiling a compilation never perturbs its benchmark
+   numbers. Both engines are pinned bit-identical, so the profiled run's
+   results equal [run]'s. Profiling is a diagnostic act, not a hot
+   path. *)
 let run_profiled ?max_cycles ?fuel ?max_alloc_bytes c inputs =
   let col = Masc_obs.Profile.create () in
-  let p =
-    Masc_vm.Plan.compile ~profile:true ~isa:c.config.isa ~mode:c.config.mode
-      c.mir
-  in
   let r =
     Masc_obs.Trace.span ~cat:"sim" (c.mir.Masc_mir.Mir.name ^ ":profiled")
       (fun () ->
-        Masc_vm.Plan.execute ?max_cycles ?fuel ?max_alloc_bytes ~profile:col
-          p inputs)
+        Masc_vm.Interp.run_tree ?max_cycles ?fuel ?max_alloc_bytes
+          ~profile:col ~isa:c.config.isa ~mode:c.config.mode c.mir inputs)
   in
   Masc_obs.Metrics.incr "sim.profiled_runs";
   ( r,

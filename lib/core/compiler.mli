@@ -154,9 +154,10 @@ val run :
 (** [run_profiled c inputs] is {!run} plus a source-attributed profile:
     simulated cycles and dynamic instruction counts per MATLAB source
     line, per opcode class and per intrinsic/ISE (exact partitions of
-    the run's totals). Builds a separate profiled plan; the memoized
-    {!plan} — and therefore every unprofiled simulation — is
-    untouched. *)
+    the run's totals). Re-executes on the reference interpreter
+    ({!Masc_vm.Interp.run_tree}), which is several times slower than
+    the plan but bit-identical to it; the memoized {!plan} — and
+    therefore every unprofiled simulation — is untouched. *)
 val run_profiled :
   ?max_cycles:int ->
   ?fuel:int ->

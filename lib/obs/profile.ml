@@ -1,13 +1,13 @@
 (* Source-attributed simulator profile.
 
-   Both simulator engines (the tree-walking interpreter and the
-   closure-threaded plan) feed one of these collectors when profiling
-   is requested: simulated cycles and dynamic instruction counts,
-   attributed per opcode class, per intrinsic/ISE, and per MATLAB
-   source line. The engines guarantee that the per-line and per-class
-   sums each equal the engine's total cycle count exactly — profiles
-   are integer bookkeeping over the same charges, not a sampling
-   approximation — and the differential tests pin that invariant.
+   The reference tree-walking interpreter feeds one of these
+   collectors when profiling is requested: simulated cycles and dynamic
+   instruction counts, attributed per opcode class, per intrinsic/ISE,
+   and per MATLAB source line. Every charge names its source line, so
+   the per-line and per-class sums each equal the engine's total cycle
+   count exactly — profiles are integer bookkeeping over the same
+   charges, not a sampling approximation — and the profiler tests pin
+   that invariant.
 
    Line 0 collects synthetic instructions that have no source span
    (vectorizer-created glue, inlining scaffolding). *)
@@ -18,16 +18,11 @@ type t = {
   lines : (int, entry) Hashtbl.t;
   classes : (string, entry) Hashtbl.t;
   intrins : (string, entry) Hashtbl.t;
-  (* Running totals of cycles/instrs already attributed by completed
-     instruction wrappers; the plan engine uses these to compute each
-     compound instruction's self cost as (total delta - inner delta). *)
-  mutable attr_cycles : int;
-  mutable attr_instrs : int;
 }
 
 let create () =
   { lines = Hashtbl.create 64; classes = Hashtbl.create 16;
-    intrins = Hashtbl.create 16; attr_cycles = 0; attr_instrs = 0 }
+    intrins = Hashtbl.create 16 }
 
 let touch tbl key =
   match Hashtbl.find_opt tbl key with

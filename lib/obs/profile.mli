@@ -1,6 +1,7 @@
 (** Source-attributed simulator profile collector.
 
-    Fed by both simulator engines when profiling is enabled: simulated
+    Fed by the reference tree-walking interpreter
+    ({!Masc_vm.Interp.run_tree}) when profiling is enabled: simulated
     cycles and dynamic instruction counts per opcode class, per
     intrinsic/ISE, and per MATLAB source line. Per-line and per-class
     sums each equal the engine's total cycle count exactly (integer
@@ -13,11 +14,6 @@ type t = {
   lines : (int, entry) Hashtbl.t;
   classes : (string, entry) Hashtbl.t;
   intrins : (string, entry) Hashtbl.t;
-  mutable attr_cycles : int;
-      (** cycles already attributed to lines by completed instruction
-          wrappers; the plan engine's compound instructions subtract
-          this to find their self cost *)
-  mutable attr_instrs : int;
 }
 
 val create : unit -> t

@@ -10,10 +10,11 @@
 
     - {!run} compiles the function to a closure-threaded {!Plan} and
       executes it — the fast default;
-    - {!run_tree} is the legacy tree-walking interpreter, kept as the
-      executable reference. The differential test in [test/test_vm.ml]
-      pins the two to bit-identical results on every kernel, target and
-      mode. *)
+    - {!run_tree} is the tree-walking interpreter, kept as the
+      executable reference and as the only profiling engine. The
+      differential tests in [test/test_vm.ml] pin the two to
+      bit-identical results on every kernel, target and mode, and on
+      every shape the plan fuses. *)
 
 type xvalue = Exec.xvalue =
   | Xscalar of Value.scalar
@@ -49,11 +50,13 @@ val run :
   xvalue list ->
   result
 
-(** The legacy tree-walking interpreter (reference semantics); same
-    contract as {!run}, several times slower. [?profile] supplies a
-    collector that receives every cycle charge attributed per opcode
-    class, per intrinsic and per source line; per-line and per-class
-    sums equal [cycles] exactly. *)
+(** The tree-walking interpreter (reference semantics); same contract
+    as {!run}, several times slower. [?profile] supplies a collector
+    that receives every cycle charge attributed per opcode class, per
+    intrinsic and per source line; per-line and per-class sums equal
+    [cycles] exactly. This is the profiler behind
+    [Masc.Compiler.run_profiled] and [mascc run --profile]: the plan
+    engine has no profile mode. *)
 val run_tree :
   ?max_cycles:int ->
   ?fuel:int ->

@@ -1,10 +1,8 @@
 (* Closure-threaded execution plans over typed unboxed storage.
 
    [compile] walks a MIR function ONCE and produces a program of OCaml
-   closures ([state -> unit]). PR 1 paid the control-flow
-   interpretation tax at plan time (slot-resolved variables, memoized
-   static costs, pre-resolved intrinsics); this revision removes the
-   data-representation tax as well: every variable's static
+   closures ([state -> unit]): variables resolved to slots, static
+   costs memoized, intrinsics pre-resolved. Every variable's static
    [Mir.scalar_ty] selects a monomorphic unboxed bank at plan time —
 
    - real-double scalars live in a flat [float array] register bank,
@@ -15,10 +13,11 @@
      runtime shape defies the declared type);
    - arrays are typed banks chosen by element type, complex ones
      interleaved re/im;
-   - rvalues compile to type-specialized producers: a real-double
-     [Rbin Badd] is a raw [( +. )] on unboxed loads — no tag test, no
-     [to_float], no allocation — and the dsp SIMD intrinsics
-     (simd_add/mac/vload/vstore) become straight float-array loops.
+   - rvalues compile to type-specialized producers, and the hot
+     definitions fuse read, combine, charge and write into one closure
+     that reads the banks through inlined views (see [fview]), so a
+     real-double [Rbin Badd] is a raw [( +. )] on unboxed loads — no
+     tag test, no [to_float], no allocation.
 
    A conservative demotion pass keeps this sound against adversarial
    MIR: any scalar variable that could dynamically receive a vector
@@ -29,12 +28,13 @@
    [Value.t] register. Boxed values appear only there and at the
    argument/return boundary (see Store).
 
-   Execution is bit-identical to the legacy tree-walker
+   Execution is bit-identical to the reference tree-walker
    ({!Interp.run_tree}): same results, cycles, dynamic instruction
    counts, output, error messages, and even the same histogram ordering
    (the class histogram is rebuilt through an identically-populated
-   [Hashtbl] so fold order matches). The differential test in
-   [test/test_vm.ml] enforces this over every kernel, target and mode. *)
+   [Hashtbl] so fold order matches). The differential tests in
+   [test/test_vm.ml] enforce this over every kernel, target and mode,
+   and over every fused shape. *)
 
 module Mir = Masc_mir.Mir
 module Isa = Masc_asip.Isa
@@ -66,9 +66,6 @@ type state = {
   seen : bool array;  (* class id charged at least once *)
   mutable order : int list;  (* class ids, reverse first-charge order *)
   out : Buffer.t;
-  pcol : Masc_obs.Profile.t option;  (* profile collector, when profiling *)
-  pon : bool;  (* pcol <> None, pre-decided for the hot path *)
-  pcnt : int array;  (* dynamic instr count per class id, when profiling *)
   guard_on : bool;  (* deadline armed at entry, pre-decided *)
 }
 
@@ -80,8 +77,6 @@ let charge st cls cycles =
     st.order <- cls :: st.order
   end;
   Array.unsafe_set st.hist cls (Array.unsafe_get st.hist cls + cycles);
-  if st.pon then
-    Array.unsafe_set st.pcnt cls (Array.unsafe_get st.pcnt cls + 1);
   (* Cooperative cancellation rides the fuel accounting: when a request
      deadline is armed, test it every guard_mask+1 steps. Off (the
      default) this costs one bool load per instruction. *)
@@ -114,7 +109,6 @@ type slot = Sreg of rslot | Sarr of aslot
 type env = {
   isa : Isa.t;
   mode : Cost.mode;
-  profile : bool;  (* compile per-instruction attribution wrappers in *)
   slots : (int, slot) Hashtbl.t;  (* vid -> slot *)
   cls_ids : (string, int) Hashtbl.t;
   mutable cls_rev : string list;  (* reversed interned class names *)
@@ -261,6 +255,36 @@ let typed_scalar = function
 let int_like = function Oi _ | Ob _ -> true | Of _ | Oc _ | Ov _ | Og _ -> false
 let is_oc = function Oc _ -> true | _ -> false
 
+(* Inlined bank views. A fused definition reads its operands through
+   these instead of [state -> float] closures: a closure call boxes its
+   float result (there is no flambda), while these views inline into
+   the consuming closure as one switch on a plan-time tag and one raw
+   load, so nothing is boxed. The tag is 0 for a float, 1 for an int,
+   2 for a bool and 3 for a complex register; real operands read as
+   [V.to_float]/[V.to_complex] convert them. *)
+let view_tag = function
+  | Of i -> Some (0, i)
+  | Oi i -> Some (1, i)
+  | Ob i -> Some (2, i)
+  | Oc s -> Some (3, s)
+  | Ov _ | Og _ -> None
+
+let[@inline always] fview st t i =
+  match t with
+  | 0 -> Array.unsafe_get st.fregs i
+  | 1 -> float_of_int (Array.unsafe_get st.iregs i)
+  | _ -> if Array.unsafe_get st.bregs i then 1.0 else 0.0
+
+let[@inline always] cre st t i =
+  if t = 3 then Array.unsafe_get st.cregs (2 * i) else fview st t i
+
+let[@inline always] cim st t i =
+  if t = 3 then Array.unsafe_get st.cregs ((2 * i) + 1) else 0.0
+
+let[@inline always] cwrite st d re im =
+  Array.unsafe_set st.cregs (2 * d) re;
+  Array.unsafe_set st.cregs ((2 * d) + 1) im
+
 (* Typed conversions mirroring [V.to_float]/[to_int]/[to_bool]/
    [to_complex] exactly, including exception messages. *)
 let f_read (o : oper) : state -> float =
@@ -391,31 +415,14 @@ let boxed_array (a : aslot) : state -> Value.scalar array =
   | AKb -> fun st -> Store.scalars_of_bools st.barrs.(k)
   | AKc -> fun st -> Store.scalars_of_complex st.carrs.(k)
 
-(* Index evaluation with bounds check; constant indices are checked at
-   plan time and cost nothing at run time. *)
+(* Index evaluation with bounds check. *)
 let index_fn env op ~len ~what : state -> int =
-  match op with
-  | Mir.Oconst c -> (
-    let s =
-      match c with
-      | Mir.Cf f -> V.Sf f
-      | Mir.Ci i -> V.Si i
-      | Mir.Cb b -> V.Sb b
-      | Mir.Cc z -> V.Sc z
-    in
-    match V.to_int s with
-    | i ->
-      if i < 0 || i >= len then fun _ ->
-        fail "%s index %d out of bounds [0, %d)" what i len
-      else fun _ -> i
-    | exception e -> fun _ -> raise e)
-  | _ ->
-    let g = i_read (oper_of env op) in
-    fun st ->
-      let i = g st in
-      if i < 0 || i >= len then
-        fail "%s index %d out of bounds [0, %d)" what i len;
-      i
+  let g = i_read (oper_of env op) in
+  fun st ->
+    let i = g st in
+    if i < 0 || i >= len then
+      fail "%s index %d out of bounds [0, %d)" what i len;
+    i
 
 (* ---------------- rvalue producers ---------------- *)
 
@@ -702,6 +709,49 @@ let compile_rmath env name args : prod =
           List.iter (fun g -> ignore (g st)) gs;
           invalid_arg "Value.math: bad arity")
 
+(* Horizontal reduction of a vector operand (the [Rvreduce] rvalue and
+   the reduce_add/min/max intrinsics). An unboxed lane buffer folds with
+   the raw float operator; boxed lanes fold with [V.binop], which on two
+   [Sf] lanes is the same float operation. *)
+let reduce_prod op (o : oper) ~err : prod =
+  let combine_s = lane2_fast op in
+  let fold_boxed x =
+    let acc = ref x.(0) in
+    for i = 1 to Array.length x - 1 do
+      acc := combine_s !acc x.(i)
+    done;
+    !acc
+  in
+  match o with
+  | Ov (s, _) ->
+    let combine_f : float -> float -> float =
+      match op with
+      | Mir.Badd -> ( +. )
+      | Mir.Bmul -> ( *. )
+      | Mir.Bmin -> min
+      | _ -> max
+    in
+    Pf
+      (fun st ->
+        match Array.unsafe_get st.vboxs s with
+        | None ->
+          let x = Array.unsafe_get st.vbufs s in
+          let acc = ref (Array.unsafe_get x 0) in
+          for i = 1 to Array.length x - 1 do
+            acc := combine_f !acc (Array.unsafe_get x i)
+          done;
+          !acc
+        (* boxed escape lanes are always [Sf] (write coercion) *)
+        | Some (Value.Vector x) -> V.to_float (fold_boxed x)
+        | Some (Value.Scalar _) -> fail "%s" err)
+  | o ->
+    let fa = v_read o in
+    Pg
+      (fun st ->
+        match fa st with
+        | Value.Vector x -> Value.Scalar (fold_boxed x)
+        | Value.Scalar _ -> fail "%s" err)
+
 let compile_intrin env name args : prod =
   let opers = List.map (oper_of env) args in
   let vreads = List.map v_read opers in
@@ -813,118 +863,56 @@ let compile_intrin env name args : prod =
               let vbv = fb st in
               lanewise3 mac vacc va vbv)
         | _ -> failure "mac expects 3 operands"))
-    | Isa.Kcmul -> (
-      match opers with
-      | [ oa; ob ] when typed_scalar oa && typed_scalar ob ->
-        let za = c_read oa and zb = c_read ob in
-        Pc (fun st -> let x = za st in let y = zb st in Complex.mul x y)
-      | _ -> (
-        match vreads with
-        | [ fa; fb ] ->
-          Pg
-            (fun st ->
-              let va = fa st in
-              let vbv = fb st in
-              Value.Scalar
-                (V.Sc
-                   (Complex.mul
-                      (V.to_complex (scalar_of_value va))
-                      (V.to_complex (scalar_of_value vbv)))))
-        | _ -> failure "cmul expects 2 operands"))
-    | Isa.Kcmac -> (
-      match opers with
-      | [ oacc; oa; ob ]
-        when typed_scalar oacc && typed_scalar oa && typed_scalar ob ->
-        let zacc = c_read oacc and za = c_read oa and zb = c_read ob in
+    | (Isa.Kcmul | Isa.Kcadd | Isa.Kcmac) as kind -> (
+      (* Complex ISEs into a non-complex target or from vector/boxed
+         operands; a complex-register target is fused in [compile_cdef]. *)
+      let to_c v = V.to_complex (scalar_of_value v) in
+      let f2 = if kind = Isa.Kcmul then Complex.mul else Complex.add in
+      let typed = List.for_all typed_scalar opers in
+      match (kind, opers, vreads) with
+      | Isa.Kcmac, [ oc; oa; ob ], _ when typed ->
+        let zc = c_read oc and za = c_read oa and zb = c_read ob in
         Pc
           (fun st ->
-            let acc = zacc st in
+            let c = zc st in
             let x = za st in
             let y = zb st in
-            Complex.add acc (Complex.mul x y))
-      | _ -> (
-        match vreads with
-        | [ facc; fa; fb ] ->
-          Pg
-            (fun st ->
-              let vacc = facc st in
-              let va = fa st in
-              let vbv = fb st in
-              Value.Scalar
-                (V.Sc
-                   (Complex.add
-                      (V.to_complex (scalar_of_value vacc))
-                      (Complex.mul
-                         (V.to_complex (scalar_of_value va))
-                         (V.to_complex (scalar_of_value vbv))))))
-        | _ -> failure "cmac expects 3 operands"))
-    | Isa.Kcadd -> (
-      match opers with
-      | [ oa; ob ] when typed_scalar oa && typed_scalar ob ->
+            Complex.add c (Complex.mul x y))
+      | Isa.Kcmac, _, [ fc; fa; fb ] ->
+        Pg
+          (fun st ->
+            let vc = fc st in
+            let va = fa st in
+            let vb = fb st in
+            Value.Scalar
+              (V.Sc (Complex.add (to_c vc) (Complex.mul (to_c va) (to_c vb)))))
+      | Isa.Kcmac, _, _ -> failure "cmac expects 3 operands"
+      | _, [ oa; ob ], _ when typed ->
         let za = c_read oa and zb = c_read ob in
-        Pc (fun st -> let x = za st in let y = zb st in Complex.add x y)
-      | _ -> (
-        match vreads with
-        | [ fa; fb ] ->
-          Pg
-            (fun st ->
-              let va = fa st in
-              let vbv = fb st in
-              Value.Scalar
-                (V.Sc
-                   (Complex.add
-                      (V.to_complex (scalar_of_value va))
-                      (V.to_complex (scalar_of_value vbv)))))
-        | _ -> failure "cadd expects 2 operands"))
+        Pc (fun st -> let x = za st in let y = zb st in f2 x y)
+      | _, _, [ fa; fb ] ->
+        Pg
+          (fun st ->
+            let va = fa st in
+            let vb = fb st in
+            Value.Scalar (V.Sc (f2 (to_c va) (to_c vb))))
+      | _ ->
+        failure
+          (if kind = Isa.Kcmul then "cmul expects 2 operands"
+           else "cadd expects 2 operands"))
     | Isa.Kload | Isa.Kstore | Isa.Kbroadcast ->
       failure
         (Printf.sprintf "%s: memory intrinsics are expressed as Rvload/Ivstore"
            name)
     | Isa.Kreduce_add | Isa.Kreduce_min | Isa.Kreduce_max -> (
-      let combine_s =
+      let op =
         match desc.Isa.kind with
-        | Isa.Kreduce_add -> lane2_fast Mir.Badd
-        | Isa.Kreduce_min -> V.binop Mir.Bmin
-        | _ -> V.binop Mir.Bmax
-      in
-      let combine_f : float -> float -> float =
-        match desc.Isa.kind with
-        | Isa.Kreduce_add -> ( +. )
-        | Isa.Kreduce_min -> min
-        | _ -> max
+        | Isa.Kreduce_add -> Mir.Badd
+        | Isa.Kreduce_min -> Mir.Bmin
+        | _ -> Mir.Bmax
       in
       match opers with
-      | [ Ov (s, _) ] ->
-        Pf
-          (fun st ->
-            match Array.unsafe_get st.vboxs s with
-            | None ->
-              let x = Array.unsafe_get st.vbufs s in
-              let acc = ref (Array.unsafe_get x 0) in
-              for i = 1 to Array.length x - 1 do
-                acc := combine_f !acc (Array.unsafe_get x i)
-              done;
-              !acc
-            | Some (Value.Vector x) ->
-              (* boxed escape lanes are always [Sf] (write coercion) *)
-              let acc = ref x.(0) in
-              for i = 1 to Array.length x - 1 do
-                acc := combine_s !acc x.(i)
-              done;
-              V.to_float !acc
-            | Some (Value.Scalar _) -> fail "reduce expects one vector operand")
-      | [ o ] ->
-        let fa = v_read o in
-        Pg
-          (fun st ->
-            match fa st with
-            | Value.Vector x ->
-              let acc = ref x.(0) in
-              for i = 1 to Array.length x - 1 do
-                acc := combine_s !acc x.(i)
-              done;
-              Value.Scalar !acc
-            | Value.Scalar _ -> fail "reduce expects one vector operand")
+      | [ o ] -> reduce_prod op o ~err:"reduce expects one vector operand"
       | _ -> failure "reduce expects one vector operand"))
 
 let compile_rvalue env (rv : Mir.rvalue) : prod =
@@ -1026,52 +1014,15 @@ let compile_rvalue env (rv : Mir.rvalue) : prod =
     | o ->
       let gs = s_read o in
       Pg (fun st -> Value.Vector (Array.make lanes (gs st))))
-  | Mir.Rvreduce (r, a) -> (
-    let combine_s =
+  | Mir.Rvreduce (r, a) ->
+    let op =
       match r with
-      | Mir.Vsum -> lane2_fast Mir.Badd
-      | Mir.Vprod -> lane2_fast Mir.Bmul
-      | Mir.Vmin -> V.binop Mir.Bmin
-      | Mir.Vmax -> V.binop Mir.Bmax
+      | Mir.Vsum -> Mir.Badd
+      | Mir.Vprod -> Mir.Bmul
+      | Mir.Vmin -> Mir.Bmin
+      | Mir.Vmax -> Mir.Bmax
     in
-    match oper_of env a with
-    | Ov (s, _) ->
-      let combine_f : float -> float -> float =
-        match r with
-        | Mir.Vsum -> ( +. )
-        | Mir.Vprod -> ( *. )
-        | Mir.Vmin -> min
-        | Mir.Vmax -> max
-      in
-      Pf
-        (fun st ->
-          match Array.unsafe_get st.vboxs s with
-          | None ->
-            let x = Array.unsafe_get st.vbufs s in
-            let acc = ref (Array.unsafe_get x 0) in
-            for i = 1 to Array.length x - 1 do
-              acc := combine_f !acc (Array.unsafe_get x i)
-            done;
-            !acc
-          | Some (Value.Vector x) ->
-            let acc = ref x.(0) in
-            for i = 1 to Array.length x - 1 do
-              acc := combine_s !acc x.(i)
-            done;
-            V.to_float !acc
-          | Some (Value.Scalar _) -> fail "vreduce of a scalar")
-    | o ->
-      let fa = v_read o in
-      Pg
-        (fun st ->
-          match fa st with
-          | Value.Vector x ->
-            let acc = ref x.(0) in
-            for i = 1 to Array.length x - 1 do
-              acc := combine_s !acc x.(i)
-            done;
-            Value.Scalar !acc
-          | Value.Scalar _ -> fail "vreduce of a scalar"))
+    reduce_prod op (oper_of env a) ~err:"vreduce of a scalar"
   | Mir.Rintrin (name, args) -> compile_intrin env name args
 
 (* Write-side coercion with an identity fast path for boxed registers:
@@ -1107,47 +1058,89 @@ let write_vreg st d lanes sty v =
     end
     else st.vboxs.(d) <- Some c
 
-(* ---------------- fused complex definitions ---------------- *)
+(* ---------------- fused definitions ---------------- *)
 
 (* Complex-typed registers live as re/im pairs in [st.cregs], but the
    generic producer protocol routes every complex rvalue through a
    boxed [Complex.t], allocating on each evaluation. For the shapes
    that dominate complex kernels (FFT butterflies: complex array
    load, move, add/sub/mul, and the cmul/cmac/cadd intrinsics) the
-   whole def is a pure register/array read chain, so we can fuse it
-   into a closure that moves floats directly between banks. Anything
-   whose evaluation order or failure behaviour could observably differ
-   from the tree-walker returns [None] and takes the generic path.
-   Formulas are spelled out to match [Complex.mul]/[Complex.add]
-   term-for-term so results stay bit-identical. *)
+   whole def is a pure register/array read chain, so we fuse it into
+   one closure that moves floats between banks through the inlined
+   views. Anything whose evaluation order or failure behaviour could
+   observably differ from the tree-walker returns [None] and takes the
+   generic path. Formulas are spelled out to match
+   [Complex.add]/[Complex.sub]/[Complex.mul] term-for-term so results
+   stay bit-identical. *)
 let compile_cdef env d rv cls cost : (state -> unit) option =
-  (* Per-component reader closures for operands whose complex view is a
-     pure read: registers convert exactly as [V.to_complex] would. Used
-     by the mixed-representation fused cases; the all-complex cases
-     below read the banks inline instead (a [state -> float] closure
-     call boxes its result, an inlined [Array.unsafe_get] does not). *)
-  let comp = function
-    | Of i -> Some ((fun st -> Array.unsafe_get st.fregs i), fun _ -> 0.0)
-    | Oi i ->
-      Some
-        ((fun st -> float_of_int (Array.unsafe_get st.iregs i)), fun _ -> 0.0)
-    | Ob i ->
-      Some
-        ( (fun st -> if Array.unsafe_get st.bregs i then 1.0 else 0.0),
-          fun _ -> 0.0 )
-    | Oc s ->
-      Some
-        ( (fun st -> Array.unsafe_get st.cregs (2 * s)),
-          fun st -> Array.unsafe_get st.cregs ((2 * s) + 1) )
-    | Ov _ | Og _ -> None
+  let views ops =
+    let ts = List.map (fun o -> view_tag (oper_of env o)) ops in
+    if List.mem None ts then None else Some (List.map Option.get ts)
   in
-  let wr st re im =
-    charge st cls cost;
-    Array.unsafe_set st.cregs (2 * d) re;
-    Array.unsafe_set st.cregs ((2 * d) + 1) im
+  (* The fused formula and its operand views, or [None]. A binop fuses
+     when one side is statically complex (then [V.binop] takes its
+     complex branch at runtime); the complex intrinsics convert every
+     operand with [V.to_complex], so any typed scalar mix fuses. *)
+  let formula =
+    match rv with
+    | Mir.Rbin (((Mir.Badd | Mir.Bsub | Mir.Bmul) as op), a, b) -> (
+      match views [ a; b ] with
+      | Some ([ (ta, _); (tb, _) ] as vs) when ta = 3 || tb = 3 ->
+        let form =
+          match op with Mir.Badd -> `Add | Mir.Bsub -> `Sub | _ -> `Mul
+        in
+        Some (form, vs)
+      | _ -> None)
+    | Mir.Rintrin (name, args) -> (
+      match Isa.find_named env.isa name with
+      | None -> None
+      | Some desc -> (
+        let form =
+          match desc.Isa.kind with
+          | Isa.Kcadd -> Some `Add
+          | Isa.Kcmul -> Some `Mul
+          | Isa.Kcmac -> Some `Mac
+          | _ -> None
+        in
+        match (form, views args) with
+        | Some form, Some vs -> Some (form, vs)
+        | _ -> None))
+    | _ -> None
   in
-  match rv with
-  | Mir.Rload (a, idx) -> (
+  match (formula, rv) with
+  | Some (`Add, [ (ta, ia); (tb, ib) ]), _ ->
+    Some
+      (fun st ->
+        let ar = cre st ta ia and ai = cim st ta ia in
+        let br = cre st tb ib and bi = cim st tb ib in
+        charge st cls cost;
+        cwrite st d (ar +. br) (ai +. bi))
+  | Some (`Sub, [ (ta, ia); (tb, ib) ]), _ ->
+    Some
+      (fun st ->
+        let ar = cre st ta ia and ai = cim st ta ia in
+        let br = cre st tb ib and bi = cim st tb ib in
+        charge st cls cost;
+        cwrite st d (ar -. br) (ai -. bi))
+  | Some (`Mul, [ (ta, ia); (tb, ib) ]), _ ->
+    Some
+      (fun st ->
+        let ar = cre st ta ia and ai = cim st ta ia in
+        let br = cre st tb ib and bi = cim st tb ib in
+        charge st cls cost;
+        cwrite st d ((ar *. br) -. (ai *. bi)) ((ar *. bi) +. (ai *. br)))
+  | Some (`Mac, [ (tc, ic); (ta, ia); (tb, ib) ]), _ ->
+    Some
+      (fun st ->
+        let cr = cre st tc ic and ci = cim st tc ic in
+        let ar = cre st ta ia and ai = cim st ta ia in
+        let br = cre st tb ib and bi = cim st tb ib in
+        charge st cls cost;
+        cwrite st d
+          (cr +. ((ar *. br) -. (ai *. bi)))
+          (ci +. ((ar *. bi) +. (ai *. br))))
+  | Some _, _ -> None (* wrong arity: the generic path reports it *)
+  | None, Mir.Rload (a, idx) -> (
     match arr_ref env a with
     | Ok aslot when aslot.bank = AKc ->
       let gi = index_fn env idx ~len:aslot.alen ~what:a.Mir.vname in
@@ -1159,198 +1152,30 @@ let compile_cdef env d rv cls cost : (state -> unit) option =
           let re = Array.unsafe_get ca (2 * i) in
           let im = Array.unsafe_get ca ((2 * i) + 1) in
           charge st cls cost;
-          Array.unsafe_set st.cregs (2 * d) re;
-          Array.unsafe_set st.cregs ((2 * d) + 1) im)
+          cwrite st d re im)
     | _ -> None)
-  | Mir.Rmove o -> (
-    match oper_of env o with
-    | Oc s ->
+  | None, Mir.Rmove o -> (
+    match view_tag (oper_of env o) with
+    | Some (t, i) ->
       Some
         (fun st ->
-          let re = Array.unsafe_get st.cregs (2 * s) in
-          let im = Array.unsafe_get st.cregs ((2 * s) + 1) in
+          let re = cre st t i and im = cim st t i in
           charge st cls cost;
-          Array.unsafe_set st.cregs (2 * d) re;
-          Array.unsafe_set st.cregs ((2 * d) + 1) im)
-    | o -> (
-      match comp o with
-      | Some (gre, gim) ->
-        Some
-          (fun st ->
-            let re = gre st in
-            let im = gim st in
-            wr st re im)
-      | None -> None))
-  | Mir.Rcomplex (ore, oim) -> (
-    (* Only operands whose float view cannot raise qualify — the
-       tree-walker's record-field evaluation order is unspecified, so
-       the reads must be order-insensitive. *)
-    match (oper_of env ore, oper_of env oim) with
-    | Of a, Of b ->
+          cwrite st d re im)
+    | None -> None)
+  | None, Mir.Rcomplex (ore, oim) -> (
+    (* Only real register views qualify: they cannot raise, so the
+       tree-walker's unspecified record-field evaluation order is not
+       observable. *)
+    match views [ ore; oim ] with
+    | Some [ (ta, ia); (tb, ib) ] when ta < 3 && tb < 3 ->
       Some
         (fun st ->
-          let re = Array.unsafe_get st.fregs a in
-          let im = Array.unsafe_get st.fregs b in
+          let re = fview st ta ia and im = fview st tb ib in
           charge st cls cost;
-          Array.unsafe_set st.cregs (2 * d) re;
-          Array.unsafe_set st.cregs ((2 * d) + 1) im)
-    | ((Of _ | Oi _ | Ob _) as oa), ((Of _ | Oi _ | Ob _) as ob) ->
-      let gre = f_read oa and gim = f_read ob in
-      Some
-        (fun st ->
-          let re = gre st in
-          let im = gim st in
-          wr st re im)
+          cwrite st d re im)
     | _ -> None)
-  | Mir.Rbin (op, a, b) -> (
-    let oa = oper_of env a and ob = oper_of env b in
-    (* a statically complex operand means [V.binop] takes its complex
-       branch at runtime; mirror Complex.add/sub/mul term-for-term *)
-    match (oa, ob) with
-    | Oc sa, Oc sb -> (
-      match op with
-      | Mir.Badd ->
-        Some
-          (fun st ->
-            let cr = st.cregs in
-            let ar = Array.unsafe_get cr (2 * sa) in
-            let ai = Array.unsafe_get cr ((2 * sa) + 1) in
-            let br = Array.unsafe_get cr (2 * sb) in
-            let bi = Array.unsafe_get cr ((2 * sb) + 1) in
-            charge st cls cost;
-            Array.unsafe_set cr (2 * d) (ar +. br);
-            Array.unsafe_set cr ((2 * d) + 1) (ai +. bi))
-      | Mir.Bsub ->
-        Some
-          (fun st ->
-            let cr = st.cregs in
-            let ar = Array.unsafe_get cr (2 * sa) in
-            let ai = Array.unsafe_get cr ((2 * sa) + 1) in
-            let br = Array.unsafe_get cr (2 * sb) in
-            let bi = Array.unsafe_get cr ((2 * sb) + 1) in
-            charge st cls cost;
-            Array.unsafe_set cr (2 * d) (ar -. br);
-            Array.unsafe_set cr ((2 * d) + 1) (ai -. bi))
-      | Mir.Bmul ->
-        Some
-          (fun st ->
-            let cr = st.cregs in
-            let ar = Array.unsafe_get cr (2 * sa) in
-            let ai = Array.unsafe_get cr ((2 * sa) + 1) in
-            let br = Array.unsafe_get cr (2 * sb) in
-            let bi = Array.unsafe_get cr ((2 * sb) + 1) in
-            charge st cls cost;
-            Array.unsafe_set cr (2 * d) ((ar *. br) -. (ai *. bi));
-            Array.unsafe_set cr ((2 * d) + 1) ((ar *. bi) +. (ai *. br)))
-      | _ -> None)
-    | _ -> (
-      match (comp oa, comp ob) with
-      | Some (are, aim), Some (bre, bim) when is_oc oa || is_oc ob -> (
-        match op with
-        | Mir.Badd ->
-          Some
-            (fun st ->
-              let ar = are st in
-              let ai = aim st in
-              let br = bre st in
-              let bi = bim st in
-              wr st (ar +. br) (ai +. bi))
-        | Mir.Bsub ->
-          Some
-            (fun st ->
-              let ar = are st in
-              let ai = aim st in
-              let br = bre st in
-              let bi = bim st in
-              wr st (ar -. br) (ai -. bi))
-        | Mir.Bmul ->
-          Some
-            (fun st ->
-              let ar = are st in
-              let ai = aim st in
-              let br = bre st in
-              let bi = bim st in
-              wr st ((ar *. br) -. (ai *. bi)) ((ar *. bi) +. (ai *. br)))
-        | _ -> None)
-      | _ -> None))
-  | Mir.Rintrin (name, args) -> (
-    match Isa.find_named env.isa name with
-    | None -> None
-    | Some desc -> (
-      let opers = List.map (oper_of env) args in
-      match (desc.Isa.kind, opers) with
-      | Isa.Kcmul, [ Oc sa; Oc sb ] ->
-        Some
-          (fun st ->
-            let cr = st.cregs in
-            let ar = Array.unsafe_get cr (2 * sa) in
-            let ai = Array.unsafe_get cr ((2 * sa) + 1) in
-            let br = Array.unsafe_get cr (2 * sb) in
-            let bi = Array.unsafe_get cr ((2 * sb) + 1) in
-            charge st cls cost;
-            Array.unsafe_set cr (2 * d) ((ar *. br) -. (ai *. bi));
-            Array.unsafe_set cr ((2 * d) + 1) ((ar *. bi) +. (ai *. br)))
-      | Isa.Kcadd, [ Oc sa; Oc sb ] ->
-        Some
-          (fun st ->
-            let cr = st.cregs in
-            let ar = Array.unsafe_get cr (2 * sa) in
-            let ai = Array.unsafe_get cr ((2 * sa) + 1) in
-            let br = Array.unsafe_get cr (2 * sb) in
-            let bi = Array.unsafe_get cr ((2 * sb) + 1) in
-            charge st cls cost;
-            Array.unsafe_set cr (2 * d) (ar +. br);
-            Array.unsafe_set cr ((2 * d) + 1) (ai +. bi))
-      | Isa.Kcmac, [ Oc sc; Oc sa; Oc sb ] ->
-        Some
-          (fun st ->
-            let cr = st.cregs in
-            let cr0 = Array.unsafe_get cr (2 * sc) in
-            let ci0 = Array.unsafe_get cr ((2 * sc) + 1) in
-            let ar = Array.unsafe_get cr (2 * sa) in
-            let ai = Array.unsafe_get cr ((2 * sa) + 1) in
-            let br = Array.unsafe_get cr (2 * sb) in
-            let bi = Array.unsafe_get cr ((2 * sb) + 1) in
-            charge st cls cost;
-            Array.unsafe_set cr (2 * d) (cr0 +. ((ar *. br) -. (ai *. bi)));
-            Array.unsafe_set cr
-              ((2 * d) + 1)
-              (ci0 +. ((ar *. bi) +. (ai *. br))))
-      | _ -> (
-        match (desc.Isa.kind, List.map comp opers) with
-        | Isa.Kcmul, [ Some (are, aim); Some (bre, bim) ] ->
-          Some
-            (fun st ->
-              let ar = are st in
-              let ai = aim st in
-              let br = bre st in
-              let bi = bim st in
-              wr st ((ar *. br) -. (ai *. bi)) ((ar *. bi) +. (ai *. br)))
-        | Isa.Kcadd, [ Some (are, aim); Some (bre, bim) ] ->
-          Some
-            (fun st ->
-              let ar = are st in
-              let ai = aim st in
-              let br = bre st in
-              let bi = bim st in
-              wr st (ar +. br) (ai +. bi))
-        | Isa.Kcmac, [ Some (cre, cim); Some (are, aim); Some (bre, bim) ]
-          ->
-          Some
-            (fun st ->
-              let cr = cre st in
-              let ci = cim st in
-              let ar = are st in
-              let ai = aim st in
-              let br = bre st in
-              let bi = bim st in
-              wr st
-                (cr +. ((ar *. br) -. (ai *. bi)))
-                (ci +. ((ar *. bi) +. (ai *. br))))
-        | _ -> None)))
-  | Mir.Runop _ | Mir.Rmath _ | Mir.Rvload _ | Mir.Rvbroadcast _
-  | Mir.Rvreduce _ ->
-    None
+  | None, _ -> None
 
 (* Fused float definitions: for an [Idef] whose target is a Double
    register and whose rvalue's float path would otherwise hop through a
@@ -1364,129 +1189,33 @@ let compile_fdef env d rv cls cost : (state -> unit) option =
   match rv with
   | Mir.Rbin (op, a, b) -> (
     let oa = oper_of env a and ob = oper_of env b in
-    let tag = function
-      | Of i -> Some (0, i)
-      | Oi i -> Some (1, i)
-      | Ob i -> Some (2, i)
-      | Oc _ | Ov _ | Og _ -> None
-    in
-    match (tag oa, tag ob) with
-    | Some (ta, ia), Some (tb, ib) -> (
-      (* Mirrors [compile_rbin]'s static promotion: Badd/Bsub/Bmul of
-         two int-like operands produce an unboxed [Pi] already; the
-         float branch is what needs fusing. Bdiv/Bpow are float in both
-         branches. *)
-      let both_int = int_like oa && int_like ob in
+    (* Mirrors [compile_rbin]'s static promotion: Badd/Bsub/Bmul/Bmod of
+       two int-like operands produce an unboxed [Pi] already; the float
+       branch is what needs fusing. Bdiv/Bpow are float in both
+       branches. *)
+    let float_op =
       match op with
-      | Mir.Badd when not both_int ->
-        Some
-          (fun st ->
-            let x =
-              (match ta with
-              | 0 -> Array.unsafe_get st.fregs ia
-              | 1 -> float_of_int (Array.unsafe_get st.iregs ia)
-              | _ -> if Array.unsafe_get st.bregs ia then 1.0 else 0.0)
-            in
-            let y =
-              (match tb with
-              | 0 -> Array.unsafe_get st.fregs ib
-              | 1 -> float_of_int (Array.unsafe_get st.iregs ib)
-              | _ -> if Array.unsafe_get st.bregs ib then 1.0 else 0.0)
-            in
-            let r = x +. y in
-            charge st cls cost;
-            Array.unsafe_set st.fregs d r)
-      | Mir.Bsub when not both_int ->
-        Some
-          (fun st ->
-            let x =
-              (match ta with
-              | 0 -> Array.unsafe_get st.fregs ia
-              | 1 -> float_of_int (Array.unsafe_get st.iregs ia)
-              | _ -> if Array.unsafe_get st.bregs ia then 1.0 else 0.0)
-            in
-            let y =
-              (match tb with
-              | 0 -> Array.unsafe_get st.fregs ib
-              | 1 -> float_of_int (Array.unsafe_get st.iregs ib)
-              | _ -> if Array.unsafe_get st.bregs ib then 1.0 else 0.0)
-            in
-            let r = x -. y in
-            charge st cls cost;
-            Array.unsafe_set st.fregs d r)
-      | Mir.Bmul when not both_int ->
-        Some
-          (fun st ->
-            let x =
-              (match ta with
-              | 0 -> Array.unsafe_get st.fregs ia
-              | 1 -> float_of_int (Array.unsafe_get st.iregs ia)
-              | _ -> if Array.unsafe_get st.bregs ia then 1.0 else 0.0)
-            in
-            let y =
-              (match tb with
-              | 0 -> Array.unsafe_get st.fregs ib
-              | 1 -> float_of_int (Array.unsafe_get st.iregs ib)
-              | _ -> if Array.unsafe_get st.bregs ib then 1.0 else 0.0)
-            in
-            let r = x *. y in
-            charge st cls cost;
-            Array.unsafe_set st.fregs d r)
-      | Mir.Bmod when not both_int ->
-        Some
-          (fun st ->
-            let x =
-              (match ta with
-              | 0 -> Array.unsafe_get st.fregs ia
-              | 1 -> float_of_int (Array.unsafe_get st.iregs ia)
-              | _ -> if Array.unsafe_get st.bregs ia then 1.0 else 0.0)
-            in
-            let y =
-              (match tb with
-              | 0 -> Array.unsafe_get st.fregs ib
-              | 1 -> float_of_int (Array.unsafe_get st.iregs ib)
-              | _ -> if Array.unsafe_get st.bregs ib then 1.0 else 0.0)
-            in
-            let r = if y = 0.0 then x else Float.rem x y in
-            charge st cls cost;
-            Array.unsafe_set st.fregs d r)
-      | Mir.Bdiv ->
-        Some
-          (fun st ->
-            let x =
-              (match ta with
-              | 0 -> Array.unsafe_get st.fregs ia
-              | 1 -> float_of_int (Array.unsafe_get st.iregs ia)
-              | _ -> if Array.unsafe_get st.bregs ia then 1.0 else 0.0)
-            in
-            let y =
-              (match tb with
-              | 0 -> Array.unsafe_get st.fregs ib
-              | 1 -> float_of_int (Array.unsafe_get st.iregs ib)
-              | _ -> if Array.unsafe_get st.bregs ib then 1.0 else 0.0)
-            in
-            let r = x /. y in
-            charge st cls cost;
-            Array.unsafe_set st.fregs d r)
-      | Mir.Bpow ->
-        Some
-          (fun st ->
-            let x =
-              (match ta with
-              | 0 -> Array.unsafe_get st.fregs ia
-              | 1 -> float_of_int (Array.unsafe_get st.iregs ia)
-              | _ -> if Array.unsafe_get st.bregs ia then 1.0 else 0.0)
-            in
-            let y =
-              (match tb with
-              | 0 -> Array.unsafe_get st.fregs ib
-              | 1 -> float_of_int (Array.unsafe_get st.iregs ib)
-              | _ -> if Array.unsafe_get st.bregs ib then 1.0 else 0.0)
-            in
-            let r = x ** y in
-            charge st cls cost;
-            Array.unsafe_set st.fregs d r)
-      | _ -> None)
+      | Mir.Badd | Mir.Bsub | Mir.Bmul | Mir.Bmod ->
+        not (int_like oa && int_like ob)
+      | Mir.Bdiv | Mir.Bpow -> true
+      | _ -> false
+    in
+    match (view_tag oa, view_tag ob) with
+    | Some (ta, ia), Some (tb, ib) when float_op && ta < 3 && tb < 3 ->
+      Some
+        (fun st ->
+          let x = fview st ta ia and y = fview st tb ib in
+          let r =
+            match op with
+            | Mir.Badd -> x +. y
+            | Mir.Bsub -> x -. y
+            | Mir.Bmul -> x *. y
+            | Mir.Bdiv -> x /. y
+            | Mir.Bpow -> x ** y
+            | _ -> if y = 0.0 then x else Float.rem x y
+          in
+          charge st cls cost;
+          Array.unsafe_set st.fregs d r)
     | _ -> None)
   | Mir.Rload (a, idx) -> (
     match arr_ref env a with
@@ -1543,7 +1272,7 @@ let compile_fdef env d rv cls cost : (state -> unit) option =
 (* ---------------- instruction compilation ---------------- *)
 
 let rec compile_block env (block : Mir.block) : state -> unit =
-  match List.map (compile_instr env) block with
+  match List.map (fun i -> compile_instr env i.Mir.idesc) block with
   | [] -> fun _ -> ()
   | [ f ] -> f
   | [ f1; f2 ] ->
@@ -1563,51 +1292,7 @@ let rec compile_block env (block : Mir.block) : state -> unit =
         (Array.unsafe_get a i) st
       done
 
-and compile_instr env (instr : Mir.instr) : state -> unit =
-  let f = compile_desc env instr.Mir.idesc in
-  if not env.profile then f
-  else begin
-    (* Per-instruction attribution wrapper, compiled in only for
-       profiled plans so the normal hot path carries zero residue.
-       Self cost = this instruction's charge delta minus whatever inner
-       (nested) wrappers already attributed, tracked through the
-       collector's [attr_*] running totals; recorded on the exception
-       path too, so breaks, returns and traps leave per-line sums equal
-       to the engine's cycle total. *)
-    let line = Mir.line_of instr in
-    let intrin =
-      match instr.Mir.idesc with
-      | Mir.Idef (_, Mir.Rintrin (name, _)) -> Some name
-      | _ -> None
-    in
-    fun st ->
-      match st.pcol with
-      | None -> f st
-      | Some col ->
-        let c0 = st.cycles and d0 = st.dyn in
-        let a0 = col.Masc_obs.Profile.attr_cycles
-        and ad0 = col.Masc_obs.Profile.attr_instrs in
-        let fin () =
-          let tc = st.cycles - c0 and td = st.dyn - d0 in
-          let self_c = tc - (col.Masc_obs.Profile.attr_cycles - a0)
-          and self_d = td - (col.Masc_obs.Profile.attr_instrs - ad0) in
-          Masc_obs.Profile.add_line col line ~cycles:self_c ~instrs:self_d;
-          (match intrin with
-          | Some name ->
-            Masc_obs.Profile.add_intrin col name ~cycles:self_c
-              ~instrs:self_d
-          | None -> ());
-          col.Masc_obs.Profile.attr_cycles <- a0 + tc;
-          col.Masc_obs.Profile.attr_instrs <- ad0 + td
-        in
-        (match f st with
-        | () -> fin ()
-        | exception e ->
-          fin ();
-          raise e)
-  end
-
-and compile_desc env (desc : Mir.instr_desc) : state -> unit =
+and compile_instr env (desc : Mir.instr_desc) : state -> unit =
   match desc with
   | Mir.Idef (v, rv) -> (
     let prod = compile_rvalue env rv in
@@ -1732,40 +1417,34 @@ and compile_desc env (desc : Mir.instr_desc) : state -> unit =
       match fused with
       | Some f -> f
       | None -> (
-      let set st (z : Complex.t) =
-        Array.unsafe_set st.cregs (2 * d) z.Complex.re;
-        Array.unsafe_set st.cregs ((2 * d) + 1) z.Complex.im
-      in
       match prod with
       | Pc f ->
         fun st ->
           let z = f st in
           charge st cls cost;
-          set st z
+          cwrite st d z.Complex.re z.Complex.im
       | Pf f ->
         fun st ->
           let x = f st in
           charge st cls cost;
-          Array.unsafe_set st.cregs (2 * d) x;
-          Array.unsafe_set st.cregs ((2 * d) + 1) 0.0
+          cwrite st d x 0.0
       | Pi f ->
         fun st ->
           let x = f st in
           charge st cls cost;
-          Array.unsafe_set st.cregs (2 * d) (float_of_int x);
-          Array.unsafe_set st.cregs ((2 * d) + 1) 0.0
+          cwrite st d (float_of_int x) 0.0
       | Pb f ->
         fun st ->
           let x = f st in
           charge st cls cost;
-          Array.unsafe_set st.cregs (2 * d) (if x then 1.0 else 0.0);
-          Array.unsafe_set st.cregs ((2 * d) + 1) 0.0
+          cwrite st d (if x then 1.0 else 0.0) 0.0
       | (Pv _ | Pg _) as p ->
         let g = gen_of_prod p in
         fun st ->
           let value = g st in
           charge st cls cost;
-          set st (V.to_complex (scalar_of_value value))))
+          let z = V.to_complex (scalar_of_value value) in
+          cwrite st d z.Complex.re z.Complex.im))
     | Sreg (Rv (d, lanes)) -> (
       match prod with
       | Pv vp when vp.vlanes = lanes ->
@@ -2167,11 +1846,10 @@ type t = {
   cspecs : aspec array;
   classes : string array;  (* interned class id -> name *)
   abytes : int;  (* static array footprint, for the allocation cap *)
-  profiled : bool;  (* attribution wrappers compiled in *)
   body_fn : state -> unit;
 }
 
-let compile ?(profile = false) ~isa ~mode (f : Mir.func) : t =
+let compile ~isa ~mode (f : Mir.func) : t =
   (* Variable collection pre-pass: params, rets, declared vars, then a
      defensive body walk (the tree-walker materializes cells lazily for
      any vid it meets, so the plan must cover the same set). *)
@@ -2406,7 +2084,7 @@ let compile ?(profile = false) ~isa ~mode (f : Mir.func) : t =
         Hashtbl.add slots v.Mir.vid (Sarr { bank; aidx = idx; alen = n }))
     vars;
   let env =
-    { isa; mode; profile; slots;
+    { isa; mode; slots;
       cls_ids = Hashtbl.create 16; cls_rev = []; ncls = 0;
       nfx = !nf; nix = !ni; nbx = !nb; ncx = !nc;
       fdedup = Hashtbl.create 16; idedup = Hashtbl.create 16;
@@ -2443,19 +2121,14 @@ let compile ?(profile = false) ~isa ~mode (f : Mir.func) : t =
     cspecs = Array.of_list (List.rev !csp);
     classes = Array.of_list (List.rev env.cls_rev);
     abytes = Exec.array_bytes_of_func f;
-    profiled = profile;
     body_fn }
 
 let execute ?(max_cycles = 4_000_000_000) ?(fuel = Exec.default_fuel)
-    ?(max_alloc_bytes = Exec.default_max_alloc_bytes) ?profile (p : t)
+    ?(max_alloc_bytes = Exec.default_max_alloc_bytes) (p : t)
     (args : xvalue list) : result =
   if List.length args <> p.nparams then
     fail "%s expects %d arguments, received %d" p.fname p.nparams
       (List.length args);
-  if profile <> None && not p.profiled then
-    invalid_arg
-      "Plan.execute: profile collector passed to a plan compiled without \
-       ~profile:true";
   Exec.check_alloc ~loc:p.fname ~cap_bytes:max_alloc_bytes p.abytes;
   let ncls = Array.length p.classes in
   (* Fresh typed state. Unwritten registers read as the zero of their
@@ -2494,9 +2167,6 @@ let execute ?(max_cycles = 4_000_000_000) ?(fuel = Exec.default_fuel)
       seen = Array.make ncls false;
       order = [];
       out = Buffer.create 256;
-      pcol = profile;
-      pon = profile <> None;
-      pcnt = (if profile = None then [||] else Array.make ncls 0);
       guard_on = Masc_fault.Cancel.armed () }
   in
   Array.iter (fun (i, v) -> st.fregs.(i) <- v) p.finit;
@@ -2533,24 +2203,7 @@ let execute ?(max_cycles = 4_000_000_000) ?(fuel = Exec.default_fuel)
       | Bscalar (_, _, name), Xarray _ | Barray (_, name), Xscalar _ ->
         fail "argument %s: scalar/array mismatch" name)
     p.binds args;
-  (* Per-class attribution comes from the interned histogram plus the
-     profiling instr counters; flushed on the trap path too so the
-     collector stays consistent with [st.cycles] however the run ends. *)
-  let flush_profile () =
-    match st.pcol with
-    | None -> ()
-    | Some col ->
-      Array.iteri
-        (fun c cycles ->
-          Masc_obs.Profile.add_class col p.classes.(c) ~cycles
-            ~instrs:st.pcnt.(c))
-        st.hist
-  in
-  (try (try p.body_fn st with Return_exc -> ())
-   with e ->
-     flush_profile ();
-     raise e);
-  flush_profile ();
+  (try p.body_fn st with Return_exc -> ());
   let rets =
     List.map
       (function

@@ -8,8 +8,8 @@
     and histogram classes memoized from {!Masc_asip.Cost_model},
     constants pooled into the same banks at plan time, intrinsics
     pre-resolved to their descriptions, and fast paths for hot shapes
-    (constant-bound typed loops, fused unboxed float/complex
-    definitions and stores, constant-index memory accesses). Boxed
+    (typed loops, float and complex definitions fused through inlined
+    bank views, unboxed stores). Boxed
     {!Value.scalar}s appear only at the argument/return boundary (see
     {!Store}).
 
@@ -27,28 +27,17 @@ type t
     (linear in the static instruction count); never raises for programs
     that the tree-walker could start executing — dynamic failures
     (missing intrinsics, bad indices, type misuse) stay runtime errors
-    raised at the same execution point as in the tree-walker.
-
-    [~profile:true] additionally compiles per-instruction attribution
-    wrappers into the closure tree, enabling source-line profiling via
-    [execute ?profile]. Simulated results (cycles, histogram, returns)
-    are unaffected; only wall-clock speed. The default plan carries no
-    profiling residue at all. *)
+    raised at the same execution point as in the tree-walker. *)
 val compile :
-  ?profile:bool ->
   isa:Masc_asip.Isa.t -> mode:Masc_asip.Cost_model.mode -> Masc_mir.Mir.func ->
   t
 
 (** [execute p args] runs the plan on fresh state. Argument binding,
     defaults and failure modes match {!Interp.run} exactly, including
     the {!Exec.Trap} guardrails (fuel, cycle limit, allocation cap).
-
-    [?profile] supplies a collector that receives simulated cycles and
-    dynamic instruction counts attributed per opcode class, per
-    intrinsic, and per source line (exact partitions of the totals —
-    same contract as {!Interp.run_tree}). Requires a plan compiled with
-    [~profile:true]; raises [Invalid_argument] otherwise. *)
+    The plan engine does not profile: a source-attributed profile comes
+    from re-running on the reference interpreter,
+    {!Interp.run_tree} [?profile]. *)
 val execute :
-  ?max_cycles:int -> ?fuel:int -> ?max_alloc_bytes:int ->
-  ?profile:Masc_obs.Profile.t -> t ->
+  ?max_cycles:int -> ?fuel:int -> ?max_alloc_bytes:int -> t ->
   Exec.xvalue list -> Exec.result

@@ -1,12 +1,11 @@
 (* Telemetry-layer tests: tracing spans, the metrics registry, the
-   profile collector, and the profiler differential — both simulator
-   engines must attribute every simulated cycle identically, and the
-   attributions must partition the engine totals exactly. *)
+   profile collector, and the profiler differential — the profiled
+   reference run must agree with the plan on every total, and its
+   attributions must partition those totals exactly. *)
 
 module Obs = Masc_obs
 module C = Masc.Compiler
 module I = Masc_vm.Interp
-module Plan = Masc_vm.Plan
 module K = Masc_kernels.Kernels
 
 (* ---- minimal JSON syntax checker ----
@@ -254,7 +253,7 @@ let test_profile_snapshot_render () =
   Alcotest.(check bool) "json lines array" true
     (contains ~sub:"\"lines\":[" js)
 
-(* ---- profiler differential: tree vs plan, sums vs totals ---- *)
+(* ---- profiler differential: profiled tree vs plan, sums vs totals ---- *)
 
 let check_partitions name (r : I.result) (snap : Obs.Profile.snapshot) =
   let line_cy =
@@ -283,19 +282,10 @@ let check_partitions name (r : I.result) (snap : Obs.Profile.snapshot) =
     (name ^ ": per-class instrs sum = engine total")
     r.I.dyn_instrs class_in
 
-let profile_tree ~isa ~mode mir inputs =
-  let p = Obs.Profile.create () in
-  let r = I.run_tree ~profile:p ~isa ~mode mir inputs in
-  (r, Obs.Profile.snapshot p ~total_cycles:r.I.cycles
-        ~total_instrs:r.I.dyn_instrs)
-
-let profile_plan ~isa ~mode mir inputs =
-  let p = Obs.Profile.create () in
-  let plan = Plan.compile ~profile:true ~isa ~mode mir in
-  let r = Plan.execute ~profile:p plan inputs in
-  (r, Obs.Profile.snapshot p ~total_cycles:r.I.cycles
-        ~total_instrs:r.I.dyn_instrs)
-
+(* The profiler runs on the reference tree-walker
+   ([Compiler.run_profiled]); every unprofiled simulation runs on the
+   plan ([Compiler.run]). On every kernel x config the two must agree
+   on the totals, and the profile must partition them exactly. *)
 let test_profile_differential () =
   List.iter
     (fun (k : K.kernel) ->
@@ -307,24 +297,13 @@ let test_profile_differential () =
           in
           let name = Printf.sprintf "%s/%s" k.K.kname tag in
           let inputs = k.K.inputs () in
-          let isa = config.C.isa and mode = config.C.mode in
-          let rt, st = profile_tree ~isa ~mode compiled.C.mir inputs in
-          let rp, sp = profile_plan ~isa ~mode compiled.C.mir inputs in
+          let rt, snap = C.run_profiled compiled inputs in
+          let rp = C.run compiled inputs in
           Alcotest.(check int) (name ^ ": engines agree on cycles")
-            rt.I.cycles rp.I.cycles;
+            rp.I.cycles rt.I.cycles;
           Alcotest.(check int) (name ^ ": engines agree on instrs")
-            rt.I.dyn_instrs rp.I.dyn_instrs;
-          check_partitions (name ^ "/tree") rt st;
-          check_partitions (name ^ "/plan") rp sp;
-          Alcotest.(check bool) (name ^ ": identical per-line profiles")
-            true
-            (st.Obs.Profile.by_line = sp.Obs.Profile.by_line);
-          Alcotest.(check bool) (name ^ ": identical per-class profiles")
-            true
-            (st.Obs.Profile.by_class = sp.Obs.Profile.by_class);
-          Alcotest.(check bool) (name ^ ": identical intrinsic profiles")
-            true
-            (st.Obs.Profile.by_intrin = sp.Obs.Profile.by_intrin))
+            rp.I.dyn_instrs rt.I.dyn_instrs;
+          check_partitions name rp snap)
         [ (C.proposed (), "proposed"); (C.coder_baseline (), "coder") ])
     (K.all ())
 

@@ -407,12 +407,189 @@ let test_plan_reuse () =
   Alcotest.(check bool) "histograms equal" true (r1.I.histogram = r2.I.histogram);
   Alcotest.(check bool) "values equal" true (compare r1.I.rets r2.I.rets = 0)
 
+(* Every fused definition shape the plan compiles, on operand mixes no
+   paper kernel reaches: real-double arithmetic over double/int/bool
+   registers and constants, complex add/sub/mul with a real operand on
+   either side, complex(re, im) from int/bool, the complex ISEs with
+   mixed operands, moves, loads and both reduction forms. The plan must
+   match the tree-walker bit for bit on each input set. *)
+let fused_shapes_function () =
+  let module MT = Masc_sema.Mtype in
+  let nvars = ref 0 and vars = ref [] in
+  let var name vty =
+    incr nvars;
+    let v = { Mir.vname = name; vid = !nvars; vty } in
+    vars := v :: !vars;
+    v
+  in
+  let x = var "x" (Mir.Tscalar Mir.double_sty)
+  and n = var "n" (Mir.Tscalar Mir.int_sty)
+  and b = var "b" (Mir.Tscalar Mir.bool_sty)
+  and z = var "z" (Mir.Tscalar Mir.complex_sty)
+  and xs = var "xs" (Mir.Tarray (Mir.double_sty, 8))
+  and zs = var "zs" (Mir.Tarray (Mir.complex_sty, 4)) in
+  let params = [ x; n; b; z; xs; zs ] in
+  let reals =
+    [ Mir.Ovar x; Mir.Ovar n; Mir.Ovar b; Mir.Oconst (Mir.Cf (-2.5));
+      Mir.Oconst (Mir.Ci 3); Mir.Oconst (Mir.Cb true) ]
+  in
+  let cplx = Mir.Ovar z :: reals in
+  let defs = ref [] in
+  let def sty rv =
+    let d = var (Printf.sprintf "t%d" !nvars) (Mir.Tscalar sty) in
+    defs := Mir.instr (Mir.Idef (d, rv)) :: !defs;
+    d
+  in
+  let pairs l = List.concat_map (fun a -> List.map (fun b -> (a, b)) l) l in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun (a, c) -> ignore (def Mir.double_sty (Mir.Rbin (op, a, c))))
+        (pairs reals))
+    [ Mir.Badd; Mir.Bsub; Mir.Bmul; Mir.Bdiv; Mir.Bpow; Mir.Bmod ];
+  List.iter
+    (fun op ->
+      List.iter
+        (fun r ->
+          ignore (def Mir.complex_sty (Mir.Rbin (op, Mir.Ovar z, r)));
+          ignore (def Mir.complex_sty (Mir.Rbin (op, r, Mir.Ovar z))))
+        cplx)
+    [ Mir.Badd; Mir.Bsub; Mir.Bmul ];
+  List.iter
+    (fun (re, im) -> ignore (def Mir.complex_sty (Mir.Rcomplex (re, im))))
+    (pairs reals);
+  List.iter
+    (fun (a, c) ->
+      ignore (def Mir.complex_sty (Mir.Rintrin ("cmul_f64", [ a; c ])));
+      ignore (def Mir.complex_sty (Mir.Rintrin ("cadd_f64", [ a; c ])));
+      List.iter
+        (fun acc ->
+          ignore (def Mir.complex_sty (Mir.Rintrin ("cmac_f64", [ acc; a; c ]))))
+        [ Mir.Ovar z; Mir.Ovar x; Mir.Ovar n; Mir.Ovar b ])
+    (pairs cplx);
+  List.iter (fun o -> ignore (def Mir.complex_sty (Mir.Rmove o))) cplx;
+  ignore (def Mir.double_sty (Mir.Rmove (Mir.Ovar x)));
+  List.iter
+    (fun u -> ignore (def Mir.double_sty (Mir.Runop (u, Mir.Ovar x))))
+    [ Mir.Uneg; Mir.Uabs; Mir.Ure; Mir.Uconj ];
+  ignore (def Mir.double_sty (Mir.Rload (xs, Mir.Ovar n)));
+  ignore (def Mir.complex_sty (Mir.Rload (zs, Mir.Oconst (Mir.Ci 2))));
+  let v =
+    def { Mir.base = MT.Double; cplx = MT.Real; lanes = 8 }
+      (Mir.Rvload (xs, Mir.Oconst (Mir.Ci 0), 8))
+  in
+  List.iter
+    (fun r -> ignore (def Mir.double_sty (Mir.Rvreduce (r, Mir.Ovar v))))
+    [ Mir.Vsum; Mir.Vprod; Mir.Vmin; Mir.Vmax ];
+  List.iter
+    (fun name -> ignore (def Mir.double_sty (Mir.Rintrin (name, [ Mir.Ovar v ]))))
+    [ "vredadd_f64x8"; "vredmin_f64x8"; "vredmax_f64x8" ];
+  let all_vars = List.rev !vars in
+  { Mir.name = "fused"; params;
+    rets =
+      List.filter
+        (fun v -> (not (List.memq v params)) && (Mir.elem_ty v).Mir.lanes = 1)
+        all_vars;
+    vars = all_vars; body = List.rev !defs }
+
+let test_fused_shapes () =
+  let f = fused_shapes_function () in
+  Masc_mir.Verify.check f;
+  let c re im = V.Sc { Complex.re; im } in
+  let inputs (x, n, b, z, xs, zs) =
+    [ I.Xscalar (V.Sf x); I.Xscalar (V.Si n); I.Xscalar (V.Sb b);
+      I.Xscalar z; I.xarray_of_floats xs; I.Xarray zs ]
+  in
+  let sets =
+    [ ( 1.75, 2, true, c 0.5 (-1.25),
+        [| 3.; -1.; 4.; 1.; -5.; 9.; 2.; -6. |],
+        [| c 1. 2.; c (-3.) 0.5; c 0.25 (-8.); c 7. 7. |] );
+      ( -0.0, 0, false, c 0. (-0.),
+        [| -0.; 0.; 1e-310; -1e-310; 0.; 0.; 0.; 0. |],
+        [| c 0. 0.; c (-0.) 0.; c 1e308 1e308; c 0. 1. |] );
+      ( -7.5, 5, true, c Float.infinity Float.nan,
+        [| 1e308; 1e308; -1e308; Float.nan; 0.5; 2.; Float.infinity; 1. |],
+        [| c Float.nan 0.; c (-1.) (-1.); c 2. 3.; c 1e-300 (-1e300) |] ) ]
+  in
+  (* Bitwise view of a return, so -0.0 counts. NaNs compare equal, as
+     under [compare]: which payload a NaN carries depends on the
+     operand order the native code generator picks, which OCaml leaves
+     unspecified. *)
+  let fbits f =
+    if Float.is_nan f then 0x7FF8000000000000L else Int64.bits_of_float f
+  in
+  let bits = function
+    | V.Sf f -> [ fbits f ]
+    | V.Sc z -> [ fbits z.Complex.re; fbits z.Complex.im ]
+    | V.Si n -> [ 1L; Int64.of_int n ]
+    | V.Sb b -> [ 2L; (if b then 1L else 0L) ]
+  in
+  let rets r =
+    List.map
+      (function
+        | I.Xscalar s -> bits s
+        | I.Xarray a -> List.concat_map bits (Array.to_list a))
+      r.I.rets
+  in
+  List.iter
+    (fun (mname, mode) ->
+      List.iteri
+        (fun k set ->
+          let tag what = Printf.sprintf "dsp8/%s set %d %s" mname k what in
+          let args = inputs set in
+          let rt = I.run_tree ~isa:T.dsp8 ~mode f args in
+          let rp = I.run ~isa:T.dsp8 ~mode f args in
+          Alcotest.(check int) (tag "cycles") rt.I.cycles rp.I.cycles;
+          Alcotest.(check int) (tag "dyn instrs") rt.I.dyn_instrs rp.I.dyn_instrs;
+          Alcotest.(check bool) (tag "histogram (incl. order)") true
+            (rt.I.histogram = rp.I.histogram);
+          List.iteri
+            (fun i (a, b) ->
+              Alcotest.(check (list int64)) (tag (Printf.sprintf "ret %d" i)) a b)
+            (List.combine (rets rt) (rets rp)))
+        sets)
+    [ ("proposed", Masc_asip.Cost_model.Proposed);
+      ("coder", Masc_asip.Cost_model.Coder) ]
+
+(* Minor words one [Plan.execute] allocates on three kernels (dsp8,
+   proposed flow), pinned at or below the counts measured before the
+   fused definitions were rewritten over inlined bank views (50,101 /
+   28,257 / 27,070; 50,093 / 28,249 / 27,062 after). A fused closure that
+   boxes a float — e.g. a complex write that is not inlined — raises
+   these while every differential test stays green. *)
+let test_plan_allocation_pin () =
+  let module K = Masc_kernels.Kernels in
+  List.iter
+    (fun (name, (k : K.kernel), limit) ->
+      let c =
+        Masc.Compiler.compile (Masc.Compiler.proposed ()) ~source:k.K.source
+          ~entry:k.K.entry ~arg_types:k.K.arg_types
+      in
+      let p =
+        Masc_vm.Plan.compile ~isa:T.dsp8 ~mode:Masc_asip.Cost_model.Proposed
+          c.Masc.Compiler.mir
+      in
+      let inputs = k.K.inputs () in
+      ignore (Masc_vm.Plan.execute p inputs);
+      let w0 = Gc.minor_words () in
+      ignore (Masc_vm.Plan.execute p inputs);
+      let words = Gc.minor_words () -. w0 in
+      if words > limit then
+        Alcotest.failf "%s: %.0f minor words per run, pinned at %.0f" name
+          words limit)
+    [ ("fir1024", K.fir ~n:1024 (), 50_101.);
+      ("fft1024", K.fft ~n:1024 (), 28_257.);
+      ("fmdemod", K.fmdemod (), 27_070.) ]
+
 let plan_suites =
   [ ( "vm plan",
       [ Alcotest.test_case "hex and recycling formats" `Quick
           test_hex_and_recycling_formats;
         Alcotest.test_case "plan vs tree differential" `Slow
           test_plan_tree_differential;
-        Alcotest.test_case "plan reuse" `Quick test_plan_reuse ] ) ]
+        Alcotest.test_case "plan reuse" `Quick test_plan_reuse;
+        Alcotest.test_case "fused shapes vs tree" `Quick test_fused_shapes;
+        Alcotest.test_case "plan allocation pin" `Quick
+          test_plan_allocation_pin ] ) ]
 
 let suites = base_suites @ extra_suites @ plan_suites
