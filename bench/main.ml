@@ -1,17 +1,11 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (see DESIGN.md for the experiment index), then runs
-   Bechamel wall-clock microbenchmarks of the compiler and simulator.
+   evaluation (see DESIGN.md for the experiment index). Compiler and
+   simulator timing lives in perfbench/ (BENCHMARK.json), not here.
 
-   Run with:  dune exec bench/main.exe            (everything)
-              dune exec bench/main.exe -- tables  (cycle tables only)
+   Run with:  dune exec bench/main.exe            (all tables; or -- tables)
               dune exec bench/main.exe -- json    (machine-readable; see
                                                    bench/README.md)
-              dune exec bench/main.exe -- smoke   (reduced set, CI gate)
-
-   `--jobs N` (any command) runs the sweeps on N domains; `--jobs 0`
-   uses Domain.recommended_domain_count. Keep `--jobs 1` (the default)
-   when recording BENCH_*.json: concurrent domains share the machine and
-   distort the Bechamel per-run estimates. *)
+              dune exec bench/main.exe -- smoke   (reduced set, CI gate) *)
 
 module C = Masc.Compiler
 module I = Masc_vm.Interp
@@ -19,21 +13,14 @@ module K = Masc_kernels.Kernels
 module T = Masc_asip.Targets
 
 let kernels = K.all ()
-let jobs = ref 1
 
-(* Sweep-level parallelism: the sweeps are independent (kernel, config)
-   compile+simulate tasks, so they go through the domain pool; printing
-   stays in the calling domain, in input order. *)
-let pmap f l = Masc.Parallel.map ~jobs:!jobs f l
-
-(* Uncached compile — what the Bechamel compiler-throughput tests
-   measure. *)
+(* Uncached compile, for the smoke gate. *)
 let compile config (k : K.kernel) =
   C.compile config ~source:k.K.source ~entry:k.K.entry ~arg_types:k.K.arg_types
 
 (* The table/figure sweeps ask for the same (kernel, config) compile
    many times across tables; the content-addressed cache collapses those
-   to one compile each and lets concurrent domains share the result. *)
+   to one compile each. *)
 let compile_cached config (k : K.kernel) =
   C.compile_cached config ~source:k.K.source ~entry:k.K.entry
     ~arg_types:k.K.arg_types
@@ -70,7 +57,7 @@ type t2row = {
 }
 
 let table2_data () =
-  pmap
+  List.map
     (fun (k : K.kernel) ->
       let compiled = compile_cached (C.proposed ()) k in
       let pc = (C.run compiled (k.K.inputs ())).I.cycles in
@@ -130,8 +117,7 @@ let table2 () =
     (fun r ->
       Printf.printf "%-8s %6.1fx |%s\n" r.t2kernel r.t2speedup
         (bar 50 (r.t2speedup /. 20.0)))
-    rows;
-  rows
+    rows
 
 (* ---------------- Table III: ISE-class ablation ---------------- *)
 
@@ -142,7 +128,7 @@ let table3 () =
   Printf.printf "%-8s %12s %12s %12s %12s\n" "kernel" "O2 scalar" "+SIMD"
     "+complex" "+both";
   let rows =
-    pmap
+    List.map
       (fun (k : K.kernel) ->
         let bc = cycles (C.coder_baseline ()) k in
         let s isa =
@@ -162,30 +148,15 @@ let fig3_targets =
     ("dsp16", T.dsp16) ]
 
 let fig3_data () =
-  (* kernels × targets as one flat task list so a wide pool stays full;
-     re-grouped per kernel afterwards. *)
-  let tasks =
-    List.concat_map
-      (fun (k : K.kernel) ->
-        List.map (fun (tname, isa) -> (k, tname, isa)) fig3_targets)
-      kernels
-  in
-  let flat =
-    pmap
-      (fun ((k : K.kernel), tname, isa) ->
-        let bc = cycles (C.coder_baseline ()) k in
-        ( k.K.kname,
-          tname,
-          float_of_int bc /. float_of_int (cycles (C.proposed ~isa ()) k) ))
-      tasks
-  in
   List.map
     (fun (k : K.kernel) ->
+      let bc = cycles (C.coder_baseline ()) k in
       ( k.K.kname,
-        List.filter_map
-          (fun (kname, tname, s) ->
-            if kname = k.K.kname then Some (tname, s) else None)
-          flat ))
+        List.map
+          (fun (tname, isa) ->
+            let pc = cycles (C.proposed ~isa ()) k in
+            (tname, float_of_int bc /. float_of_int pc))
+          fig3_targets ))
     kernels
 
 let fig3 () =
@@ -209,7 +180,7 @@ let table4 () =
      (dsp8 cycles)";
   Printf.printf "%-8s %14s %14s %14s\n" "kernel" "O0" "O1" "O2";
   let rows =
-    pmap
+    List.map
       (fun (k : K.kernel) ->
         let c lvl =
           cycles { (C.proposed ()) with C.opt_level = lvl } k
@@ -255,7 +226,7 @@ let table5 () =
             Masc_vm.Interp.xarray_of_floats (K.randoms ~seed:83 n) ]) }
   in
   let rows =
-    pmap
+    List.map
       (fun (k : K.kernel) ->
         let with_fusion = cycles (C.proposed ()) k in
         (* same pipeline with the fusion pass dropped; the ablation path
@@ -272,118 +243,7 @@ let table5 () =
   in
   List.iter print_endline rows
 
-(* ---------------- Bechamel: compiler throughput ---------------- *)
-
-(* The simulator benches run each kernel through both back ends: the
-   closure-threaded plan (the production path, plan construction cached
-   in [compiled]) and the legacy tree-walking interpreter, so the
-   plan-vs-tree speedup is part of the recorded perf trajectory. *)
-let sim_cases () =
-  [ ("fir256", K.fir ~n:256 ~m:16 ());
-    ("fft64", K.fft ~n:64 ());
-    ("fir1024", K.fir ~n:1024 ());
-    ("fft1024", K.fft ~n:1024 ()) ]
-
-let bechamel_tests () =
-  let open Bechamel in
-  (* Both compiler configurations, uncached: (proposed) is the full O2 +
-     vectorize + complex-selection flow, (baseline) the O0
-     MATLAB-Coder-style flow — the latter bounds the front-end +
-     lowering + emission floor under the pass manager's numbers. *)
-  let compile_test config cname (k : K.kernel) =
-    Test.make
-      ~name:(Printf.sprintf "compile %s (%s)" k.K.kname cname)
-      (Staged.stage (fun () -> ignore (compile (config ()) k)))
-  in
-  let simulate_tests (label, (k : K.kernel)) =
-    let compiled = compile (C.proposed ()) k in
-    let inputs = k.K.inputs () in
-    let isa = compiled.C.config.C.isa and mode = compiled.C.config.C.mode in
-    [ Test.make
-        ~name:(Printf.sprintf "simulate %s (dsp8, plan)" label)
-        (Staged.stage (fun () -> ignore (C.run compiled inputs)));
-      Test.make
-        ~name:(Printf.sprintf "simulate %s (dsp8, tree)" label)
-        (Staged.stage (fun () ->
-             ignore (I.run_tree ~isa ~mode compiled.C.mir inputs))) ]
-  in
-  List.map (compile_test (fun () -> C.proposed ()) "proposed") kernels
-  @ List.map (compile_test (fun () -> C.coder_baseline ()) "baseline") kernels
-  @ List.concat_map simulate_tests (sim_cases ())
-
-(* Run the tests and return [(name, ns_per_run option,
-   minor_words_per_run option)] in test order. The allocation rate is
-   part of the recorded trajectory because both the plan back end's
-   typed register banks and the sharing-preserving rewriter are
-   specifically allocation optimizations: a regression there shows up in
-   minor words long before wall clock on a fast machine. *)
-let bechamel_data () =
-  let open Bechamel in
-  let instances = Toolkit.Instance.[ monotonic_clock; minor_allocated ] in
-  (* GC stabilization (compact until live words settle) cannot converge
-     while sibling domains allocate, and bechamel raises when it gives
-     up — so it is only requested on the single-domain path. Recorded
-     BENCH_*.json numbers come from --jobs 1, which keeps it on. *)
-  let cfg =
-    Benchmark.cfg ~limit:300 ~quota:(Time.second 0.3) ~kde:(Some 300)
-      ~stabilize:(!jobs <= 1) ()
-  in
-  (* Parallel domains share cores and skew per-run estimates; the pool
-     is still used when asked (--jobs) for quick comparative runs, but
-     recorded BENCH_*.json numbers come from --jobs 1. *)
-  (* [Benchmark.run] unconditionally compacts until the major heap's
-     live-word count stabilizes and fails if it never does — which it
-     may not while sibling domains allocate. Retrying rides out the
-     contention; measurement quality on the multi-domain path is
-     already best-effort (see above). *)
-  let all_retrying test =
-    let rec go attempts =
-      match Benchmark.all cfg instances test with
-      | raw -> raw
-      | exception Failure _ when attempts > 1 -> go (attempts - 1)
-    in
-    go (if !jobs <= 1 then 1 else 20)
-  in
-  List.concat
-    (pmap
-       (fun test ->
-         let raw = all_retrying test in
-         Hashtbl.fold
-           (fun name wall acc ->
-             let est instance =
-               match
-                 Analyze.one
-                   (Analyze.ols ~bootstrap:0 ~r_square:false
-                      ~predictors:[| Measure.run |])
-                   instance wall
-               with
-               | ols -> (
-                 match Analyze.OLS.estimates ols with
-                 | Some [ est ] -> Some est
-                 | _ -> None)
-               | exception _ -> None
-             in
-             ( name,
-               est Toolkit.Instance.monotonic_clock,
-               est Toolkit.Instance.minor_allocated )
-             :: acc)
-           raw [])
-       (bechamel_tests ()))
-
-let bechamel_print data =
-  header "Bechamel: compiler and simulator throughput (wall clock)";
-  List.iter
-    (fun (name, est, words) ->
-      (match est with
-      | Some est -> Printf.printf "%-32s %12.0f ns/run" name est
-      | None -> Printf.printf "%-32s (no estimate)" name);
-      (match words with
-      | Some w -> Printf.printf " %14.0f minor words/run" w
-      | None -> ());
-      print_newline ())
-    data
-
-(* ---------------- json: machine-readable perf trajectory -------------- *)
+(* ---------------- json: machine-readable cycle tables ---------------- *)
 
 (* Schema documented in bench/README.md; bump schema_version on change. *)
 let json () =
@@ -393,10 +253,8 @@ let json () =
   let jfloat f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null" in
   let sep xs f = List.iteri (fun i x -> (if i > 0 then add ","); f x) xs in
   add "{\n";
-  add "  \"schema_version\": 5,\n";
+  add "  \"schema_version\": 6,\n";
   add "  \"generator\": \"bench/main.exe json\",\n";
-  add "  \"jobs\": %d,\n" !jobs;
-  add "  \"host_cores\": %d,\n" (Masc.Parallel.default_jobs ());
   add "  \"table2\": [";
   sep (table2_data ()) (fun r ->
       add "\n    {\"kernel\": \"%s\", \"baseline_cycles\": %d, \
@@ -411,19 +269,7 @@ let json () =
       sep per_target (fun (tname, s) ->
           add "\"%s\": %s" (esc tname) (jfloat s));
       add "}}");
-  add "\n  ],\n";
-  add "  \"bechamel_ns_per_run\": [";
-  sep (bechamel_data ()) (fun (name, est, words) ->
-      add "\n    {\"name\": \"%s\", \"ns_per_run\": %s," (esc name)
-        (match est with Some e -> jfloat e | None -> "null");
-      add " \"minor_words_per_run\": %s}"
-        (match words with Some w -> jfloat w | None -> "null"));
-  add "\n  ],\n";
-  (* Process-wide telemetry counters accumulated while producing the
-     numbers above (pass runs/skips, compile-cache traffic, simulator
-     activity) — same registry and format as `mascc --metrics`. *)
-  Masc_obs.Metrics.set "gc.minor_words" (Gc.minor_words ());
-  add "  \"metrics\": %s\n}\n" (Masc_obs.Metrics.dump_json ());
+  add "\n  ]\n}\n";
   print_string (Buffer.contents buf)
 
 (* ---------------- smoke: reduced-set CI gate ---------------- *)
@@ -469,33 +315,20 @@ let smoke () =
   end;
   Printf.printf "\nbench-smoke: ok\n"
 
+let tables () =
+  table1 ();
+  table2 ();
+  table3 ();
+  fig3 ();
+  table4 ();
+  table5 ();
+  Printf.printf "\ndone.\n"
+
 let () =
-  let rec parse cmd = function
-    | [] -> cmd
-    | "--jobs" :: n :: rest ->
-      let v = int_of_string n in
-      jobs := (if v <= 0 then Masc.Parallel.default_jobs () else v);
-      parse cmd rest
-    | c :: rest -> parse c rest
-  in
-  let cmd = parse "all" (List.tl (Array.to_list Sys.argv)) in
-  match cmd with
-  | "json" -> json ()
-  | "smoke" -> smoke ()
-  | "tables" ->
-    table1 ();
-    ignore (table2 ());
-    table3 ();
-    fig3 ();
-    table4 ();
-    table5 ();
-    Printf.printf "\ndone.\n"
+  match List.tl (Array.to_list Sys.argv) with
+  | [] | [ "tables" ] -> tables ()
+  | [ "json" ] -> json ()
+  | [ "smoke" ] -> smoke ()
   | _ ->
-    table1 ();
-    ignore (table2 ());
-    table3 ();
-    fig3 ();
-    table4 ();
-    table5 ();
-    bechamel_print (bechamel_data ());
-    Printf.printf "\ndone.\n"
+    prerr_endline "usage: main.exe [tables | json | smoke]";
+    exit 2

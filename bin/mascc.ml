@@ -635,15 +635,12 @@ let do_batch reqfile jobs target isa_file cache_dir timeout quarantine summary
 
 module BD = Masc_obs.Bench_diff
 
-let do_bench_diff old_file new_file max_ns max_alloc json_out =
+let do_bench_diff old_file new_file json_out =
   handle_errors @@ fun () ->
   current_phase := "bench-diff";
   let old_text = read_file old_file in
   let new_text = read_file new_file in
-  let thresholds =
-    { BD.max_ns_regress_pct = max_ns; max_alloc_regress_pct = max_alloc }
-  in
-  match BD.diff ~thresholds ~old_text ~new_text () with
+  match BD.diff ~old_text ~new_text with
   | Error msg -> usage "bench diff: %s" msg
   | Ok v ->
     print_string (BD.render_text v);
@@ -867,18 +864,6 @@ let bench_new_arg =
   Arg.(required & pos 1 (some file) None
        & info [] ~docv:"NEW.json" ~doc:"Candidate bench report")
 
-let max_ns_arg =
-  Arg.(value & opt (some float) None
-       & info [ "max-ns-regress" ] ~docv:"PCT"
-           ~doc:"Fail when any kernel's bechamel ns/run worsens by more \
-                 than $(docv) percent (default: warn only, past 25%)")
-
-let max_alloc_arg =
-  Arg.(value & opt (some float) None
-       & info [ "max-alloc-regress" ] ~docv:"PCT"
-           ~doc:"Fail when any kernel's minor words/run worsens by more \
-                 than $(docv) percent (default: warn only, past 25%)")
-
 let bench_json_arg =
   Arg.(value & opt (some string) None
        & info [ "json" ] ~docv:"FILE.json"
@@ -930,14 +915,13 @@ let batch_cmd =
 let bench_cmd =
   let diff_cmd =
     let doc =
-      "compare two bench reports; exit 1 on a cycle-count change or a \
-       thresholded wall-clock/allocation regression"
+      "compare two bench reports; exit 1 when a cycle table or the \
+       speedup matrix changes or goes missing"
     in
     Cmd.v
       (Cmd.info "diff" ~doc ~exits)
       Term.(
-        const do_bench_diff $ bench_old_arg $ bench_new_arg $ max_ns_arg
-        $ max_alloc_arg $ bench_json_arg)
+        const do_bench_diff $ bench_old_arg $ bench_new_arg $ bench_json_arg)
   in
   Cmd.group
     (Cmd.info "bench" ~doc:"bench report tooling (regression gate)" ~exits)

@@ -4,27 +4,14 @@
    a verdict. Cycle tables are the correctness contract — table2
    baseline/proposed cycles and the fig3 speedup matrix must be
    bit-identical, because the simulator is deterministic and every
-   layer added since BENCH_3 promises zero cost when off. Wall-clock
-   measurements (bechamel ns_per_run) and allocation counters
-   (minor_words_per_run) are machine-dependent: by default regressions
-   there only warn; an explicit threshold turns them into failures.
-   This replaces the hand-rolled BENCH_N parity assertions CI used to
-   carry as inline python. *)
+   layer added since BENCH_3 promises zero cost when off. A table in
+   OLD that NEW lacks fails; one OLD lacks is skipped. Other sections
+   (the wall-clock and metrics blocks of schema <= 5) are ignored;
+   timing is perfbench's job. *)
 
 type status = Pass | Fail | Warn | Skip
 
 type check = { c_name : string; c_status : status; c_msg : string }
-
-type thresholds = {
-  max_ns_regress_pct : float option;
-  max_alloc_regress_pct : float option;
-}
-
-let no_thresholds = { max_ns_regress_pct = None; max_alloc_regress_pct = None }
-
-(* Above this, an unthresholded wall-clock/alloc delta is worth a
-   warning even though it cannot fail the gate. *)
-let warn_pct = 25.0
 
 type verdict = {
   v_ok : bool;
@@ -59,9 +46,12 @@ let rows_by_key doc section key =
 
 let diff_table2 checks old_doc new_doc =
   match (rows_by_key old_doc "table2" "kernel", rows_by_key new_doc "table2" "kernel") with
-  | None, _ | _, None ->
+  | None, _ ->
     checks := { c_name = "table2"; c_status = Skip;
-                c_msg = "cycle table absent from one side" } :: !checks
+                c_msg = "cycle table absent from old" } :: !checks
+  | Some _, None ->
+    checks := { c_name = "table2"; c_status = Fail;
+                c_msg = "cycle table missing from new" } :: !checks
   | Some old_rows, Some new_rows ->
     List.iter
       (fun (kernel, old_row) ->
@@ -97,9 +87,12 @@ let diff_table2 checks old_doc new_doc =
 
 let diff_fig3 checks old_doc new_doc =
   match (rows_by_key old_doc "fig3" "kernel", rows_by_key new_doc "fig3" "kernel") with
-  | None, _ | _, None ->
+  | None, _ ->
     checks := { c_name = "fig3"; c_status = Skip;
-                c_msg = "speedup matrix absent from one side" } :: !checks
+                c_msg = "speedup matrix absent from old" } :: !checks
+  | Some _, None ->
+    checks := { c_name = "fig3"; c_status = Fail;
+                c_msg = "speedup matrix missing from new" } :: !checks
   | Some old_rows, Some new_rows ->
     let bad = ref [] in
     List.iter
@@ -132,60 +125,12 @@ let diff_fig3 checks old_doc new_doc =
       checks := { c_name = "fig3"; c_status = Fail;
                   c_msg = String.concat ", " (List.rev !bad) } :: !checks
 
-(* ---- wall clock and allocation: threshold-gated ---- *)
-
-let diff_series checks ~section ~field ~check_prefix ~threshold old_doc new_doc =
-  match (rows_by_key old_doc section "name", rows_by_key new_doc section "name") with
-  | None, _ | _, None ->
-    checks := { c_name = check_prefix; c_status = Skip;
-                c_msg = section ^ " absent from one side" } :: !checks
-  | Some old_rows, Some new_rows ->
-    let regressions = ref [] in
-    let worst = ref 0.0 in
-    let compared = ref 0 in
-    List.iter
-      (fun (name, old_row) ->
-        match List.assoc_opt name new_rows with
-        | None -> ()
-        | Some new_row -> (
-          match (num_field old_row field, num_field new_row field) with
-          | Some a, Some b when a > 0.0 ->
-            incr compared;
-            let pct = (b -. a) /. a *. 100.0 in
-            if pct > !worst then worst := pct;
-            let limit = Option.value threshold ~default:warn_pct in
-            if pct > limit then
-              regressions :=
-                Printf.sprintf "%s %s -> %s (%+.1f%%)" name (pp_num a)
-                  (pp_num b) pct
-                :: !regressions
-          | _ -> ()))
-      old_rows;
-    let status, msg =
-      if !compared = 0 then (Skip, "no comparable entries")
-      else if !regressions = [] then
-        ( Pass,
-          Printf.sprintf "%d entries, worst regression %+.1f%%%s" !compared
-            !worst
-            (match threshold with
-            | Some t -> Printf.sprintf " (threshold %.1f%%)" t
-            | None -> "") )
-      else
-        let verdict = if threshold = None then Warn else Fail in
-        ( verdict,
-          Printf.sprintf "%d of %d regressed past %.1f%%: %s"
-            (List.length !regressions) !compared
-            (Option.value threshold ~default:warn_pct)
-            (String.concat ", " (List.rev !regressions)) )
-    in
-    checks := { c_name = check_prefix; c_status = status; c_msg = msg } :: !checks
-
 let schema_version doc =
   match num_field doc "schema_version" with
   | Some v -> int_of_float v
   | None -> 0
 
-let diff ?(thresholds = no_thresholds) ~old_text ~new_text () =
+let diff ~old_text ~new_text =
   match (Ojson.parse old_text, Ojson.parse new_text) with
   | Error e, _ -> Error ("old json: " ^ e)
   | _, Error e -> Error ("new json: " ^ e)
@@ -197,12 +142,6 @@ let diff ?(thresholds = no_thresholds) ~old_text ~new_text () =
         c_msg = Printf.sprintf "v%d -> v%d" vo vn } :: !checks;
     diff_table2 checks old_doc new_doc;
     diff_fig3 checks old_doc new_doc;
-    diff_series checks ~section:"bechamel_ns_per_run" ~field:"ns_per_run"
-      ~check_prefix:"ns_per_run" ~threshold:thresholds.max_ns_regress_pct
-      old_doc new_doc;
-    diff_series checks ~section:"bechamel_ns_per_run"
-      ~field:"minor_words_per_run" ~check_prefix:"alloc"
-      ~threshold:thresholds.max_alloc_regress_pct old_doc new_doc;
     let checks = List.rev !checks in
     Ok
       { v_ok = not (List.exists (fun c -> c.c_status = Fail) checks);

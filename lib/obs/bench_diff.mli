@@ -2,23 +2,14 @@
 
     Cycle tables ([table2] baseline/proposed cycles, [fig3] speedup
     matrix) must be bit-identical — the simulator is deterministic and
-    telemetry promises zero cost when off. Wall-clock
-    ([bechamel_ns_per_run]) and allocation ([minor_words_per_run])
-    regressions warn by default and fail only past an explicit
-    threshold. Works across bench schema versions (v2+). *)
+    telemetry promises zero cost when off. A table present in OLD and
+    missing from NEW fails; one absent from OLD is skipped. Every other
+    section is ignored, so any bench schema version (v2+) can be the
+    baseline. *)
 
 type status = Pass | Fail | Warn | Skip
 
 type check = { c_name : string; c_status : status; c_msg : string }
-
-type thresholds = {
-  max_ns_regress_pct : float option;
-      (** fail when ns_per_run worsens by more than this percentage *)
-  max_alloc_regress_pct : float option;
-      (** same, for minor_words_per_run *)
-}
-
-val no_thresholds : thresholds
 
 type verdict = {
   v_ok : bool;
@@ -28,12 +19,7 @@ type verdict = {
 }
 
 (** Parse both documents and compare; [Error] on unparseable input. *)
-val diff :
-  ?thresholds:thresholds ->
-  old_text:string ->
-  new_text:string ->
-  unit ->
-  (verdict, string) result
+val diff : old_text:string -> new_text:string -> (verdict, string) result
 
 val render_text : verdict -> string
 val render_json : verdict -> string

@@ -482,7 +482,7 @@ let lane2_fast op =
    representations. Mirrors [V.binop]'s promotion rules exactly:
    complex when either side is complex; int ops when both sides are
    int-like (Si/Sb); float otherwise; Bdiv/Bpow always float;
-   comparisons through [compare] on floats. *)
+   IEEE comparisons on floats. *)
 let compile_rbin env op a b : prod =
   let oa = oper_of env a and ob = oper_of env b in
   if typed_scalar oa && typed_scalar ob then begin
@@ -508,8 +508,8 @@ let compile_rbin env op a b : prod =
     else begin
       let fa = f_read oa and fb = f_read ob in
       let pf f = Pf (fun st -> let x = fa st in let y = fb st in f x y) in
-      let cmp f =
-        Pb (fun st -> let x = fa st in let y = fb st in f (compare x y) 0)
+      let cmp (f : float -> float -> bool) =
+        Pb (fun st -> let x = fa st in let y = fb st in f x y)
       in
       let pbool f =
         let ba = b_read oa and bb = b_read ob in

@@ -48,7 +48,8 @@ let is_int_like = function Si _ | Sb _ -> true | Sf _ | Sc _ -> false
 let binop (op : Mir.binop) a b =
   let fop f = Sf (f (to_float a) (to_float b)) in
   let iop f = Si (f (to_int a) (to_int b)) in
-  let cmp f = Sb (f (compare (to_float a) (to_float b)) 0) in
+  (* IEEE comparisons, as in C: false against a NaN, except [<>]. *)
+  let cmp (f : float -> float -> bool) = Sb (f (to_float a) (to_float b)) in
   if is_complex a || is_complex b then
     let za = to_complex a and zb = to_complex b in
     match op with

@@ -545,28 +545,37 @@ let test_ojson () =
 
 (* ---- bench regression gate ---- *)
 
-let bench_doc ?(fir_cycles = 100) ?(ns = 10.0) () =
+let bench_table2 fir_cycles =
   Printf.sprintf
-    {|{
-  "schema_version": 5,
-  "table2": [
+    {|"table2": [
     {"kernel": "fir", "baseline_cycles": 1000, "proposed_cycles": %d,
      "speedup": 10.0, "passes_run": 5, "passes_skipped": 1}
-  ],
-  "fig3": [
+  ]|}
+    fir_cycles
+
+let bench_fig3 =
+  {|"fig3": [
     {"kernel": "fir", "speedup_vs_baseline":
       {"scalar": 1.0, "dsp4": 2.0, "dsp8": 4.0, "dsp16": 8.0}}
-  ],
-  "bechamel_ns_per_run": [
-    {"name": "fir/total", "ns_per_run": %f, "minor_words_per_run": 50.0}
-  ]
-}|}
-    fir_cycles ns
+  ]|}
 
-let bd_diff ?thresholds old_text new_text =
-  match Obs.Bench_diff.diff ?thresholds ~old_text ~new_text () with
+let bench_doc ?(fir_cycles = 100) () =
+  Printf.sprintf {|{"schema_version": 6, %s, %s}|} (bench_table2 fir_cycles)
+    bench_fig3
+
+let bd_diff old_text new_text =
+  match Obs.Bench_diff.diff ~old_text ~new_text with
   | Ok v -> v
   | Error e -> Alcotest.fail e
+
+let bd_status v name =
+  match
+    List.find_opt
+      (fun (c : Obs.Bench_diff.check) -> c.Obs.Bench_diff.c_name = name)
+      v.Obs.Bench_diff.v_checks
+  with
+  | Some c -> Some c.Obs.Bench_diff.c_status
+  | None -> None
 
 let test_bench_diff_gate () =
   let base = bench_doc () in
@@ -578,38 +587,65 @@ let test_bench_diff_gate () =
   let v = bd_diff base (bench_doc ~fir_cycles:101 ()) in
   Alcotest.(check bool) "cycle drift fails" false v.Obs.Bench_diff.v_ok;
   Alcotest.(check bool) "failing check named" true
-    (List.exists
-       (fun (c : Obs.Bench_diff.check) ->
-         c.Obs.Bench_diff.c_status = Obs.Bench_diff.Fail
-         && contains ~sub:"fir" c.Obs.Bench_diff.c_name)
-       v.Obs.Bench_diff.v_checks);
-  (* wall clock: warn without a threshold, fail past an explicit one *)
-  let slower = bench_doc ~ns:15.0 () in
-  let v = bd_diff base slower in
-  Alcotest.(check bool) "+50% ns is a warning by default" true
-    v.Obs.Bench_diff.v_ok;
-  Alcotest.(check bool) "warning recorded" true
-    (List.exists
-       (fun (c : Obs.Bench_diff.check) ->
-         c.Obs.Bench_diff.c_status = Obs.Bench_diff.Warn)
-       v.Obs.Bench_diff.v_checks);
-  let thresholds =
-    { Obs.Bench_diff.max_ns_regress_pct = Some 10.0;
-      max_alloc_regress_pct = None }
-  in
-  let v = bd_diff ~thresholds base slower in
-  Alcotest.(check bool) "+50% ns fails a 10% threshold" false
-    v.Obs.Bench_diff.v_ok;
-  let v = bd_diff ~thresholds base (bench_doc ~ns:10.5 ()) in
-  Alcotest.(check bool) "+5% ns passes a 10% threshold" true
-    v.Obs.Bench_diff.v_ok;
+    (bd_status v "cycles fir" = Some Obs.Bench_diff.Fail);
   (* unparseable input is an Error, not an exception *)
   Alcotest.(check bool) "garbage is a parse error" true
-    (Result.is_error
-       (Obs.Bench_diff.diff ~old_text:"nope" ~new_text:base ()));
+    (Result.is_error (Obs.Bench_diff.diff ~old_text:"nope" ~new_text:base));
   let text = Obs.Bench_diff.render_text (bd_diff base base) in
   Alcotest.(check bool) "text verdict summarised" true
     (contains ~sub:"bench diff: OK" text)
+
+(* A cycle table the baseline has and the candidate lacks is a failure
+   (an empty report must not pass the gate); one the baseline lacks has
+   nothing to compare against and is skipped. *)
+let test_bench_diff_missing_tables () =
+  let base = bench_doc () in
+  let v = bd_diff base {|{"schema_version": 6}|} in
+  Alcotest.(check bool) "empty candidate fails" false v.Obs.Bench_diff.v_ok;
+  Alcotest.(check bool) "table2 missing fails" true
+    (bd_status v "table2" = Some Obs.Bench_diff.Fail);
+  Alcotest.(check bool) "fig3 missing fails" true
+    (bd_status v "fig3" = Some Obs.Bench_diff.Fail);
+  let no_fig3 =
+    Printf.sprintf {|{"schema_version": 6, %s}|} (bench_table2 100)
+  in
+  let v = bd_diff base no_fig3 in
+  Alcotest.(check bool) "fig3 alone missing fails" false v.Obs.Bench_diff.v_ok;
+  Alcotest.(check bool) "table2 still compared" true
+    (bd_status v "cycles fir" = Some Obs.Bench_diff.Pass);
+  let v = bd_diff {|{"schema_version": 6}|} base in
+  Alcotest.(check bool) "tables absent from old pass" true
+    v.Obs.Bench_diff.v_ok;
+  Alcotest.(check bool) "absent from old is skipped" true
+    (bd_status v "table2" = Some Obs.Bench_diff.Skip
+    && bd_status v "fig3" = Some Obs.Bench_diff.Skip)
+
+(* BENCH_6.json is a schema-5 recording with Bechamel timings and a
+   metrics block; it must stay a valid baseline for schema-6 reports,
+   which carry only the cycle tables. *)
+let test_bench_diff_schema5_baseline () =
+  let v5 =
+    Printf.sprintf
+      {|{"schema_version": 5, "jobs": 1, "host_cores": 2, %s, %s,
+  "bechamel_ns_per_run": [
+    {"name": "compile fir (proposed)", "ns_per_run": 10.0,
+     "minor_words_per_run": 50.0}
+  ],
+  "metrics": {"counters": {"sim.runs": 12}}}|}
+      (bench_table2 100) bench_fig3
+  in
+  let v = bd_diff v5 (bench_doc ()) in
+  Alcotest.(check bool) "v5 baseline vs v6 passes" true v.Obs.Bench_diff.v_ok;
+  Alcotest.(check (list string)) "only schema and cycle tables checked"
+    [ "schema"; "cycles fir"; "fig3" ]
+    (List.map
+       (fun (c : Obs.Bench_diff.check) -> c.Obs.Bench_diff.c_name)
+       v.Obs.Bench_diff.v_checks);
+  Alcotest.(check bool) "no warnings" true
+    (List.for_all
+       (fun (c : Obs.Bench_diff.check) ->
+         c.Obs.Bench_diff.c_status = Obs.Bench_diff.Pass)
+       v.Obs.Bench_diff.v_checks)
 
 let suites =
   [ ( "obs",
@@ -636,7 +672,11 @@ let suites =
         Alcotest.test_case "window arithmetic" `Quick test_health_window ] );
     ( "bench gate",
       [ Alcotest.test_case "ojson parser" `Quick test_ojson;
-        Alcotest.test_case "bench diff verdicts" `Quick test_bench_diff_gate ]
+        Alcotest.test_case "bench diff verdicts" `Quick test_bench_diff_gate;
+        Alcotest.test_case "bench diff missing tables" `Quick
+          test_bench_diff_missing_tables;
+        Alcotest.test_case "bench diff schema 5 baseline" `Quick
+          test_bench_diff_schema5_baseline ]
     );
     ( "profiler differential",
       [ Alcotest.test_case "tree vs plan attribution" `Slow

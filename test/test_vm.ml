@@ -581,6 +581,41 @@ let test_plan_allocation_pin () =
       ("fft1024", K.fft ~n:1024 (), 28_257.);
       ("fmdemod", K.fmdemod (), 27_070.) ]
 
+(* Comparisons follow IEEE 754, as the emitted C does: every ordered
+   comparison with a NaN is false and NaN ~= NaN is true. Each bit of
+   [y] is one operator, so [y] = 1 only when all six agree with C; a
+   total order on floats (NaN equal to itself, below everything) reads
+   46. At O2 the NaN is a folded constant, so the folder is checked
+   too. *)
+let test_nan_comparisons () =
+  let source =
+    "function y = nancmp(x)\n\
+     z = x - x;\n\
+     q = z / z;\n\
+     y = (q ~= q) + 2 * (q == q) + 4 * (q < 1) + 8 * (q <= 1) \
+     + 16 * (q > 1) + 32 * (q >= q);\n\
+     end"
+  in
+  List.iter
+    (fun (lname, lvl) ->
+      let c =
+        Masc.Compiler.compile
+          { (Masc.Compiler.proposed ()) with Masc.Compiler.opt_level = lvl }
+          ~source ~entry:"nancmp" ~arg_types:[ Masc_sema.Mtype.double ]
+      in
+      let inputs = [ I.Xscalar (V.Sf 3.0) ] in
+      let isa = T.dsp8 and mode = Masc_asip.Cost_model.Proposed in
+      let ret (r : I.result) =
+        match r.I.rets with
+        | [ I.Xscalar v ] -> V.to_float v
+        | _ -> Alcotest.fail "expected one scalar return"
+      in
+      Alcotest.(check (float 0.0)) (lname ^ " tree") 1.0
+        (ret (I.run_tree ~isa ~mode c.Masc.Compiler.mir inputs));
+      Alcotest.(check (float 0.0)) (lname ^ " plan") 1.0
+        (ret (I.run ~isa ~mode c.Masc.Compiler.mir inputs)))
+    [ ("O0", Masc_opt.Pipeline.O0); ("O2", Masc_opt.Pipeline.O2) ]
+
 let plan_suites =
   [ ( "vm plan",
       [ Alcotest.test_case "hex and recycling formats" `Quick
@@ -590,6 +625,8 @@ let plan_suites =
         Alcotest.test_case "plan reuse" `Quick test_plan_reuse;
         Alcotest.test_case "fused shapes vs tree" `Quick test_fused_shapes;
         Alcotest.test_case "plan allocation pin" `Quick
-          test_plan_allocation_pin ] ) ]
+          test_plan_allocation_pin;
+        Alcotest.test_case "IEEE NaN comparisons" `Quick test_nan_comparisons
+      ] ) ]
 
 let suites = base_suites @ extra_suites @ plan_suites
