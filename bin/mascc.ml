@@ -220,9 +220,11 @@ let handle_errors f = try f () with e -> handle_exn e
    it goes to stderr or to an explicit file, never stdout. *)
 
 let setup_telemetry ?(journal = None) ~trace ~metrics () =
+  if journal <> None || trace <> None then
+    Masc_obs.Journal.enable ~spans:(trace <> None) ~instants:(journal <> None)
+      ();
   (match journal with
   | Some path ->
-    Masc_obs.Journal.enable ();
     let oc = open_out path in
     Masc_obs.Journal.stream_to oc;
     register_flush (fun () ->
@@ -234,11 +236,12 @@ let setup_telemetry ?(journal = None) ~trace ~metrics () =
   | None -> ());
   (match trace with
   | Some path ->
-    Masc_obs.Trace.enable ();
     register_flush (fun () ->
-        write_file path (Masc_obs.Trace.chrome_json ());
-        Printf.eprintf "trace: wrote %s\nspan summary:\n%s%!" path
-          (Masc_obs.Trace.summary ()))
+        let evs = Masc_obs.Journal.events () in
+        write_file path (Masc_obs.Trace.chrome_json evs);
+        Printf.eprintf
+          "trace: wrote %s (%d events dropped)\nspan summary:\n%s%!" path
+          (Masc_obs.Journal.dropped ()) (Masc_obs.Trace.summary evs))
   | None -> ());
   if metrics then
     register_flush (fun () ->

@@ -50,8 +50,8 @@ let cleanup_passes =
    checks (post-lower, post-optimize) triple the verifier cost per
    compile for defects the final check also catches — they are worth
    paying only when bisecting which stage broke an invariant, so they
-   are opt-in via MASC_VERIFY_STAGES (read eagerly, like
-   MASC_TIME_STAGES, to keep the hot path branch-on-load). *)
+   are opt-in via MASC_VERIFY_STAGES (read eagerly, to keep the hot
+   path branch-on-load). *)
 let verify_stages = Sys.getenv_opt "MASC_VERIFY_STAGES" <> None
 
 (* Internal signal: the front end recorded errors into an accumulating
@@ -60,10 +60,9 @@ let verify_stages = Sys.getenv_opt "MASC_VERIFY_STAGES" <> None
 exception Frontend_errors
 
 let compile_with ?passes ~sink config ~source ~entry ~arg_types =
-  (* Each stage runs inside a Masc_obs.Trace span (category "stage";
-     passes inside Pipeline.optimize get "pass" spans). Free when
-     tracing is disabled; MASC_TIME_STAGES enables echo mode for the
-     historical one-stderr-line-per-stage output. *)
+  (* Each stage runs inside a Masc_obs.Journal span (category "stage";
+     passes inside Pipeline.optimize get "pass" spans). Free when spans
+     are not recorded. *)
   let timed name f x = Pipeline.timed "stage" name f x in
   Masc_obs.Metrics.incr "compile.runs";
   let typed =
@@ -342,16 +341,16 @@ let compile_file_cached ?error_budget config ~source ~entry ~arg_types =
     match !outcome with Some r -> r | None -> assert false)
 
 (* C emission is the last compile stage and gets its own "stage" span,
-   so --trace and MASC_TIME_STAGES attribute it like the others. *)
+   so --trace attributes it like the others. *)
 let c_source c =
-  Masc_obs.Trace.span ~cat:"stage" "emit" (fun () ->
+  Masc_obs.Journal.span ~cat:"stage" "emit" (fun () ->
       Masc_codegen.Emit.program ~isa:c.config.isa ~mode:c.config.mode c.mir)
 
 let runtime_header c = Masc_codegen.Runtime.header c.config.isa
 
 let run ?max_cycles ?fuel ?max_alloc_bytes c inputs =
   let r =
-    Masc_obs.Trace.span ~cat:"sim" c.mir.Masc_mir.Mir.name (fun () ->
+    Masc_obs.Journal.span ~cat:"sim" c.mir.Masc_mir.Mir.name (fun () ->
         Masc_vm.Plan.execute ?max_cycles ?fuel ?max_alloc_bytes (plan c)
           inputs)
   in
@@ -370,7 +369,7 @@ let run ?max_cycles ?fuel ?max_alloc_bytes c inputs =
 let run_profiled ?max_cycles ?fuel ?max_alloc_bytes c inputs =
   let col = Masc_obs.Profile.create () in
   let r =
-    Masc_obs.Trace.span ~cat:"sim" (c.mir.Masc_mir.Mir.name ^ ":profiled")
+    Masc_obs.Journal.span ~cat:"sim" (c.mir.Masc_mir.Mir.name ^ ":profiled")
       (fun () ->
         Masc_vm.Interp.run_tree ?max_cycles ?fuel ?max_alloc_bytes
           ~profile:col ~isa:c.config.isa ~mode:c.config.mode c.mir inputs)

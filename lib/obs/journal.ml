@@ -1,59 +1,77 @@
-(* Request-correlated flight recorder.
+(* The process's one event recorder.
 
-   A structured, append-only event log for the service layer: request
-   lifecycle, deadline hits, cache traffic, quarantine transitions and
-   simulator traps. Events are stamped with monotonic time, the current
-   request id (held in
-   domain-local storage, installed by [Svc.Request.execute] — each
+   Two kinds of event share one log: timed spans around compiler
+   stages, passes and simulations (what [--trace] renders), and instant
+   events from the service layer — request lifecycle, deadline hits,
+   cache traffic, quarantine transitions, simulator traps (what
+   [--journal] streams). Every event is stamped with monotonic time,
+   the current request id and the recording domain id. The request id
+   and the span nesting depth live in one domain-local context: each
    batch request runs wholly inside one domain of the pool, so DLS is a
-   correct carrier), and the recording domain id.
+   correct carrier, and a span needs no lock to find its depth.
 
-   The log lives in a bounded in-memory ring (the "flight recorder"):
-   old events are overwritten, a drop counter keeps the total honest.
-   An optional stream sink appends every event to an [out_channel] as
-   one JSON object per line, flushed per event so the file survives a
-   crash — this is what [mascc batch --journal out.jsonl] wires up.
+   The log is a bounded in-memory ring (the "flight recorder"): old
+   events are overwritten, a drop counter keeps the total honest. An
+   optional stream sink appends every event to an [out_channel] as one
+   JSON object per line, flushed per event so the file survives a crash
+   — this is what [mascc batch --journal out.jsonl] wires up. Spans and
+   instants draw from one sequence, so [seq] is the JSONL line index
+   whatever is recorded.
 
-   Disabled (the default) an emission costs one atomic load: no clock
-   read, no allocation, no lock. *)
+   Disabled (the default) a span, an emission or a request scope costs
+   one atomic load: no clock read, no allocation, no lock. *)
+
+type span = {
+  cat : string;
+  dur_ns : int64;
+  depth : int;  (* nesting depth within the recording domain at start *)
+}
 
 type event = {
   seq : int;  (* global arrival index, 0-based *)
-  ts_ns : int64;  (* monotonic, relative to [enable] *)
+  ts_ns : int64;  (* monotonic, relative to [enable]; a span's start *)
   rid : int;  (* request id; -1 = process scope *)
   dom : int;  (* Domain.self at record time *)
-  kind : string;
+  kind : string;  (* instant kind, or span name *)
   detail : (string * string) list;
+  span : span option;  (* [Some] exactly on span events *)
 }
 
-let enabled = Atomic.make false
+(* One bit per event kind: [--trace] records spans, [--journal]
+   instants. *)
+let spans_bit = 1
+let instants_bit = 2
+let state = Atomic.make 0
 let lock = Mutex.create ()
 let t0 = ref 0L
 let ring : event option array ref = ref [||]
 let total_count = ref 0
 let sink : out_channel option ref = ref None
 
-(* Request id context per domain. *)
-let context : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref (-1))
+type context = { mutable c_rid : int; mutable c_depth : int }
 
+let context = Domain.DLS.new_key (fun () -> { c_rid = -1; c_depth = 0 })
 let now_ns () = Monotonic_clock.now ()
 let default_capacity = 65536
 
-let enable ?(capacity = default_capacity) () =
+let enable ?(capacity = default_capacity) ?(spans = false) ?(instants = true)
+    () =
   Mutex.protect lock (fun () ->
       ring := Array.make (max 1 capacity) None;
       total_count := 0;
       t0 := now_ns ();
-      Atomic.set enabled true)
+      Atomic.set state
+        ((if spans then spans_bit else 0)
+        lor if instants then instants_bit else 0))
 
 let disable () =
   Mutex.protect lock (fun () ->
-      Atomic.set enabled false;
+      Atomic.set state 0;
       ring := [||];
       total_count := 0;
       sink := None)
 
-let is_enabled () = Atomic.get enabled
+let is_enabled () = Atomic.get state land instants_bit <> 0
 
 let reset () =
   Mutex.protect lock (fun () ->
@@ -69,26 +87,32 @@ let close_stream () =
       sink := None)
 
 let current_rid () =
-  if not (Atomic.get enabled) then -1
-  else !(Domain.DLS.get context)
+  if Atomic.get state = 0 then -1 else (Domain.DLS.get context).c_rid
 
 let with_request ~rid f =
-  if not (Atomic.get enabled) then f ()
+  if Atomic.get state = 0 then f ()
   else begin
-    let cell = Domain.DLS.get context in
-    let saved = !cell in
-    cell := rid;
-    Fun.protect ~finally:(fun () -> cell := saved) f
+    let ctx = Domain.DLS.get context in
+    let saved = ctx.c_rid in
+    ctx.c_rid <- rid;
+    Fun.protect ~finally:(fun () -> ctx.c_rid <- saved) f
   end
 
 (* One JSON object per line; detail pairs are flattened in as string
-   values after the fixed fields, so every line is self-describing. *)
+   values after the fixed fields, so every line is self-describing. A
+   span is kind "span" with its name, category, duration and depth. *)
 let render_event ev =
   let b = Buffer.create 128 in
   Buffer.add_string b
-    (Printf.sprintf
-       "{\"seq\":%d,\"ts_ns\":%Ld,\"rid\":%d,\"dom\":%d,\"kind\":\"%s\""
-       ev.seq ev.ts_ns ev.rid ev.dom (Ojson.escape ev.kind));
+    (Printf.sprintf "{\"seq\":%d,\"ts_ns\":%Ld,\"rid\":%d,\"dom\":%d,\"kind\":"
+       ev.seq ev.ts_ns ev.rid ev.dom);
+  (match ev.span with
+  | None -> Buffer.add_string b (Printf.sprintf "\"%s\"" (Ojson.escape ev.kind))
+  | Some s ->
+    Buffer.add_string b
+      (Printf.sprintf
+         "\"span\",\"name\":\"%s\",\"cat\":\"%s\",\"dur_ns\":%Ld,\"depth\":%d"
+         (Ojson.escape ev.kind) (Ojson.escape s.cat) s.dur_ns s.depth));
   List.iter
     (fun (k, v) ->
       Buffer.add_string b
@@ -97,23 +121,53 @@ let render_event ev =
   Buffer.add_char b '}';
   Buffer.contents b
 
+let record ~start ~rid ~kind ~detail span =
+  let dom = (Domain.self () :> int) in
+  Mutex.protect lock (fun () ->
+      let seq = !total_count in
+      let ev =
+        { seq; ts_ns = Int64.sub start !t0; rid; dom; kind; detail; span }
+      in
+      let cap = Array.length !ring in
+      if cap > 0 then !ring.(seq mod cap) <- Some ev;
+      incr total_count;
+      match !sink with
+      | None -> ()
+      | Some oc ->
+        output_string oc (render_event ev);
+        output_char oc '\n';
+        flush oc)
+
 let emit ?rid ?(detail = []) kind =
-  if Atomic.get enabled then begin
-    let rid = match rid with Some r -> r | None -> !(Domain.DLS.get context) in
-    let dom = (Domain.self () :> int) in
-    Mutex.protect lock (fun () ->
-        let ts_ns = Int64.sub (now_ns ()) !t0 in
-        let seq = !total_count in
-        let ev = { seq; ts_ns; rid; dom; kind; detail } in
-        let cap = Array.length !ring in
-        if cap > 0 then !ring.(seq mod cap) <- Some ev;
-        incr total_count;
-        match !sink with
-        | None -> ()
-        | Some oc ->
-          output_string oc (render_event ev);
-          output_char oc '\n';
-          flush oc)
+  if Atomic.get state land instants_bit <> 0 then begin
+    let rid =
+      match rid with Some r -> r | None -> (Domain.DLS.get context).c_rid
+    in
+    record ~start:(now_ns ()) ~rid ~kind ~detail None
+  end
+
+(* A span is recorded when it completes, so within a domain children
+   precede their parent in [seq] order. *)
+let span ?(cat = "stage") name f =
+  if Atomic.get state land spans_bit = 0 then f ()
+  else begin
+    let ctx = Domain.DLS.get context in
+    let depth = ctx.c_depth in
+    let rid = ctx.c_rid in
+    ctx.c_depth <- depth + 1;
+    let start = now_ns () in
+    let finish () =
+      let dur_ns = Int64.sub (now_ns ()) start in
+      ctx.c_depth <- depth;
+      record ~start ~rid ~kind:name ~detail:[] (Some { cat; dur_ns; depth })
+    in
+    match f () with
+    | v ->
+      finish ();
+      v
+    | exception e ->
+      finish ();
+      raise e
   end
 
 let total () = Mutex.protect lock (fun () -> !total_count)
@@ -153,9 +207,10 @@ let to_jsonl () =
 (* ---- normalizing comparator ----
 
    Two journals from reruns of the same batch differ only in
-   time-valued fields: [ts_ns] and any detail key ending in [_ms] or
-   [_ns] (latencies, deadline budgets). [normalize] rewrites those values
-   to 0 so byte comparison tests determinism of everything else. *)
+   time-valued fields: [ts_ns] and any key ending in [_ms] or [_ns]
+   (latencies, deadline budgets, span durations). [normalize] rewrites
+   those values to 0 so byte comparison tests determinism of everything
+   else. *)
 
 let is_numchar c =
   (c >= '0' && c <= '9') || c = '.' || c = '-' || c = '+' || c = 'e' || c = 'E'
@@ -227,10 +282,13 @@ let render_flight ?(limit = 50) ?rid () =
   let b = Buffer.create 1024 in
   List.iter
     (fun ev ->
+      let kind =
+        match ev.span with Some s -> s.cat ^ ":" ^ ev.kind | None -> ev.kind
+      in
       Buffer.add_string b
         (Printf.sprintf "[flight] #%-5d %9.3fms rid=%-3d %-18s" ev.seq
            (Int64.to_float ev.ts_ns /. 1e6)
-           ev.rid ev.kind);
+           ev.rid kind);
       List.iter
         (fun (k, v) -> Buffer.add_string b (Printf.sprintf " %s=%s" k v))
         ev.detail;

@@ -11,11 +11,10 @@ type metric = {
   mname : string;
   kind : kind;
   mutable count : int;  (* counter value / histogram observation count *)
-  mutable value : float;  (* gauge level / histogram last value *)
+  mutable value : float;  (* gauge level *)
   mutable sum : float;
   mutable vmin : float;
   mutable vmax : float;
-  mutable samples : float array;  (* histogram observations, [0,count) *)
 }
 
 let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
@@ -27,7 +26,7 @@ let find_or_create kind name =
   | None ->
     let m =
       { mname = name; kind; count = 0; value = 0.0; sum = 0.0;
-        vmin = infinity; vmax = neg_infinity; samples = [||] }
+        vmin = infinity; vmax = neg_infinity }
     in
     Hashtbl.replace registry name m;
     m
@@ -45,26 +44,14 @@ let set name v =
 let observe name v =
   Mutex.protect lock (fun () ->
       let m = find_or_create Histogram name in
-      (* keep every observation so dumps report exact quantiles;
-         histogram updates happen at coarse boundaries, so the doubling
-         array stays tiny in practice *)
-      if m.count >= Array.length m.samples then begin
-        let grown =
-          Array.make (max 16 (2 * Array.length m.samples)) 0.0
-        in
-        Array.blit m.samples 0 grown 0 m.count;
-        m.samples <- grown
-      end;
-      m.samples.(m.count) <- v;
       m.count <- m.count + 1;
-      m.value <- v;
       m.sum <- m.sum +. v;
       if v < m.vmin then m.vmin <- v;
       if v > m.vmax then m.vmax <- v)
 
 (* Exact nearest-rank quantile over an unsorted sample array; shared by
-   metric dumps, [batch --summary] latency lines and [Health] windows.
-   [quantile xs 50.0] is the median; empty input yields 0. *)
+   [batch --summary] latency lines and [Health] windows. [quantile xs
+   50.0] is the median; empty input yields 0. *)
 let quantile xs p =
   let n = Array.length xs in
   if n = 0 then 0.0
@@ -74,9 +61,6 @@ let quantile xs p =
     let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
     s.(max 0 (min (n - 1) (rank - 1)))
   end
-
-let hist_quantile m p =
-  if m.count = 0 then 0.0 else quantile (Array.sub m.samples 0 m.count) p
 
 let reset () = Mutex.protect lock (fun () -> Hashtbl.reset registry)
 
@@ -116,38 +100,9 @@ let dump_text () =
       | Histogram ->
         Buffer.add_string b
           (Printf.sprintf
-             "histogram  %-32s n=%d sum=%s min=%s max=%s mean=%s p50=%s p90=%s p99=%s\n"
+             "histogram  %-32s n=%d sum=%s min=%s max=%s mean=%s\n"
              m.mname m.count (pp_float m.sum) (pp_float m.vmin)
              (pp_float m.vmax)
-             (pp_float (m.sum /. float_of_int (max 1 m.count)))
-             (pp_float (hist_quantile m 50.0))
-             (pp_float (hist_quantile m 90.0))
-             (pp_float (hist_quantile m 99.0))))
+             (pp_float (m.sum /. float_of_int (max 1 m.count)))))
     (sorted ());
-  Buffer.contents b
-
-let dump_json () =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{";
-  List.iteri
-    (fun i m ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\n\"%s\":" m.mname);
-      (match m.kind with
-      | Counter ->
-        Buffer.add_string b
-          (Printf.sprintf "{\"type\":\"counter\",\"value\":%d}" m.count)
-      | Gauge ->
-        Buffer.add_string b
-          (Printf.sprintf "{\"type\":\"gauge\",\"value\":%s}" (pp_float m.value))
-      | Histogram ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"type\":\"histogram\",\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s,\"p50\":%s,\"p90\":%s,\"p99\":%s}"
-             m.count (pp_float m.sum) (pp_float m.vmin) (pp_float m.vmax)
-             (pp_float (hist_quantile m 50.0))
-             (pp_float (hist_quantile m 90.0))
-             (pp_float (hist_quantile m 99.0)))))
-    (sorted ());
-  Buffer.add_string b "\n}";
   Buffer.contents b

@@ -1,8 +1,8 @@
 (** Process-wide registry of named counters, gauges and histograms.
 
-    One dump format shared by [mascc --metrics], the bench JSON (schema
-    v4) and tests. Thread-safe; counter aggregation is commutative so
-    dumps are deterministic under [--jobs]. *)
+    One dump format, shared by [mascc --metrics] and tests. Thread-safe;
+    counter aggregation is commutative so dumps are deterministic under
+    [--jobs]. *)
 
 type kind = Counter | Gauge | Histogram
 
@@ -12,8 +12,8 @@ val incr : ?by:int -> string -> unit
 (** [set name v] sets gauge [name] to [v]. *)
 val set : string -> float -> unit
 
-(** [observe name v] records [v] into histogram [name]
-    (count/sum/min/max). *)
+(** [observe name v] folds [v] into histogram [name]: count, sum, min
+    and max, in constant memory (no samples are kept). *)
 val observe : string -> float -> unit
 
 (** Counter value, gauge level, or histogram sum; [None] if the metric
@@ -24,15 +24,9 @@ val reset : unit -> unit
 
 (** Exact nearest-rank quantile over an unsorted sample array
     ([quantile xs 50.0] is the median; empty input yields 0). Shared by
-    the histogram dumps, [batch --summary] and [Health]. *)
+    [batch --summary] and [Health]. *)
 val quantile : float array -> float -> float
 
-(** One line per metric, sorted by name; histograms report exact
-    p50/p90/p99 from retained samples. *)
+(** One line per metric, sorted by name; histograms report
+    n/sum/min/max/mean. *)
 val dump_text : unit -> string
-
-(** JSON object keyed by metric name, sorted; stable schema
-    [{"type":"counter","value":n}] / [{"type":"gauge",...}] /
-    [{"type":"histogram","count":n,"sum":s,"min":m,"max":M,
-      "p50":..,"p90":..,"p99":..}]. *)
-val dump_json : unit -> string

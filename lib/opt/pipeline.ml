@@ -79,18 +79,13 @@ type pass_stat = {
   mutable skipped : int;
 }
 
-(* Stage/pass timing goes through the tracing layer: spans record into
-   the shared trace buffer (exportable as Chrome JSON or a tree
-   summary) and, in echo mode — what MASC_TIME_STAGES now enables, see
-   Masc_obs.Trace — print the historical one-stderr-line-per-span
-   format. Stderr so telemetry composes with `-- json` on stdout. *)
 (* Every stage and pass boundary is also a cancellation point: a
    request deadline installed by the service layer (Masc_fault.Cancel)
    is honored between passes, so a hung *schedule* cannot outlive its
    budget even though each individual pass runs to completion. *)
 let timed what name f x =
   Masc_fault.Cancel.check ();
-  Masc_obs.Trace.span ~cat:what name (fun () -> f x)
+  Masc_obs.Journal.span ~cat:what name (fun () -> f x)
 
 (* Passes whose single run dominates a whole sweep of the cheap
    normalizers: they are deferred to change-free sweeps (below). *)
@@ -182,13 +177,6 @@ let run_fixpoint (pass_list : (string * (Masc_mir.Mir.func -> Masc_mir.Mir.func)
   sweeps ();
   (!func, Array.to_list stats)
 
-let print_stats stats =
-  List.iter
-    (fun s ->
-      Printf.eprintf "[masc-opt] %-14s runs=%-3d changed=%-3d skipped=%d\n%!"
-        s.ps_name s.runs s.changed s.skipped)
-    stats
-
 let optimize_stats level func =
   let func, stats = run_fixpoint (passes level) func in
   List.iter
@@ -197,7 +185,6 @@ let optimize_stats level func =
       Masc_obs.Metrics.incr "opt.pass_changed" ~by:s.changed;
       Masc_obs.Metrics.incr "opt.pass_skipped" ~by:s.skipped)
     stats;
-  if Masc_obs.Trace.echo_enabled () then print_stats stats;
   (func, stats)
 
 let optimize level func = fst (optimize_stats level func)

@@ -38,10 +38,7 @@ val optimize : level -> Masc_mir.Mir.func -> Masc_mir.Mir.func
 
 (** [optimize_stats] is [optimize] plus the per-pass scheduler stats.
     Also feeds the [opt.pass_runs]/[opt.pass_changed]/[opt.pass_skipped]
-    counters in {!Masc_obs.Metrics}, and in trace echo mode (the
-    [MASC_TIME_STAGES] alias) prints one
-    [\[masc-opt\] <pass> runs=.. changed=.. skipped=..] line per pass to
-    stderr. *)
+    counters in {!Masc_obs.Metrics}. *)
 val optimize_stats :
   level -> Masc_mir.Mir.func -> Masc_mir.Mir.func * pass_stat list
 
@@ -60,18 +57,11 @@ val run_fixpoint :
     ablation benchmarks: [(name, pass)]. *)
 val passes : level -> (string * (Masc_mir.Mir.func -> Masc_mir.Mir.func)) list
 
-(** [print_stats stats] prints the [\[masc-opt\]] per-pass lines to
-    stderr. *)
-val print_stats : pass_stat list -> unit
-
 val total_runs : pass_stat list -> int
 val total_skipped : pass_stat list -> int
 
-(** [timed what name f x] applies [f x] inside a {!Masc_obs.Trace} span
-    of category [what] — free when tracing is disabled. In echo mode
-    (enabled by the [MASC_TIME_STAGES] environment variable) each span
-    also prints one [\[masc-time\] <what> <name> <ms>] line to stderr
-    with the call's monotonic-clock time. [optimize] wraps every pass
-    run in it; the driver ({!Masc.Compiler.compile}) wraps each whole
-    stage. *)
+(** [timed what name f x] applies [f x] inside a {!Masc_obs.Journal}
+    span of category [what] — free when spans are not recorded.
+    [optimize] wraps every pass run in it; the driver
+    ({!Masc.Compiler.compile}) wraps each whole stage. *)
 val timed : string -> string -> ('a -> 'b) -> 'a -> 'b

@@ -314,9 +314,11 @@ let summary_json (outcomes : Request.outcome list) =
   let n = List.length outcomes in
   List.iteri
     (fun i (o : Request.outcome) ->
-      (* Non-ok outcomes cite their flight-recorder offsets: with no
-         drops, journal seq = JSONL line index, so the summary alone
-         tells you where in the journal the failure story lives. *)
+      (* Non-ok outcomes cite their flight-recorder offsets: every
+         recorded event (spans too, under --trace) is streamed, so seq
+         = JSONL line index and the summary alone tells you where in
+         the journal the failure story lives. Events the ring dropped
+         are missing from the list. *)
       let journal =
         if
           Masc_obs.Journal.is_enabled ()

@@ -135,52 +135,70 @@ let contains ~sub s = find_sub ~sub s <> None
 
 (* ---- tracing ---- *)
 
+(* Spans only, as [mascc --trace] records them. *)
+let trace_only () = Obs.Journal.enable ~spans:true ~instants:false ()
+
+let span_of (ev : Obs.Journal.event) =
+  match ev.Obs.Journal.span with
+  | Some s -> s
+  | None -> Alcotest.failf "%s is not a span" ev.Obs.Journal.kind
+
 let test_trace_spans () =
-  Obs.Trace.enable ();
-  Obs.Trace.reset ();
+  trace_only ();
   let r =
-    Obs.Trace.span ~cat:"stage" "outer" (fun () ->
-        Obs.Trace.span ~cat:"pass" "inner" (fun () -> 41 + 1))
+    Obs.Journal.span ~cat:"stage" "outer" (fun () ->
+        Obs.Journal.span ~cat:"pass" "inner" (fun () -> 41 + 1))
   in
   Alcotest.(check int) "span returns the value" 42 r;
   (try
-     Obs.Trace.span "raiser" (fun () -> failwith "boom")
+     Obs.Journal.span "raiser" (fun () -> failwith "boom")
    with Failure _ -> ());
-  let evs = Obs.Trace.dump () in
-  Alcotest.(check int) "three completed spans" 3 (List.length evs);
+  Obs.Journal.emit "instant";
+  let evs = Obs.Journal.events () in
+  Alcotest.(check (list string)) "three completed spans, children first"
+    [ "inner"; "outer"; "raiser" ]
+    (List.map (fun (e : Obs.Journal.event) -> e.Obs.Journal.kind) evs);
   let by_name name =
-    List.find (fun (e : Obs.Trace.event) -> e.Obs.Trace.name = name) evs
+    span_of
+      (List.find (fun (e : Obs.Journal.event) -> e.Obs.Journal.kind = name) evs)
   in
-  (* children complete before parents *)
-  Alcotest.(check int) "inner depth" 1 (by_name "inner").Obs.Trace.depth;
-  Alcotest.(check int) "outer depth" 0 (by_name "outer").Obs.Trace.depth;
+  Alcotest.(check int) "inner depth" 1 (by_name "inner").Obs.Journal.depth;
+  Alcotest.(check int) "outer depth" 0 (by_name "outer").Obs.Journal.depth;
+  Alcotest.(check string) "category kept" "pass"
+    (by_name "inner").Obs.Journal.cat;
   Alcotest.(check int) "raiser recorded despite the exception" 0
-    (by_name "raiser").Obs.Trace.depth;
+    (by_name "raiser").Obs.Journal.depth;
   Alcotest.(check bool) "inner nested inside outer" true
-    ((by_name "inner").Obs.Trace.dur_ns <= (by_name "outer").Obs.Trace.dur_ns)
+    ((by_name "inner").Obs.Journal.dur_ns
+    <= (by_name "outer").Obs.Journal.dur_ns);
+  Obs.Journal.disable ();
+  Alcotest.(check int) "disabled span still runs" 7
+    (Obs.Journal.span "off" (fun () -> 7));
+  Alcotest.(check int) "disabled span is not recorded" 0 (Obs.Journal.total ())
 
 let test_trace_chrome_json () =
-  Obs.Trace.enable ();
-  Obs.Trace.reset ();
-  Obs.Trace.span ~cat:"stage" ~args:[ ("file", "a\"b.m") ] "esc\"aped"
-    (fun () -> ());
-  let js = Obs.Trace.chrome_json () in
+  trace_only ();
+  Obs.Journal.span ~cat:"stage" "esc\"aped" (fun () -> ());
+  let js = Obs.Trace.chrome_json (Obs.Journal.events ()) in
+  Obs.Journal.disable ();
   Alcotest.(check bool) "chrome trace is valid JSON" true (json_valid js);
   Alcotest.(check bool) "has traceEvents" true
     (contains ~sub:"\"traceEvents\"" js);
   Alcotest.(check bool) "complete events" true
     (contains ~sub:"\"ph\":\"X\"" js);
+  Alcotest.(check bool) "domain lanes carry no metadata event" false
+    (contains ~sub:"\"ph\":\"M\"" js);
   Alcotest.(check bool) "escapes quotes" true
     (contains ~sub:"esc\\\"aped" js)
 
 let test_trace_summary () =
-  Obs.Trace.enable ();
-  Obs.Trace.reset ();
+  trace_only ();
   for _ = 1 to 3 do
-    Obs.Trace.span ~cat:"stage" "compile" (fun () ->
-        Obs.Trace.span ~cat:"pass" "dce" (fun () -> ()))
+    Obs.Journal.span ~cat:"stage" "compile" (fun () ->
+        Obs.Journal.span ~cat:"pass" "dce" (fun () -> ()))
   done;
-  let s = Obs.Trace.summary () in
+  let s = Obs.Trace.summary (Obs.Journal.events ()) in
+  Obs.Journal.disable ();
   Alcotest.(check bool) "root present" true (contains ~sub:"stage:compile" s);
   Alcotest.(check bool) "child indented under root" true
     (contains ~sub:"  pass:dce" s);
@@ -207,17 +225,13 @@ let test_metrics () =
   Alcotest.(check bool) "text has counter line" true
     (contains ~sub:"counter" text && contains ~sub:"a.count" text);
   Alcotest.(check bool) "histogram stats" true
-    (contains ~sub:"n=2" text && contains ~sub:"min=1" text
-    && contains ~sub:"max=3" text);
+    (contains ~sub:"c.hist                           n=2 sum=4 min=1 max=3 mean=2\n"
+       text);
   (* name-sorted: a.count before b.gauge before c.hist *)
   (match (find_sub ~sub:"a.count" text, find_sub ~sub:"c.hist" text) with
   | Some ia, Some ic ->
     Alcotest.(check bool) "sorted by name" true (ia < ic)
   | _ -> Alcotest.fail "expected both metrics in the text dump");
-  let js = Obs.Metrics.dump_json () in
-  Alcotest.(check bool) "metrics JSON valid" true (json_valid js);
-  Alcotest.(check bool) "json counter shape" true
-    (contains ~sub:"{\"type\":\"counter\",\"value\":5}" js);
   Obs.Metrics.reset ();
   Alcotest.(check (option (float 0.0))) "reset clears" None
     (Obs.Metrics.get "a.count")
@@ -381,10 +395,11 @@ let test_journal_stream () =
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      Obs.Journal.enable ();
+      Obs.Journal.enable ~spans:true ();
       let oc = open_out path in
       Obs.Journal.stream_to oc;
       Obs.Journal.emit "one";
+      Obs.Journal.span ~cat:"pass" "dce" (fun () -> ());
       Obs.Journal.emit ~detail:[ ("k", "v\"q") ] "two";
       Obs.Journal.close_stream ();
       close_out oc;
@@ -397,14 +412,19 @@ let test_journal_stream () =
          done
        with End_of_file -> close_in ic);
       let lines = List.rev !lines in
-      Alcotest.(check int) "one line per event" 2 (List.length lines);
-      List.iter
-        (fun l ->
+      Alcotest.(check int) "one line per event" 3 (List.length lines);
+      List.iteri
+        (fun i l ->
           Alcotest.(check bool) "streamed line is valid JSON" true
-            (json_valid l))
+            (json_valid l);
+          Alcotest.(check bool) "seq is the line index" true
+            (contains ~sub:(Printf.sprintf "{\"seq\":%d," i) l))
         lines;
+      Alcotest.(check bool) "span streamed between the instants" true
+        (contains ~sub:"\"kind\":\"span\",\"name\":\"dce\",\"cat\":\"pass\""
+           (List.nth lines 1));
       Alcotest.(check bool) "detail escaped into the stream" true
-        (contains ~sub:"\"k\":\"v\\\"q\"" (List.nth lines 1)))
+        (contains ~sub:"\"k\":\"v\\\"q\"" (List.nth lines 2)))
 
 let test_journal_normalize () =
   let line =
@@ -422,30 +442,80 @@ let test_journal_normalize () =
 
 (* ---- trace request lanes ---- *)
 
+(* Tracing alone (no journal) still installs the request context, so
+   batch spans land on request lanes. *)
 let test_trace_request_lanes () =
-  Obs.Journal.enable ();
-  Obs.Journal.reset ();
-  Obs.Trace.enable ();
-  Obs.Trace.reset ();
-  Obs.Trace.span ~cat:"stage" "unscoped" (fun () -> ());
+  trace_only ();
+  Obs.Journal.span ~cat:"stage" "unscoped" (fun () -> ());
   Obs.Journal.with_request ~rid:3 (fun () ->
-      Obs.Trace.span ~cat:"stage" "scoped" (fun () -> ()));
-  let evs = Obs.Trace.dump () in
+      Alcotest.(check int) "context installed without the journal" 3
+        (Obs.Journal.current_rid ());
+      Obs.Journal.span ~cat:"stage" "scoped" (fun () -> ()));
+  let evs = Obs.Journal.events () in
   let by_name name =
-    List.find (fun (e : Obs.Trace.event) -> e.Obs.Trace.name = name) evs
+    List.find (fun (e : Obs.Journal.event) -> e.Obs.Journal.kind = name) evs
   in
   Alcotest.(check int) "span outside a request has rid -1" (-1)
-    (by_name "unscoped").Obs.Trace.rid;
+    (by_name "unscoped").Obs.Journal.rid;
   Alcotest.(check int) "span inside a request captures its rid" 3
-    (by_name "scoped").Obs.Trace.rid;
-  let js = Obs.Trace.chrome_json () in
+    (by_name "scoped").Obs.Journal.rid;
+  let js = Obs.Trace.chrome_json evs in
   Alcotest.(check bool) "chrome trace valid" true (json_valid js);
   Alcotest.(check bool) "request lane tid = 1000+rid" true
     (contains ~sub:"\"tid\":1003" js);
   Alcotest.(check bool) "request lane labelled" true
-    (contains ~sub:"request 3" js);
+    (contains ~sub:"\"ph\":\"M\",\"pid\":1,\"tid\":1003,\"args\":{\"name\":\"request 3\"}"
+       js);
+  Alcotest.(check bool) "only the request lane is labelled" false
+    (contains ~sub:"domain" js);
   Alcotest.(check bool) "rid surfaced in span args" true
     (contains ~sub:"\"rid\":\"3\"" js);
+  Obs.Journal.disable ()
+
+(* ---- one ring for spans and instants ---- *)
+
+let test_merged_ring () =
+  Obs.Journal.enable ~capacity:8 ~spans:true ~instants:true ();
+  (* 20 events: 10 instants, 9 leaf spans, one outer span that raises *)
+  (try
+     Obs.Journal.span ~cat:"stage" "outer" (fun () ->
+         for i = 0 to 8 do
+           Obs.Journal.emit ~detail:[ ("i", string_of_int i) ] "tick";
+           Obs.Journal.span ~cat:"pass" (Printf.sprintf "leaf%d" i) (fun () ->
+               ())
+         done;
+         Obs.Journal.emit "last";
+         failwith "boom")
+   with Failure _ -> ());
+  Alcotest.(check int) "total counts spans and instants" 20
+    (Obs.Journal.total ());
+  Alcotest.(check int) "drop counter is honest" 12 (Obs.Journal.dropped ());
+  let evs = Obs.Journal.events () in
+  Alcotest.(check (list int)) "the newest 8, in seq order"
+    [ 12; 13; 14; 15; 16; 17; 18; 19 ]
+    (List.map (fun (e : Obs.Journal.event) -> e.Obs.Journal.seq) evs);
+  Alcotest.(check (list string)) "spans and instants interleaved"
+    [ "tick"; "leaf6"; "tick"; "leaf7"; "tick"; "leaf8"; "last"; "outer" ]
+    (List.map (fun (e : Obs.Journal.event) -> e.Obs.Journal.kind) evs);
+  let depth name =
+    (span_of
+       (List.find (fun (e : Obs.Journal.event) -> e.Obs.Journal.kind = name) evs))
+      .Obs.Journal.depth
+  in
+  Alcotest.(check int) "leaf depth from the domain context" 1 (depth "leaf8");
+  Alcotest.(check int) "raising span recorded at depth 0" 0 (depth "outer");
+  Obs.Journal.span "after" (fun () -> ());
+  Alcotest.(check int) "depth restored after the raise" 0
+    (span_of (List.nth (Obs.Journal.events ()) 7)).Obs.Journal.depth;
+  (* a summary of leaves whose parent is gone lists them as roots *)
+  let orphans =
+    List.filter (fun (e : Obs.Journal.event) -> e.Obs.Journal.kind <> "outer") evs
+  in
+  let s = Obs.Trace.summary orphans in
+  Alcotest.(check bool) "orphaned spans become roots" true
+    (contains ~sub:"pass:leaf6" s && not (contains ~sub:"  pass:" s));
+  Alcotest.(check bool) "surviving parent adopts its surviving children" true
+    (contains ~sub:"  pass:leaf6" (Obs.Trace.summary evs));
   Obs.Journal.disable ()
 
 (* ---- metrics quantiles ---- *)
@@ -468,12 +538,9 @@ let test_metrics_quantiles () =
   for i = 1 to 100 do
     Obs.Metrics.observe "lat" (float_of_int i)
   done;
-  let text = Obs.Metrics.dump_text () in
-  Alcotest.(check bool) "text dump has exact quantiles" true
-    (contains ~sub:"p50=50" text && contains ~sub:"p99=99" text);
-  let js = Obs.Metrics.dump_json () in
-  Alcotest.(check bool) "json dump valid with quantiles" true
-    (json_valid js && contains ~sub:"\"p99\":99" js);
+  Alcotest.(check bool) "histogram summarizes without samples" true
+    (contains ~sub:"n=100 sum=5050 min=1 max=100 mean=50.5\n"
+       (Obs.Metrics.dump_text ()));
   Obs.Metrics.reset ()
 
 (* ---- health window arithmetic ---- *)
@@ -666,7 +733,9 @@ let suites =
         Alcotest.test_case "normalizing comparator" `Quick
           test_journal_normalize;
         Alcotest.test_case "trace request lanes" `Quick
-          test_trace_request_lanes ] );
+          test_trace_request_lanes;
+        Alcotest.test_case "one ring for spans and instants" `Quick
+          test_merged_ring ] );
     ( "health",
       [ Alcotest.test_case "metrics quantiles" `Quick test_metrics_quantiles;
         Alcotest.test_case "window arithmetic" `Quick test_health_window ] );
