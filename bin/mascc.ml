@@ -25,7 +25,6 @@
 open Cmdliner
 module C = Masc.Compiler
 module Diag = Masc_frontend.Diag
-module MT = Masc_sema.Mtype
 module I = Masc_vm.Interp
 module V = Masc_vm.Value
 module Req = Masc_svc.Request
@@ -57,42 +56,10 @@ let is_epipe msg =
   in
   has "broken pipe" || has "epipe"
 
-let parse_arg_spec (spec : string) : MT.t list =
-  if String.trim spec = "" then []
-  else
-    String.split_on_char ',' spec
-    |> List.map (fun one ->
-           let one = String.trim one in
-           let base_s, dims_s =
-             match String.index_opt one ':' with
-             | Some i ->
-               ( String.sub one 0 i,
-                 Some (String.sub one (i + 1) (String.length one - i - 1)) )
-             | None -> (one, None)
-           in
-           let cplx, base =
-             match base_s with
-             | "double" -> (MT.Real, MT.Double)
-             | "complex" -> (MT.Complex, MT.Double)
-             | "int" -> (MT.Real, MT.Int)
-             | "bool" -> (MT.Real, MT.Bool)
-             | other ->
-               usage "unknown base type '%s' (use double, complex, int, bool)"
-                 other
-           in
-           match dims_s with
-           | None -> MT.scalar ~cplx base
-           | Some dims -> (
-             match String.split_on_char 'x' dims with
-             | [ r; c ] -> (
-               match (int_of_string_opt r, int_of_string_opt c) with
-               | Some r, Some c -> MT.matrix ~cplx base r c
-               | _ -> usage "bad dimensions: %s" dims)
-             | [ n ] -> (
-               match int_of_string_opt n with
-               | Some n -> MT.row_vector ~cplx base n
-               | None -> usage "bad dimensions: %s" dims)
-             | _ -> usage "bad dimensions: %s" dims))
+let parse_arg_spec spec =
+  match Batch.parse_arg_types spec with
+  | Ok tys -> tys
+  | Error msg -> usage "%s" msg
 
 let read_file path =
   let ic = open_in_bin path in
@@ -406,24 +373,6 @@ let do_compile files entry args_spec target isa_file opt_level coder
 
 (* ---- run ---- *)
 
-let random_inputs ~seed (arg_types : MT.t list) : I.xvalue list =
-  List.mapi
-    (fun i ty ->
-      let n = MT.numel ty in
-      let vals = Masc_kernels.Kernels.randoms ~seed:(seed + (37 * i)) n in
-      if MT.is_scalar ty then
-        match ty.MT.cplx with
-        | MT.Real -> I.Xscalar (V.Sf vals.(0))
-        | MT.Complex ->
-          I.Xscalar (V.Sc { Complex.re = vals.(0); im = -.vals.(0) })
-      else
-        match ty.MT.cplx with
-        | MT.Real -> I.xarray_of_floats vals
-        | MT.Complex ->
-          I.xarray_of_complex
-            (Array.map (fun v -> { Complex.re = v; im = 0.5 *. v }) vals))
-    arg_types
-
 let do_run file entry args_spec target isa_file opt_level coder no_vectorize
     no_complex seed show_output opt_stats cache_dir timeout diag_fmt werror
     fuel trace metrics profile profile_json =
@@ -453,7 +402,7 @@ let do_run file entry args_spec target isa_file opt_level coder no_vectorize
     else None
   in
   let compiled = match compiled with Some c -> c | None -> exit 1 in
-  let inputs = random_inputs ~seed arg_types in
+  let inputs = Req.random_inputs ~seed arg_types in
   current_phase := "simulate";
   let profiling = profile || profile_json <> None in
   let result, prof_snap =
@@ -852,7 +801,7 @@ let journal_arg =
                  transitions, traps")
 
 let heartbeat_arg =
-  Arg.(value & opt (some float) None
+  Arg.(value & opt (some pos_float) None
        & info [ "heartbeat" ] ~docv:"MS"
            ~doc:"Print a [masc-health] status line (req/s, error rate, \
                  cache hit rate, windowed p50/p99 latency, progress) to \

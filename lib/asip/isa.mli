@@ -71,10 +71,6 @@ val has : t -> kind -> bool
     scan over the instruction descriptions. *)
 val find_named : t -> string -> instr_desc option
 
-(** The memoized name → description table itself, for callers that
-    resolve many intrinsics (the VM plan compiler). *)
-val intrinsic_table : t -> (string, instr_desc) Hashtbl.t
-
 val kind_of_string : string -> kind option
 val kind_to_string : kind -> string
 val pp : Format.formatter -> t -> unit

@@ -12,19 +12,12 @@ type input =
   | Harray of float array
   | Hcarray of Complex.t array
 
-(** [main_for ~isa ~mode f inputs] renders a [main] that builds the
-    arguments (respecting the emission mode's calling convention),
-    calls [f], and prints every return value as ["%.17e"] lines
-    (real and imaginary parts for complex data). *)
-val main_for :
-  isa:Masc_asip.Isa.t ->
-  mode:Masc_asip.Cost_model.mode ->
-  Masc_mir.Mir.func ->
-  input list ->
-  string
-
 (** [full_program ~isa ~mode f inputs] is runtime header + function +
-    main in one self-contained translation unit (no include needed). *)
+    a [main] in one self-contained translation unit (no include
+    needed). The [main] builds the arguments (respecting the emission
+    mode's calling convention), calls [f], and prints every return
+    value as ["%.17e"] lines (real and imaginary parts for complex
+    data). *)
 val full_program :
   isa:Masc_asip.Isa.t ->
   mode:Masc_asip.Cost_model.mode ->

@@ -39,6 +39,3 @@ val store : dir:string -> version:string -> key:string -> string -> unit
     [find] (e.g. a payload that fails to unmarshal). *)
 val invalidate : dir:string -> key:string -> unit
 
-(** Entry path for [key] (testing: the corruption tests truncate and
-    bit-flip the file behind the cache's back). *)
-val path_of_key : dir:string -> key:string -> string

@@ -219,11 +219,3 @@ let to_string = function
       Format.asprintf "%s: %s" (phase_name phase) msg
     else Format.asprintf "%s: %a: %s" (phase_name phase) Loc.pp span msg
   | _ -> invalid_arg "Diag.to_string: not a Diag.Error"
-
-(* Convert the legacy exception into a diagnostic record (used by
-   drivers that catch {!exception-Error} from non-recovering phases and
-   fold it into an accumulated report). *)
-let of_exn = function
-  | Error (phase, span, msg) ->
-    Some { severity = Severity.Error; phase; span; message = msg }
-  | _ -> None

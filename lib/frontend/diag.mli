@@ -79,10 +79,6 @@ val error : phase -> Loc.span -> ('a, Format.formatter, unit, 'b) format4 -> 'a
     source line follows with a caret run under the span. *)
 val render : ?source:string -> t -> string
 
-(** The header line alone (no caret), identical to the first line of
-    {!render}. *)
-val header_string : t -> string
-
 (** One stable JSON object (single line, keys [severity], [phase],
     [line], [col], [end_line], [end_col], [message]) — the
     machine-readable form behind [mascc --diag-format json]. *)
@@ -91,7 +87,3 @@ val to_json : t -> string
 (** [to_string exn] renders an {!exception-Error}; raises
     [Invalid_argument] on other exceptions. *)
 val to_string : exn -> string
-
-(** Fold the legacy exception into a diagnostic record; [None] for any
-    other exception. *)
-val of_exn : exn -> t option

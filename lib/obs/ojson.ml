@@ -190,4 +190,3 @@ let member k = function
 let to_num = function Num f -> Some f | _ -> None
 let to_str = function Str s -> Some s | _ -> None
 let to_arr = function Arr l -> Some l | _ -> None
-let to_obj = function Obj l -> Some l | _ -> None

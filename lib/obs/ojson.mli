@@ -24,4 +24,3 @@ val member : string -> t -> t option
 val to_num : t -> float option
 val to_str : t -> string option
 val to_arr : t -> t list option
-val to_obj : t -> (string * t) list option

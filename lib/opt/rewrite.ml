@@ -107,19 +107,7 @@ let rec iter_block g (b : Mir.block) =
 
 let iter_instrs g (func : Mir.func) = iter_block g func.Mir.body
 
-let operands_of_rvalue = function
-  | Mir.Rbin (_, a, b) -> [ a; b ]
-  | Mir.Runop (_, a) -> [ a ]
-  | Mir.Rmath (_, args) -> args
-  | Mir.Rcomplex (a, b) -> [ a; b ]
-  | Mir.Rload (arr, idx) -> [ Mir.Ovar arr; idx ]
-  | Mir.Rmove a -> [ a ]
-  | Mir.Rvload (arr, base, _) -> [ Mir.Ovar arr; base ]
-  | Mir.Rvbroadcast (a, _) -> [ a ]
-  | Mir.Rvreduce (_, a) -> [ a ]
-  | Mir.Rintrin (_, args) -> args
-
-(* List-free variants for the pass analyses: rebuilding use/read tables
+(* List-free operand walks for the pass analyses: rebuilding use/read tables
    is the dominant per-run allocation of the whole fixpoint (the trees
    themselves are shared, see [smap]), so the hot counters must not
    materialize an operand list per instruction. *)

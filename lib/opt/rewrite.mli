@@ -39,12 +39,6 @@ val iter_instrs : (Mir.instr -> unit) -> Mir.func -> unit
     Return variables are counted as used. *)
 val use_counts : Mir.func -> (int, int) Hashtbl.t
 
-(** [operands_of_rvalue rv] lists the operands an rvalue reads. Prefer
-    the list-free {!iter_operands}/{!forall_operands} in per-run
-    pass analyses; the list form is for call sites that genuinely need
-    a list value. *)
-val operands_of_rvalue : Mir.rvalue -> Mir.operand list
-
 (** [iter_operands f rv] applies [f] to each operand [rv] reads without
     materializing a list. The base array of a load is passed boxed as
     [Ovar], a fresh two-word block per load visited, and a callback that

@@ -59,7 +59,6 @@ let table =
     ("disp", Disp); ("fprintf", Fprintf) ]
 
 let lookup name = List.assoc_opt name table
-let is_builtin name = List.mem_assoc name table
 
 let float_fn = function
   | "sin" -> Some sin

@@ -41,9 +41,6 @@ type t =
 
 val lookup : string -> t option
 
-(** [is_builtin name] *)
-val is_builtin : string -> bool
-
 (** [infer b span args] computes the result abstract values.
     Multi-result builtins (only [size] with one output used in
     [Multi_assign]) return several. Raises {!Diag.Error} on arity or type

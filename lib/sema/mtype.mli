@@ -66,9 +66,6 @@ val join : t -> t -> t option
 
 val equal : t -> t -> bool
 
-(** [same_shape a b] ignores base type and complexness. *)
-val same_shape : t -> t -> bool
-
 (** Shape of an element-wise combination, broadcasting scalars: both
     operands scalar → scalar; one scalar → the other's shape; equal shapes
     → that shape; otherwise [None]. Returns the (rows, cols). *)

@@ -393,12 +393,5 @@ let run_tree ?(max_cycles = 4_000_000_000) ?(fuel = Exec.default_fuel)
       |> List.sort (fun (_, a) (_, b) -> compare b a);
     output = Buffer.contents st.out }
 
-let ret_floats (r : result) =
-  List.filter_map
-    (function
-      | Xarray a -> Some (Array.map V.to_float a)
-      | Xscalar s -> Some [| V.to_float s |])
-    r.rets
-
 let xarray_of_floats a = Xarray (Array.map (fun f -> V.Sf f) a)
 let xarray_of_complex a = Xarray (Array.map (fun z -> V.Sc z) a)

@@ -69,7 +69,5 @@ val run_tree :
   result
 
 (** Convenience accessors for test code. *)
-val ret_floats : result -> float array list
-
 val xarray_of_floats : float array -> xvalue
 val xarray_of_complex : Complex.t array -> xvalue

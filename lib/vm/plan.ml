@@ -17,7 +17,10 @@
      definitions fuse read, combine, charge and write into one closure
      that reads the banks through inlined views (see [fview]), so a
      real-double [Rbin Badd] is a raw [( +. )] on unboxed loads — no
-     tag test, no [to_float], no allocation.
+     tag test, no [to_float], no allocation;
+   - only the shapes the benchmark kernels run are typed: every other
+     rvalue, write and store goes through the boxed [Value] operations
+     the tree-walker itself uses.
 
    A conservative demotion pass keeps this sound against adversarial
    MIR: any scalar variable that could dynamically receive a vector
@@ -248,12 +251,11 @@ let oper_of env (op : Mir.operand) : oper =
       in
       Og (fun _ -> raise (Runtime_error msg)))
 
-let typed_scalar = function
-  | Of _ | Oi _ | Ob _ | Oc _ -> true
-  | Ov _ | Og _ -> false
+let real_scalar = function
+  | Of _ | Oi _ | Ob _ -> true
+  | Oc _ | Ov _ | Og _ -> false
 
 let int_like = function Oi _ | Ob _ -> true | Of _ | Oc _ | Ov _ | Og _ -> false
-let is_oc = function Oc _ -> true | _ -> false
 
 (* Inlined bank views. A fused definition reads its operands through
    these instead of [state -> float] closures: a closure call boxes its
@@ -309,15 +311,6 @@ let i_read (o : oper) : state -> int =
   | Oc _ -> fun _ -> invalid_arg "Value.to_int: complex"
   | Ov (s, _) -> fun st -> V.to_int (vreg_scalar st s)
   | Og f -> fun st -> V.to_int (scalar_of_value (f st))
-
-(* [V.coerce] into an Int slot: same as [i_read] except for the
-   complex error message (see Store.coerce_int_exn). *)
-let ci_read (o : oper) : state -> int =
-  match o with
-  | Oc _ -> fun _ -> invalid_arg "Value.coerce: complex into int"
-  | Ov (s, _) -> fun st -> Store.coerce_int_exn (vreg_scalar st s)
-  | Og f -> fun st -> Store.coerce_int_exn (scalar_of_value (f st))
-  | o -> i_read o
 
 let b_read (o : oper) : state -> bool =
   match o with
@@ -407,6 +400,27 @@ let boxed_elem (a : aslot) : state -> int -> Value.scalar =
         { Complex.re = Array.unsafe_get ca (2 * i);
           im = Array.unsafe_get ca ((2 * i) + 1) }
 
+(* Coercing store of a boxed scalar into a typed array bank, identical
+   to [arr.(i) <- V.coerce sty s] on the tree-walker's boxed array. *)
+let set_elem (a : aslot) : state -> int -> Value.scalar -> unit =
+  let k = a.aidx in
+  match a.bank with
+  | AKf ->
+    fun st i s ->
+      Array.unsafe_set (Array.unsafe_get st.farrs k) i (V.to_float s)
+  | AKi ->
+    fun st i s ->
+      Array.unsafe_set (Array.unsafe_get st.iarrs k) i (Store.coerce_int_exn s)
+  | AKb ->
+    fun st i s ->
+      Array.unsafe_set (Array.unsafe_get st.barrs k) i (V.to_bool s)
+  | AKc ->
+    fun st i s ->
+      let z = V.to_complex s in
+      let ca = Array.unsafe_get st.carrs k in
+      Array.unsafe_set ca (2 * i) z.Complex.re;
+      Array.unsafe_set ca ((2 * i) + 1) z.Complex.im
+
 let boxed_array (a : aslot) : state -> Value.scalar array =
   let k = a.aidx in
   match a.bank with
@@ -459,135 +473,57 @@ let gen_of_prod = function
 let unboxed st s =
   match Array.unsafe_get st.vboxs s with None -> true | Some _ -> false
 
-let float_fast = function
-  | Mir.Badd -> Some ( +. )
-  | Mir.Bsub -> Some ( -. )
-  | Mir.Bmul -> Some ( *. )
-  | Mir.Bdiv -> Some ( /. )
-  | _ -> None
-
-(* Per-lane fast path: [V.binop] on two real-double lanes reduces by
-   definition to [Sf (f x y)] with the raw float operator ([fop] in
-   Value), so matching the [Sf] constructors first is bit-identical and
-   skips the complex/int-like dispatch chain. *)
-let lane2_fast op =
-  let g = V.binop op in
-  match float_fast op with
-  | Some f -> (
-    fun a b ->
-      match (a, b) with V.Sf x, V.Sf y -> V.Sf (f x y) | _ -> g a b)
-  | None -> g
-
-(* Scalar binary ops, statically dispatched on the operands' runtime
-   representations. Mirrors [V.binop]'s promotion rules exactly:
-   complex when either side is complex; int ops when both sides are
-   int-like (Si/Sb); float otherwise; Bdiv/Bpow always float;
-   IEEE comparisons on floats. *)
+(* Typed binary ops, statically dispatched on the operands' runtime
+   representations as [V.binop] promotes them: int add, sub and mul
+   when both sides are int-like (Si/Sb), IEEE comparisons of two real
+   scalars. Every other operator and operand mix takes [V.binop]
+   boxed. *)
 let compile_rbin env op a b : prod =
   let oa = oper_of env a and ob = oper_of env b in
-  if typed_scalar oa && typed_scalar ob then begin
-    if is_oc oa || is_oc ob then begin
-      let za = c_read oa and zb = c_read ob in
-      let c2 f = Pc (fun st -> let x = za st in let y = zb st in f x y) in
-      match op with
-      | Mir.Badd -> c2 Complex.add
-      | Mir.Bsub -> c2 Complex.sub
-      | Mir.Bmul -> c2 Complex.mul
-      | Mir.Bdiv -> c2 Complex.div
-      | Mir.Bpow -> c2 Complex.pow
-      | Mir.Beq -> Pb (fun st -> let x = za st in let y = zb st in x = y)
-      | Mir.Bne -> Pb (fun st -> let x = za st in let y = zb st in x <> y)
-      | Mir.Bmin | Mir.Bmax | Mir.Blt | Mir.Ble | Mir.Bgt | Mir.Bge
-      | Mir.Band | Mir.Bor | Mir.Bmod | Mir.Bidiv ->
-        Pg
-          (fun st ->
-            let _ = za st in
-            let _ = zb st in
-            invalid_arg "Value.binop: operation undefined on complex values")
-    end
-    else begin
-      let fa = f_read oa and fb = f_read ob in
-      let pf f = Pf (fun st -> let x = fa st in let y = fb st in f x y) in
-      let cmp (f : float -> float -> bool) =
-        Pb (fun st -> let x = fa st in let y = fb st in f x y)
-      in
-      let pbool f =
-        let ba = b_read oa and bb = b_read ob in
-        Pb (fun st -> let x = ba st in let y = bb st in f x y)
-      in
-      let idiv () =
-        let xa = i_read oa and xb = i_read ob in
-        Pi
-          (fun st ->
-            let x = xa st in
-            let y = xb st in
-            if y = 0 then invalid_arg "Value.binop: integer division by zero"
-            else x / y)
-      in
-      if int_like oa && int_like ob then begin
-        let xa = i_read oa and xb = i_read ob in
-        let pi f = Pi (fun st -> let x = xa st in let y = xb st in f x y) in
-        match op with
-        | Mir.Badd -> pi ( + )
-        | Mir.Bsub -> pi ( - )
-        | Mir.Bmul -> pi ( * )
-        | Mir.Bdiv -> pf ( /. )
-        | Mir.Bpow -> pf ( ** )
-        | Mir.Bidiv -> idiv ()
-        | Mir.Bmod ->
-          Pi
-            (fun st ->
-              let x = xa st in
-              let y = xb st in
-              if y = 0 then x else ((x mod y) + y) mod y)
-        | Mir.Bmin -> pi min
-        | Mir.Bmax -> pi max
-        | Mir.Blt -> cmp ( < )
-        | Mir.Ble -> cmp ( <= )
-        | Mir.Bgt -> cmp ( > )
-        | Mir.Bge -> cmp ( >= )
-        | Mir.Beq -> cmp ( = )
-        | Mir.Bne -> cmp ( <> )
-        | Mir.Band -> pbool ( && )
-        | Mir.Bor -> pbool ( || )
-      end
-      else begin
-        match op with
-        | Mir.Badd -> pf ( +. )
-        | Mir.Bsub -> pf ( -. )
-        | Mir.Bmul -> pf ( *. )
-        | Mir.Bdiv -> pf ( /. )
-        | Mir.Bpow -> pf ( ** )
-        | Mir.Bidiv -> idiv ()
-        | Mir.Bmod ->
-          pf (fun x y -> if y = 0.0 then x else Float.rem x y)
-        | Mir.Bmin -> pf min
-        | Mir.Bmax -> pf max
-        | Mir.Blt -> cmp ( < )
-        | Mir.Ble -> cmp ( <= )
-        | Mir.Bgt -> cmp ( > )
-        | Mir.Bge -> cmp ( >= )
-        | Mir.Beq -> cmp ( = )
-        | Mir.Bne -> cmp ( <> )
-        | Mir.Band -> pbool ( && )
-        | Mir.Bor -> pbool ( || )
-      end
-    end
-  end
-  else begin
-    (* Vector or demoted operands: boxed lane-wise path. *)
-    let vb = lane2_fast op in
+  let ints = int_like oa && int_like ob
+  and reals = real_scalar oa && real_scalar ob in
+  let pi f =
+    let xa = i_read oa and xb = i_read ob in
+    Pi (fun st -> let x = xa st in let y = xb st in f x y)
+  in
+  let cmp (f : float -> float -> bool) =
+    let fa = f_read oa and fb = f_read ob in
+    Pb (fun st -> let x = fa st in let y = fb st in f x y)
+  in
+  match op with
+  | Mir.Badd when ints -> pi ( + )
+  | Mir.Bsub when ints -> pi ( - )
+  | Mir.Bmul when ints -> pi ( * )
+  | Mir.Blt when reals -> cmp ( < )
+  | Mir.Ble when reals -> cmp ( <= )
+  | Mir.Bgt when reals -> cmp ( > )
+  | Mir.Bge when reals -> cmp ( >= )
+  | Mir.Beq when reals -> cmp ( = )
+  | Mir.Bne when reals -> cmp ( <> )
+  | _ ->
+    let vb = V.binop op in
     let fa = v_read oa and fb = v_read ob in
     Pg
       (fun st ->
         let va = fa st in
         let vbv = fb st in
         lanewise2 vb va vbv)
-  end
 
 let compile_runop env op a : prod =
-  match oper_of env a with
-  | (Og _ | Ov _) as oa ->
+  match (op, oper_of env a) with
+  | Mir.Uneg, (Oi _ as o) ->
+    let f = i_read o in
+    Pi (fun st -> -f st)
+  | Mir.Ure, (Oc _ as o) ->
+    let f = c_read o in
+    Pf (fun st -> (f st).Complex.re)
+  | Mir.Uim, (Oc _ as o) ->
+    let f = c_read o in
+    Pf (fun st -> (f st).Complex.im)
+  | Mir.Uconj, (Oc _ as o) ->
+    let f = c_read o in
+    Pc (fun st -> Complex.conj (f st))
+  | _, oa ->
     let u = V.unop op in
     let fa = v_read oa in
     Pg
@@ -595,126 +531,32 @@ let compile_runop env op a : prod =
         match fa st with
         | Value.Scalar x -> Value.Scalar (u x)
         | Value.Vector x -> Value.Vector (Array.map u x))
-  | Of _ as o -> (
-    let f = f_read o in
-    match op with
-    | Mir.Uneg -> Pf (fun st -> -.(f st))
-    | Mir.Unot -> Pb (fun st -> not (f st <> 0.0))
-    | Mir.Uabs -> Pf (fun st -> Float.abs (f st))
-    | Mir.Ure | Mir.Uconj -> Pf f
-    | Mir.Uim ->
-      Pf
-        (fun st ->
-          let _ = f st in
-          0.0))
-  | Oi _ as o -> (
-    let f = i_read o in
-    match op with
-    | Mir.Uneg -> Pi (fun st -> -f st)
-    | Mir.Unot -> Pb (fun st -> not (f st <> 0))
-    | Mir.Uabs -> Pi (fun st -> abs (f st))
-    | Mir.Ure -> Pf (fun st -> float_of_int (f st))
-    | Mir.Uim ->
-      Pf
-        (fun st ->
-          let _ = f st in
-          0.0)
-    | Mir.Uconj -> Pi f)
-  | Ob _ as o -> (
-    let f = b_read o in
-    match op with
-    | Mir.Uneg -> Pi (fun st -> if f st then -1 else 0)
-    | Mir.Unot -> Pb (fun st -> not (f st))
-    | Mir.Uabs -> Pi (fun st -> if f st then 1 else 0)
-    | Mir.Ure -> Pf (fun st -> if f st then 1.0 else 0.0)
-    | Mir.Uim ->
-      Pf
-        (fun st ->
-          let _ = f st in
-          0.0)
-    | Mir.Uconj -> Pb f)
-  | Oc _ as o -> (
-    let f = c_read o in
-    match op with
-    | Mir.Uneg -> Pc (fun st -> Complex.neg (f st))
-    | Mir.Unot -> Pb (fun st -> not (Complex.norm (f st) <> 0.0))
-    | Mir.Uabs -> Pf (fun st -> Complex.norm (f st))
-    | Mir.Ure -> Pf (fun st -> (f st).Complex.re)
-    | Mir.Uim -> Pf (fun st -> (f st).Complex.im)
-    | Mir.Uconj -> Pc (fun st -> Complex.conj (f st)))
 
+(* One or two real scalar arguments of a [Builtins] float function
+   call it unboxed; every other call takes [V.math] boxed. *)
 let compile_rmath env name args : prod =
   let opers = List.map (oper_of env) args in
-  if not (List.for_all typed_scalar opers) then begin
+  match
+    ( opers,
+      Masc_sema.Builtins.float_fn name,
+      Masc_sema.Builtins.float_fn2 name )
+  with
+  | [ o ], Some fn, _ when real_scalar o ->
+    let g = f_read o in
+    Pf (fun st -> fn (g st))
+  | [ oa; ob ], _, Some fn when real_scalar oa && real_scalar ob ->
+    let ga = f_read oa and gb = f_read ob in
+    Pf (fun st -> let x = ga st in let y = gb st in fn x y)
+  | _ ->
     let gs = List.map s_read opers in
     Pg (fun st -> Value.Scalar (V.math name (List.map (fun g -> g st) gs)))
-  end
-  else
-    match opers with
-    | [ (Oc _ as o) ] -> (
-      let f = c_read o in
-      match name with
-      | "exp" -> Pc (fun st -> Complex.exp (f st))
-      | "sqrt" -> Pc (fun st -> Complex.sqrt (f st))
-      | "log" -> Pc (fun st -> Complex.log (f st))
-      | "cos" ->
-        Pc
-          (fun st ->
-            let z = f st in
-            let iz = Complex.mul Complex.i z in
-            Complex.div
-              (Complex.add (Complex.exp iz) (Complex.exp (Complex.neg iz)))
-              { Complex.re = 2.0; im = 0.0 })
-      | "sin" ->
-        Pc
-          (fun st ->
-            let z = f st in
-            let iz = Complex.mul Complex.i z in
-            Complex.div
-              (Complex.sub (Complex.exp iz) (Complex.exp (Complex.neg iz)))
-              { Complex.re = 0.0; im = 2.0 })
-      | _ ->
-        let msg = Printf.sprintf "Value.math: %s on complex" name in
-        Pg
-          (fun st ->
-            let _ = f st in
-            invalid_arg msg))
-    | [ o ] -> (
-      let g = f_read o in
-      match Masc_sema.Builtins.float_fn name with
-      | Some fn -> Pf (fun st -> fn (g st))
-      | None ->
-        let msg = Printf.sprintf "Value.math: unknown function %s" name in
-        Pg
-          (fun st ->
-            let _ = g st in
-            invalid_arg msg))
-    | [ oa; ob ] -> (
-      match Masc_sema.Builtins.float_fn2 name with
-      | Some fn ->
-        let ga = f_read oa and gb = f_read ob in
-        Pf (fun st -> let x = ga st in let y = gb st in fn x y)
-      | None ->
-        let ga = s_read oa and gb = s_read ob in
-        let msg = Printf.sprintf "Value.math: unknown function %s" name in
-        Pg
-          (fun st ->
-            let _ = ga st in
-            let _ = gb st in
-            invalid_arg msg))
-    | os ->
-      let gs = List.map s_read os in
-      Pg
-        (fun st ->
-          List.iter (fun g -> ignore (g st)) gs;
-          invalid_arg "Value.math: bad arity")
 
 (* Horizontal reduction of a vector operand (the [Rvreduce] rvalue and
    the reduce_add/min/max intrinsics). An unboxed lane buffer folds with
    the raw float operator; boxed lanes fold with [V.binop], which on two
    [Sf] lanes is the same float operation. *)
 let reduce_prod op (o : oper) ~err : prod =
-  let combine_s = lane2_fast op in
+  let combine_s = V.binop op in
   let fold_boxed x =
     let acc = ref x.(0) in
     for i = 1 to Array.length x - 1 do
@@ -772,7 +614,7 @@ let compile_intrin env name args : prod =
     let generic_bin2 op =
       match vreads with
       | [ fa; fb ] ->
-        let f = lane2_fast op in
+        let f = V.binop op in
         Pg
           (fun st ->
             let va = fa st in
@@ -788,7 +630,7 @@ let compile_intrin env name args : prod =
       | [ Ov (sa, la); Ov (sb, lb) ] when la = lb -> (
         match vreads with
         | [ fa; fb ] ->
-          let f = lane2_fast op in
+          let f = V.binop op in
           Pv
             { vlanes = la;
               vready = (fun st -> unboxed st sa && unboxed st sb);
@@ -819,13 +661,9 @@ let compile_intrin env name args : prod =
     | Isa.Ksimd_max -> simd2 Mir.Bmax max
     | Isa.Kmac -> (
       (* binop Bmul (Sf a) (Sf b) = Sf (a *. b), then binop Badd on two
-         Sf is Sf (+.): the fused lane below is the same float op
+         Sf is Sf (+.): the unboxed lane below is the same float op
          sequence. *)
-      let mac acc a b =
-        match (acc, a, b) with
-        | V.Sf acc, V.Sf x, V.Sf y -> V.Sf (acc +. (x *. y))
-        | _ -> V.binop Mir.Badd acc (V.binop Mir.Bmul a b)
-      in
+      let mac acc a b = V.binop Mir.Badd acc (V.binop Mir.Bmul a b) in
       match opers with
       | [ Ov (sacc, l0); Ov (sa, l1); Ov (sb, l2) ] when l0 = l1 && l1 = l2
         -> (
@@ -864,21 +702,13 @@ let compile_intrin env name args : prod =
               lanewise3 mac vacc va vbv)
         | _ -> failure "mac expects 3 operands"))
     | (Isa.Kcmul | Isa.Kcadd | Isa.Kcmac) as kind -> (
-      (* Complex ISEs into a non-complex target or from vector/boxed
-         operands; a complex-register target is fused in [compile_cdef]. *)
+      (* A complex-register target is fused in [compile_cdef] for cadd
+         and cmul on register operands; every other shape converts each
+         operand boxed, as the tree-walker does. *)
       let to_c v = V.to_complex (scalar_of_value v) in
       let f2 = if kind = Isa.Kcmul then Complex.mul else Complex.add in
-      let typed = List.for_all typed_scalar opers in
-      match (kind, opers, vreads) with
-      | Isa.Kcmac, [ oc; oa; ob ], _ when typed ->
-        let zc = c_read oc and za = c_read oa and zb = c_read ob in
-        Pc
-          (fun st ->
-            let c = zc st in
-            let x = za st in
-            let y = zb st in
-            Complex.add c (Complex.mul x y))
-      | Isa.Kcmac, _, [ fc; fa; fb ] ->
+      match (kind, vreads) with
+      | Isa.Kcmac, [ fc; fa; fb ] ->
         Pg
           (fun st ->
             let vc = fc st in
@@ -886,11 +716,8 @@ let compile_intrin env name args : prod =
             let vb = fb st in
             Value.Scalar
               (V.Sc (Complex.add (to_c vc) (Complex.mul (to_c va) (to_c vb)))))
-      | Isa.Kcmac, _, _ -> failure "cmac expects 3 operands"
-      | _, [ oa; ob ], _ when typed ->
-        let za = c_read oa and zb = c_read ob in
-        Pc (fun st -> let x = za st in let y = zb st in f2 x y)
-      | _, _, [ fa; fb ] ->
+      | Isa.Kcmac, _ -> failure "cmac expects 3 operands"
+      | _, [ fa; fb ] ->
         Pg
           (fun st ->
             let va = fa st in
@@ -921,53 +748,22 @@ let compile_rvalue env (rv : Mir.rvalue) : prod =
   | Mir.Runop (op, a) -> compile_runop env op a
   | Mir.Rmath (name, args) -> compile_rmath env name args
   | Mir.Rcomplex (re, im) ->
-    let gre = f_read (oper_of env re) and gim = f_read (oper_of env im) in
-    Pc (fun st -> { Complex.re = gre st; im = gim st })
+    let gre = s_read (oper_of env re) and gim = s_read (oper_of env im) in
+    Pg
+      (fun st ->
+        Value.Scalar
+          (V.Sc { Complex.re = V.to_float (gre st); im = V.to_float (gim st) }))
   | Mir.Rload (a, idx) -> (
     match arr_ref env a with
     | Error msg -> Pg (fun _ -> raise (Runtime_error msg))
-    | Ok aslot -> (
+    | Ok aslot ->
       let gi = index_fn env idx ~len:aslot.alen ~what:a.Mir.vname in
-      let k = aslot.aidx in
-      match aslot.bank with
-      | AKf ->
-        Pf
-          (fun st ->
-            let i = gi st in
-            Array.unsafe_get (Array.unsafe_get st.farrs k) i)
-      | AKi ->
-        Pi
-          (fun st ->
-            let i = gi st in
-            Array.unsafe_get (Array.unsafe_get st.iarrs k) i)
-      | AKb ->
-        Pb
-          (fun st ->
-            let i = gi st in
-            Array.unsafe_get (Array.unsafe_get st.barrs k) i)
-      | AKc ->
-        Pc
-          (fun st ->
-            let i = gi st in
-            let ca = Array.unsafe_get st.carrs k in
-            { Complex.re = Array.unsafe_get ca (2 * i);
-              im = Array.unsafe_get ca ((2 * i) + 1) })))
+      let elem = boxed_elem aslot in
+      Pg (fun st -> Value.Scalar (elem st (gi st))))
   | Mir.Rmove a -> (
     match oper_of env a with
-    | Of _ as o -> Pf (f_read o)
     | Oi _ as o -> Pi (i_read o)
-    | Ob _ as o -> Pb (b_read o)
-    | Oc _ as o -> Pc (c_read o)
-    | Og f -> Pg f
-    | Ov (s, l) ->
-      Pv
-        { vlanes = l;
-          vready = (fun st -> unboxed st s);
-          vcheck = (fun _ -> ());
-          vfill =
-            (fun st dst ->
-              Array.blit (Array.unsafe_get st.vbufs s) 0 dst 0 l);
-          vgen = (fun st -> vreg_value st s) })
+    | o -> Pg (v_read o))
   | Mir.Rvload (a, base, lanes) -> (
     match arr_ref env a with
     | Error msg -> Pg (fun _ -> raise (Runtime_error msg))
@@ -1025,22 +821,6 @@ let compile_rvalue env (rv : Mir.rvalue) : prod =
     reduce_prod op (oper_of env a) ~err:"vreduce of a scalar"
   | Mir.Rintrin (name, args) -> compile_intrin env name args
 
-(* Write-side coercion with an identity fast path for boxed registers:
-   when the value is already a scalar of the declared representation,
-   [coerce] would rebuild an equal value — skip the allocation. *)
-let coerce_fast (sty : Mir.scalar_ty) : Value.t -> Value.t =
-  match (sty.Mir.cplx, sty.Mir.base) with
-  | MT.Complex, _ -> (
-    function Value.Scalar (V.Sc _) as v -> v | v -> coerce_value sty v)
-  | MT.Real, MT.Double -> (
-    function Value.Scalar (V.Sf _) as v -> v | v -> coerce_value sty v)
-  | MT.Real, MT.Int -> (
-    function Value.Scalar (V.Si _) as v -> v | v -> coerce_value sty v)
-  | MT.Real, MT.Bool -> (
-    function Value.Scalar (V.Sb _) as v -> v | v -> coerce_value sty v)
-  | MT.Real, MT.Err ->
-    fun _ -> invalid_arg "Plan: poison type reached the VM"
-
 (* Generic (coercing) write into a vector register: unbox into the lane
    buffer when the coerced value is a full-width vector, otherwise park
    it in the boxed escape slot. [sty] is the declared element type
@@ -1064,7 +844,7 @@ let write_vreg st d lanes sty v =
    generic producer protocol routes every complex rvalue through a
    boxed [Complex.t], allocating on each evaluation. For the shapes
    that dominate complex kernels (FFT butterflies: complex array
-   load, move, add/sub/mul, and the cmul/cmac/cadd intrinsics) the
+   load, move, add/sub/mul, and the cmul/cadd intrinsics) the
    whole def is a pure register/array read chain, so we fuse it into
    one closure that moves floats between banks through the inlined
    views. Anything whose evaluation order or failure behaviour could
@@ -1099,7 +879,6 @@ let compile_cdef env d rv cls cost : (state -> unit) option =
           match desc.Isa.kind with
           | Isa.Kcadd -> Some `Add
           | Isa.Kcmul -> Some `Mul
-          | Isa.Kcmac -> Some `Mac
           | _ -> None
         in
         match (form, views args) with
@@ -1129,16 +908,6 @@ let compile_cdef env d rv cls cost : (state -> unit) option =
         let br = cre st tb ib and bi = cim st tb ib in
         charge st cls cost;
         cwrite st d ((ar *. br) -. (ai *. bi)) ((ar *. bi) +. (ai *. br)))
-  | Some (`Mac, [ (tc, ic); (ta, ia); (tb, ib) ]), _ ->
-    Some
-      (fun st ->
-        let cr = cre st tc ic and ci = cim st tc ic in
-        let ar = cre st ta ia and ai = cim st ta ia in
-        let br = cre st tb ib and bi = cim st tb ib in
-        charge st cls cost;
-        cwrite st d
-          (cr +. ((ar *. br) -. (ai *. bi)))
-          (ci +. ((ar *. bi) +. (ai *. br))))
   | Some _, _ -> None (* wrong arity: the generic path reports it *)
   | None, Mir.Rload (a, idx) -> (
     match arr_ref env a with
@@ -1189,10 +958,9 @@ let compile_fdef env d rv cls cost : (state -> unit) option =
   match rv with
   | Mir.Rbin (op, a, b) -> (
     let oa = oper_of env a and ob = oper_of env b in
-    (* Mirrors [compile_rbin]'s static promotion: Badd/Bsub/Bmul/Bmod of
-       two int-like operands produce an unboxed [Pi] already; the float
-       branch is what needs fusing. Bdiv/Bpow are float in both
-       branches. *)
+    (* Mirrors [V.binop]'s promotion: Badd/Bsub/Bmul/Bmod of two
+       int-like operands are int arithmetic, which is not fused here;
+       Bdiv/Bpow are float for every real operand mix. *)
     let float_op =
       match op with
       | Mir.Badd | Mir.Bsub | Mir.Bmul | Mir.Bmod ->
@@ -1241,31 +1009,7 @@ let compile_fdef env d rv cls cost : (state -> unit) option =
           charge st cls cost;
           Array.unsafe_set st.fregs d x)
     | _ -> None)
-  | Mir.Runop (op, a) -> (
-    match oper_of env a with
-    | Of s -> (
-      match op with
-      | Mir.Uneg ->
-        Some
-          (fun st ->
-            let x = -.Array.unsafe_get st.fregs s in
-            charge st cls cost;
-            Array.unsafe_set st.fregs d x)
-      | Mir.Uabs ->
-        Some
-          (fun st ->
-            let x = Float.abs (Array.unsafe_get st.fregs s) in
-            charge st cls cost;
-            Array.unsafe_set st.fregs d x)
-      | Mir.Ure | Mir.Uconj ->
-        Some
-          (fun st ->
-            let x = Array.unsafe_get st.fregs s in
-            charge st cls cost;
-            Array.unsafe_set st.fregs d x)
-      | Mir.Unot | Mir.Uim -> None)
-    | _ -> None)
-  | Mir.Rmath _ | Mir.Rcomplex _ | Mir.Rintrin _ | Mir.Rvload _
+  | Mir.Runop _ | Mir.Rmath _ | Mir.Rcomplex _ | Mir.Rintrin _ | Mir.Rvload _
   | Mir.Rvbroadcast _ | Mir.Rvreduce _ ->
     None
 
@@ -1319,40 +1063,26 @@ and compile_instr env (desc : Mir.instr_desc) : state -> unit =
       let fused =
         if cost_opt = None then None else compile_fdef env d rv cls cost
       in
-      match fused with
-      | Some f -> f
-      | None -> (
       (* Writes below follow the tree-walker's order exactly: evaluate
          the rvalue, charge, then coerce (which may raise) and write. *)
-      match prod with
-      | Pf f ->
+      match (fused, prod) with
+      | Some f, _ -> f
+      | None, Pf f ->
         fun st ->
           let x = f st in
           charge st cls cost;
           Array.unsafe_set st.fregs d x
-      | Pi f ->
+      | None, Pi f ->
         fun st ->
           let x = f st in
           charge st cls cost;
           Array.unsafe_set st.fregs d (float_of_int x)
-      | Pb f ->
-        fun st ->
-          let x = f st in
-          charge st cls cost;
-          Array.unsafe_set st.fregs d (if x then 1.0 else 0.0)
-      | Pc f ->
-        fun st ->
-          let z = f st in
-          charge st cls cost;
-          if z.Complex.im = 0.0 then Array.unsafe_set st.fregs d z.Complex.re
-          else
-            invalid_arg "Value.to_float: complex with non-zero imaginary part"
-      | (Pv _ | Pg _) as p ->
+      | None, p ->
         let g = gen_of_prod p in
         fun st ->
           let value = g st in
           charge st cls cost;
-          Array.unsafe_set st.fregs d (V.to_float (scalar_of_value value))))
+          Array.unsafe_set st.fregs d (V.to_float (scalar_of_value value)))
     | Sreg (Ri d) -> (
       match prod with
       | Pi f ->
@@ -1360,22 +1090,7 @@ and compile_instr env (desc : Mir.instr_desc) : state -> unit =
           let x = f st in
           charge st cls cost;
           Array.unsafe_set st.iregs d x
-      | Pf f ->
-        fun st ->
-          let x = f st in
-          charge st cls cost;
-          Array.unsafe_set st.iregs d (int_of_float (Float.round x))
-      | Pb f ->
-        fun st ->
-          let x = f st in
-          charge st cls cost;
-          Array.unsafe_set st.iregs d (if x then 1 else 0)
-      | Pc f ->
-        fun st ->
-          let _z = f st in
-          charge st cls cost;
-          invalid_arg "Value.coerce: complex into int"
-      | (Pv _ | Pg _) as p ->
+      | p ->
         let g = gen_of_prod p in
         fun st ->
           let value = g st in
@@ -1389,22 +1104,7 @@ and compile_instr env (desc : Mir.instr_desc) : state -> unit =
           let x = f st in
           charge st cls cost;
           Array.unsafe_set st.bregs d x
-      | Pf f ->
-        fun st ->
-          let x = f st in
-          charge st cls cost;
-          Array.unsafe_set st.bregs d (x <> 0.0)
-      | Pi f ->
-        fun st ->
-          let x = f st in
-          charge st cls cost;
-          Array.unsafe_set st.bregs d (x <> 0)
-      | Pc f ->
-        fun st ->
-          let z = f st in
-          charge st cls cost;
-          Array.unsafe_set st.bregs d (Complex.norm z <> 0.0)
-      | (Pv _ | Pg _) as p ->
+      | p ->
         let g = gen_of_prod p in
         fun st ->
           let value = g st in
@@ -1414,37 +1114,20 @@ and compile_instr env (desc : Mir.instr_desc) : state -> unit =
       let fused =
         if cost_opt = None then None else compile_cdef env d rv cls cost
       in
-      match fused with
-      | Some f -> f
-      | None -> (
-      match prod with
-      | Pc f ->
+      match (fused, prod) with
+      | Some f, _ -> f
+      | None, Pc f ->
         fun st ->
           let z = f st in
           charge st cls cost;
           cwrite st d z.Complex.re z.Complex.im
-      | Pf f ->
-        fun st ->
-          let x = f st in
-          charge st cls cost;
-          cwrite st d x 0.0
-      | Pi f ->
-        fun st ->
-          let x = f st in
-          charge st cls cost;
-          cwrite st d (float_of_int x) 0.0
-      | Pb f ->
-        fun st ->
-          let x = f st in
-          charge st cls cost;
-          cwrite st d (if x then 1.0 else 0.0) 0.0
-      | (Pv _ | Pg _) as p ->
+      | None, p ->
         let g = gen_of_prod p in
         fun st ->
           let value = g st in
           charge st cls cost;
           let z = V.to_complex (scalar_of_value value) in
-          cwrite st d z.Complex.re z.Complex.im))
+          cwrite st d z.Complex.re z.Complex.im)
     | Sreg (Rv (d, lanes)) -> (
       match prod with
       | Pv vp when vp.vlanes = lanes ->
@@ -1468,11 +1151,10 @@ and compile_instr env (desc : Mir.instr_desc) : state -> unit =
           write_vreg st d lanes sty value)
     | Sreg (Rg d) ->
       let g = gen_of_prod prod in
-      let co = coerce_fast sty in
       fun st ->
         let value = g st in
         charge st cls cost;
-        Array.unsafe_set st.gregs d (co value))
+        Array.unsafe_set st.gregs d (coerce_value sty value))
   | Mir.Istore (a, idx, x) -> (
     match arr_ref env a with
     | Error msg -> fun _ -> raise (Runtime_error msg)
@@ -1485,60 +1167,40 @@ and compile_instr env (desc : Mir.instr_desc) : state -> unit =
         Cost.store_cost env.isa env.mode ~cplx:(sty.Mir.cplx = MT.Complex)
       in
       let k = aslot.aidx in
-      match aslot.bank with
-      | AKf -> (
-        match ox with
-        | Of s ->
-          (* freg -> double bank: straight float copy, no boxing *)
-          fun st ->
-            let i = gi st in
-            Array.unsafe_set
-              (Array.unsafe_get st.farrs k)
-              i
-              (Array.unsafe_get st.fregs s);
-            charge st cls cost
-        | _ ->
-          let gx = f_read ox in
-          fun st ->
-            let i = gi st in
-            let x = gx st in
-            Array.unsafe_set (Array.unsafe_get st.farrs k) i x;
-            charge st cls cost)
-      | AKi ->
-        let gx = ci_read ox in
+      match (aslot.bank, ox) with
+      | AKf, Of s ->
+        (* freg -> double bank: straight float copy, no boxing *)
+        fun st ->
+          let i = gi st in
+          Array.unsafe_set
+            (Array.unsafe_get st.farrs k)
+            i
+            (Array.unsafe_get st.fregs s);
+          charge st cls cost
+      | AKf, _ ->
+        let gx = f_read ox in
         fun st ->
           let i = gi st in
           let x = gx st in
-          Array.unsafe_set (Array.unsafe_get st.iarrs k) i x;
+          Array.unsafe_set (Array.unsafe_get st.farrs k) i x;
           charge st cls cost
-      | AKb ->
-        let gx = b_read ox in
+      | AKc, Oc s ->
+        (* creg -> complex bank: straight float copy, no boxing *)
+        fun st ->
+          let i = gi st in
+          let re = Array.unsafe_get st.cregs (2 * s) in
+          let im = Array.unsafe_get st.cregs ((2 * s) + 1) in
+          let ca = Array.unsafe_get st.carrs k in
+          Array.unsafe_set ca (2 * i) re;
+          Array.unsafe_set ca ((2 * i) + 1) im;
+          charge st cls cost
+      | _ ->
+        let set = set_elem aslot and gx = s_read ox in
         fun st ->
           let i = gi st in
           let x = gx st in
-          Array.unsafe_set (Array.unsafe_get st.barrs k) i x;
-          charge st cls cost
-      | AKc -> (
-        match ox with
-        | Oc s ->
-          (* creg -> complex bank: straight float copy, no boxing *)
-          fun st ->
-            let i = gi st in
-            let re = Array.unsafe_get st.cregs (2 * s) in
-            let im = Array.unsafe_get st.cregs ((2 * s) + 1) in
-            let ca = Array.unsafe_get st.carrs k in
-            Array.unsafe_set ca (2 * i) re;
-            Array.unsafe_set ca ((2 * i) + 1) im;
-            charge st cls cost
-        | _ ->
-          let gx = c_read ox in
-          fun st ->
-            let i = gi st in
-            let z = gx st in
-            let ca = Array.unsafe_get st.carrs k in
-            Array.unsafe_set ca (2 * i) z.Complex.re;
-            Array.unsafe_set ca ((2 * i) + 1) z.Complex.im;
-            charge st cls cost)))
+          set st i x;
+          charge st cls cost))
   | Mir.Ivstore (a, base, x, lanes) -> (
     match arr_ref env a with
     | Error msg -> fun _ -> raise (Runtime_error msg)
@@ -1548,34 +1210,12 @@ and compile_instr env (desc : Mir.instr_desc) : state -> unit =
       let cls = class_id env "simd" in
       let cost = Cost.vstore_cost env.isa in
       let ox = oper_of env x in
-      (* Elementwise coercing store into the typed bank, identical to
-         [arr.(b+k) <- V.coerce sty vec.(k)] on the boxed bank. *)
-      let set_elem : state -> int -> Value.scalar -> unit =
-        match aslot.bank with
-        | AKf ->
-          fun st i s ->
-            Array.unsafe_set (Array.unsafe_get st.farrs k) i (V.to_float s)
-        | AKi ->
-          fun st i s ->
-            Array.unsafe_set
-              (Array.unsafe_get st.iarrs k)
-              i
-              (Store.coerce_int_exn s)
-        | AKb ->
-          fun st i s ->
-            Array.unsafe_set (Array.unsafe_get st.barrs k) i (V.to_bool s)
-        | AKc ->
-          fun st i s ->
-            let z = V.to_complex s in
-            let ca = Array.unsafe_get st.carrs k in
-            Array.unsafe_set ca (2 * i) z.Complex.re;
-            Array.unsafe_set ca ((2 * i) + 1) z.Complex.im
-      in
+      let set = set_elem aslot in
       let store_boxed st b v =
         match v with
         | Value.Vector vec when Array.length vec = lanes ->
           for j = 0 to lanes - 1 do
-            set_elem st (b + j) (Array.unsafe_get vec j)
+            set st (b + j) (Array.unsafe_get vec j)
           done;
           charge st cls cost
         | Value.Vector _ -> fail "vector store width mismatch"

@@ -407,6 +407,37 @@ let test_plan_reuse () =
   Alcotest.(check bool) "histograms equal" true (r1.I.histogram = r2.I.histogram);
   Alcotest.(check bool) "values equal" true (compare r1.I.rets r2.I.rets = 0)
 
+(* Bitwise view of a run's returns, so -0.0 counts. NaNs compare equal,
+   as under [compare]: which payload a NaN carries depends on the
+   operand order the native code generator picks, which OCaml leaves
+   unspecified. *)
+let ret_bits (r : I.result) =
+  let fbits f =
+    if Float.is_nan f then 0x7FF8000000000000L else Int64.bits_of_float f
+  in
+  let bits = function
+    | V.Sf f -> [ fbits f ]
+    | V.Sc z -> [ fbits z.Complex.re; fbits z.Complex.im ]
+    | V.Si n -> [ 1L; Int64.of_int n ]
+    | V.Sb b -> [ 2L; (if b then 1L else 0L) ]
+  in
+  List.map
+    (function
+      | I.Xscalar s -> bits s
+      | I.Xarray a -> List.concat_map bits (Array.to_list a))
+    r.I.rets
+
+(* The plan's run [rp] must equal the tree-walker's [rt] bit for bit. *)
+let check_same tag (rt : I.result) (rp : I.result) =
+  Alcotest.(check int) (tag "cycles") rt.I.cycles rp.I.cycles;
+  Alcotest.(check int) (tag "dyn instrs") rt.I.dyn_instrs rp.I.dyn_instrs;
+  Alcotest.(check bool) (tag "histogram (incl. order)") true
+    (rt.I.histogram = rp.I.histogram);
+  List.iteri
+    (fun i (a, b) ->
+      Alcotest.(check (list int64)) (tag (Printf.sprintf "ret %d" i)) a b)
+    (List.combine (ret_bits rt) (ret_bits rp))
+
 (* Every fused definition shape the plan compiles, on operand mixes no
    paper kernel reaches: real-double arithmetic over double/int/bool
    registers and constants, complex add/sub/mul with a real operand on
@@ -511,75 +542,189 @@ let test_fused_shapes () =
         [| 1e308; 1e308; -1e308; Float.nan; 0.5; 2.; Float.infinity; 1. |],
         [| c Float.nan 0.; c (-1.) (-1.); c 2. 3.; c 1e-300 (-1e300) |] ) ]
   in
-  (* Bitwise view of a return, so -0.0 counts. NaNs compare equal, as
-     under [compare]: which payload a NaN carries depends on the
-     operand order the native code generator picks, which OCaml leaves
-     unspecified. *)
-  let fbits f =
-    if Float.is_nan f then 0x7FF8000000000000L else Int64.bits_of_float f
-  in
-  let bits = function
-    | V.Sf f -> [ fbits f ]
-    | V.Sc z -> [ fbits z.Complex.re; fbits z.Complex.im ]
-    | V.Si n -> [ 1L; Int64.of_int n ]
-    | V.Sb b -> [ 2L; (if b then 1L else 0L) ]
-  in
-  let rets r =
-    List.map
-      (function
-        | I.Xscalar s -> bits s
-        | I.Xarray a -> List.concat_map bits (Array.to_list a))
-      r.I.rets
-  in
   List.iter
     (fun (mname, mode) ->
       List.iteri
         (fun k set ->
           let tag what = Printf.sprintf "dsp8/%s set %d %s" mname k what in
           let args = inputs set in
-          let rt = I.run_tree ~isa:T.dsp8 ~mode f args in
-          let rp = I.run ~isa:T.dsp8 ~mode f args in
-          Alcotest.(check int) (tag "cycles") rt.I.cycles rp.I.cycles;
-          Alcotest.(check int) (tag "dyn instrs") rt.I.dyn_instrs rp.I.dyn_instrs;
-          Alcotest.(check bool) (tag "histogram (incl. order)") true
-            (rt.I.histogram = rp.I.histogram);
-          List.iteri
-            (fun i (a, b) ->
-              Alcotest.(check (list int64)) (tag (Printf.sprintf "ret %d" i)) a b)
-            (List.combine (rets rt) (rets rp)))
+          check_same tag
+            (I.run_tree ~isa:T.dsp8 ~mode f args)
+            (I.run ~isa:T.dsp8 ~mode f args))
         sets)
     [ ("proposed", Masc_asip.Cost_model.Proposed);
       ("coder", Masc_asip.Cost_model.Coder) ]
 
-(* Minor words one [Plan.execute] allocates on three kernels (dsp8,
-   proposed flow), pinned at or below the counts measured before the
-   fused definitions were rewritten over inlined bank views (50,101 /
-   28,257 / 27,070; 50,093 / 28,249 / 27,062 after). A fused closure that
-   boxes a float — e.g. a complex write that is not inlined — raises
-   these while every differential test stays green. *)
+(* The boxed paths beside the plan's fast paths, one instruction per
+   function so that a raising shape masks no other: a definition into
+   each register bank of every binary and unary operator, five math
+   builtins, moves, [complex(re, im)], the complex intrinsics and a
+   load from each array bank, over double/int/bool/complex registers
+   and constants, plus a store of each operand kind into each array
+   bank. No paper kernel reaches most of these shapes. The plan must
+   match the tree-walker bit for bit, and raise the same message
+   wherever the tree-walker raises. *)
+let fallback_functions () =
+  let var vid vname vty = { Mir.vname; vid; vty } in
+  let x = var 1 "x" (Mir.Tscalar Mir.double_sty)
+  and n = var 2 "n" (Mir.Tscalar Mir.int_sty)
+  and b = var 3 "b" (Mir.Tscalar Mir.bool_sty)
+  and z = var 4 "z" (Mir.Tscalar Mir.complex_sty)
+  and xs = var 5 "xs" (Mir.Tarray (Mir.double_sty, 4))
+  and ns = var 6 "ns" (Mir.Tarray (Mir.int_sty, 4))
+  and bs = var 7 "bs" (Mir.Tarray (Mir.bool_sty, 4))
+  and zs = var 8 "zs" (Mir.Tarray (Mir.complex_sty, 4)) in
+  let params = [ x; n; b; z; xs; ns; bs; zs ] in
+  let arrays = [ xs; ns; bs; zs ] in
+  let func ret desc =
+    { Mir.name = "fallback"; params; rets = [ ret ];
+      vars = (if List.memq ret params then params else params @ [ ret ]);
+      body = [ Mir.instr desc ] }
+  in
+  let operands =
+    [ Mir.Ovar x; Mir.Ovar n; Mir.Ovar b; Mir.Ovar z;
+      Mir.Oconst (Mir.Cf (-2.5)); Mir.Oconst (Mir.Ci 3);
+      Mir.Oconst (Mir.Cb true);
+      Mir.Oconst (Mir.Cc { Complex.re = 1.5; im = 0.0 }) ]
+  in
+  let pairs =
+    List.concat_map (fun a -> List.map (fun c -> (a, c)) operands) operands
+  in
+  let rvalues =
+    List.concat_map
+      (fun op -> List.map (fun (a, c) -> Mir.Rbin (op, a, c)) pairs)
+      [ Mir.Badd; Mir.Bsub; Mir.Bmul; Mir.Bdiv; Mir.Bpow; Mir.Bidiv;
+        Mir.Bmod; Mir.Bmin; Mir.Bmax; Mir.Blt; Mir.Ble; Mir.Bgt; Mir.Bge;
+        Mir.Beq; Mir.Bne; Mir.Band; Mir.Bor ]
+    @ List.concat_map
+        (fun u -> List.map (fun a -> Mir.Runop (u, a)) operands)
+        [ Mir.Uneg; Mir.Unot; Mir.Uabs; Mir.Ure; Mir.Uim; Mir.Uconj ]
+    @ List.concat_map
+        (fun m -> List.map (fun a -> Mir.Rmath (m, [ a ])) operands)
+        [ "exp"; "sqrt"; "log"; "cos"; "sin" ]
+    @ List.map (fun a -> Mir.Rmove a) operands
+    @ List.map (fun (a, c) -> Mir.Rcomplex (a, c)) pairs
+    @ List.concat_map
+        (fun (a, c) ->
+          [ Mir.Rintrin ("cmul_f64", [ a; c ]);
+            Mir.Rintrin ("cadd_f64", [ a; c ]);
+            Mir.Rintrin ("cmac_f64", [ Mir.Ovar z; a; c ]);
+            Mir.Rintrin ("cmac_f64", [ Mir.Ovar n; a; c ]) ])
+        pairs
+    @ List.concat_map
+        (fun arr ->
+          [ Mir.Rload (arr, Mir.Ovar n);
+            Mir.Rload (arr, Mir.Oconst (Mir.Ci 1)) ])
+        arrays
+  in
+  List.concat_map
+    (fun sty ->
+      List.map
+        (fun rv ->
+          let d = var 9 "d" (Mir.Tscalar sty) in
+          func d (Mir.Idef (d, rv)))
+        rvalues)
+    [ Mir.double_sty; Mir.int_sty; Mir.bool_sty; Mir.complex_sty ]
+  @ List.concat_map
+      (fun arr ->
+        List.map (fun o -> func arr (Mir.Istore (arr, Mir.Ovar n, o))) operands)
+      arrays
+
+let test_fallbacks () =
+  let c re im = V.Sc { Complex.re; im } in
+  let floats a = I.xarray_of_floats a in
+  let sets =
+    [ [ I.Xscalar (V.Sf 1.75); I.Xscalar (V.Si 2); I.Xscalar (V.Sb true);
+        I.Xscalar (c 0.5 0.0); floats [| 3.; -1.; 4.; 0.5 |];
+        I.Xarray [| V.Si 7; V.Si (-2); V.Si 0; V.Si 5 |];
+        I.Xarray [| V.Sb true; V.Sb false; V.Sb true; V.Sb false |];
+        I.Xarray [| c 1. 2.; c (-3.) 0.5; c 0.25 0.; c 7. 7. |] ];
+      [ I.Xscalar (V.Sf (-0.0)); I.Xscalar (V.Si 0); I.Xscalar (V.Sb false);
+        I.Xscalar (c (-0.) (-0.)); floats [| -0.; 1e-310; Float.nan; 0. |];
+        I.Xarray [| V.Si 0; V.Si max_int; V.Si min_int; V.Si 1 |];
+        I.Xarray [| V.Sb false; V.Sb false; V.Sb false; V.Sb true |];
+        I.Xarray [| c 0. (-0.); c Float.nan 0.; c 1e308 1e308; c 0. 1. |] ];
+      [ I.Xscalar (V.Sf Float.infinity); I.Xscalar (V.Si 5);
+        I.Xscalar (V.Sb true); I.Xscalar (c (-2.5) 1.5);
+        floats [| 1e308; -1e308; 2.; Float.neg_infinity |];
+        I.Xarray [| V.Si (-4); V.Si 3; V.Si 9; V.Si 2 |];
+        I.Xarray [| V.Sb true; V.Sb true; V.Sb false; V.Sb true |];
+        I.Xarray [| c 1e-300 (-1e300); c (-1.) (-1.); c 2. 3.; c 4. 0. |] ] ]
+  in
+  let isa = T.dsp8 and mode = Masc_asip.Cost_model.Proposed in
+  let outcome run =
+    match run () with r -> Ok r | exception e -> Error (Printexc.to_string e)
+  in
+  List.iter
+    (fun (f : Mir.func) ->
+      let shape =
+        Format.asprintf "%a" Masc_mir.Mir_pp.pp_instr (List.hd f.Mir.body)
+      in
+      List.iteri
+        (fun k args ->
+          let tag what = Printf.sprintf "%s set %d %s" shape k what in
+          match
+            ( outcome (fun () -> I.run_tree ~isa ~mode f args),
+              outcome (fun () -> I.run ~isa ~mode f args) )
+          with
+          | Ok rt, Ok rp -> check_same tag rt rp
+          | Error et, Error ep -> Alcotest.(check string) (tag "error") et ep
+          | Ok _, Error e ->
+            Alcotest.failf "%s set %d: only the plan raised %s" shape k e
+          | Error e, Ok _ ->
+            Alcotest.failf "%s set %d: only the tree raised %s" shape k e)
+        sets)
+    (fallback_functions ())
+
+(* Minor words one [Plan.execute] allocates on each of the 30 kernel
+   configurations of the [simulate] workload: the six kernels under the
+   proposed flow on scalar, dsp4, dsp8 and dsp16, and under the coder
+   baseline. Each is pinned at the count measured before the typed
+   producers and write arms no configuration runs were folded into the
+   boxed path (1,673,930 words in all). A fused closure that boxes a
+   float, or a fold that reaches a shape some kernel runs, raises these
+   while every differential test stays green. *)
 let test_plan_allocation_pin () =
   let module K = Masc_kernels.Kernels in
+  let module C = Masc.Compiler in
+  let configs =
+    [ C.proposed ~isa:T.scalar (); C.proposed ~isa:T.dsp4 ();
+      C.proposed ~isa:T.dsp8 (); C.proposed ~isa:T.dsp16 ();
+      C.coder_baseline () ]
+  in
+  let limits =
+    [ ("fir", [ 4_328.; 26_241.; 50_093.; 97_797.; 4_328. ]);
+      ("iir", [ 4_481.; 4_525.; 4_535.; 4_551.; 4_481. ]);
+      ("fft", [ 8_218.; 8_260.; 8_260.; 8_260.; 8_215. ]);
+      ("matmul", [ 4_431.; 399_768.; 399_792.; 399_840.; 4_431. ]);
+      ("xcorr", [ 2_184.; 12_129.; 22_925.; 44_517.; 2_184. ]);
+      ("fmdemod", [ 26_962.; 27_058.; 27_062.; 27_070.; 27_004. ]) ]
+  in
   List.iter
-    (fun (name, (k : K.kernel), limit) ->
-      let c =
-        Masc.Compiler.compile (Masc.Compiler.proposed ()) ~source:k.K.source
-          ~entry:k.K.entry ~arg_types:k.K.arg_types
-      in
-      let p =
-        Masc_vm.Plan.compile ~isa:T.dsp8 ~mode:Masc_asip.Cost_model.Proposed
-          c.Masc.Compiler.mir
-      in
-      let inputs = k.K.inputs () in
-      ignore (Masc_vm.Plan.execute p inputs);
-      let w0 = Gc.minor_words () in
-      ignore (Masc_vm.Plan.execute p inputs);
-      let words = Gc.minor_words () -. w0 in
-      if words > limit then
-        Alcotest.failf "%s: %.0f minor words per run, pinned at %.0f" name
-          words limit)
-    [ ("fir1024", K.fir ~n:1024 (), 50_101.);
-      ("fft1024", K.fft ~n:1024 (), 28_257.);
-      ("fmdemod", K.fmdemod (), 27_070.) ]
+    (fun (k : K.kernel) ->
+      List.iter2
+        (fun (config : C.config) limit ->
+          let c =
+            C.compile config ~source:k.K.source ~entry:k.K.entry
+              ~arg_types:k.K.arg_types
+          in
+          let p =
+            Masc_vm.Plan.compile ~isa:config.C.isa ~mode:config.C.mode c.C.mir
+          in
+          let inputs = k.K.inputs () in
+          ignore (Masc_vm.Plan.execute p inputs);
+          let w0 = Gc.minor_words () in
+          ignore (Masc_vm.Plan.execute p inputs);
+          let words = Gc.minor_words () -. w0 in
+          if words > limit then
+            Alcotest.failf "%s/%s/%s: %.0f minor words per run, pinned at %.0f"
+              k.K.kname config.C.isa.Masc_asip.Isa.tname
+              (if config.C.mode = Masc_asip.Cost_model.Coder then "coder"
+               else "proposed")
+              words limit)
+        configs
+        (List.assoc k.K.kname limits))
+    (K.all ())
 
 (* Comparisons follow IEEE 754, as the emitted C does: every ordered
    comparison with a NaN is false and NaN ~= NaN is true. Each bit of
@@ -624,6 +769,7 @@ let plan_suites =
           test_plan_tree_differential;
         Alcotest.test_case "plan reuse" `Quick test_plan_reuse;
         Alcotest.test_case "fused shapes vs tree" `Quick test_fused_shapes;
+        Alcotest.test_case "fallbacks vs tree" `Quick test_fallbacks;
         Alcotest.test_case "plan allocation pin" `Quick
           test_plan_allocation_pin;
         Alcotest.test_case "IEEE NaN comparisons" `Quick test_nan_comparisons
