@@ -88,6 +88,12 @@ let parse_instr lineno words =
     { Isa.iname = name; kind; lanes = !lanes; latency = !latency }
   | _ -> err lineno "instr: expected '<name> <kind> [lanes=..] [latency=..]'"
 
+(* A known directive with the wrong number of arguments. *)
+let arity lineno directive expected args =
+  err lineno "directive '%s' takes %d argument%s, found %d" directive expected
+    (if expected = 1 then "" else "s")
+    (List.length args)
+
 let parse text =
   let acc =
     { tname = None; description = ""; vector_width = 0; instrs = [];
@@ -133,6 +139,9 @@ let parse text =
               acc.instrs
           then err lineno "duplicate instruction '%s'" instr.Isa.iname;
           acc.instrs <- instr :: acc.instrs
+        | (("target" | "vector_width") as directive) :: args ->
+          arity lineno directive 1 args
+        | "cost" :: args -> arity lineno "cost" 2 args
         | word :: _ -> err lineno "unknown directive '%s'" (esc word)
         | [] -> ())
     lines;

@@ -1,8 +1,8 @@
 (** Built-in target descriptions.
 
-    All built-ins are expressed in the textual [.isa] format and run
-    through {!Isa_parser}, exercising the same retargeting path a user
-    description would take. *)
+    Each built-in is a record equal to what {!Isa_parser.parse} returns
+    for its textual [.isa] description (the tests pin both), so a user
+    description that copies one retargets to the same machine. *)
 
 (** Plain scalar core: no custom instructions. The MATLAB-Coder-style
     baseline runs here, and so does un-vectorized proposed code. *)

@@ -40,11 +40,63 @@ type compiled = {
 (* Post-vectorize cleanup: fold strip-mine arithmetic, hoist invariant
    broadcasts out of the vector loops, and drop the dead scalar
    leftovers. Driven by the same change-tracked fixpoint as the main
-   optimization stage, so converged passes are skipped. *)
+   optimization stage. At O1 it also runs cse and licm, which the O1
+   optimize stage does not, so O1 code gets both here. *)
 let cleanup_passes =
   [ ("const-fold", Masc_opt.Const_fold.run);
     ("copy-prop", Masc_opt.Copy_prop.run); ("cse", Masc_opt.Cse.run);
     ("licm", Masc_opt.Licm.run); ("dce", Masc_opt.Dce.run) ]
+
+(* Cleanup starts with only the passes that can still fire dirty; every
+   other pass is a no-op on its input until a pass it depends on
+   changes the function (Pipeline.run_fixpoint). The seed is the union
+   of:
+
+   - Every cleanup pass the optimize stage did not drive to its
+     fixpoint: passes missing from its list (cse and licm at O1, or
+     any an ablation list drops), or all of them if it stopped at its
+     step cap. At O1 this is real work: cse and licm change the O1
+     code of fft, iir, matmul and fmdemod on the scalar target, where
+     nothing is vectorized. A pass the optimize stage did converge is
+     a no-op on its output, since the pass manager takes every pass
+     but collapse to be a no-op on its own output; licm is one because
+     it hoists whole chains and nested invariants in one run (Licm).
+   - licm and const-fold once a loop is vectorized. licm hoists the
+     invariant broadcasts out of the vector loop. const-fold folds the
+     strip-mine prologue: [vn = sub hi, lo] with [lo = 0] (a
+     [for i = 0:n-1] loop over an int [n]) is a move. licm alone misses
+     that fold, and the final code differs.
+   - cse once a loop with run-time bounds is vectorized. cse tables
+     last for a straight-line segment, so the prologue's [sub hi, lo]
+     can repeat an expression computed earlier in its segment
+     ([d = n - k] before [for i = k:n]).
+   - Nothing for complex-ISE selection alone: it rewrites one complex
+     multiply into one intrinsic with the same operands, and its cmac
+     fusion replaces a cmul and the add that is its only use by one
+     def, leaving no dead def, copy or constant behind.
+
+   Vectorizing seeds neither copy-prop nor dce: it emits no moves, and
+   a prologue whose defs are all read, so those two have work only
+   after another pass changed the function, which re-dirties them. The
+   "checked cleanup" tests run the all-dirty schedule beside this one
+   on every kernel, target and level and on generated programs, and
+   require the same code. *)
+let cleanup_seed opt_stats (vec : Vectorizer.stats) =
+  let converged = Pipeline.converged opt_stats in
+  let optimized name =
+    converged
+    && List.exists (fun (s : Pipeline.pass_stat) -> s.ps_name = name) opt_stats
+  in
+  let vectorized = vec.map_loops + vec.reduction_loops > 0 in
+  let seeded = function
+    | "licm" | "const-fold" -> vectorized
+    | "cse" -> vec.run_time_trips > 0
+    | _ -> false
+  in
+  List.filter_map
+    (fun (name, _) ->
+      if (not (optimized name)) || seeded name then Some name else None)
+    cleanup_passes
 
 (* The final MIR is always verified before codegen; the two interior
    checks (post-lower, post-optimize) triple the verifier cost per
@@ -101,12 +153,14 @@ let compile_with ?passes ~sink config ~source ~entry ~arg_types =
         (Printexc.to_string e);
       (scalar, zero_stats)
   in
+  let no_loops =
+    { Vectorizer.map_loops = 0; reduction_loops = 0; run_time_trips = 0 }
+  in
   let mir, vec_stats =
     if config.vectorize then
-      degrade "vectorizer" Diag.Vectorize mir
-        { Vectorizer.map_loops = 0; reduction_loops = 0 }
+      degrade "vectorizer" Diag.Vectorize mir no_loops
         (fun () -> timed "vectorize" (Vectorizer.run ~sink config.isa) mir)
-    else (mir, { Vectorizer.map_loops = 0; reduction_loops = 0 })
+    else (mir, no_loops)
   in
   let mir, cplx_stats =
     if config.select_complex then
@@ -117,7 +171,12 @@ let compile_with ?passes ~sink config ~source ~entry ~arg_types =
   in
   let mir, cleanup_stats =
     if config.opt_level = Pipeline.O0 then (mir, [])
-    else timed "cleanup" (Pipeline.run_fixpoint cleanup_passes) mir
+    else
+      timed "cleanup"
+        (Pipeline.run_fixpoint
+           ~dirty:(cleanup_seed opt_stats vec_stats)
+           cleanup_passes)
+        mir
   in
   Masc_mir.Verify.check mir;
   { config; typed; mir_raw; mir; vec_stats; cplx_stats;

@@ -66,6 +66,23 @@ val compile :
   arg_types:Masc_sema.Mtype.t list ->
   compiled
 
+(** The post-vectorize cleanup schedule, run above [O0]: const-fold,
+    copy-prop, cse, licm and dce to their change-tracked fixpoint. At
+    [O1] this is where cse and licm run, since the [O1] optimize stage
+    lacks them. *)
+val cleanup_passes : (string * (Masc_mir.Mir.func -> Masc_mir.Mir.func)) list
+
+(** [cleanup_seed opt_stats vec_stats] names the cleanup passes that
+    start dirty, given the optimize stage's scheduler stats and the
+    vectorizer's: every cleanup pass the optimize stage did not drive to
+    its fixpoint (absent from its list, or all of them if it hit its
+    step cap), plus licm and const-fold once a loop was vectorized, plus
+    cse once a loop with run-time bounds was. The others are no-ops on
+    cleanup's input until a dependency changes. *)
+val cleanup_seed :
+  Masc_opt.Pipeline.pass_stat list -> Masc_vectorize.Vectorizer.stats ->
+  string list
+
 (** [compile_file config ~source ~entry ~arg_types] is {!compile} with
     an accumulating diagnostic context: the front end recovers
     (panic-mode parsing, type poisoning) and reports every independent

@@ -1,13 +1,15 @@
 module Mir = Masc_mir.Mir
+module Vid_set = Rewrite.Vid_set
 
 let run (func : Mir.func) : Mir.func =
   (* Per-loop analysis tables, built once per run and cleared per loop:
      top-level def count per variable (only single-definition variables
      hoist safely; any entry at all means "defined somewhere in the
-     body", which is the invariance test) and the arrays the body
-     stores to. *)
+     body", which is the invariance test), the arrays the body stores
+     to, and the variables read so far by the forward hoisting walk. *)
   let def_counts = Hashtbl.create 16 in
   let stored = Hashtbl.create 8 in
+  let read = Vid_set.create (List.length func.Mir.vars) in
   let bump vid =
     let cur = try Hashtbl.find def_counts vid with Not_found -> 0 in
     Hashtbl.replace def_counts vid (cur + 1)
@@ -34,56 +36,91 @@ let run (func : Mir.func) : Mir.func =
       ->
       ()
   in
+  let add_op = Vid_set.add_operand read in
+  let rec note_reads (i : Mir.instr) =
+    match i.Mir.idesc with
+    | Mir.Idef (_, rv) -> Vid_set.add_reads read rv
+    | Mir.Istore (_, idx, x) | Mir.Ivstore (_, idx, x, _) ->
+      add_op idx;
+      add_op x
+    | Mir.Iloop inner ->
+      add_op inner.Mir.lo;
+      add_op inner.Mir.step;
+      add_op inner.Mir.hi;
+      List.iter note_reads inner.Mir.body
+    | Mir.Iif (c, t, e) ->
+      add_op c;
+      List.iter note_reads t;
+      List.iter note_reads e
+    | Mir.Iwhile { cond_block; cond; body } ->
+      List.iter note_reads cond_block;
+      add_op cond;
+      List.iter note_reads body
+    | Mir.Iprint (_, ops) -> List.iter add_op ops
+    | Mir.Ibreak | Mir.Icontinue | Mir.Ireturn | Mir.Icomment _ -> ()
+  in
   (* [hoist_loop l] is [Some (hoisted, l')] when any body def could be
      hoisted in front of the loop, [None] otherwise.
 
-     Hoisting is deliberately single-round: an operand is invariant only
-     when nothing in the loop's *original* body defines it, so a def
-     whose operand is itself a hoisted def stays put until the next
-     pipeline-scheduled licm run (which sees the new body). That keeps
-     one run linear in the body — and the pipeline's change tracking
-     re-runs licm anyway whenever a pass (including licm itself via its
-     dependents) reports a change.
+     One forward walk over the body decides. A def hoists when its
+     variable has no other def in the loop, nothing earlier in the body
+     reads it (that read would see the value from before the loop, or
+     from the previous iteration, on every iteration), and its operands
+     are invariant. A hoisted def leaves [def_counts], so a later def
+     reading it is invariant too: a chain of invariants leaves in one
+     run. Blocks are visited inner first ([Rewrite.map_blocks]), so
+     what an inner loop hoists is in its parent's body by the time the
+     parent is walked, and one run is a no-op on its own output. The
+     pass manager relies on that: licm does not re-dirty itself
+     (Pipeline.invalidated_by).
 
      The loop's own induction variable is defined by the loop header,
      not by any body instruction, so it is entered manually. *)
+  let nonempty_const_bounds = ref false in
+  let hoistable (v : Mir.var) rv =
+    (try Hashtbl.find def_counts v.Mir.vid = 1 with Not_found -> false)
+    && (not (Vid_set.mem read v.Mir.vid))
+    && Rewrite.forall_operands invariant_operand rv
+    &&
+    match rv with
+    | Mir.Rload (arr, _) ->
+      !nonempty_const_bounds && not (Hashtbl.mem stored arr.Mir.vid)
+    | Mir.Rvload _ | Mir.Rintrin _ -> false
+    | _ -> Rewrite.pure rv
+  in
+  let rec walk hoisted = function
+    | [] -> hoisted
+    | ({ Mir.idesc = Mir.Idef (v, rv); _ } as i) :: rest when hoistable v rv ->
+      Hashtbl.remove def_counts v.Mir.vid;
+      note_reads i;
+      walk (i :: hoisted) rest
+    | i :: rest ->
+      note_reads i;
+      walk hoisted rest
+  in
   let hoist_loop (l : Mir.loop) =
     Hashtbl.clear def_counts;
     Hashtbl.clear stored;
+    Vid_set.clear read;
     List.iter scan l.Mir.body;
     bump l.Mir.ivar.Mir.vid;
-    let nonempty_const_bounds =
-      match (l.Mir.lo, l.Mir.step, l.Mir.hi) with
+    nonempty_const_bounds :=
+      (match (l.Mir.lo, l.Mir.step, l.Mir.hi) with
       | Mir.Oconst (Mir.Ci lo), Mir.Oconst (Mir.Ci step), Mir.Oconst (Mir.Ci hi)
         ->
         (step > 0 && lo <= hi) || (step < 0 && lo >= hi)
-      | _ -> false
-    in
-    let hoistable (i : Mir.instr) =
-      match i.Mir.idesc with
-      | Mir.Idef (v, rv) -> (
-        (try Hashtbl.find def_counts v.Mir.vid = 1 with Not_found -> false)
-        && Rewrite.forall_operands invariant_operand rv
-        &&
-        match rv with
-        | Mir.Rload (arr, _) ->
-          nonempty_const_bounds && not (Hashtbl.mem stored arr.Mir.vid)
-        | Mir.Rvload _ | Mir.Rintrin _ -> false
-        | _ -> Rewrite.pure rv)
-      | _ -> false
-    in
-    (* Probe before partitioning: [List.partition] copies the whole
-       body, which the common nothing-to-hoist case must not pay for. *)
-    if not (List.exists hoistable l.Mir.body) then None
-    else
-      let hoisted, body = List.partition hoistable l.Mir.body in
-      Some (hoisted, { l with Mir.body = body })
+      | _ -> false);
+    (* The common nothing-to-hoist case builds no list. *)
+    match walk [] l.Mir.body with
+    | [] -> None
+    | hoisted ->
+      let body = List.filter (fun i -> not (List.memq i hoisted)) l.Mir.body in
+      Some (List.rev hoisted, { l with Mir.body = body })
   in
   (* Sharing-preserving splice: a block whose loops hoist nothing is
      returned physically, so a clean run rebuilds no list. It still
-     fills the two tables and builds a [hoistable] closure per loop:
-     about 3.7 kwords per run on compile-large's programs (EXPERIMENTS.md,
-     "Optimizer and inference re-scans"). *)
+     fills the tables: about 3.1 kwords per run on compile-large's
+     programs (EXPERIMENTS.md, "Optimizer and inference re-scans"). *)
   let process (block : Mir.block) : Mir.block =
     let rec go (bl : Mir.block) : Mir.block =
       match bl with

@@ -48,7 +48,9 @@ let passes = function O0 -> [] | O1 -> o1_passes | O2 -> o2_passes
      substitution), defs becoming single (collapse), dead stores
      un-blocking load hoists (dce) and hoistable moves from cse.
      fusion only unions defined/stored sets, which can only *shrink*
-     hoistability, and const-fold only shrinks operand sets.
+     hoistability, and const-fold only shrinks operand sets. Its own
+     hoists need no re-run: one licm run takes chains of invariants
+     and invariants of nested loops out whole (Licm).
    - fusion needs adjacent loops with equal constant bounds: only
      copy-prop/global-const rewrite bounds and only dce deletes
      instructions between loops. cse/licm/const-fold touch neither.
@@ -111,11 +113,17 @@ let expensive_passes = [ "cse"; "licm"; "fusion" ]
    [skipped] counts clean passes a sweep stepped over: the pass
    executions a change-oblivious sweep schedule would have performed at
    that point but this one proved unnecessary (deferred expensive passes
-   are postponed work, not elided work, and are not counted). *)
+   are postponed work, not elided work, and are not counted).
+
+   [?dirty] names the passes that start dirty (default: all). Leaving a
+   pass out is a claim that it is a no-op on [func]; under that claim,
+   and the soundness of [invalidated_by], the changing runs are the
+   same ones the all-dirty schedule makes, since a no-op run changes
+   neither the function nor another pass's dirty bit. *)
 let max_steps_per_pass = 24
 
-let run_fixpoint (pass_list : (string * (Masc_mir.Mir.func -> Masc_mir.Mir.func)) list)
-    func =
+let run_fixpoint ?dirty
+    (pass_list : (string * (Masc_mir.Mir.func -> Masc_mir.Mir.func)) list) func =
   let arr = Array.of_list pass_list in
   let n = Array.length arr in
   let stats =
@@ -141,7 +149,11 @@ let run_fixpoint (pass_list : (string * (Masc_mir.Mir.func -> Masc_mir.Mir.func)
             | Some deps -> List.mem names.(i) deps)
           (List.init n Fun.id))
   in
-  let dirty = Array.make n true in
+  let dirty =
+    match dirty with
+    | None -> Array.make n true
+    | Some seed -> Array.map (fun name -> List.mem name seed) names
+  in
   let func = ref func in
   let steps = ref 0 in
   let max_steps = max_steps_per_pass * n in
@@ -191,3 +203,8 @@ let optimize level func = fst (optimize_stats level func)
 
 let total_runs stats = List.fold_left (fun a s -> a + s.runs) 0 stats
 let total_skipped stats = List.fold_left (fun a s -> a + s.skipped) 0 stats
+
+(* The loop only stops early at the step cap, so a fixpoint that stayed
+   below it ended with no pass dirty. One that reached it may have
+   converged on its last step; it is still reported as unconverged. *)
+let converged stats = total_runs stats < max_steps_per_pass * List.length stats

@@ -6,6 +6,10 @@
     - [O2]: O1 plus common-subexpression elimination, loop-invariant
       code motion and loop fusion.
 
+    Above [O0] the compiler follows vectorization with a cleanup
+    fixpoint over const-fold, copy-prop, cse, licm and dce, so an [O1]
+    compile also runs cse and licm there (see {!run_fixpoint}).
+
     Passes are scheduled to a {e change-tracked fixpoint}: every pass is
     sharing-preserving (see {!Masc_opt.Rewrite}), so "did this pass
     change the function" is one physical comparison on the returned
@@ -47,8 +51,17 @@ val optimize_stats :
     (e.g. Table V drops the fusion pass) and the post-vectorize cleanup.
     Unknown pass names are scheduled conservatively (re-enabled by any
     change); a pass that is not sharing-preserving is still safe, it
-    just re-runs until the defensive sweep cap. *)
+    just re-runs until the defensive sweep cap.
+
+    [?dirty] names the passes that start dirty; by default all do. A
+    pass left out is asserted to be a no-op on [func]: it runs only once
+    a pass it depends on changes the function. The post-vectorize
+    cleanup ({!Masc.Compiler.compile}) seeds it from what the optimize
+    stage left unconverged and what the vectorizer rewrote; at [O1]
+    that seed always holds [cse] and [licm], so cleanup runs both even
+    though the [O1] optimize stage does not. *)
 val run_fixpoint :
+  ?dirty:string list ->
   (string * (Masc_mir.Mir.func -> Masc_mir.Mir.func)) list ->
   Masc_mir.Mir.func ->
   Masc_mir.Mir.func * pass_stat list
@@ -59,6 +72,11 @@ val passes : level -> (string * (Masc_mir.Mir.func -> Masc_mir.Mir.func)) list
 
 val total_runs : pass_stat list -> int
 val total_skipped : pass_stat list -> int
+
+(** [converged stats] is false when the fixpoint that produced [stats]
+    stopped at its defensive step cap, possibly with passes still
+    dirty; true means every pass of its list is a no-op on its result. *)
+val converged : pass_stat list -> bool
 
 (** [timed what name f x] applies [f x] inside a {!Masc_obs.Journal}
     span of category [what] — free when spans are not recorded.

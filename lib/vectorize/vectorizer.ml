@@ -5,7 +5,7 @@ module MT = Masc_sema.Mtype
 module Diag = Masc_frontend.Diag
 module Loc = Masc_frontend.Loc
 
-type stats = { map_loops : int; reduction_loops : int }
+type stats = { map_loops : int; reduction_loops : int; run_time_trips : int }
 
 exception Bail
 
@@ -18,6 +18,7 @@ type ctx = {
   mutable new_vars : Mir.var list;
   mutable maps : int;
   mutable reds : int;
+  mutable dyns : int;
   mutable missing : Isa.kind option;
       (* first intrinsic lookup that failed while analyzing the current
          loop: the idiom was recognized but the ISA cannot express it *)
@@ -397,6 +398,13 @@ let fuse_mac ctx (block : Mir.block) : Mir.block =
     in
     go block
 
+(* A vectorized loop without constant bounds got the run-time
+   strip-mine prologue of [emit_strip_mine]. *)
+let count_run_time_trips ctx (l : Mir.loop) =
+  match (l.Mir.lo, l.Mir.hi) with
+  | Mir.Oconst (Mir.Ci _), Mir.Oconst (Mir.Ci _) -> ()
+  | _ -> ctx.dyns <- ctx.dyns + 1
+
 let try_map_loop ctx (l : Mir.loop) : Mir.instr list option =
   match
     let a = analyze_body l in
@@ -421,6 +429,7 @@ let try_map_loop ctx (l : Mir.loop) : Mir.instr list option =
   with
   | instrs ->
     ctx.maps <- ctx.maps + 1;
+    count_run_time_trips ctx l;
     Some instrs
   | exception Bail -> None
 
@@ -504,6 +513,7 @@ let try_reduction_loop ctx (l : Mir.loop) : Mir.instr list option =
   with
   | instrs ->
     ctx.reds <- ctx.reds + 1;
+    count_run_time_trips ctx l;
     Some instrs
   | exception Bail -> None
 
@@ -551,18 +561,19 @@ let rec process_block ctx (b : Mir.block) : Mir.block =
 let run ?(sink = Diag.Raise) (isa : Isa.t) (func : Mir.func) :
     Mir.func * stats =
   if isa.Isa.vector_width < 2 then
-    (func, { map_loops = 0; reduction_loops = 0 })
+    (func, { map_loops = 0; reduction_loops = 0; run_time_trips = 0 })
   else begin
     let max_id =
       List.fold_left (fun m (v : Mir.var) -> max m v.Mir.vid) 0 func.Mir.vars
     in
     let ctx =
       { isa; width = isa.Isa.vector_width; sink; fname = func.Mir.name;
-        next_id = max_id + 1; new_vars = []; maps = 0; reds = 0;
+        next_id = max_id + 1; new_vars = []; maps = 0; reds = 0; dyns = 0;
         missing = None; cur_loc = Loc.dummy;
         func_uses = Masc_opt.Rewrite.use_counts func }
     in
     let body = process_block ctx func.Mir.body in
     ( { func with Mir.body; vars = func.Mir.vars @ List.rev ctx.new_vars },
-      { map_loops = ctx.maps; reduction_loops = ctx.reds } )
+      { map_loops = ctx.maps; reduction_loops = ctx.reds;
+        run_time_trips = ctx.dyns } )
   end

@@ -27,7 +27,10 @@
     instruction kind and the estimated cycle delta. Failure to
     vectorize never aborts a compile. *)
 
-type stats = { map_loops : int; reduction_loops : int }
+(** [run_time_trips] counts the vectorized loops, of either shape,
+    whose bounds are not both constant: each got a strip-mine prologue
+    in front of it that computes its chunk count from [hi - lo]. *)
+type stats = { map_loops : int; reduction_loops : int; run_time_trips : int }
 
 (** [run isa func] returns the rewritten function and how many loops of
     each shape were vectorized. With [isa.vector_width < 2] the function

@@ -46,21 +46,97 @@ let test_parse_defaults () =
   | Some d -> Alcotest.(check int) "default lanes" 1 d.Isa.lanes
   | None -> Alcotest.fail "cmul not found"
 
+(* Whole-record comparison, printed as [.isa] text on failure. *)
+let isa_t = Alcotest.testable (fun ppf t -> Format.pp_print_string ppf (P.to_text t)) ( = )
+
 let test_roundtrip () =
   List.iter
     (fun isa ->
-      let isa' = P.parse (P.to_text isa) in
-      Alcotest.(check string) "name" isa.Isa.tname isa'.Isa.tname;
-      Alcotest.(check int) "width" isa.Isa.vector_width isa'.Isa.vector_width;
-      Alcotest.(check bool) "costs" true (isa.Isa.costs = isa'.Isa.costs);
-      Alcotest.(check int) "instr count"
-        (List.length isa.Isa.instrs)
-        (List.length isa'.Isa.instrs);
-      List.iter2
-        (fun (a : Isa.instr_desc) (b : Isa.instr_desc) ->
-          Alcotest.(check bool) "instr equal" true (a = b))
-        isa.Isa.instrs isa'.Isa.instrs)
+      Alcotest.check isa_t isa.Isa.tname isa (P.parse (P.to_text isa)))
     T.all
+
+(* The built-in targets as [.isa] text, the way they were written before
+   they became records: each must parse to its record. *)
+let scalar_text =
+  {|# Plain scalar load/store core (no ISEs); DSP-class single-cycle ALU.
+target scalar
+description "scalar RISC-style core without custom instructions"
+vector_width 0
+cost alu 1
+cost fdiv 8
+cost math_fn 20
+cost pow_fn 30
+cost load 1
+cost store 1
+cost loop_overhead 2
+cost branch 2
+cost bounds_check 2
+cost descriptor 1
+cost call_overhead 20
+|}
+
+let dsp_text ~name ~width ~simd ~cplx =
+  let header =
+    Printf.sprintf
+      {|target %s
+description "DSP ASIP, %d-lane f64 SIMD%s%s"
+vector_width %d
+cost alu 1
+cost fdiv 8
+cost math_fn 20
+cost pow_fn 30
+cost load 1
+cost store 1
+cost loop_overhead 2
+cost branch 2
+cost bounds_check 2
+cost descriptor 1
+cost call_overhead 20
+|}
+      name width
+      (if simd then "" else " (SIMD ISEs disabled)")
+      (if cplx then ", complex-arithmetic ISEs" else "")
+      (if simd then width else 0)
+  in
+  let simd_instr mnemonic kind latency =
+    Printf.sprintf "instr %s_f64x%d %s lanes=%d latency=%d\n" mnemonic width
+      kind width latency
+  in
+  let simd_instrs =
+    if not simd then ""
+    else
+      String.concat ""
+        [ simd_instr "vadd" "simd.add" 1; simd_instr "vsub" "simd.sub" 1;
+          simd_instr "vmul" "simd.mul" 1; simd_instr "vdiv" "simd.div" 8;
+          simd_instr "vmin" "simd.min" 1;
+          simd_instr "vmax" "simd.max" 1; simd_instr "vmac" "simd.mac" 1;
+          simd_instr "vld" "simd.load" 1; simd_instr "vst" "simd.store" 1;
+          simd_instr "vsplat" "simd.broadcast" 1;
+          simd_instr "vredadd" "simd.reduce_add" 3;
+          simd_instr "vredmin" "simd.reduce_min" 3;
+          simd_instr "vredmax" "simd.reduce_max" 3 ]
+  in
+  let cplx_instrs =
+    if not cplx then ""
+    else
+      {|instr cmul_f64 cplx.mul lanes=1 latency=1
+instr cmac_f64 cplx.mac lanes=1 latency=1
+instr cadd_f64 cplx.add lanes=1 latency=1
+|}
+  in
+  header ^ simd_instrs ^ cplx_instrs
+
+let test_builtin_texts () =
+  List.iter
+    (fun (text, isa) -> Alcotest.check isa_t isa.Isa.tname isa (P.parse text))
+    [ (scalar_text, T.scalar);
+      (dsp_text ~name:"dsp4" ~width:4 ~simd:true ~cplx:true, T.dsp4);
+      (dsp_text ~name:"dsp8" ~width:8 ~simd:true ~cplx:true, T.dsp8);
+      (dsp_text ~name:"dsp16" ~width:16 ~simd:true ~cplx:true, T.dsp16);
+      ( dsp_text ~name:"dsp8_simd_only" ~width:8 ~simd:true ~cplx:false,
+        T.dsp8_simd_only );
+      ( dsp_text ~name:"dsp8_cplx_only" ~width:8 ~simd:false ~cplx:true,
+        T.dsp8_cplx_only ) ]
 
 let test_parse_errors () =
   let expect_error src =
@@ -75,7 +151,18 @@ let test_parse_errors () =
   expect_error "target t\ncost nonsense 3\n";
   expect_error "target t\nvector_width four\n";
   expect_error "target t\ninstr v simd.add lanes=x\n";
-  expect_error "target t\nbanana split\n"
+  expect_error "target t\nbanana split\n";
+  (* a known directive with the wrong arity names the directive *)
+  List.iter
+    (fun (src, msg) ->
+      match P.parse src with
+      | exception Masc_frontend.Diag.Error (_, _, m) ->
+        Alcotest.(check string) src msg m
+      | _ -> Alcotest.failf "expected parse error on %S" src)
+    [ ("target t\nvector_width 4 8\n",
+       "directive 'vector_width' takes 1 argument, found 2");
+      ("target t\ncost alu\n", "directive 'cost' takes 2 arguments, found 1");
+      ("target t1 extra\n", "directive 'target' takes 1 argument, found 2") ]
 
 let test_builtin_targets () =
   Alcotest.(check int) "dsp8 width" 8 T.dsp8.Isa.vector_width;
@@ -122,4 +209,6 @@ let suites =
         Alcotest.test_case "text round-trip" `Quick test_roundtrip;
         Alcotest.test_case "parse errors" `Quick test_parse_errors;
         Alcotest.test_case "built-in targets" `Quick test_builtin_targets;
+        Alcotest.test_case "built-in targets parse from text" `Quick
+          test_builtin_texts;
         Alcotest.test_case "cost-model modes" `Quick test_cost_model_modes ] ) ]

@@ -123,6 +123,90 @@ let test_licm_hoists () =
   scan false f'.Mir.body;
   Alcotest.(check int) "invariant multiply hoisted" 0 !in_loop
 
+(* Defs matching [pred] inside any loop of [f]. *)
+let count_in_loops pred (f : Mir.func) =
+  let n = ref 0 in
+  let rec scan in_l block =
+    List.iter
+      (fun (i : Mir.instr) ->
+        match i.Mir.idesc with
+        | Mir.Idef (_, rv) -> if in_l && pred rv then incr n
+        | Mir.Iloop l -> scan true l.Mir.body
+        | Mir.Iif (_, t, e) ->
+          scan in_l t;
+          scan in_l e
+        | Mir.Iwhile { cond_block; body; _ } ->
+          scan true cond_block;
+          scan true body
+        | _ -> ())
+      block
+  in
+  scan false f.Mir.body;
+  !n
+
+(* A chain of invariants two loops deep leaves in one licm run, so a
+   second run is a no-op: the pass manager does not re-run licm after
+   its own changes. O1 has no licm, so its output still holds them. *)
+let test_licm_one_run () =
+  let f =
+    lower
+      ~args:[ Mtype.double; Mtype.row_vector Mtype.Double 16 ]
+      "function y = f(c, x)\n\
+       y = zeros(1, 16);\n\
+       for j = 1:4\n\
+       for i = 1:16\n\
+       t = c * 3;\n\
+       u = t + 1;\n\
+       v = u * 5;\n\
+       y(i) = y(i) + x(i) * v;\n\
+       end\n\
+       end\nend"
+  in
+  let chain = function
+    | Mir.Rbin (Mir.Bmul, _, Mir.Oconst (Mir.Ci (3 | 5)))
+    | Mir.Rbin (Mir.Badd, _, Mir.Oconst (Mir.Ci 1)) ->
+      true
+    | _ -> false
+  in
+  let f1 = Masc_opt.Pipeline.optimize Masc_opt.Pipeline.O1 f in
+  Alcotest.(check int) "O1 leaves the chain in the loops" 3
+    (count_in_loops chain f1);
+  let f2 = Masc_opt.Licm.run f1 in
+  Alcotest.(check int) "one run hoists the whole chain" 0
+    (count_in_loops chain f2);
+  Alcotest.(check bool) "a second run is a no-op" true (Masc_opt.Licm.run f2 == f2)
+
+(* [t] is read before its def in the body, so the first iteration sees
+   the value from before the loop: hoisting [t = c * 2] would change
+   [y(1)]. *)
+let test_licm_read_before_def () =
+  let f =
+    lower
+      ~args:[ Mtype.double; Mtype.row_vector Mtype.Double 8 ]
+      "function y = f(c, x)\n\
+       y = zeros(1, 8);\n\
+       t = 0;\n\
+       for i = 1:8\n\
+       y(i) = t + x(i);\n\
+       t = c * 2;\n\
+       end\nend"
+  in
+  let inputs =
+    [ I.Xscalar (V.Sf 5.0);
+      I.xarray_of_floats (Masc_kernels.Kernels.randoms ~seed:3 8) ]
+  in
+  let f2 = Masc_opt.Pipeline.optimize Masc_opt.Pipeline.O2 f in
+  Alcotest.(check int) "t = c * 2 stays in the loop" 1
+    (count_in_loops
+       (function
+         | Mir.Rbin (Mir.Bmul, _, Mir.Oconst (Mir.Ci 2)) -> true
+         | _ -> false)
+       f2);
+  match ((run_scalar f inputs).I.rets, (run_scalar f2 inputs).I.rets) with
+  | [ I.Xarray a0 ], [ I.Xarray a2 ] ->
+    Alcotest.(check bool) "O2 returns what O0 does" true (a0 = a2)
+  | _ -> Alcotest.fail "expected one array"
+
 let test_global_const () =
   let f =
     lower
@@ -243,6 +327,10 @@ let base_suites =
         Alcotest.test_case "dce arrays" `Quick test_dce_removes_dead_array;
         Alcotest.test_case "cse" `Quick test_cse_merges;
         Alcotest.test_case "licm" `Quick test_licm_hoists;
+        Alcotest.test_case "licm hoists chains in one run" `Quick
+          test_licm_one_run;
+        Alcotest.test_case "licm keeps a def read before it" `Quick
+          test_licm_read_before_def;
         Alcotest.test_case "global constants" `Quick test_global_const;
         Alcotest.test_case "O2 reduces cycles" `Quick test_o2_reduces_work;
         QCheck_alcotest.to_alcotest prop_opt_preserves;
