@@ -75,9 +75,33 @@ let run (func : Mir.func) : Mir.func =
      (Pipeline.invalidated_by).
 
      The loop's own induction variable is defined by the loop header,
-     not by any body instruction, so it is entered manually. *)
+     not by any body instruction, so it is entered manually.
+
+     A loop whose bounds are not constants that give an iteration may
+     run zero times, and then a hoisted def overwrites a value the loop
+     would have left alone. Such a loop keeps a def unless its variable
+     is dead after the loop: no read outside the body (the loop's own
+     bounds and the function's returns count as reads). The read counts
+     are only built when such a loop has a candidate, so constant-bound
+     loops cost nothing more. *)
   let nonempty_const_bounds = ref false in
-  let hoistable (v : Mir.var) rv =
+  let func_reads = lazy (Rewrite.use_counts func) in
+  let body_reads = ref None in
+  let dead_after (l : Mir.loop) (v : Mir.var) =
+    let body =
+      match !body_reads with
+      | Some t -> t
+      | None ->
+        let t =
+          Rewrite.use_counts { func with Mir.body = l.Mir.body; rets = [] }
+        in
+        body_reads := Some t;
+        t
+    in
+    let count t = try Hashtbl.find t v.Mir.vid with Not_found -> 0 in
+    count (Lazy.force func_reads) = count body
+  in
+  let hoistable l (v : Mir.var) rv =
     (try Hashtbl.find def_counts v.Mir.vid = 1 with Not_found -> false)
     && (not (Vid_set.mem read v.Mir.vid))
     && Rewrite.forall_operands invariant_operand rv
@@ -86,22 +110,24 @@ let run (func : Mir.func) : Mir.func =
     | Mir.Rload (arr, _) ->
       !nonempty_const_bounds && not (Hashtbl.mem stored arr.Mir.vid)
     | Mir.Rvload _ | Mir.Rintrin _ -> false
-    | _ -> Rewrite.pure rv
+    | _ -> Rewrite.pure rv && (!nonempty_const_bounds || dead_after l v)
   in
-  let rec walk hoisted = function
+  let rec walk l hoisted = function
     | [] -> hoisted
-    | ({ Mir.idesc = Mir.Idef (v, rv); _ } as i) :: rest when hoistable v rv ->
+    | ({ Mir.idesc = Mir.Idef (v, rv); _ } as i) :: rest when hoistable l v rv
+      ->
       Hashtbl.remove def_counts v.Mir.vid;
       note_reads i;
-      walk (i :: hoisted) rest
+      walk l (i :: hoisted) rest
     | i :: rest ->
       note_reads i;
-      walk hoisted rest
+      walk l hoisted rest
   in
   let hoist_loop (l : Mir.loop) =
     Hashtbl.clear def_counts;
     Hashtbl.clear stored;
     Vid_set.clear read;
+    body_reads := None;
     List.iter scan l.Mir.body;
     bump l.Mir.ivar.Mir.vid;
     nonempty_const_bounds :=
@@ -111,7 +137,7 @@ let run (func : Mir.func) : Mir.func =
         (step > 0 && lo <= hi) || (step < 0 && lo >= hi)
       | _ -> false);
     (* The common nothing-to-hoist case builds no list. *)
-    match walk [] l.Mir.body with
+    match walk l [] l.Mir.body with
     | [] -> None
     | hoisted ->
       let body = List.filter (fun i -> not (List.memq i hoisted)) l.Mir.body in

@@ -287,6 +287,31 @@ let[@inline always] cwrite st d re im =
   Array.unsafe_set st.cregs (2 * d) re;
   Array.unsafe_set st.cregs ((2 * d) + 1) im
 
+(* The float operator of one SIMD lane or one reduction step, over a
+   plan-time [Mir.binop] (add, sub, mul, div, min or max). Like [fview]
+   it inlines into the consuming loop as one switch and one float
+   instruction; a [float -> float -> float] closure would box both
+   arguments and the result on every lane. [min]/[max] spell out
+   [Stdlib.min]/[max] at float type, which is what [V.binop] applies to
+   two [Sf] lanes, so NaN and signed-zero lanes agree with it. *)
+let[@inline always] lane op x y =
+  match op with
+  | Mir.Badd -> x +. y
+  | Mir.Bsub -> x -. y
+  | Mir.Bmul -> x *. y
+  | Mir.Bdiv -> x /. y
+  | Mir.Bmin -> if x <= y then x else y
+  | _ -> if x >= y then x else y
+
+(* Fold of an unboxed lane buffer with [lane op], left to right from
+   lane 0, as [V.binop] folds boxed lanes. *)
+let[@inline always] fold_lanes op (x : float array) =
+  let acc = ref (Array.unsafe_get x 0) in
+  for i = 1 to Array.length x - 1 do
+    acc := lane op !acc (Array.unsafe_get x i)
+  done;
+  !acc
+
 (* Typed conversions mirroring [V.to_float]/[to_int]/[to_bool]/
    [to_complex] exactly, including exception messages. *)
 let f_read (o : oper) : state -> float =
@@ -486,20 +511,25 @@ let compile_rbin env op a b : prod =
     let xa = i_read oa and xb = i_read ob in
     Pi (fun st -> let x = xa st in let y = xb st in f x y)
   in
-  let cmp (f : float -> float -> bool) =
-    let fa = f_read oa and fb = f_read ob in
-    Pb (fun st -> let x = fa st in let y = fb st in f x y)
-  in
   match op with
   | Mir.Badd when ints -> pi ( + )
   | Mir.Bsub when ints -> pi ( - )
   | Mir.Bmul when ints -> pi ( * )
-  | Mir.Blt when reals -> cmp ( < )
-  | Mir.Ble when reals -> cmp ( <= )
-  | Mir.Bgt when reals -> cmp ( > )
-  | Mir.Bge when reals -> cmp ( >= )
-  | Mir.Beq when reals -> cmp ( = )
-  | Mir.Bne when reals -> cmp ( <> )
+  | (Mir.Blt | Mir.Ble | Mir.Bgt | Mir.Bge | Mir.Beq | Mir.Bne) when reals ->
+    (* compared through the views: a [float -> float -> bool] closure
+       would box both operands *)
+    let ta, ia = Option.get (view_tag oa)
+    and tb, ib = Option.get (view_tag ob) in
+    Pb
+      (fun st ->
+        let x = fview st ta ia and y = fview st tb ib in
+        match op with
+        | Mir.Blt -> x < y
+        | Mir.Ble -> x <= y
+        | Mir.Bgt -> x > y
+        | Mir.Bge -> x >= y
+        | Mir.Beq -> x = y
+        | _ -> x <> y)
   | _ ->
     let vb = V.binop op in
     let fa = v_read oa and fb = v_read ob in
@@ -553,8 +583,9 @@ let compile_rmath env name args : prod =
 
 (* Horizontal reduction of a vector operand (the [Rvreduce] rvalue and
    the reduce_add/min/max intrinsics). An unboxed lane buffer folds with
-   the raw float operator; boxed lanes fold with [V.binop], which on two
-   [Sf] lanes is the same float operation. *)
+   [lane]; boxed lanes fold with [V.binop], which on two [Sf] lanes is
+   the same float operation. [compile_fdef] fuses the unboxed case into
+   a float register write. *)
 let reduce_prod op (o : oper) ~err : prod =
   let combine_s = V.binop op in
   let fold_boxed x =
@@ -566,23 +597,10 @@ let reduce_prod op (o : oper) ~err : prod =
   in
   match o with
   | Ov (s, _) ->
-    let combine_f : float -> float -> float =
-      match op with
-      | Mir.Badd -> ( +. )
-      | Mir.Bmul -> ( *. )
-      | Mir.Bmin -> min
-      | _ -> max
-    in
     Pf
       (fun st ->
         match Array.unsafe_get st.vboxs s with
-        | None ->
-          let x = Array.unsafe_get st.vbufs s in
-          let acc = ref (Array.unsafe_get x 0) in
-          for i = 1 to Array.length x - 1 do
-            acc := combine_f !acc (Array.unsafe_get x i)
-          done;
-          !acc
+        | None -> fold_lanes op (Array.unsafe_get st.vbufs s)
         (* boxed escape lanes are always [Sf] (write coercion) *)
         | Some (Value.Vector x) -> V.to_float (fold_boxed x)
         | Some (Value.Scalar _) -> fail "%s" err)
@@ -593,6 +611,18 @@ let reduce_prod op (o : oper) ~err : prod =
         match fa st with
         | Value.Vector x -> Value.Scalar (fold_boxed x)
         | Value.Scalar _ -> fail "%s" err)
+
+let vreduce_op = function
+  | Mir.Vsum -> Mir.Badd
+  | Mir.Vprod -> Mir.Bmul
+  | Mir.Vmin -> Mir.Bmin
+  | Mir.Vmax -> Mir.Bmax
+
+let reduce_kind_op = function
+  | Isa.Kreduce_add -> Some Mir.Badd
+  | Isa.Kreduce_min -> Some Mir.Bmin
+  | Isa.Kreduce_max -> Some Mir.Bmax
+  | _ -> None
 
 let compile_intrin env name args : prod =
   let opers = List.map (oper_of env) args in
@@ -625,7 +655,7 @@ let compile_intrin env name args : prod =
     (* SIMD binary op on two unboxed vector registers of equal declared
        width: a raw float loop. Any other shape (boxed escape, width
        mismatch, scalar operand) takes the exact boxed path. *)
-    let simd2 op fop =
+    let simd2 op =
       match opers with
       | [ Ov (sa, la); Ov (sb, lb) ] when la = lb -> (
         match vreads with
@@ -641,7 +671,7 @@ let compile_intrin env name args : prod =
                   let b = Array.unsafe_get st.vbufs sb in
                   for k = 0 to la - 1 do
                     Array.unsafe_set dst k
-                      (fop (Array.unsafe_get a k) (Array.unsafe_get b k))
+                      (lane op (Array.unsafe_get a k) (Array.unsafe_get b k))
                   done);
               vgen =
                 (fun st ->
@@ -652,13 +682,12 @@ let compile_intrin env name args : prod =
       | _ -> generic_bin2 op
     in
     match desc.Isa.kind with
-    | Isa.Ksimd_add -> simd2 Mir.Badd ( +. )
-    | Isa.Ksimd_sub -> simd2 Mir.Bsub ( -. )
-    | Isa.Ksimd_mul -> simd2 Mir.Bmul ( *. )
-    | Isa.Ksimd_div -> simd2 Mir.Bdiv ( /. )
-    (* [V.binop Bmin] on two [Sf] lanes is [Sf (Stdlib.min x y)]. *)
-    | Isa.Ksimd_min -> simd2 Mir.Bmin min
-    | Isa.Ksimd_max -> simd2 Mir.Bmax max
+    | Isa.Ksimd_add -> simd2 Mir.Badd
+    | Isa.Ksimd_sub -> simd2 Mir.Bsub
+    | Isa.Ksimd_mul -> simd2 Mir.Bmul
+    | Isa.Ksimd_div -> simd2 Mir.Bdiv
+    | Isa.Ksimd_min -> simd2 Mir.Bmin
+    | Isa.Ksimd_max -> simd2 Mir.Bmax
     | Isa.Kmac -> (
       (* binop Bmul (Sf a) (Sf b) = Sf (a *. b), then binop Badd on two
          Sf is Sf (+.): the unboxed lane below is the same float op
@@ -731,15 +760,11 @@ let compile_intrin env name args : prod =
       failure
         (Printf.sprintf "%s: memory intrinsics are expressed as Rvload/Ivstore"
            name)
-    | Isa.Kreduce_add | Isa.Kreduce_min | Isa.Kreduce_max -> (
-      let op =
-        match desc.Isa.kind with
-        | Isa.Kreduce_add -> Mir.Badd
-        | Isa.Kreduce_min -> Mir.Bmin
-        | _ -> Mir.Bmax
-      in
+    | (Isa.Kreduce_add | Isa.Kreduce_min | Isa.Kreduce_max) as kind -> (
       match opers with
-      | [ o ] -> reduce_prod op o ~err:"reduce expects one vector operand"
+      | [ o ] ->
+        reduce_prod (Option.get (reduce_kind_op kind)) o
+          ~err:"reduce expects one vector operand"
       | _ -> failure "reduce expects one vector operand"))
 
 let compile_rvalue env (rv : Mir.rvalue) : prod =
@@ -800,25 +825,24 @@ let compile_rvalue env (rv : Mir.rvalue) : prod =
   | Mir.Rvbroadcast (a, lanes) -> (
     match oper_of env a with
     | (Of _ | Oi _ | Ob _) as o ->
-      let gf = f_read o and gs = s_read o in
+      let t, i = Option.get (view_tag o) and gs = s_read o in
       Pv
         { vlanes = lanes;
           vready = (fun _ -> true);
           vcheck = (fun _ -> ());
-          vfill = (fun st dst -> Array.fill dst 0 lanes (gf st));
+          (* a raw loop: [Array.fill] would box the float *)
+          vfill =
+            (fun st dst ->
+              let x = fview st t i in
+              for k = 0 to lanes - 1 do
+                Array.unsafe_set dst k x
+              done);
           vgen = (fun st -> Value.Vector (Array.make lanes (gs st))) }
     | o ->
       let gs = s_read o in
       Pg (fun st -> Value.Vector (Array.make lanes (gs st))))
   | Mir.Rvreduce (r, a) ->
-    let op =
-      match r with
-      | Mir.Vsum -> Mir.Badd
-      | Mir.Vprod -> Mir.Bmul
-      | Mir.Vmin -> Mir.Bmin
-      | Mir.Vmax -> Mir.Bmax
-    in
-    reduce_prod op (oper_of env a) ~err:"vreduce of a scalar"
+    reduce_prod (vreduce_op r) (oper_of env a) ~err:"vreduce of a scalar"
   | Mir.Rintrin (name, args) -> compile_intrin env name args
 
 (* Generic (coercing) write into a vector register: unbox into the lane
@@ -932,6 +956,18 @@ let compile_cdef env d rv cls cost : (state -> unit) option =
           charge st cls cost;
           cwrite st d re im)
     | None -> None)
+  | None, Mir.Runop (Mir.Uconj, o) -> (
+    (* only a complex register: [V.unop Uconj] returns a real operand
+       unchanged, whose imaginary part is then +0.0, not -0.0 *)
+    match oper_of env o with
+    | Oc s ->
+      Some
+        (fun st ->
+          let re = Array.unsafe_get st.cregs (2 * s) in
+          let im = Array.unsafe_get st.cregs ((2 * s) + 1) in
+          charge st cls cost;
+          cwrite st d re (-.im))
+    | _ -> None)
   | None, Mir.Rcomplex (ore, oim) -> (
     (* Only real register views qualify: they cannot raise, so the
        tree-walker's unspecified record-field evaluation order is not
@@ -951,10 +987,26 @@ let compile_cdef env d rv cls cost : (state -> unit) option =
    [state -> float] closure (each call boxes its return without
    flambda), build one closure that reads the typed banks, combines
    inline, charges, and writes — zero allocation. Only shapes whose
-   fused text mirrors the generic path term-for-term are taken
-   ([min]/[max] keep their polymorphic-compare semantics, so they stay
-   on the closure path); everything else returns [None]. *)
-let compile_fdef env d rv cls cost : (state -> unit) option =
+   fused text mirrors the generic path term-for-term are taken (scalar
+   [min]/[max] stay on [V.binop]'s boxed path); everything else returns
+   [None]. [prod] is the rvalue's generic producer. *)
+let compile_fdef env d rv prod cls cost : (state -> unit) option =
+  (* A reduction of a vector register folds its unboxed lane buffer in
+     place; a boxed escape value takes [reduce_prod]'s exact path. *)
+  let reduce op a =
+    match (oper_of env a, prod) with
+    | Ov (s, _), Pf boxed ->
+      Some
+        (fun st ->
+          let x =
+            match Array.unsafe_get st.vboxs s with
+            | None -> fold_lanes op (Array.unsafe_get st.vbufs s)
+            | Some _ -> boxed st
+          in
+          charge st cls cost;
+          Array.unsafe_set st.fregs d x)
+    | _ -> None
+  in
   match rv with
   | Mir.Rbin (op, a, b) -> (
     let oa = oper_of env a and ob = oper_of env b in
@@ -1009,8 +1061,35 @@ let compile_fdef env d rv cls cost : (state -> unit) option =
           charge st cls cost;
           Array.unsafe_set st.fregs d x)
     | _ -> None)
+  | Mir.Runop (((Mir.Ure | Mir.Uim) as u), a) -> (
+    (* [V.unop] reads a real operand as the complex [x + 0i] *)
+    match view_tag (oper_of env a) with
+    | Some (t, i) ->
+      Some
+        (fun st ->
+          let x = match u with Mir.Ure -> cre st t i | _ -> cim st t i in
+          charge st cls cost;
+          Array.unsafe_set st.fregs d x)
+    | None -> None)
+  | Mir.Rmath ("atan2", [ a; b ]) -> (
+    (* [Builtins.float_fn2 "atan2"] is [Stdlib.atan2]; calling it by
+       name keeps its arguments and result unboxed *)
+    match (view_tag (oper_of env a), view_tag (oper_of env b)) with
+    | Some (ta, ia), Some (tb, ib) when ta < 3 && tb < 3 ->
+      Some
+        (fun st ->
+          let r = atan2 (fview st ta ia) (fview st tb ib) in
+          charge st cls cost;
+          Array.unsafe_set st.fregs d r)
+    | _ -> None)
+  | Mir.Rvreduce (r, a) -> reduce (vreduce_op r) a
+  | Mir.Rintrin (name, [ a ]) -> (
+    match Isa.find_named env.isa name with
+    | Some desc ->
+      Option.bind (reduce_kind_op desc.Isa.kind) (fun op -> reduce op a)
+    | None -> None)
   | Mir.Runop _ | Mir.Rmath _ | Mir.Rcomplex _ | Mir.Rintrin _ | Mir.Rvload _
-  | Mir.Rvbroadcast _ | Mir.Rvreduce _ ->
+  | Mir.Rvbroadcast _ ->
     None
 
 (* ---------------- instruction compilation ---------------- *)
@@ -1061,7 +1140,7 @@ and compile_instr env (desc : Mir.instr_desc) : state -> unit =
         raise (Runtime_error msg)
     | Sreg (Rf d) -> (
       let fused =
-        if cost_opt = None then None else compile_fdef env d rv cls cost
+        if cost_opt = None then None else compile_fdef env d rv prod cls cost
       in
       (* Writes below follow the tree-walker's order exactly: evaluate
          the rvalue, charge, then coerce (which may raise) and write. *)
@@ -1369,14 +1448,16 @@ and compile_loop env (ivar : Mir.var) lo step hi body : state -> unit =
        counter lives in a private shadow slot of the float bank so the
        loop never touches a boxed float: body writes to the induction
        register cannot perturb iteration (the tree-walker advances from
-       its own saved value too). *)
-    let gl = f_read olo and gs = f_read ostep and gh = f_read ohi in
+       its own saved value too). The bounds are read through the views,
+       since a [state -> float] reader would box each one per entry. *)
+    let view o = Option.get (view_tag o) in
+    let tl, il = view olo and ts, is = view ostep and th, ih = view ohi in
     let sh = fshadow env in
     fun st ->
       let fr = st.fregs in
-      Array.unsafe_set fr sh (gl st);
-      let s = gs st in
-      let h = gh st in
+      Array.unsafe_set fr sh (fview st tl il);
+      let s = fview st ts is in
+      let h = fview st th ih in
       (try
          if s >= 0.0 then
            while Array.unsafe_get fr sh <= h do

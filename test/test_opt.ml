@@ -207,6 +207,59 @@ let test_licm_read_before_def () =
     Alcotest.(check bool) "O2 returns what O0 does" true (a0 = a2)
   | _ -> Alcotest.fail "expected one array"
 
+(* A loop with run-time bounds may run zero times, so licm must keep a
+   def whose variable is read after the loop: with [n <= 0] the loop
+   never assigns [t], and [z] is [1 + y(1)], not [2c + y(1)]. Every
+   level must return what the unoptimized tree-walker does, on the tree
+   and on the plan, on a target with and one without SIMD. *)
+let test_licm_zero_trip () =
+  let source =
+    "function z = f(x, n, c)\n\
+     t = 1;\n\
+     y = zeros(1, 8);\n\
+     for i = 1:n\n\
+     t = c * 2;\n\
+     y(i) = x(i) * t;\n\
+     end\n\
+     z = t + y(1);\n\
+     end"
+  in
+  let arg_types =
+    [ Mtype.row_vector Mtype.Double 8; Mtype.int_; Mtype.double ]
+  in
+  let mode = Masc_asip.Cost_model.Proposed in
+  let compile isa lvl =
+    (Masc.Compiler.compile
+       { (Masc.Compiler.proposed ~isa ()) with Masc.Compiler.opt_level = lvl }
+       ~source ~entry:"f" ~arg_types)
+      .Masc.Compiler.mir
+  in
+  List.iter
+    (fun (isa : Masc_asip.Isa.t) ->
+      let f0 = compile isa Masc_opt.Pipeline.O0 in
+      List.iter
+        (fun n ->
+          let inputs =
+            [ I.xarray_of_floats (Masc_kernels.Kernels.randoms ~seed:3 8);
+              I.Xscalar (V.Si n); I.Xscalar (V.Sf 1.5) ]
+          in
+          let expected = (I.run_tree ~isa ~mode f0 inputs).I.rets in
+          List.iter
+            (fun (lname, lvl) ->
+              let f = compile isa lvl in
+              let tag engine =
+                Printf.sprintf "%s n=%d %s %s" isa.Masc_asip.Isa.tname n lname
+                  engine
+              in
+              Alcotest.(check bool) (tag "tree") true
+                ((I.run_tree ~isa ~mode f inputs).I.rets = expected);
+              Alcotest.(check bool) (tag "plan") true
+                ((I.run ~isa ~mode f inputs).I.rets = expected))
+            [ ("O0", Masc_opt.Pipeline.O0); ("O1", Masc_opt.Pipeline.O1);
+              ("O2", Masc_opt.Pipeline.O2) ])
+        [ -1; 0; 3; 8 ])
+    [ Masc_asip.Targets.scalar; Masc_asip.Targets.dsp8 ]
+
 let test_global_const () =
   let f =
     lower
@@ -331,6 +384,8 @@ let base_suites =
           test_licm_one_run;
         Alcotest.test_case "licm keeps a def read before it" `Quick
           test_licm_read_before_def;
+        Alcotest.test_case "licm keeps a def a zero-trip loop skips" `Quick
+          test_licm_zero_trip;
         Alcotest.test_case "global constants" `Quick test_global_const;
         Alcotest.test_case "O2 reduces cycles" `Quick test_o2_reduces_work;
         QCheck_alcotest.to_alcotest prop_opt_preserves;
