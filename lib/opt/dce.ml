@@ -1,36 +1,45 @@
 module Mir = Masc_mir.Mir
 
+module Vid_counts = Rewrite.Vid_counts
+
 (* Read counts: like Rewrite.use_counts but the target array of a store
-   does not count as a read, so write-only arrays can be eliminated. *)
-let read_counts (func : Mir.func) : (int, int) Hashtbl.t =
-  let tbl = Hashtbl.create 64 in
-  let bump = function
-    | Mir.Ovar v ->
-      let cur = try Hashtbl.find tbl v.Mir.vid with Not_found -> 0 in
-      Hashtbl.replace tbl v.Mir.vid (cur + 1)
-    | Mir.Oconst _ -> ()
-  in
-  Rewrite.iter_instrs
-    (fun i ->
-      match i.Mir.idesc with
-      | Mir.Idef (_, rv) -> Rewrite.iter_operands bump rv
-      | Mir.Istore (_, idx, v) ->
-        bump idx;
-        bump v
-      | Mir.Ivstore (_, base, v, _) ->
-        bump base;
-        bump v
-      | Mir.Iif (c, _, _) -> bump c
-      | Mir.Iloop l ->
-        bump l.Mir.lo;
-        bump l.Mir.step;
-        bump l.Mir.hi
-      | Mir.Iwhile { cond; _ } -> bump cond
-      | Mir.Iprint (_, ops) -> List.iter bump ops
-      | Mir.Ibreak | Mir.Icontinue | Mir.Ireturn | Mir.Icomment _ -> ())
-    func;
-  List.iter (fun (r : Mir.var) -> bump (Mir.Ovar r)) func.Mir.rets;
-  tbl
+   does not count as a read, so write-only arrays can be eliminated.
+   [count_instr c d i] adds [d] per read in [i] and its nested blocks:
+   [1] to build the table, [-1] to forget an instruction DCE drops. *)
+let rec count_instr c d (i : Mir.instr) =
+  match i.Mir.idesc with
+  | Mir.Idef (_, rv) -> Vid_counts.add_reads c d rv
+  | Mir.Istore (_, idx, v) | Mir.Ivstore (_, idx, v, _) ->
+    Vid_counts.add_operand c d idx;
+    Vid_counts.add_operand c d v
+  | Mir.Iif (cond, t, e) ->
+    Vid_counts.add_operand c d cond;
+    count_block c d t;
+    count_block c d e
+  | Mir.Iloop l ->
+    Vid_counts.add_operand c d l.Mir.lo;
+    Vid_counts.add_operand c d l.Mir.step;
+    Vid_counts.add_operand c d l.Mir.hi;
+    count_block c d l.Mir.body
+  | Mir.Iwhile { cond; cond_block; body } ->
+    Vid_counts.add_operand c d cond;
+    count_block c d cond_block;
+    count_block c d body
+  | Mir.Iprint (_, ops) -> count_operands c d ops
+  | Mir.Ibreak | Mir.Icontinue | Mir.Ireturn | Mir.Icomment _ -> ()
+
+and count_block c d (b : Mir.block) =
+  match b with
+  | [] -> ()
+  | i :: tl ->
+    count_instr c d i;
+    count_block c d tl
+
+and count_operands c d = function
+  | [] -> ()
+  | a :: tl ->
+    Vid_counts.add_operand c d a;
+    count_operands c d tl
 
 let rec block_has_effects (b : Mir.block) =
   List.exists
@@ -47,48 +56,22 @@ let rec block_has_effects (b : Mir.block) =
 
 (* The whole pass maintains ONE read-count table: dropping an
    instruction subtracts exactly the reads it contributed (recursively
-   for dropped blocks), which is the same table [read_counts] would
-   rebuild on the remaining program — so the removal cascade (a def's
+   for dropped blocks), which is the same table a fresh count would
+   build on the remaining program — so the removal cascade (a def's
    only reader dies, then the def) runs without re-scanning the
    function per round. Removal is monotone (counts only decrease, and
    [keep] is anti-monotone in them), so the reached fixpoint is the
-   same whichever order drops are discovered in. *)
+   same whichever order drops are discovered in. The table is an int
+   per variable id and every helper is built once per run, so a run
+   that removes nothing allocates the table and a few closures: about
+   0.1 kwords of minor heap per run on compile-large's programs, where
+   most tables are over 256 ids and go straight to the major heap
+   (EXPERIMENTS.md, "Optimizer no-change runs"). *)
 let run (func : Mir.func) : Mir.func =
-  let reads = read_counts func in
-  let read vid = Hashtbl.mem reads vid in
-  let drop = function
-    | Mir.Ovar v -> (
-      match Hashtbl.find_opt reads v.Mir.vid with
-      | Some n when n > 1 -> Hashtbl.replace reads v.Mir.vid (n - 1)
-      | Some _ -> Hashtbl.remove reads v.Mir.vid
-      | None -> ())
-    | Mir.Oconst _ -> ()
-  in
-  let rec forget_instr (i : Mir.instr) =
-    match i.Mir.idesc with
-    | Mir.Idef (_, rv) -> Rewrite.iter_operands drop rv
-    | Mir.Istore (_, idx, v) ->
-      drop idx;
-      drop v
-    | Mir.Ivstore (_, base, v, _) ->
-      drop base;
-      drop v
-    | Mir.Iif (c, t, e) ->
-      drop c;
-      List.iter forget_instr t;
-      List.iter forget_instr e
-    | Mir.Iloop l ->
-      drop l.Mir.lo;
-      drop l.Mir.step;
-      drop l.Mir.hi;
-      List.iter forget_instr l.Mir.body
-    | Mir.Iwhile { cond; cond_block; body } ->
-      drop cond;
-      List.iter forget_instr cond_block;
-      List.iter forget_instr body
-    | Mir.Iprint (_, ops) -> List.iter drop ops
-    | Mir.Ibreak | Mir.Icontinue | Mir.Ireturn | Mir.Icomment _ -> ()
-  in
+  let reads = Vid_counts.create (List.length func.Mir.vars) in
+  count_block reads 1 func.Mir.body;
+  List.iter (fun (r : Mir.var) -> Vid_counts.add reads r.Mir.vid 1) func.Mir.rets;
+  let read vid = Vid_counts.get reads vid > 0 in
   let ret_ids = List.map (fun (r : Mir.var) -> r.Mir.vid) func.Mir.rets in
   let keep_array (arr : Mir.var) =
     read arr.Mir.vid || List.mem arr.Mir.vid ret_ids
@@ -112,26 +95,20 @@ let run (func : Mir.func) : Mir.func =
   in
   let changed = ref false in
   (* Sharing-preserving filter: a block with nothing to remove is
-     returned physically, so a no-change round rebuilds no list. A run
-     that removes nothing still pays for the read-count table and the
-     per-block closures: about 5 kwords per run on compile-large's
-     programs (EXPERIMENTS.md, "Optimizer and inference re-scans"). *)
-  let prune (block : Mir.block) : Mir.block =
-    let rec go (l : Mir.block) : Mir.block =
-      match l with
-      | [] -> l
-      | instr :: rest ->
-        if keep instr then begin
-          let rest' = go rest in
-          if rest' == rest then l else instr :: rest'
-        end
-        else begin
-          changed := true;
-          forget_instr instr;
-          go rest
-        end
-    in
-    go block
+     returned physically, so a no-change round rebuilds no list. *)
+  let rec prune (l : Mir.block) : Mir.block =
+    match l with
+    | [] -> l
+    | instr :: rest ->
+      if keep instr then begin
+        let rest' = prune rest in
+        if rest' == rest then l else instr :: rest'
+      end
+      else begin
+        changed := true;
+        count_instr reads (-1) instr;
+        prune rest
+      end
   in
   let rec fix func n =
     changed := false;

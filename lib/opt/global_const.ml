@@ -37,42 +37,43 @@ let propagate (func : Mir.func) : Mir.func =
         | exception Not_found -> op)
       | Mir.Oconst _ -> op
     in
-    let subst_rvalue rv = Rewrite.map_operands subst rv in
+    (* Built once per run: a lambda inside [rewrite] would be a closure
+       per block. *)
+    let rewrite_instr (instr : Mir.instr) =
+      match instr.Mir.idesc with
+      | Mir.Idef (v, rv) ->
+        let rv' = Rewrite.map_operands subst rv in
+        if rv' == rv then instr else Mir.redesc instr (Mir.Idef (v, rv'))
+      | Mir.Istore (arr, idx, x) ->
+        let idx' = subst idx and x' = subst x in
+        if idx' == idx && x' == x then instr
+        else Mir.redesc instr (Mir.Istore (arr, idx', x'))
+      | Mir.Ivstore (arr, base, x, l) ->
+        let base' = subst base and x' = subst x in
+        if base' == base && x' == x then instr
+        else Mir.redesc instr (Mir.Ivstore (arr, base', x', l))
+      | Mir.Iif (c, t, e) ->
+        let c' = subst c in
+        if c' == c then instr else Mir.redesc instr (Mir.Iif (c', t, e))
+      | Mir.Iloop l ->
+        let lo' = subst l.Mir.lo
+        and step' = subst l.Mir.step
+        and hi' = subst l.Mir.hi in
+        if lo' == l.Mir.lo && step' == l.Mir.step && hi' == l.Mir.hi then
+          instr
+        else Mir.redesc instr (Mir.Iloop { l with Mir.lo = lo'; step = step'; hi = hi' })
+      | Mir.Iwhile { cond_block; cond; body } ->
+        let cond' = subst cond in
+        if cond' == cond then instr
+        else Mir.redesc instr (Mir.Iwhile { cond_block; cond = cond'; body })
+      | Mir.Iprint (fmt, ops) ->
+        let ops' = Rewrite.smap subst ops in
+        if ops' == ops then instr else Mir.redesc instr (Mir.Iprint (fmt, ops'))
+      | Mir.Ibreak | Mir.Icontinue | Mir.Ireturn | Mir.Icomment _ ->
+        instr
+    in
     let rewrite (block : Mir.block) : Mir.block =
-      Rewrite.smap
-        (fun (instr : Mir.instr) ->
-          match instr.Mir.idesc with
-          | Mir.Idef (v, rv) ->
-            let rv' = subst_rvalue rv in
-            if rv' == rv then instr else Mir.redesc instr (Mir.Idef (v, rv'))
-          | Mir.Istore (arr, idx, x) ->
-            let idx' = subst idx and x' = subst x in
-            if idx' == idx && x' == x then instr
-            else Mir.redesc instr (Mir.Istore (arr, idx', x'))
-          | Mir.Ivstore (arr, base, x, l) ->
-            let base' = subst base and x' = subst x in
-            if base' == base && x' == x then instr
-            else Mir.redesc instr (Mir.Ivstore (arr, base', x', l))
-          | Mir.Iif (c, t, e) ->
-            let c' = subst c in
-            if c' == c then instr else Mir.redesc instr (Mir.Iif (c', t, e))
-          | Mir.Iloop l ->
-            let lo' = subst l.Mir.lo
-            and step' = subst l.Mir.step
-            and hi' = subst l.Mir.hi in
-            if lo' == l.Mir.lo && step' == l.Mir.step && hi' == l.Mir.hi then
-              instr
-            else Mir.redesc instr (Mir.Iloop { l with Mir.lo = lo'; step = step'; hi = hi' })
-          | Mir.Iwhile { cond_block; cond; body } ->
-            let cond' = subst cond in
-            if cond' == cond then instr
-            else Mir.redesc instr (Mir.Iwhile { cond_block; cond = cond'; body })
-          | Mir.Iprint (fmt, ops) ->
-            let ops' = Rewrite.smap subst ops in
-            if ops' == ops then instr else Mir.redesc instr (Mir.Iprint (fmt, ops'))
-          | Mir.Ibreak | Mir.Icontinue | Mir.Ireturn | Mir.Icomment _ ->
-            instr)
-        block
+      Rewrite.smap rewrite_instr block
     in
     Rewrite.map_blocks rewrite func
   end

@@ -2,27 +2,28 @@ module Mir = Masc_mir.Mir
 module Vid_set = Rewrite.Vid_set
 
 let run (func : Mir.func) : Mir.func =
-  (* Per-loop analysis tables, built once per run and cleared per loop:
-     top-level def count per variable (only single-definition variables
-     hoist safely; any entry at all means "defined somewhere in the
-     body", which is the invariance test), the arrays the body stores
-     to, and the variables read so far by the forward hoisting walk. *)
-  let def_counts = Hashtbl.create 16 in
-  let stored = Hashtbl.create 8 in
-  let read = Vid_set.create (List.length func.Mir.vars) in
+  (* Per-loop analysis sets, built once per run and cleared per loop
+     (a constant-time epoch bump): the variables the body defines, those
+     it defines more than once (only single-definition variables hoist
+     safely; any definition at all means "not invariant"), the arrays
+     the body stores to, and the variables read so far by the forward
+     hoisting walk. A def count is only ever compared with 1, so two
+     byte-per-id sets replace a count table and fill without
+     allocating. *)
+  let nvars = List.length func.Mir.vars in
+  let defined = Vid_set.create nvars in
+  let redefined = Vid_set.create nvars in
+  let stored = Vid_set.create nvars in
+  let read = Vid_set.create nvars in
   let bump vid =
-    let cur = try Hashtbl.find def_counts vid with Not_found -> 0 in
-    Hashtbl.replace def_counts vid (cur + 1)
-  in
-  let invariant_operand = function
-    | Mir.Ovar v -> not (Hashtbl.mem def_counts v.Mir.vid)
-    | Mir.Oconst _ -> true
+    if Vid_set.mem defined vid then Vid_set.add redefined vid
+    else Vid_set.add defined vid
   in
   let rec scan (i : Mir.instr) =
     match i.Mir.idesc with
     | Mir.Idef (v, _) -> bump v.Mir.vid
     | Mir.Istore (arr, _, _) | Mir.Ivstore (arr, _, _, _) ->
-      Hashtbl.replace stored arr.Mir.vid ()
+      Vid_set.add stored arr.Mir.vid
     | Mir.Iloop inner ->
       bump inner.Mir.ivar.Mir.vid;
       List.iter scan inner.Mir.body
@@ -66,7 +67,7 @@ let run (func : Mir.func) : Mir.func =
      variable has no other def in the loop, nothing earlier in the body
      reads it (that read would see the value from before the loop, or
      from the previous iteration, on every iteration), and its operands
-     are invariant. A hoisted def leaves [def_counts], so a later def
+     are invariant. A hoisted def leaves [defined], so a later def
      reading it is invariant too: a chain of invariants leaves in one
      run. Blocks are visited inner first ([Rewrite.map_blocks]), so
      what an inner loop hoists is in its parent's body by the time the
@@ -83,32 +84,32 @@ let run (func : Mir.func) : Mir.func =
      is dead after the loop: no read outside the body (the loop's own
      bounds and the function's returns count as reads). The read counts
      are only built when such a loop has a candidate, so constant-bound
-     loops cost nothing more. *)
+     loops cost nothing more: the whole function's once per run, and one
+     body table per run that is moved from loop to loop by subtracting
+     the previous body's reads. *)
   let nonempty_const_bounds = ref false in
   let func_reads = lazy (Rewrite.use_counts func) in
-  let body_reads = ref None in
+  let body_reads = lazy (Rewrite.Vid_counts.create nvars) in
+  let counted_body = ref [] in
   let dead_after (l : Mir.loop) (v : Mir.var) =
-    let body =
-      match !body_reads with
-      | Some t -> t
-      | None ->
-        let t =
-          Rewrite.use_counts { func with Mir.body = l.Mir.body; rets = [] }
-        in
-        body_reads := Some t;
-        t
-    in
-    let count t = try Hashtbl.find t v.Mir.vid with Not_found -> 0 in
-    count (Lazy.force func_reads) = count body
+    let body = Lazy.force body_reads in
+    if !counted_body != l.Mir.body then begin
+      Rewrite.Vid_counts.add_block_uses body (-1) !counted_body;
+      Rewrite.Vid_counts.add_block_uses body 1 l.Mir.body;
+      counted_body := l.Mir.body
+    end;
+    Rewrite.Vid_counts.get (Lazy.force func_reads) v.Mir.vid
+    = Rewrite.Vid_counts.get body v.Mir.vid
   in
   let hoistable l (v : Mir.var) rv =
-    (try Hashtbl.find def_counts v.Mir.vid = 1 with Not_found -> false)
+    Vid_set.mem defined v.Mir.vid
+    && (not (Vid_set.mem redefined v.Mir.vid))
     && (not (Vid_set.mem read v.Mir.vid))
-    && Rewrite.forall_operands invariant_operand rv
+    && (not (Vid_set.reads_any defined rv))
     &&
     match rv with
     | Mir.Rload (arr, _) ->
-      !nonempty_const_bounds && not (Hashtbl.mem stored arr.Mir.vid)
+      !nonempty_const_bounds && not (Vid_set.mem stored arr.Mir.vid)
     | Mir.Rvload _ | Mir.Rintrin _ -> false
     | _ -> Rewrite.pure rv && (!nonempty_const_bounds || dead_after l v)
   in
@@ -116,7 +117,7 @@ let run (func : Mir.func) : Mir.func =
     | [] -> hoisted
     | ({ Mir.idesc = Mir.Idef (v, rv); _ } as i) :: rest when hoistable l v rv
       ->
-      Hashtbl.remove def_counts v.Mir.vid;
+      Vid_set.remove defined v.Mir.vid;
       note_reads i;
       walk l (i :: hoisted) rest
     | i :: rest ->
@@ -124,10 +125,10 @@ let run (func : Mir.func) : Mir.func =
       walk l hoisted rest
   in
   let hoist_loop (l : Mir.loop) =
-    Hashtbl.clear def_counts;
-    Hashtbl.clear stored;
+    Vid_set.clear defined;
+    Vid_set.clear redefined;
+    Vid_set.clear stored;
     Vid_set.clear read;
-    body_reads := None;
     List.iter scan l.Mir.body;
     bump l.Mir.ivar.Mir.vid;
     nonempty_const_bounds :=
@@ -143,25 +144,23 @@ let run (func : Mir.func) : Mir.func =
       let body = List.filter (fun i -> not (List.memq i hoisted)) l.Mir.body in
       Some (List.rev hoisted, { l with Mir.body = body })
   in
-  (* Sharing-preserving splice: a block whose loops hoist nothing is
-     returned physically, so a clean run rebuilds no list. It still
-     fills the tables: about 3.1 kwords per run on compile-large's
-     programs (EXPERIMENTS.md, "Optimizer and inference re-scans"). *)
-  let process (block : Mir.block) : Mir.block =
-    let rec go (bl : Mir.block) : Mir.block =
-      match bl with
-      | [] -> bl
-      | ({ Mir.idesc = Mir.Iloop l; _ } as instr) :: rest -> (
-        match hoist_loop l with
-        | None ->
-          let rest' = go rest in
-          if rest' == rest then bl else instr :: rest'
-        | Some (hoisted, l') ->
-          hoisted @ (Mir.redesc instr (Mir.Iloop l') :: go rest))
-      | instr :: rest ->
-        let rest' = go rest in
+  (* Sharing-preserving splice, built once per run: a block whose loops
+     hoist nothing is returned physically, so a clean run rebuilds no
+     list. It allocates the four sets and the helpers: about 0.4 kwords
+     per run on compile-large's programs (EXPERIMENTS.md, "Optimizer
+     no-change runs"). *)
+  let rec process (bl : Mir.block) : Mir.block =
+    match bl with
+    | [] -> bl
+    | ({ Mir.idesc = Mir.Iloop l; _ } as instr) :: rest -> (
+      match hoist_loop l with
+      | None ->
+        let rest' = process rest in
         if rest' == rest then bl else instr :: rest'
-    in
-    go block
+      | Some (hoisted, l') ->
+        hoisted @ (Mir.redesc instr (Mir.Iloop l') :: process rest))
+    | instr :: rest ->
+      let rest' = process rest in
+      if rest' == rest then bl else instr :: rest'
   in
   Rewrite.map_blocks process func

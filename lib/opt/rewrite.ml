@@ -4,18 +4,21 @@ module Mir = Masc_mir.Mir
    equality) when [f] returns every element unchanged. All pass
    traversals are built on it so an untouched subtree is shared, never
    re-allocated — which is what makes the pipeline's did-this-pass-
-   change-anything check a single pointer comparison on the root. *)
-let smap f l =
-  let rec go l =
-    match l with
-    | [] -> l
-    | x :: tl ->
-      let x' = f x in
-      let tl' = go tl in
-      if x' == x && tl' == tl then l else x' :: tl'
-  in
-  go l
+   change-anything check a single pointer comparison on the root. It
+   recurses on itself: a local [go] closing over [f] would be a closure
+   per call. [f] sees the elements in order, which stateful callbacks
+   rely on. *)
+let rec smap f l =
+  match l with
+  | [] -> l
+  | x :: tl ->
+    let x' = f x in
+    let tl' = smap f tl in
+    if x' == x && tl' == tl then l else x' :: tl'
 
+(* [map_block_instr], [map_block] and [map_instrs] pass [f] down as an
+   argument: a partial application [smap (map_block_instr f)] would
+   allocate a closure per block visited. *)
 let rec map_block_instr f (i : Mir.instr) : Mir.instr =
   match i.Mir.idesc with
   | Mir.Iif (c, t, e) ->
@@ -35,21 +38,31 @@ let rec map_block_instr f (i : Mir.instr) : Mir.instr =
   | Mir.Ireturn | Mir.Iprint _ | Mir.Icomment _ ->
     i
 
-and map_block f (b : Mir.block) : Mir.block = f (smap (map_block_instr f) b)
+and map_instrs f (b : Mir.block) : Mir.block =
+  match b with
+  | [] -> b
+  | i :: tl ->
+    let i' = map_block_instr f i in
+    let tl' = map_instrs f tl in
+    if i' == i && tl' == tl then b else i' :: tl'
+
+and map_block f (b : Mir.block) : Mir.block = f (map_instrs f b)
 
 let map_blocks f (func : Mir.func) : Mir.func =
   let body' = map_block f func.Mir.body in
   if body' == func.Mir.body then func else { func with Mir.body = body' }
 
+let rewrite_rvalue f instr =
+  match instr.Mir.idesc with
+  | Mir.Idef (v, rv) ->
+    let rv' = f rv in
+    if rv' == rv then instr else Mir.redesc instr (Mir.Idef (v, rv'))
+  | _ -> instr
+
+(* The callback is built once per call; [smap] itself allocates
+   nothing per block. *)
 let map_rvalues f (func : Mir.func) : Mir.func =
-  let rewrite_instr instr =
-    match instr.Mir.idesc with
-    | Mir.Idef (v, rv) ->
-      let rv' = f rv in
-      if rv' == rv then instr else Mir.redesc instr (Mir.Idef (v, rv'))
-    | _ -> instr
-  in
-  map_blocks (smap rewrite_instr) func
+  map_blocks (smap (rewrite_rvalue f)) func
 
 (* Sharing-preserving operand substitution inside one rvalue. Base
    arrays of loads/stores are [var]s, not operands, so — like every
@@ -89,21 +102,22 @@ let map_operands f (rv : Mir.rvalue) : Mir.rvalue =
     if args' == args then rv else Mir.Rintrin (n, args')
 
 let rec iter_block g (b : Mir.block) =
-  List.iter
-    (fun i ->
-      (match i.Mir.idesc with
-      | Mir.Iif (_, t, e) ->
-        iter_block g t;
-        iter_block g e
-      | Mir.Iloop l -> iter_block g l.Mir.body
-      | Mir.Iwhile { cond_block; body; _ } ->
-        iter_block g cond_block;
-        iter_block g body
-      | Mir.Idef _ | Mir.Istore _ | Mir.Ivstore _ | Mir.Ibreak
-      | Mir.Icontinue | Mir.Ireturn | Mir.Iprint _ | Mir.Icomment _ ->
-        ());
-      g i)
-    b
+  match b with
+  | [] -> ()
+  | i :: tl ->
+    (match i.Mir.idesc with
+    | Mir.Iif (_, t, e) ->
+      iter_block g t;
+      iter_block g e
+    | Mir.Iloop l -> iter_block g l.Mir.body
+    | Mir.Iwhile { cond_block; body; _ } ->
+      iter_block g cond_block;
+      iter_block g body
+    | Mir.Idef _ | Mir.Istore _ | Mir.Ivstore _ | Mir.Ibreak | Mir.Icontinue
+    | Mir.Ireturn | Mir.Iprint _ | Mir.Icomment _ ->
+      ());
+    g i;
+    iter_block g tl
 
 let iter_instrs g (func : Mir.func) = iter_block g func.Mir.body
 
@@ -213,6 +227,29 @@ module Vid_set = struct
   let mem s vid =
     vid < Bytes.length s.stamp && Char.code (Bytes.get s.stamp vid) = s.epoch
 
+  let mem_operand s = function
+    | Mir.Ovar v -> mem s v.Mir.vid
+    | Mir.Oconst _ -> false
+
+  let rec mem_any s = function
+    | [] -> false
+    | a :: tl -> mem_operand s a || mem_any s tl
+
+  let reads_any s (rv : Mir.rvalue) =
+    match rv with
+    | Mir.Rbin (_, a, b) | Mir.Rcomplex (a, b) ->
+      mem_operand s a || mem_operand s b
+    | Mir.Runop (_, a) | Mir.Rmove a | Mir.Rvbroadcast (a, _)
+    | Mir.Rvreduce (_, a) ->
+      mem_operand s a
+    | Mir.Rmath (_, args) | Mir.Rintrin (_, args) -> mem_any s args
+    | Mir.Rload (arr, idx) -> mem s arr.Mir.vid || mem_operand s idx
+    | Mir.Rvload (arr, base, _) -> mem s arr.Mir.vid || mem_operand s base
+
+  (* The epoch is never 0, so a zero byte is out of every epoch. *)
+  let remove s vid =
+    if vid < Bytes.length s.stamp then Bytes.set s.stamp vid '\000'
+
   let clear s =
     if s.epoch < 255 then s.epoch <- s.epoch + 1
     else begin
@@ -221,37 +258,92 @@ module Vid_set = struct
     end
 end
 
-let use_counts (func : Mir.func) : (int, int) Hashtbl.t =
-  let tbl = Hashtbl.create 64 in
-  let bump = function
-    | Mir.Ovar v ->
-      let cur = try Hashtbl.find tbl v.Mir.vid with Not_found -> 0 in
-      Hashtbl.replace tbl v.Mir.vid (cur + 1)
+module Vid_counts = struct
+  (* Four bytes per id, dense from 0 like [Vid_set]: half an int array.
+     A block of more than 256 words is allocated directly in the major
+     heap, which minor-word counts do not show, so the table is kept as
+     small as its counts allow. A count is one operand occurrence in one
+     function, so 2^31 of them would take a program of tens of
+     gigabytes. *)
+  type t = { mutable counts : Bytes.t }
+
+  let create n = { counts = Bytes.make (4 * max n 1) '\000' }
+
+  let get c vid =
+    if 4 * vid < Bytes.length c.counts then
+      Int32.to_int (Bytes.get_int32_ne c.counts (4 * vid))
+    else 0
+
+  let add c vid d =
+    let i = 4 * vid in
+    let n = Bytes.length c.counts in
+    if i >= n then begin
+      let grown = Bytes.make (max (i + 4) (2 * n)) '\000' in
+      Bytes.blit c.counts 0 grown 0 n;
+      c.counts <- grown
+    end;
+    Bytes.set_int32_ne c.counts i
+      (Int32.add (Bytes.get_int32_ne c.counts i) (Int32.of_int d))
+
+  let add_operand c d = function
+    | Mir.Ovar v -> add c v.Mir.vid d
     | Mir.Oconst _ -> ()
-  in
-  let instr i =
-    match i.Mir.idesc with
-    | Mir.Idef (_, rv) -> iter_operands bump rv
-    | Mir.Istore (arr, idx, v) ->
-      bump (Mir.Ovar arr);
-      bump idx;
-      bump v
-    | Mir.Ivstore (arr, base, v, _) ->
-      bump (Mir.Ovar arr);
-      bump base;
-      bump v
-    | Mir.Iif (c, _, _) -> bump c
-    | Mir.Iloop l ->
-      bump l.Mir.lo;
-      bump l.Mir.step;
-      bump l.Mir.hi
-    | Mir.Iwhile { cond; _ } -> bump cond
-    | Mir.Iprint (_, ops) -> List.iter bump ops
-    | Mir.Ibreak | Mir.Icontinue | Mir.Ireturn | Mir.Icomment _ -> ()
-  in
-  iter_instrs instr func;
-  List.iter (fun r -> bump (Mir.Ovar r)) func.Mir.rets;
-  tbl
+
+  let rec add_operands c d = function
+    | [] -> ()
+    | a :: tl ->
+      add_operand c d a;
+      add_operands c d tl
+
+  let add_reads c d (rv : Mir.rvalue) =
+    match rv with
+    | Mir.Rbin (_, a, b) | Mir.Rcomplex (a, b) ->
+      add_operand c d a;
+      add_operand c d b
+    | Mir.Runop (_, a) | Mir.Rmove a | Mir.Rvbroadcast (a, _)
+    | Mir.Rvreduce (_, a) ->
+      add_operand c d a
+    | Mir.Rmath (_, args) | Mir.Rintrin (_, args) -> add_operands c d args
+    | Mir.Rload (arr, idx) ->
+      add c arr.Mir.vid d;
+      add_operand c d idx
+    | Mir.Rvload (arr, base, _) ->
+      add c arr.Mir.vid d;
+      add_operand c d base
+
+  let rec add_block_uses c d (b : Mir.block) =
+    match b with
+    | [] -> ()
+    | i :: tl ->
+      (match i.Mir.idesc with
+      | Mir.Idef (_, rv) -> add_reads c d rv
+      | Mir.Istore (arr, idx, v) | Mir.Ivstore (arr, idx, v, _) ->
+        add c arr.Mir.vid d;
+        add_operand c d idx;
+        add_operand c d v
+      | Mir.Iif (cond, t, e) ->
+        add_operand c d cond;
+        add_block_uses c d t;
+        add_block_uses c d e
+      | Mir.Iloop l ->
+        add_operand c d l.Mir.lo;
+        add_operand c d l.Mir.step;
+        add_operand c d l.Mir.hi;
+        add_block_uses c d l.Mir.body
+      | Mir.Iwhile { cond_block; cond; body } ->
+        add_block_uses c d cond_block;
+        add_operand c d cond;
+        add_block_uses c d body
+      | Mir.Iprint (_, ops) -> add_operands c d ops
+      | Mir.Ibreak | Mir.Icontinue | Mir.Ireturn | Mir.Icomment _ -> ());
+      add_block_uses c d tl
+end
+
+let use_counts (func : Mir.func) : Vid_counts.t =
+  let c = Vid_counts.create (List.length func.Mir.vars) in
+  Vid_counts.add_block_uses c 1 func.Mir.body;
+  List.iter (fun (r : Mir.var) -> Vid_counts.add c r.Mir.vid 1) func.Mir.rets;
+  c
 
 let pure = function
   | Mir.Rbin _ | Mir.Runop _ | Mir.Rmath _ | Mir.Rcomplex _ | Mir.Rmove _

@@ -14,7 +14,11 @@
 module Mir = Masc_mir.Mir
 
 (** Sharing-preserving [List.map]: returns the original list when [f]
-    returns every element physically unchanged. *)
+    returns every element physically unchanged, and allocates nothing
+    of its own until [f] changes an element. [f] is applied in list
+    order. Pass a callback built once per run: a closure built per call
+    (a lambda over per-block state, a partial application) is the
+    allocation. *)
 val smap : ('a -> 'a) -> 'a list -> 'a list
 
 (** [map_blocks f func] applies [f] to every block bottom-up (inner
@@ -33,11 +37,6 @@ val map_operands : (Mir.operand -> Mir.operand) -> Mir.rvalue -> Mir.rvalue
 
 (** [iter_instrs f func] visits every instruction, innermost first. *)
 val iter_instrs : (Mir.instr -> unit) -> Mir.func -> unit
-
-(** Operand use counts over a whole function: how many times each
-    variable id is read (in rvalues, indices, conditions, bounds, prints).
-    Return variables are counted as used. *)
-val use_counts : Mir.func -> (int, int) Hashtbl.t
 
 (** [iter_operands f rv] applies [f] to each operand [rv] reads without
     materializing a list. The base array of a load is passed boxed as
@@ -73,8 +72,47 @@ module Vid_set : sig
   val add_reads : t -> Mir.rvalue -> unit
 
   val mem : t -> int -> bool
+
+  (** [reads_any s rv] — [rv] reads a variable in [s], as an operand or
+      as the base array of a load. Allocation-free. *)
+  val reads_any : t -> Mir.rvalue -> bool
+
+  val remove : t -> int -> unit
   val clear : t -> unit
 end
+
+(** Counts per variable id, for per-run pass analyses. Ids are dense
+    per function, so a table is four bytes per id, sized from
+    [func.vars] and grown on an unseen id: [get] and [add] allocate
+    nothing once it covers the ids. *)
+module Vid_counts : sig
+  type t
+
+  (** [create n] is all zeros, presized for ids below [n]. *)
+  val create : int -> t
+
+  val get : t -> int -> int
+
+  (** [add c vid d] adds [d] (which may be negative) to [vid]'s count. *)
+  val add : t -> int -> int -> unit
+
+  val add_operand : t -> int -> Mir.operand -> unit
+
+  (** [add_reads c d rv] adds [d] for every variable [rv] reads, load
+      base included, once per occurrence. *)
+  val add_reads : t -> int -> Mir.rvalue -> unit
+
+  (** [add_block_uses c d b] adds [d] per operand use in [b] and its
+      nested blocks: rvalue operands and load bases, stored arrays,
+      indices and values, conditions, loop bounds and prints. *)
+  val add_block_uses : t -> int -> Mir.block -> unit
+end
+
+(** Operand use counts over a whole function: how many times each
+    variable id is read (in rvalues, indices, conditions, bounds, prints;
+    the array of a store counts too). Return variables are counted as
+    used. *)
+val use_counts : Mir.func -> Vid_counts.t
 
 (** [pure rv] holds when re-evaluating the rvalue is safe (no memory
     reads; loads are excluded because stores may intervene). *)

@@ -73,7 +73,7 @@ let run ?(sink = Diag.Raise) (isa : Isa.t) (func : Mir.func) :
               :: ({ Mir.idesc = Mir.Idef (acc, rv_add); _ } as i2)
               :: rest
               when String.equal m cmul_d.Isa.iname
-                   && (try Hashtbl.find uses t.Mir.vid = 1 with Not_found -> false) -> (
+                   && Masc_opt.Rewrite.Vid_counts.get uses t.Mir.vid = 1 -> (
               let acc_operand =
                 match rv_add with
                 | Mir.Rintrin (ad, [ x; Mir.Ovar t' ])

@@ -26,7 +26,7 @@ type ctx = {
       (* span of the loop being vectorized: every synthesized
          instruction inherits it so profiles attribute vector code to
          the original loop's source line *)
-  func_uses : (int, int) Hashtbl.t;  (* whole-function use counts *)
+  func_uses : Masc_opt.Rewrite.Vid_counts.t;  (* whole-function use counts *)
 }
 
 let vat ctx d = Mir.at ctx.cur_loc d
@@ -141,7 +141,7 @@ let block_uses (b : Mir.block) : (int, int) Hashtbl.t =
    rebuilding it per query would scan the body quadratically. *)
 let used_outside ctx body_uses vid =
   let inside = try Hashtbl.find body_uses vid with Not_found -> 0 in
-  let total = try Hashtbl.find ctx.func_uses vid with Not_found -> 0 in
+  let total = Masc_opt.Rewrite.Vid_counts.get ctx.func_uses vid in
   total > inside
 
 (* ---------- loop analysis ---------- *)

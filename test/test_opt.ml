@@ -474,12 +474,148 @@ let test_pow_strength_reduction () =
   | [ I.Xscalar s ] -> Alcotest.(check bool) "49" true (V.close (V.Sf 49.0) s)
   | _ -> Alcotest.fail "expected scalar"
 
+(* A straight chain of nine counted loops, built by hand so every
+   rejection reason fusion has appears once:
+
+   - L1, L2, L3 (real, 0..15): L2 reads L1's store and L3 reads both at
+     the same index, so the three fuse into L1, L3 against the summary
+     of L1 and L2 together;
+   - L4, L5 (complex, 0..15): L4 is rejected against the real chain
+     (body class) and heads a new chain that L5 joins;
+   - L6, L7 (real, 0..7): L6 is rejected for its bounds; L7 defines the
+     scalar [s] that L6 also defines (neither reads it), which is legal
+     but leaves the chain with a variable defined twice;
+   - L8, L9 (real, 0..7): L8 is rejected against that chain, which can
+     no longer be summarized, and L9 joins L8.
+
+   The fused MIR is pinned whole: the bodies in order, the induction
+   variable renamed into each chain's head, and every loop's span. *)
+let fusion_chain_func () =
+  let module B = Mir.Builder in
+  let b = B.create "chain" in
+  let arr ?(sty = Mir.double_sty) name n =
+    B.fresh_var b ~hint:name (Mir.Tarray (sty, n))
+  in
+  let x = arr "x" 16 in
+  let a = arr "a" 16 and bb = arr "b" 16 and c = arr "c" 8 and d = arr "d" 8 in
+  let e = arr "e" 8 and g = arr "g" 16 in
+  let z = arr ~sty:Mir.complex_sty "z" 16 in
+  let w = arr ~sty:Mir.complex_sty "w" 16 in
+  let s = B.fresh_var b ~hint:"s" (Mir.Tscalar Mir.double_sty) in
+  let ci n = Mir.Oconst (Mir.Ci n) and cf f = Mir.Oconst (Mir.Cf f) in
+  let scalar hint sty = B.fresh_var b ~hint (Mir.Tscalar sty) in
+  let loop line hi body =
+    let ivar = scalar "i" Mir.int_sty in
+    let pos = { Masc_frontend.Loc.line; col = 1; offset = 0 } in
+    B.set_loc b (Masc_frontend.Loc.span pos pos);
+    let i = Mir.Ovar ivar in
+    let instrs = B.nested b (fun () -> body i) in
+    B.emit b
+      (Mir.Iloop { Mir.ivar; lo = ci 0; step = ci 1; hi = ci hi; body = instrs })
+  in
+  let map_into dst src op k i =
+    let t = scalar "t" Mir.double_sty in
+    let u = scalar "u" Mir.double_sty in
+    B.emit b (Mir.Idef (t, Mir.Rload (src, i)));
+    B.emit b (Mir.Idef (u, Mir.Rbin (op, Mir.Ovar t, cf k)));
+    B.emit b (Mir.Istore (dst, i, Mir.Ovar u))
+  in
+  loop 1 15 (map_into a x Mir.Badd 1.0);
+  loop 2 15 (map_into bb a Mir.Bmul 2.0);
+  loop 3 15 (fun i ->
+      let t = scalar "t" Mir.double_sty in
+      let u = scalar "u" Mir.double_sty in
+      let v = scalar "v" Mir.double_sty in
+      B.emit b (Mir.Idef (t, Mir.Rload (a, i)));
+      B.emit b (Mir.Idef (u, Mir.Rload (bb, i)));
+      B.emit b (Mir.Idef (v, Mir.Rbin (Mir.Badd, Mir.Ovar t, Mir.Ovar u)));
+      B.emit b (Mir.Istore (g, i, Mir.Ovar v)));
+  loop 4 15 (fun i ->
+      let t = scalar "t" Mir.double_sty in
+      let zc = scalar "zc" Mir.complex_sty in
+      B.emit b (Mir.Idef (t, Mir.Rload (bb, i)));
+      B.emit b (Mir.Idef (zc, Mir.Rcomplex (Mir.Ovar t, cf 1.0)));
+      B.emit b (Mir.Istore (z, i, Mir.Ovar zc)));
+  loop 5 15 (fun i ->
+      let t = scalar "zt" Mir.complex_sty in
+      let p = scalar "zp" Mir.complex_sty in
+      B.emit b (Mir.Idef (t, Mir.Rload (z, i)));
+      B.emit b (Mir.Idef (p, Mir.Rbin (Mir.Bmul, Mir.Ovar t, Mir.Ovar t)));
+      B.emit b (Mir.Istore (w, i, Mir.Ovar p)));
+  loop 6 7 (fun i ->
+      B.emit b (Mir.Idef (s, Mir.Rmove (cf 5.0)));
+      map_into c x Mir.Bsub 3.0 i);
+  loop 7 7 (fun i ->
+      B.emit b (Mir.Idef (s, Mir.Rmove (cf 6.0)));
+      map_into d bb Mir.Bmul 4.0 i);
+  loop 8 7 (map_into e c Mir.Badd 5.0);
+  loop 9 7 (fun i ->
+      let t = scalar "t" Mir.double_sty in
+      B.emit b (Mir.Idef (t, Mir.Rload (e, i)));
+      B.emit b (Mir.Istore (d, i, Mir.Ovar t)));
+  B.finish b ~params:[ x ] ~rets:[ a; bb; c; d; e; g; w; s ]
+
+let test_fusion_chain_pinned () =
+  let f = fusion_chain_func () in
+  Masc_mir.Verify.check f;
+  let fused = Masc_opt.Fusion.run f in
+  Masc_mir.Verify.check fused;
+  let lines =
+    List.map
+      (fun (i : Mir.instr) ->
+        Printf.sprintf "line %d: %s" (Mir.line_of i)
+          (Format.asprintf "%a" Masc_mir.Mir_pp.pp_instr i))
+      fused.Mir.body
+  in
+  let expected =
+    [ "line 1: for i.10 = 0 : 1 : 15 {\n\
+      \  t.11 : f64 = load x.0[i.10]\n\
+      \  u.12 : f64 = add t.11, 1\n\
+      \  store a.1[i.10] <- u.12\n\
+      \  t.14 : f64 = load a.1[i.10]\n\
+      \  u.15 : f64 = mul t.14, 2\n\
+      \  store b.2[i.10] <- u.15\n\
+      \  t.17 : f64 = load a.1[i.10]\n\
+      \  u.18 : f64 = load b.2[i.10]\n\
+      \  v.19 : f64 = add t.17, u.18\n\
+      \  store g.6[i.10] <- v.19\n\
+       }";
+      "line 4: for i.20 = 0 : 1 : 15 {\n\
+      \  t.21 : f64 = load b.2[i.20]\n\
+      \  zc.22 : cf64 = complex t.21, 1\n\
+      \  store z.7[i.20] <- zc.22\n\
+      \  zt.24 : cf64 = load z.7[i.20]\n\
+      \  zp.25 : cf64 = mul zt.24, zt.24\n\
+      \  store w.8[i.20] <- zp.25\n\
+       }";
+      "line 6: for i.26 = 0 : 1 : 7 {\n\
+      \  s.9 : f64 = move 5\n\
+      \  t.27 : f64 = load x.0[i.26]\n\
+      \  u.28 : f64 = sub t.27, 3\n\
+      \  store c.3[i.26] <- u.28\n\
+      \  s.9 : f64 = move 6\n\
+      \  t.30 : f64 = load b.2[i.26]\n\
+      \  u.31 : f64 = mul t.30, 4\n\
+      \  store d.4[i.26] <- u.31\n\
+       }";
+      "line 8: for i.32 = 0 : 1 : 7 {\n\
+      \  t.33 : f64 = load c.3[i.32]\n\
+      \  u.34 : f64 = add t.33, 5\n\
+      \  store e.5[i.32] <- u.34\n\
+      \  t.36 : f64 = load e.5[i.32]\n\
+      \  store d.4[i.32] <- t.36\n\
+       }" ]
+  in
+  Alcotest.(check (list string)) "fused chain" expected lines
+
 let fusion_suites =
   [ ( "fusion+peepholes",
       [ Alcotest.test_case "fusion merges chains" `Quick
           test_fusion_merges_elementwise_chain;
         Alcotest.test_case "fusion respects dependences" `Quick
           test_fusion_respects_dependences;
+        Alcotest.test_case "fusion chains pinned" `Quick
+          test_fusion_chain_pinned;
         Alcotest.test_case "x^2 strength reduction" `Quick
           test_pow_strength_reduction ] ) ]
 
@@ -504,22 +640,94 @@ let minor_words_of pass f =
   ignore (pass f);
   Gc.minor_words () -. w0
 
+(* [n] elementwise statements, each one loop over the previous one's
+   result: fusion merges all [n] loops into one. Re-summarizing the
+   fused body after every fusion, or copying it to append the next
+   body, makes one run quadratic in [n]. *)
+let loop_chain n =
+  let b = Buffer.create (n * 32) in
+  Buffer.add_string b "function y = f(x)\nt0 = x;\n";
+  for k = 1 to n do
+    Printf.bprintf b "t%d = t%d .* %d + x;\n" k (k - 1) k
+  done;
+  Printf.bprintf b "y = t%d;\nend\n" n;
+  lower ~args:[ Mtype.row_vector Mtype.Double 16 ] (Buffer.contents b)
+
 let test_kill_scans_linear () =
+  let check shape small large (name, pass) =
+    let ws = minor_words_of pass small and wl = minor_words_of pass large in
+    let ratio = wl /. Float.max ws 1.0 in
+    if ratio > 15.0 then
+      Alcotest.failf
+        "%s allocates %.0f words on the large %s, %.0f on the small one: \
+         %.1fx for 10x the size"
+        name wl shape ws ratio
+  in
   let small = wide_loop 40 and large = wide_loop 400 in
   List.iter
-    (fun (name, pass) ->
-      let ws = minor_words_of pass small and wl = minor_words_of pass large in
-      let ratio = wl /. ws in
-      if ratio > 15.0 then
-        Alcotest.failf
-          "%s allocates %.0f words at 400 defs, %.0f at 40: %.1fx for 10x \
-           the defs"
-          name wl ws ratio)
-    [ ("cse", Masc_opt.Cse.run); ("copy-prop", Masc_opt.Copy_prop.run) ]
+    (check "loop body" small large)
+    [ ("cse", Masc_opt.Cse.run); ("copy-prop", Masc_opt.Copy_prop.run);
+      ("dce", Masc_opt.Dce.run); ("licm", Masc_opt.Licm.run);
+      ("collapse", Masc_opt.Collapse.run) ];
+  check "loop chain" (loop_chain 40) (loop_chain 400)
+    ("fusion", Masc_opt.Fusion.run)
+
+(* --- no-change runs stay cheap --- *)
+
+(* The optimized and the cleaned-up MIR of test/cli.t/large256.m
+   (perfbench's generator, seed 1, program 36 of 256 statements). Every
+   pass must return a fixpoint of its own stage physically, which is
+   how the pass manager sees "no change", and must not allocate per
+   block or per unchanged instruction doing so. Each limit is about 25%
+   over the pass's count, and at least 32 words; a run that built a
+   closure per block or a hash-table entry per variable exceeds it.
+   CSE's limit is the exception: its available-expression table holds a
+   bucket per cacheable def. The byte sets and count tables of
+   copy-prop, DCE and licm are counted
+   where they are under 256 words; above that they go straight to the
+   major heap, which minor words do not show (EXPERIMENTS.md,
+   "Optimizer no-change runs"). *)
+let no_change_limits =
+  [ ("optimize", [ ("const-fold", 32); ("copy-prop", 350); ("collapse", 32);
+                   ("global-const", 80); ("dce", 48); ("cse", 10350);
+                   ("licm", 1150); ("fusion", 32) ]);
+    ("cleanup", [ ("const-fold", 32); ("copy-prop", 88); ("cse", 13500);
+                  ("licm", 110); ("dce", 48) ]) ]
+
+let test_no_change_runs_cheap () =
+  let source = Gen.program ~seed:1 ~index:36 ~statements:256 in
+  let c =
+    Masc.Compiler.compile (Masc.Compiler.proposed ()) ~source
+      ~entry:"gen036" ~arg_types:Gen.arg_types
+  in
+  let optimized =
+    Masc_opt.Pipeline.optimize Masc_opt.Pipeline.O2 c.Masc.Compiler.mir_raw
+  in
+  let check stage func passes =
+    let limits = List.assoc stage no_change_limits in
+    List.iter
+      (fun (name, pass) ->
+        let limit = List.assoc name limits in
+        ignore (pass func);
+        let w0 = Gc.minor_words () in
+        let out = pass func in
+        let words = Gc.minor_words () -. w0 in
+        if out != func then
+          Alcotest.failf "%s: %s changed the stage's fixpoint" stage name;
+        if words > float_of_int limit then
+          Alcotest.failf
+            "%s: a no-change %s run allocates %.0f minor words (limit %d)"
+            stage name words limit)
+      passes
+  in
+  check "optimize" optimized (Masc_opt.Pipeline.passes Masc_opt.Pipeline.O2);
+  check "cleanup" c.Masc.Compiler.mir Masc.Compiler.cleanup_passes
 
 let scaling_suites =
   [ ( "opt scaling",
       [ Alcotest.test_case "kill scans are linear" `Quick
-          test_kill_scans_linear ] ) ]
+          test_kill_scans_linear;
+        Alcotest.test_case "no-change runs stay cheap" `Quick
+          test_no_change_runs_cheap ] ) ]
 
 let suites = base_suites @ fusion_suites @ scaling_suites
