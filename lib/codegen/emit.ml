@@ -84,9 +84,6 @@ let sty_ctype env (s : Mir.scalar_ty) =
 
 let elem_ctype env (v : Mir.var) = sty_ctype env (Mir.elem_ty v)
 
-let operand_sty (op : Mir.operand) =
-  match Mir.operand_ty op with Mir.Tscalar s | Mir.Tarray (s, _) -> s
-
 (* Integral values print as "%.1f" would ("3.0", "-0.0"), other finite
    ones with "%.17g"; non-finite ones as the <math.h> macros. *)
 let float_lit env f =
@@ -120,7 +117,7 @@ let close_promote env promote = if promote then str env ", 0.0)"
 
 (* An operand in a complex context, promoting reals. *)
 let cplx_operand env op =
-  let promote = not (is_complex_sty (operand_sty op)) in
+  let promote = not (is_complex_sty (Mir.operand_sty op)) in
   open_promote env promote;
   operand env op;
   close_promote env promote
@@ -133,7 +130,7 @@ let operands env args =
     args
 
 let rbin env (op : Mir.binop) a b =
-  let sa = operand_sty a and sb = operand_sty b in
+  let sa = Mir.operand_sty a and sb = Mir.operand_sty b in
   let complex = is_complex_sty sa || is_complex_sty sb in
   let both_int = is_int_sty sa && is_int_sty sb in
   let infix sym =
@@ -204,7 +201,7 @@ let rbin env (op : Mir.binop) a b =
     | Mir.Bor -> infix "||"
 
 let runop env (op : Mir.unop) a =
-  let sa = operand_sty a in
+  let sa = Mir.operand_sty a in
   let complex = is_complex_sty sa in
   let call f =
     str env f;
@@ -234,7 +231,7 @@ let runop env (op : Mir.unop) a =
 
 let math_call env fname args =
   let arg0_cplx =
-    match args with a :: _ -> is_complex_sty (operand_sty a) | [] -> false
+    match args with a :: _ -> is_complex_sty (Mir.operand_sty a) | [] -> false
   in
   let f =
     if arg0_cplx then
@@ -264,7 +261,7 @@ let array_numel (v : Mir.var) =
 (* MATLAB index expressions may be double-typed (e.g. n/2 in an FFT);
    they hold exact integral values, rounded like the simulator does. *)
 let index env idx =
-  if is_int_sty (operand_sty idx) then operand env idx
+  if is_int_sty (Mir.operand_sty idx) then operand env idx
   else begin
     str env "((int)(";
     operand env idx;
@@ -308,12 +305,14 @@ let intrin_call env kind =
 let rvalue_cplx (rv : Mir.rvalue) =
   match rv with
   | Mir.Rbin (_, a, b) ->
-    is_complex_sty (operand_sty a) || is_complex_sty (operand_sty b)
+    is_complex_sty (Mir.operand_sty a) || is_complex_sty (Mir.operand_sty b)
   | Mir.Runop ((Mir.Uneg | Mir.Uconj), a) | Mir.Rmove a ->
-    is_complex_sty (operand_sty a)
+    is_complex_sty (Mir.operand_sty a)
   | Mir.Runop ((Mir.Uabs | Mir.Unot | Mir.Ure | Mir.Uim), _) -> false
   | Mir.Rmath (_, args) -> (
-    match args with a :: _ -> is_complex_sty (operand_sty a) | [] -> false)
+    match args with
+    | a :: _ -> is_complex_sty (Mir.operand_sty a)
+    | [] -> false)
   | Mir.Rload (arr, _) -> is_complex_sty (Mir.elem_ty arr)
   | Mir.Rcomplex _ | Mir.Rvload _ | Mir.Rvbroadcast _ | Mir.Rvreduce _
   | Mir.Rintrin _ ->
@@ -334,7 +333,7 @@ let rvalue env (v : Mir.var) (rv : Mir.rvalue) =
     chr env ')'
   | Mir.Rload (arr, idx) -> access env arr idx
   | Mir.Rmove a ->
-    if is_int_sty (Mir.elem_ty v) && not (is_int_sty (operand_sty a)) then
+    if is_int_sty (Mir.elem_ty v) && not (is_int_sty (Mir.operand_sty a)) then
       str env "(int)";
     operand env a
   | Mir.Rvload (arr, base, _) ->
@@ -377,7 +376,7 @@ let c_string_literal env s =
    real part. *)
 let print_operand env op =
   operand env op;
-  if is_complex_sty (operand_sty op) then str env ".re"
+  if is_complex_sty (Mir.operand_sty op) then str env ".re"
 
 let rec emit_block env (block : Mir.block) =
   List.iter (emit_instr env) block

@@ -27,14 +27,9 @@ type frame = {
 let iconst n = Mir.Oconst (Mir.Ci n)
 let fconst f = Mir.Oconst (Mir.Cf f)
 
-let operand_sty (op : Mir.operand) =
-  match Mir.operand_ty op with
-  | Mir.Tscalar s -> s
-  | Mir.Tarray (s, _) -> s
-
 (* Result element type of a binary operation. *)
 let rbin_sty (op : Mir.binop) a b =
-  let sa = operand_sty a and sb = operand_sty b in
+  let sa = Mir.operand_sty a and sb = Mir.operand_sty b in
   let base = MT.promote_base sa.Mir.base sb.Mir.base in
   let base = if base = MT.Bool then MT.Int else base in
   let cplx = MT.promote_cplx sa.Mir.cplx sb.Mir.cplx in
@@ -49,7 +44,7 @@ let rbin_sty (op : Mir.binop) a b =
     { Mir.base = MT.Bool; cplx = MT.Real; lanes }
 
 let runop_sty (op : Mir.unop) a =
-  let s = operand_sty a in
+  let s = Mir.operand_sty a in
   match op with
   | Mir.Uneg -> { s with Mir.base = (if s.Mir.base = MT.Bool then MT.Int else s.Mir.base) }
   | Mir.Unot -> { s with Mir.base = MT.Bool }
@@ -188,6 +183,21 @@ let mutated_names (body : T.tblock) : (string, unit) Hashtbl.t =
   List.iter stmt body;
   tbl
 
+(* Does [body] assign the scalar [name]: an assignment, a
+   multi-assignment target or a nested loop's variable? *)
+let rec assigns name (body : T.tblock) =
+  List.exists
+    (fun (s : T.tstmt) ->
+      match s.T.sdesc with
+      | T.Tassign (n, _) | T.Tstore (n, _, _, _) -> n = name
+      | T.Tmulti (ns, _) -> List.mem name ns
+      | T.Tfor (n, _, blk) -> n = name || assigns name blk
+      | T.Tif (arms, els) ->
+        List.exists (fun (_, blk) -> assigns name blk) arms || assigns name els
+      | T.Twhile (_, blk) -> assigns name blk
+      | T.Tprint _ | T.Tbreak | T.Tcontinue | T.Treturn -> false)
+    body
+
 let rec contains_return (body : T.tblock) =
   List.exists
     (fun (s : T.tstmt) ->
@@ -265,7 +275,7 @@ let rec lower_scalar frame (e : T.texpr) : Mir.operand =
       (Ast.binop_name op)
   | T.Ttranspose (kind, a) ->
     let oa = lower_scalar frame a in
-    if kind = Ast.Ctranspose && (operand_sty oa).Mir.cplx = MT.Complex then
+    if kind = Ast.Ctranspose && (Mir.operand_sty oa).Mir.cplx = MT.Complex then
       un frame Mir.Uconj oa
     else oa
   | T.Tindex (name, arr_mty, idx) ->
@@ -362,12 +372,12 @@ and lower_scalar_builtin frame span (b : BI.t) (args : T.texpr list) :
     un frame Mir.Uabs (lower_scalar frame a)
   | (BI.Any | BI.All), [ a ] when MT.is_scalar a.T.ety ->
     let x = lower_scalar frame a in
-    bin frame Mir.Bne x (zero_of (operand_sty x))
+    bin frame Mir.Bne x (zero_of (Mir.operand_sty x))
   | BI.Dot, [ a; b2 ] when MT.is_scalar a.T.ety && MT.is_scalar b2.T.ety ->
     let oa = lower_scalar frame a in
     let ob = lower_scalar frame b2 in
     let oa =
-      if (operand_sty oa).Mir.cplx = MT.Complex then un frame Mir.Uconj oa
+      if (Mir.operand_sty oa).Mir.cplx = MT.Complex then un frame Mir.Uconj oa
       else oa
     in
     bin frame Mir.Bmul oa ob
@@ -406,7 +416,7 @@ and lower_scalar_builtin frame span (b : BI.t) (args : T.texpr list) :
       (Mir.Idef (acc, Mir.Rmove (Mir.Oconst (Mir.Cb (not is_any)))));
     counted_loop frame n (fun k ->
         let x = elem frame memo a k in
-        let nz = bin frame Mir.Bne x (zero_of (operand_sty x)) in
+        let nz = bin frame Mir.Bne x (zero_of (Mir.operand_sty x)) in
         let op = if is_any then Mir.Bor else Mir.Band in
         B.emit frame.b (Mir.Idef (acc, Mir.Rbin (op, Mir.Ovar acc, nz))));
     Mir.Ovar acc
@@ -438,7 +448,7 @@ and lower_scalar_builtin frame span (b : BI.t) (args : T.texpr list) :
 and scalar_math frame span (b : BI.t) (ops : Mir.operand list) : Mir.operand =
   match (b, ops) with
   | BI.Unary_math name, [ a ] ->
-    let sty = operand_sty a in
+    let sty = Mir.operand_sty a in
     if sty.Mir.cplx = MT.Complex then
       (* Complex math functions: supported ones handled by the simulator
          and the C runtime; they keep the complex type. *)
@@ -615,7 +625,7 @@ and elem frame (memo : prepared H.t) (e : T.texpr) (k : Mir.operand) :
         end
       in
       let x = elem frame memo a k' in
-      if kind = Ast.Ctranspose && (operand_sty x).Mir.cplx = MT.Complex then
+      if kind = Ast.Ctranspose && (Mir.operand_sty x).Mir.cplx = MT.Complex then
         un frame Mir.Uconj x
       else x
     | T.Tbinop (op, a, b) ->
@@ -1247,8 +1257,43 @@ and lower_stmt_desc frame span sdesc =
         match step with Some s -> lower_scalar frame s | None -> iconst 1
       in
       let ohi = lower_scalar frame hi in
-      let ivar = get_var frame var in
-      let blk = B.nested frame.b (fun () -> lower_block frame body) in
+      let var_v = get_var frame var in
+      (* A loop counts in its bounds' promoted base, as the emitted C's
+         [for] does. When the variable's own type differs, or the body
+         assigns it (C would then count on from the assigned value),
+         count a fresh variable instead and begin each iteration with
+         the coerced [var = counter]. A body that never assigns the
+         variable reads the counter itself: Infer types the loop
+         variable by its range there, whatever its type elsewhere. *)
+      let int_bound op =
+        match (Mir.operand_sty op).Mir.base with
+        | MT.Int | MT.Bool -> true
+        | MT.Double | MT.Err -> false
+      in
+      let counted =
+        if int_bound olo && int_bound ostep && int_bound ohi then Mir.int_sty
+        else Mir.double_sty
+      in
+      let assigned = assigns var body in
+      let direct =
+        (not assigned)
+        && match var_v.Mir.vty with
+           | Mir.Tscalar s -> s = counted
+           | Mir.Tarray _ -> false
+      in
+      let ivar =
+        if direct then var_v
+        else B.fresh_var frame.b ~hint:var (Mir.Tscalar counted)
+      in
+      let blk =
+        B.nested frame.b (fun () ->
+            if not direct then begin
+              B.emit frame.b (Mir.Idef (var_v, Mir.Rmove (Mir.Ovar ivar)));
+              if not assigned then Hashtbl.replace frame.vars var ivar
+            end;
+            lower_block frame body;
+            Hashtbl.replace frame.vars var var_v)
+      in
       (* Loop overhead belongs to the for line. *)
       B.set_loc frame.b span;
       B.emit frame.b

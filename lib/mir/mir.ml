@@ -116,6 +116,13 @@ let var_of_operand = function Ovar v -> Some v | Oconst _ -> None
 let is_array v = match v.vty with Tarray _ -> true | Tscalar _ -> false
 let elem_ty v = match v.vty with Tarray (s, _) | Tscalar s -> s
 
+let operand_sty = function
+  | Ovar v -> elem_ty v
+  | Oconst (Cf _) -> double_sty
+  | Oconst (Ci _) -> int_sty
+  | Oconst (Cb _) -> bool_sty
+  | Oconst (Cc _) -> complex_sty
+
 module Builder = struct
   type t = {
     fname : string;

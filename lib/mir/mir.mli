@@ -132,6 +132,10 @@ val is_array : var -> bool
 (** Element scalar type of an array or scalar variable. *)
 val elem_ty : var -> scalar_ty
 
+(** Element scalar type of an operand; unlike {!operand_ty}, it
+    allocates nothing. *)
+val operand_sty : operand -> scalar_ty
+
 (** Builder for constructing MIR with fresh variables. *)
 module Builder : sig
   type t

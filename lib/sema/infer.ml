@@ -829,6 +829,14 @@ and elab_stmt fctx (env : env) (stmt : Ast.stmt) : env * Tast.tstmt =
             (Some i, Some t)
         in
         let ihi, thi = elab_expr fctx env hi in
+        (* A loop counts in a real base: complex bounds have no order. *)
+        let real (e : Ast.expr) (i : Info.t) =
+          if i.Info.ty.Mtype.cplx = Mtype.Complex then
+            err e.Ast.span "for-loop range bounds must be real"
+        in
+        real lo ilo;
+        (match (step, istep) with Some s, Some i -> real s i | _ -> ());
+        real hi ihi;
         let base =
           Mtype.promote_base
             (arith_base ilo.Info.ty.Mtype.base)

@@ -81,6 +81,31 @@ let trap_message ~kind ~loc ~steps_executed =
 
 let fail fmt = Format.kasprintf (fun s -> raise (Runtime_error s)) fmt
 
+(* The engines' entry check: [Verify.check] plus the one rule the
+   verifier cannot decide alone, an intrinsic's result lanes, which the
+   target's descriptor kind fixes — SIMD and mac give their operands'
+   width, reductions and complex ISEs a scalar. Both engines call this
+   before running anything, so they refuse the same MIR with the same
+   message, and every plan is built from MIR whose typed slots can only
+   ever hold their declared representation. *)
+let check_entry ~(isa : Masc_asip.Isa.t) (f : Mir.func) =
+  let intrin_lanes name args =
+    match Masc_asip.Isa.find_named isa name with
+    | None -> None
+    | Some desc -> (
+      match desc.Masc_asip.Isa.kind with
+      | Masc_asip.Isa.Ksimd_add | Ksimd_sub | Ksimd_mul | Ksimd_div
+      | Ksimd_min | Ksimd_max | Kmac ->
+        Some
+          (List.fold_left
+             (fun acc op -> max acc (Mir.operand_sty op).Mir.lanes)
+             1 args)
+      | Kreduce_add | Kreduce_min | Kreduce_max | Kcmul | Kcadd | Kcmac ->
+        Some 1
+      | Kload | Kstore | Kbroadcast -> None)
+  in
+  Masc_mir.Verify.check ~intrin_lanes f
+
 (* Static array footprint of a function, in bytes, using the C layout
    the simulator banks model (complex 16, double/int 8, bool 1).
    Deduplicated by vid: params and returns also appear in [vars]. *)

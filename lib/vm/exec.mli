@@ -67,6 +67,13 @@ val array_bytes_of_func : Masc_mir.Mir.func -> int
     [Alloc_limit] if [bytes > cap_bytes]. *)
 val check_alloc : loc:string -> cap_bytes:int -> int -> unit
 
+(** [check_entry ~isa f] is [Masc_mir.Verify.check] with the target's
+    intrinsic result lanes: SIMD and mac intrinsics give their widest
+    operand's lanes, reductions and complex ISEs give 1; names [isa]
+    lacks stay a run-time error. Both engines run it before executing
+    [f] and raise its [Failure] unchanged. *)
+val check_entry : isa:Masc_asip.Isa.t -> Masc_mir.Mir.func -> unit
+
 (** [fail fmt ...] raises {!Runtime_error} with a formatted message. *)
 val fail : ('a, Format.formatter, unit, 'b) format4 -> 'a
 

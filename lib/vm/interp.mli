@@ -31,7 +31,9 @@ type result = Exec.result = {
 exception Runtime_error of string
 
 (** [run ~isa ~mode f args] executes [f]. [args] bind to parameters by
-    position; array arguments are copied in. Raises {!Runtime_error} on
+    position; array arguments are copied in. Raises [Failure] before
+    running anything when [f] fails the entry check both engines share
+    ({!Exec.check_entry}), {!Runtime_error} on
     dynamic failures (index out of bounds, division by zero in index
     arithmetic, type misuse) and {!Exec.Trap} when a guardrail fires
     ([?fuel] dynamic instructions, [?max_cycles] modeled cycles,

@@ -22,14 +22,16 @@
      rvalue, write and store goes through the boxed [Value] operations
      the tree-walker itself uses.
 
-   A conservative demotion pass keeps this sound against adversarial
-   MIR: any scalar variable that could dynamically receive a vector
-   value (the verifier does not constrain def-target lanes), and any
-   loop induction variable whose runtime representation is not
-   statically forced (the tree-walker writes induction values RAW,
-   without coercion to the declared type), falls back to a boxed
-   [Value.t] register. Boxed values appear only there and at the
-   argument/return boundary (see Store).
+   Plans are built from verified MIR: [compile] starts with the entry
+   check both engines share ({!Exec.check_entry}), whose rules make a
+   scalar's declared type its runtime representation. Every def's
+   rvalue gives its target's lanes, so no scalar slot ever receives a
+   vector; a loop's induction variable is a real scalar in its bounds'
+   promoted base and the body never defines it, so the tree-walker's
+   raw induction writes land in the slot's own representation; arrays
+   are never registers nor registers arrays. Boxed values appear only
+   in the vector escape slot and at the argument/return boundary (see
+   Store).
 
    Execution is bit-identical to the reference tree-walker
    ({!Interp.run_tree}): same results, cycles, dynamic instruction
@@ -55,7 +57,6 @@ type state = {
   cregs : float array;  (* complex scalar registers, re/im interleaved *)
   vbufs : float array array;  (* vector registers: unboxed lane buffers *)
   vboxs : Value.t option array;  (* Some v: boxed escape overrides vbufs *)
-  gregs : Value.t array;  (* demoted registers: boxed, fully general *)
   farrs : float array array;  (* real-double arrays *)
   iarrs : int array array;  (* int arrays *)
   barrs : bool array array;  (* bool arrays *)
@@ -102,7 +103,6 @@ type rslot =
   | Rb of int  (* bregs *)
   | Rc of int  (* cregs pair at 2s / 2s+1 *)
   | Rv of int * int  (* vbufs/vboxs slot, declared lanes *)
-  | Rg of int  (* gregs: boxed *)
 
 type abank = AKf | AKi | AKb | AKc
 
@@ -184,10 +184,19 @@ let fshadow env =
   env.nfx <- i + 1;
   i
 
-let slot_of env (v : Mir.var) =
-  match Hashtbl.find_opt env.slots v.Mir.vid with
-  | Some s -> s
-  | None -> assert false (* the numbering pre-pass visited every var *)
+(* [Exec.check_entry] guarantees every variable is declared, and that
+   arrays and registers are never confused: an array is never a
+   register operand, def target or loop variable, a register never a
+   load/store base. *)
+let reg_slot env (v : Mir.var) =
+  match Hashtbl.find env.slots v.Mir.vid with
+  | Sreg r -> r
+  | Sarr _ -> invalid_arg "Plan: array used as a register in unverified MIR"
+
+let arr_slot env (v : Mir.var) =
+  match Hashtbl.find env.slots v.Mir.vid with
+  | Sarr a -> a
+  | Sreg _ -> invalid_arg "Plan: register used as an array in unverified MIR"
 
 let class_id env name =
   match Hashtbl.find_opt env.cls_ids name with
@@ -215,7 +224,6 @@ type oper =
   | Ob of int  (* st.bregs index *)
   | Oc of int  (* st.cregs pair index: re at 2i, im at 2i+1 *)
   | Ov of int * int  (* vector register slot, declared lanes *)
-  | Og of (state -> Value.t)  (* boxed: demoted regs, array-as-reg errors *)
 
 (* Boxed views of a vector register. *)
 let vreg_value st s =
@@ -237,25 +245,18 @@ let oper_of env (op : Mir.operand) : oper =
   | Mir.Oconst (Mir.Cb b) -> Ob (bconst env b)
   | Mir.Oconst (Mir.Cc z) -> Oc (cconst env z)
   | Mir.Ovar v -> (
-    match slot_of env v with
-    | Sreg (Rf s) -> Of s
-    | Sreg (Ri s) -> Oi s
-    | Sreg (Rb s) -> Ob s
-    | Sreg (Rc s) -> Oc s
-    | Sreg (Rv (s, l)) -> Ov (s, l)
-    | Sreg (Rg s) -> Og (fun st -> Array.unsafe_get st.gregs s)
-    | Sarr _ ->
-      let msg =
-        Printf.sprintf "variable %s.%d used as a register" v.Mir.vname
-          v.Mir.vid
-      in
-      Og (fun _ -> raise (Runtime_error msg)))
+    match reg_slot env v with
+    | Rf s -> Of s
+    | Ri s -> Oi s
+    | Rb s -> Ob s
+    | Rc s -> Oc s
+    | Rv (s, l) -> Ov (s, l))
 
 let real_scalar = function
   | Of _ | Oi _ | Ob _ -> true
-  | Oc _ | Ov _ | Og _ -> false
+  | Oc _ | Ov _ -> false
 
-let int_like = function Oi _ | Ob _ -> true | Of _ | Oc _ | Ov _ | Og _ -> false
+let int_like = function Oi _ | Ob _ -> true | Of _ | Oc _ | Ov _ -> false
 
 (* Inlined bank views. A fused definition reads its operands through
    these instead of [state -> float] closures: a closure call boxes its
@@ -269,7 +270,7 @@ let view_tag = function
   | Oi i -> Some (1, i)
   | Ob i -> Some (2, i)
   | Oc s -> Some (3, s)
-  | Ov _ | Og _ -> None
+  | Ov _ -> None
 
 let[@inline always] fview st t i =
   match t with
@@ -325,7 +326,6 @@ let f_read (o : oper) : state -> float =
         Array.unsafe_get st.cregs (2 * s)
       else invalid_arg "Value.to_float: complex with non-zero imaginary part"
   | Ov (s, _) -> fun st -> V.to_float (vreg_scalar st s)
-  | Og f -> fun st -> V.to_float (scalar_of_value (f st))
 
 let i_read (o : oper) : state -> int =
   match o with
@@ -335,7 +335,6 @@ let i_read (o : oper) : state -> int =
   | Ob i -> fun st -> if Array.unsafe_get st.bregs i then 1 else 0
   | Oc _ -> fun _ -> invalid_arg "Value.to_int: complex"
   | Ov (s, _) -> fun st -> V.to_int (vreg_scalar st s)
-  | Og f -> fun st -> V.to_int (scalar_of_value (f st))
 
 let b_read (o : oper) : state -> bool =
   match o with
@@ -349,7 +348,6 @@ let b_read (o : oper) : state -> bool =
           im = Array.unsafe_get st.cregs ((2 * s) + 1) }
       <> 0.0
   | Ov (s, _) -> fun st -> V.to_bool (vreg_scalar st s)
-  | Og f -> fun st -> V.to_bool (scalar_of_value (f st))
 
 let c_read (o : oper) : state -> Complex.t =
   match o with
@@ -366,7 +364,6 @@ let c_read (o : oper) : state -> Complex.t =
       { Complex.re = (if Array.unsafe_get st.bregs i then 1.0 else 0.0);
         im = 0.0 }
   | Ov (s, _) -> fun st -> V.to_complex (vreg_scalar st s)
-  | Og f -> fun st -> V.to_complex (scalar_of_value (f st))
 
 (* Boxed scalar view; raises "vector value used..." like the
    tree-walker's [eval_scalar] when the operand holds a vector. *)
@@ -381,9 +378,8 @@ let s_read (o : oper) : state -> Value.scalar =
         { Complex.re = Array.unsafe_get st.cregs (2 * s);
           im = Array.unsafe_get st.cregs ((2 * s) + 1) }
   | Ov (s, _) -> fun st -> vreg_scalar st s
-  | Og f -> fun st -> scalar_of_value (f st)
 
-(* Boxed value view; never raises except for array-as-register. *)
+(* Boxed value view; never raises. *)
 let v_read (o : oper) : state -> Value.t =
   match o with
   | Of i -> fun st -> Value.Scalar (V.Sf (Array.unsafe_get st.fregs i))
@@ -396,16 +392,6 @@ let v_read (o : oper) : state -> Value.t =
            { Complex.re = Array.unsafe_get st.cregs (2 * s);
              im = Array.unsafe_get st.cregs ((2 * s) + 1) })
   | Ov (s, _) -> fun st -> vreg_value st s
-  | Og f -> f
-
-(* Array operand: typed slot, or the runtime failure the tree-walker
-   would produce. *)
-let arr_ref env (v : Mir.var) : (aslot, string) Stdlib.result =
-  match slot_of env v with
-  | Sarr a -> Ok a
-  | Sreg _ ->
-    Error
-      (Printf.sprintf "variable %s.%d used as an array" v.Mir.vname v.Mir.vid)
 
 (* Boxed element view of a typed array bank (printing, returns, and
    generic vector-load fallbacks). *)
@@ -778,50 +764,46 @@ let compile_rvalue env (rv : Mir.rvalue) : prod =
       (fun st ->
         Value.Scalar
           (V.Sc { Complex.re = V.to_float (gre st); im = V.to_float (gim st) }))
-  | Mir.Rload (a, idx) -> (
-    match arr_ref env a with
-    | Error msg -> Pg (fun _ -> raise (Runtime_error msg))
-    | Ok aslot ->
-      let gi = index_fn env idx ~len:aslot.alen ~what:a.Mir.vname in
-      let elem = boxed_elem aslot in
-      Pg (fun st -> Value.Scalar (elem st (gi st))))
+  | Mir.Rload (a, idx) ->
+    let aslot = arr_slot env a in
+    let gi = index_fn env idx ~len:aslot.alen ~what:a.Mir.vname in
+    let elem = boxed_elem aslot in
+    Pg (fun st -> Value.Scalar (elem st (gi st)))
   | Mir.Rmove a -> (
     match oper_of env a with
     | Oi _ as o -> Pi (i_read o)
     | o -> Pg (v_read o))
   | Mir.Rvload (a, base, lanes) -> (
-    match arr_ref env a with
-    | Error msg -> Pg (fun _ -> raise (Runtime_error msg))
-    | Ok aslot -> (
-      let len = aslot.alen and k = aslot.aidx and name = a.Mir.vname in
-      let gb = index_fn env base ~len ~what:name in
-      let check st =
-        let b = gb st in
-        if b + lanes > len then fail "vector load past end of %s" name;
-        b
-      in
-      match aslot.bank with
-      | AKf ->
-        Pv
-          { vlanes = lanes;
-            vready = (fun _ -> true);
-            vcheck = (fun st -> ignore (check st));
-            vfill =
-              (fun st dst ->
-                Array.blit (Array.unsafe_get st.farrs k) (gb st) dst 0 lanes);
-            vgen =
-              (fun st ->
-                let b = check st in
-                let arr = Array.unsafe_get st.farrs k in
-                Value.Vector
-                  (Array.init lanes (fun j ->
-                       V.Sf (Array.unsafe_get arr (b + j))))) }
-      | _ ->
-        let elem = boxed_elem aslot in
-        Pg
-          (fun st ->
-            let b = check st in
-            Value.Vector (Array.init lanes (fun j -> elem st (b + j))))))
+    let aslot = arr_slot env a in
+    let len = aslot.alen and k = aslot.aidx and name = a.Mir.vname in
+    let gb = index_fn env base ~len ~what:name in
+    let check st =
+      let b = gb st in
+      if b + lanes > len then fail "vector load past end of %s" name;
+      b
+    in
+    match aslot.bank with
+    | AKf ->
+      Pv
+        { vlanes = lanes;
+          vready = (fun _ -> true);
+          vcheck = (fun st -> ignore (check st));
+          vfill =
+            (fun st dst ->
+              Array.blit (Array.unsafe_get st.farrs k) (gb st) dst 0 lanes);
+          vgen =
+            (fun st ->
+              let b = check st in
+              let arr = Array.unsafe_get st.farrs k in
+              Value.Vector
+                (Array.init lanes (fun j ->
+                     V.Sf (Array.unsafe_get arr (b + j))))) }
+    | _ ->
+      let elem = boxed_elem aslot in
+      Pg
+        (fun st ->
+          let b = check st in
+          Value.Vector (Array.init lanes (fun j -> elem st (b + j)))))
   | Mir.Rvbroadcast (a, lanes) -> (
     match oper_of env a with
     | (Of _ | Oi _ | Ob _) as o ->
@@ -934,8 +916,9 @@ let compile_cdef env d rv cls cost : (state -> unit) option =
         cwrite st d ((ar *. br) -. (ai *. bi)) ((ar *. bi) +. (ai *. br)))
   | Some _, _ -> None (* wrong arity: the generic path reports it *)
   | None, Mir.Rload (a, idx) -> (
-    match arr_ref env a with
-    | Ok aslot when aslot.bank = AKc ->
+    let aslot = arr_slot env a in
+    match aslot.bank with
+    | AKc ->
       let gi = index_fn env idx ~len:aslot.alen ~what:a.Mir.vname in
       let k = aslot.aidx in
       Some
@@ -946,7 +929,7 @@ let compile_cdef env d rv cls cost : (state -> unit) option =
           let im = Array.unsafe_get ca ((2 * i) + 1) in
           charge st cls cost;
           cwrite st d re im)
-    | _ -> None)
+    | AKf | AKi | AKb -> None)
   | None, Mir.Rmove o -> (
     match view_tag (oper_of env o) with
     | Some (t, i) ->
@@ -1038,20 +1021,18 @@ let compile_fdef env d rv prod cls cost : (state -> unit) option =
           Array.unsafe_set st.fregs d r)
     | _ -> None)
   | Mir.Rload (a, idx) -> (
-    match arr_ref env a with
-    | Error _ -> None
-    | Ok aslot -> (
-      match aslot.bank with
-      | AKf ->
-        let gi = index_fn env idx ~len:aslot.alen ~what:a.Mir.vname in
-        let k = aslot.aidx in
-        Some
-          (fun st ->
-            let i = gi st in
-            let x = Array.unsafe_get (Array.unsafe_get st.farrs k) i in
-            charge st cls cost;
-            Array.unsafe_set st.fregs d x)
-      | AKi | AKb | AKc -> None))
+    let aslot = arr_slot env a in
+    match aslot.bank with
+    | AKf ->
+      let gi = index_fn env idx ~len:aslot.alen ~what:a.Mir.vname in
+      let k = aslot.aidx in
+      Some
+        (fun st ->
+          let i = gi st in
+          let x = Array.unsafe_get (Array.unsafe_get st.farrs k) i in
+          charge st cls cost;
+          Array.unsafe_set st.fregs d x)
+    | AKi | AKb | AKc -> None)
   | Mir.Rmove a -> (
     match oper_of env a with
     | Of s ->
@@ -1124,21 +1105,8 @@ and compile_instr env (desc : Mir.instr_desc) : state -> unit =
        which case the producer raises before the charge is reached. *)
     let cost_opt = Cost.def_cost_opt env.isa env.mode rv in
     let cost = match cost_opt with Some c -> c | None -> 0 in
-    let sty = Mir.elem_ty v in
-    match slot_of env v with
-    | Sarr _ ->
-      (* the tree-walker fails when it fetches the target as a register,
-         after evaluating and charging *)
-      let g = gen_of_prod prod in
-      let msg =
-        Printf.sprintf "variable %s.%d used as a register" v.Mir.vname
-          v.Mir.vid
-      in
-      fun st ->
-        let _value = g st in
-        charge st cls cost;
-        raise (Runtime_error msg)
-    | Sreg (Rf d) -> (
+    match reg_slot env v with
+    | Rf d -> (
       let fused =
         if cost_opt = None then None else compile_fdef env d rv prod cls cost
       in
@@ -1162,7 +1130,7 @@ and compile_instr env (desc : Mir.instr_desc) : state -> unit =
           let value = g st in
           charge st cls cost;
           Array.unsafe_set st.fregs d (V.to_float (scalar_of_value value)))
-    | Sreg (Ri d) -> (
+    | Ri d -> (
       match prod with
       | Pi f ->
         fun st ->
@@ -1176,7 +1144,7 @@ and compile_instr env (desc : Mir.instr_desc) : state -> unit =
           charge st cls cost;
           Array.unsafe_set st.iregs d
             (Store.coerce_int_exn (scalar_of_value value)))
-    | Sreg (Rb d) -> (
+    | Rb d -> (
       match prod with
       | Pb f ->
         fun st ->
@@ -1189,7 +1157,7 @@ and compile_instr env (desc : Mir.instr_desc) : state -> unit =
           let value = g st in
           charge st cls cost;
           Array.unsafe_set st.bregs d (V.to_bool (scalar_of_value value)))
-    | Sreg (Rc d) -> (
+    | Rc d -> (
       let fused =
         if cost_opt = None then None else compile_cdef env d rv cls cost
       in
@@ -1207,7 +1175,8 @@ and compile_instr env (desc : Mir.instr_desc) : state -> unit =
           charge st cls cost;
           let z = V.to_complex (scalar_of_value value) in
           cwrite st d z.Complex.re z.Complex.im)
-    | Sreg (Rv (d, lanes)) -> (
+    | Rv (d, lanes) -> (
+      let sty = Mir.elem_ty v in
       match prod with
       | Pv vp when vp.vlanes = lanes ->
         fun st ->
@@ -1227,104 +1196,92 @@ and compile_instr env (desc : Mir.instr_desc) : state -> unit =
         fun st ->
           let value = g st in
           charge st cls cost;
-          write_vreg st d lanes sty value)
-    | Sreg (Rg d) ->
-      let g = gen_of_prod prod in
-      fun st ->
-        let value = g st in
-        charge st cls cost;
-        Array.unsafe_set st.gregs d (coerce_value sty value))
+          write_vreg st d lanes sty value))
   | Mir.Istore (a, idx, x) -> (
-    match arr_ref env a with
-    | Error msg -> fun _ -> raise (Runtime_error msg)
-    | Ok aslot -> (
-      let gi = index_fn env idx ~len:aslot.alen ~what:a.Mir.vname in
-      let ox = oper_of env x in
-      let cls = class_id env "mem" in
-      let sty = Mir.elem_ty a in
-      let cost =
-        Cost.store_cost env.isa env.mode ~cplx:(sty.Mir.cplx = MT.Complex)
-      in
-      let k = aslot.aidx in
-      match (aslot.bank, ox) with
-      | AKf, Of s ->
-        (* freg -> double bank: straight float copy, no boxing *)
-        fun st ->
-          let i = gi st in
-          Array.unsafe_set
-            (Array.unsafe_get st.farrs k)
-            i
-            (Array.unsafe_get st.fregs s);
-          charge st cls cost
-      | AKf, _ ->
-        let gx = f_read ox in
-        fun st ->
-          let i = gi st in
-          let x = gx st in
-          Array.unsafe_set (Array.unsafe_get st.farrs k) i x;
-          charge st cls cost
-      | AKc, Oc s ->
-        (* creg -> complex bank: straight float copy, no boxing *)
-        fun st ->
-          let i = gi st in
-          let re = Array.unsafe_get st.cregs (2 * s) in
-          let im = Array.unsafe_get st.cregs ((2 * s) + 1) in
-          let ca = Array.unsafe_get st.carrs k in
-          Array.unsafe_set ca (2 * i) re;
-          Array.unsafe_set ca ((2 * i) + 1) im;
-          charge st cls cost
-      | _ ->
-        let set = set_elem aslot and gx = s_read ox in
-        fun st ->
-          let i = gi st in
-          let x = gx st in
-          set st i x;
-          charge st cls cost))
+    let aslot = arr_slot env a in
+    let gi = index_fn env idx ~len:aslot.alen ~what:a.Mir.vname in
+    let ox = oper_of env x in
+    let cls = class_id env "mem" in
+    let sty = Mir.elem_ty a in
+    let cost =
+      Cost.store_cost env.isa env.mode ~cplx:(sty.Mir.cplx = MT.Complex)
+    in
+    let k = aslot.aidx in
+    match (aslot.bank, ox) with
+    | AKf, Of s ->
+      (* freg -> double bank: straight float copy, no boxing *)
+      fun st ->
+        let i = gi st in
+        Array.unsafe_set
+          (Array.unsafe_get st.farrs k)
+          i
+          (Array.unsafe_get st.fregs s);
+        charge st cls cost
+    | AKf, _ ->
+      let gx = f_read ox in
+      fun st ->
+        let i = gi st in
+        let x = gx st in
+        Array.unsafe_set (Array.unsafe_get st.farrs k) i x;
+        charge st cls cost
+    | AKc, Oc s ->
+      (* creg -> complex bank: straight float copy, no boxing *)
+      fun st ->
+        let i = gi st in
+        let re = Array.unsafe_get st.cregs (2 * s) in
+        let im = Array.unsafe_get st.cregs ((2 * s) + 1) in
+        let ca = Array.unsafe_get st.carrs k in
+        Array.unsafe_set ca (2 * i) re;
+        Array.unsafe_set ca ((2 * i) + 1) im;
+        charge st cls cost
+    | _ ->
+      let set = set_elem aslot and gx = s_read ox in
+      fun st ->
+        let i = gi st in
+        let x = gx st in
+        set st i x;
+        charge st cls cost)
   | Mir.Ivstore (a, base, x, lanes) -> (
-    match arr_ref env a with
-    | Error msg -> fun _ -> raise (Runtime_error msg)
-    | Ok aslot -> (
-      let len = aslot.alen and k = aslot.aidx and name = a.Mir.vname in
-      let gb = index_fn env base ~len ~what:name in
-      let cls = class_id env "simd" in
-      let cost = Cost.vstore_cost env.isa in
-      let ox = oper_of env x in
-      let set = set_elem aslot in
-      let store_boxed st b v =
-        match v with
-        | Value.Vector vec when Array.length vec = lanes ->
-          for j = 0 to lanes - 1 do
-            set st (b + j) (Array.unsafe_get vec j)
-          done;
+    let aslot = arr_slot env a in
+    let len = aslot.alen and k = aslot.aidx and name = a.Mir.vname in
+    let gb = index_fn env base ~len ~what:name in
+    let cls = class_id env "simd" in
+    let cost = Cost.vstore_cost env.isa in
+    let ox = oper_of env x in
+    let set = set_elem aslot in
+    let store_boxed st b v =
+      match v with
+      | Value.Vector vec when Array.length vec = lanes ->
+        for j = 0 to lanes - 1 do
+          set st (b + j) (Array.unsafe_get vec j)
+        done;
+        charge st cls cost
+      | Value.Vector _ -> fail "vector store width mismatch"
+      | Value.Scalar _ -> fail "vector store of a scalar"
+    in
+    match (aslot.bank, ox) with
+    | AKf, Ov (s, _) ->
+      (* The dominant vectorized shape: unboxed register into a
+         real-double array is a straight blit (the verifier pins the
+         register's width to the store's). *)
+      fun st ->
+        let b = gb st in
+        if b + lanes > len then fail "vector store past end of %s" name;
+        (match Array.unsafe_get st.vboxs s with
+        | None ->
+          Array.blit
+            (Array.unsafe_get st.vbufs s)
+            0
+            (Array.unsafe_get st.farrs k)
+            b lanes;
           charge st cls cost
-        | Value.Vector _ -> fail "vector store width mismatch"
-        | Value.Scalar _ -> fail "vector store of a scalar"
-      in
-      match (aslot.bank, ox) with
-      | AKf, Ov (s, vl) ->
-        (* The dominant vectorized shape: unboxed register into a
-           real-double array is a straight blit. *)
-        fun st ->
-          let b = gb st in
-          if b + lanes > len then fail "vector store past end of %s" name;
-          (match Array.unsafe_get st.vboxs s with
-          | None ->
-            if vl = lanes then begin
-              Array.blit
-                (Array.unsafe_get st.vbufs s)
-                0
-                (Array.unsafe_get st.farrs k)
-                b lanes;
-              charge st cls cost
-            end
-            else fail "vector store width mismatch"
-          | Some v -> store_boxed st b v)
-      | _ ->
-        let gx = v_read ox in
-        fun st ->
-          let b = gb st in
-          if b + lanes > len then fail "vector store past end of %s" name;
-          store_boxed st b (gx st)))
+        | Some v -> store_boxed st b v)
+    | _ ->
+      let gx = v_read ox in
+      fun st ->
+        let b = gb st in
+        if b + lanes > len then fail "vector store past end of %s" name;
+        store_boxed st b (gx st))
   | Mir.Iif (c, then_b, else_b) ->
     let gc = b_read (oper_of env c) in
     let ft = compile_block env then_b and fe = compile_block env else_b in
@@ -1359,12 +1316,9 @@ and compile_instr env (desc : Mir.instr_desc) : state -> unit =
       List.map
         (fun op ->
           match op with
-          | Mir.Ovar v when Mir.is_array v -> (
-            match arr_ref env v with
-            | Ok aslot ->
-              let box = boxed_array aslot in
-              fun st -> Array.to_list (box st)
-            | Error msg -> fun _ -> raise (Runtime_error msg))
+          | Mir.Ovar v when Mir.is_array v ->
+            let box = boxed_array (arr_slot env v) in
+            fun st -> Array.to_list (box st)
           | _ ->
             let g = s_read (oper_of env op) in
             fun st -> [ g st ])
@@ -1393,29 +1347,16 @@ and compile_loop env (ivar : Mir.var) lo step hi body : state -> unit =
   let lcost = Cost.loop_iter_cost env.isa in
   let bcls = class_id env "branch" in
   let bcost = Cost.branch_cost env.isa in
-  let ivslot = slot_of env ivar in
   let olo = oper_of env lo
   and ostep = oper_of env step
   and ohi = oper_of env hi in
-  (* Static loop representation; must agree with the demotion pass in
-     [compile], which keeps an induction variable typed only when its
-     slot matches this classification. *)
-  let rep = function
-    | Oi _ | Ob _ -> `I
-    | Of _ -> `F
-    | Oc _ | Ov _ | Og _ -> `X
-  in
-  let static_rep =
-    match (rep olo, rep ostep, rep ohi) with
-    | `I, `I, `I -> `Int
-    | (`I | `F), (`I | `F), (`I | `F) -> `Float
-    | _ -> `Dyn
-  in
-  match (ivslot, static_rep) with
-  | Sreg (Ri iv), `Int ->
-    (* All three bounds are statically Si/Sb, so the tree-walker's
-       runtime [int_loop] test is true and induction values are raw
-       [Si] — matching the variable's Int slot. Fully unboxed. *)
+  (* The entry check makes the induction variable's slot the loop's
+     representation: an int slot has int/bool bounds, so the
+     tree-walker's runtime [int_loop] test is true and its induction
+     values are raw [Si]; a double slot has a double bound, so they are
+     raw [Sf]. Both loops are fully unboxed. *)
+  match reg_slot env ivar with
+  | Ri iv ->
     let gl = i_read olo and gs = i_read ostep and gh = i_read ohi in
     fun st ->
       let l = gl st in
@@ -1442,14 +1383,11 @@ and compile_loop env (ivar : Mir.var) lo step hi body : state -> unit =
          end
        with Break_exc -> ());
       charge st bcls bcost
-  | Sreg (Rf iv), `Float ->
-    (* At least one bound is statically Sf, so [int_loop] is false and
-       induction values are raw [Sf] — matching the Double slot. The
-       counter lives in a private shadow slot of the float bank so the
-       loop never touches a boxed float: body writes to the induction
-       register cannot perturb iteration (the tree-walker advances from
-       its own saved value too). The bounds are read through the views,
-       since a [state -> float] reader would box each one per entry. *)
+  | Rf iv ->
+    (* The counter lives in a private shadow slot of the float bank so
+       the loop never touches a boxed float. The bounds are read through
+       the views, since a [state -> float] reader would box each one per
+       entry. *)
     let view o = Option.get (view_tag o) in
     let tl, il = view olo and ts, is = view ostep and th, ih = view ohi in
     let sh = fshadow env in
@@ -1475,68 +1413,10 @@ and compile_loop env (ivar : Mir.var) lo step hi body : state -> unit =
            done
        with Break_exc -> ());
       charge st bcls bcost
-  | ivslot, _ ->
-    (* General path: boxed bounds, runtime int/float dispatch, raw
-       boxed induction writes. The demotion pass guarantees the
-       induction variable is a boxed register (or an array, which
-       fails at runtime exactly like the tree-walker). *)
-    let glo = s_read olo
-    and gstep = s_read ostep
-    and ghi = s_read ohi in
-    let iv_write =
-      match ivslot with
-      | Sreg (Rg s) -> fun st v -> Array.unsafe_set st.gregs s v
-      | Sreg _ -> assert false (* demotion pass keeps typed ivars out *)
-      | Sarr _ ->
-        let msg =
-          Printf.sprintf "variable %s.%d used as a register" ivar.Mir.vname
-            ivar.Mir.vid
-        in
-        fun _ _ -> raise (Runtime_error msg)
-    in
-    fun st ->
-      let lo_v = glo st in
-      let step_v = gstep st in
-      let hi_v = ghi st in
-      let int_loop =
-        match (lo_v, step_v, hi_v) with
-        | (V.Si _ | V.Sb _), (V.Si _ | V.Sb _), (V.Si _ | V.Sb _) -> true
-        | _ -> false
-      in
-      (* the tree-walker fetches the induction register before the first
-         bound test, so an array induction variable fails even for
-         zero-trip loops *)
-      (match ivslot with
-      | Sarr _ -> iv_write st (Value.Scalar lo_v)
-      | Sreg _ -> ());
-      let continue_loop v =
-        if int_loop then
-          if V.to_int step_v >= 0 then V.to_int v <= V.to_int hi_v
-          else V.to_int v >= V.to_int hi_v
-        else if V.to_float step_v >= 0.0 then V.to_float v <= V.to_float hi_v
-        else V.to_float v >= V.to_float hi_v
-      in
-      let next v =
-        if int_loop then V.Si (V.to_int v + V.to_int step_v)
-        else V.Sf (V.to_float v +. V.to_float step_v)
-      in
-      let rec go v =
-        if continue_loop v then begin
-          iv_write st (Value.Scalar v);
-          charge st lcls lcost;
-          (try fbody st with Continue_exc -> ());
-          go (next v)
-        end
-      in
-      (try go lo_v with Break_exc -> ());
-      charge st bcls bcost
+  | Rb _ | Rc _ | Rv _ ->
+    invalid_arg "Plan: loop variable neither int nor double in unverified MIR"
 
 (* ---------------- whole-function plans ---------------- *)
-
-(* Static representation of a scalar variable, from the demotion
-   analysis: a typed kind guarantees the variable's runtime value is
-   always a scalar of that representation. *)
-type vkind = KF | KI | KB | KC | KV of int | KG
 
 type aspec = { alen : int; aparam : bool }
 
@@ -1560,7 +1440,6 @@ type t = {
   binit : (int * bool) array;
   cinit : (int * Complex.t) array;
   vlanes : int array;  (* declared width per vector register *)
-  ginit : Value.t array;  (* initial boxed register file *)
   fspecs : aspec array;
   ispecs : aspec array;
   bspecs : aspec array;
@@ -1571,239 +1450,62 @@ type t = {
 }
 
 let compile ~isa ~mode (f : Mir.func) : t =
-  (* Variable collection pre-pass: params, rets, declared vars, then a
-     defensive body walk (the tree-walker materializes cells lazily for
-     any vid it meets, so the plan must cover the same set). *)
-  let seen_vars = Hashtbl.create 64 in
-  let var_order = ref [] in
-  let add (v : Mir.var) =
-    if not (Hashtbl.mem seen_vars v.Mir.vid) then begin
-      Hashtbl.add seen_vars v.Mir.vid ();
-      var_order := v :: !var_order
-    end
-  in
-  let scan_op = function Mir.Ovar v -> add v | Mir.Oconst _ -> () in
-  let scan_rvalue = function
-    | Mir.Rbin (_, a, b) ->
-      scan_op a;
-      scan_op b
-    | Mir.Runop (_, a) | Mir.Rmove a | Mir.Rvbroadcast (a, _)
-    | Mir.Rvreduce (_, a) ->
-      scan_op a
-    | Mir.Rmath (_, ops) | Mir.Rintrin (_, ops) -> List.iter scan_op ops
-    | Mir.Rcomplex (re, im) ->
-      scan_op re;
-      scan_op im
-    | Mir.Rload (a, idx) ->
-      add a;
-      scan_op idx
-    | Mir.Rvload (a, base, _) ->
-      add a;
-      scan_op base
-  in
-  let rec scan_block b = List.iter scan_instr b
-  and scan_instr i =
-    match i.Mir.idesc with
-    | Mir.Idef (v, rv) ->
-      add v;
-      scan_rvalue rv
-    | Mir.Istore (a, idx, x) ->
-      add a;
-      scan_op idx;
-      scan_op x
-    | Mir.Ivstore (a, base, x, _) ->
-      add a;
-      scan_op base;
-      scan_op x
-    | Mir.Iif (c, t, e) ->
-      scan_op c;
-      scan_block t;
-      scan_block e
-    | Mir.Iloop { ivar; lo; step; hi; body } ->
-      add ivar;
-      scan_op lo;
-      scan_op step;
-      scan_op hi;
-      scan_block body
-    | Mir.Iwhile { cond_block; cond; body } ->
-      scan_block cond_block;
-      scan_op cond;
-      scan_block body
-    | Mir.Iprint (_, ops) -> List.iter scan_op ops
-    | Mir.Ibreak | Mir.Icontinue | Mir.Ireturn | Mir.Icomment _ -> ()
-  in
-  List.iter add f.Mir.params;
-  List.iter add f.Mir.rets;
-  List.iter add f.Mir.vars;
-  scan_block f.Mir.body;
-  let vars = List.rev !var_order in
-  (* Initial kinds from the declared types. *)
-  let kinds : (int, vkind) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (v : Mir.var) ->
-      match v.Mir.vty with
-      | Mir.Tscalar sty ->
-        let k =
-          match (sty.Mir.cplx, sty.Mir.base, sty.Mir.lanes) with
-          | MT.Complex, _, 1 -> KC
-          | MT.Real, MT.Double, 1 -> KF
-          | MT.Real, MT.Int, 1 -> KI
-          | MT.Real, MT.Bool, 1 -> KB
-          | MT.Real, MT.Double, n when n > 1 -> KV n
-          | _ -> KG
-        in
-        Hashtbl.replace kinds v.Mir.vid k
-      | Mir.Tarray _ -> ())
-    vars;
-  (* Demotion fixpoint. A typed slot must ALWAYS hold its declared
-     representation, but the tree-walker has two escape hatches: def
-     targets may receive vector values (the verifier does not check
-     def-target lanes), and loop induction variables are written raw,
-     without coercion. Demote to a boxed register any scalar whose defs
-     could produce a vector given current kinds, and any induction
-     variable whose loop representation is not statically forced to
-     match its slot. Demotion makes a variable's reads generic, which
-     can invalidate earlier conclusions — iterate to fixpoint (kinds
-     move monotonically toward KG, so this terminates). *)
-  let changed = ref true in
-  let demote vid =
-    match Hashtbl.find_opt kinds vid with
-    | Some KG | None -> ()
-    | Some _ ->
-      Hashtbl.replace kinds vid KG;
-      changed := true
-  in
-  let op_pv = function
-    | Mir.Oconst _ -> false
-    | Mir.Ovar v -> (
-      match Hashtbl.find_opt kinds v.Mir.vid with
-      | Some (KV _) | Some KG -> true
-      | _ -> false)
-  in
-  let rv_pv = function
-    | Mir.Rbin (_, a, b) -> op_pv a || op_pv b
-    | Mir.Runop (_, a) | Mir.Rmove a -> op_pv a
-    | Mir.Rintrin (_, ops) -> List.exists op_pv ops
-    | Mir.Rvload _ | Mir.Rvbroadcast _ -> true
-    | Mir.Rmath _ | Mir.Rcomplex _ | Mir.Rload _ | Mir.Rvreduce _ -> false
-  in
-  let bound_rep = function
-    | Mir.Oconst (Mir.Ci _) | Mir.Oconst (Mir.Cb _) -> `I
-    | Mir.Oconst (Mir.Cf _) -> `F
-    | Mir.Oconst (Mir.Cc _) -> `X
-    | Mir.Ovar v -> (
-      match Hashtbl.find_opt kinds v.Mir.vid with
-      | Some KI | Some KB -> `I
-      | Some KF -> `F
-      | _ -> `X)
-  in
-  let rec demote_block b = List.iter demote_instr b
-  and demote_instr i =
-    match i.Mir.idesc with
-    | Mir.Idef (v, rv) -> (
-      match Hashtbl.find_opt kinds v.Mir.vid with
-      | Some (KF | KI | KB | KC) when rv_pv rv -> demote v.Mir.vid
-      | _ -> ())
-    | Mir.Iloop { ivar; lo; step; hi; body } ->
-      (match Hashtbl.find_opt kinds ivar.Mir.vid with
-      | None -> () (* array induction variable: runtime error path *)
-      | Some k ->
-        let lrep =
-          match (bound_rep lo, bound_rep step, bound_rep hi) with
-          | `I, `I, `I -> `Int
-          | (`I | `F), (`I | `F), (`I | `F) -> `Float
-          | _ -> `Dyn
-        in
-        let ok =
-          match (k, lrep) with
-          | KI, `Int | KF, `Float | KG, _ -> true
-          | _ -> false
-        in
-        if not ok then demote ivar.Mir.vid);
-      demote_block body
-    | Mir.Iif (_, t, e) ->
-      demote_block t;
-      demote_block e
-    | Mir.Iwhile { cond_block; body; _ } ->
-      demote_block cond_block;
-      demote_block body
-    | Mir.Istore _ | Mir.Ivstore _ | Mir.Ibreak | Mir.Icontinue | Mir.Ireturn
-    | Mir.Iprint _ | Mir.Icomment _ ->
-      ()
-  in
-  while !changed do
-    changed := false;
-    demote_block f.Mir.body
-  done;
-  (* Slot assignment per bank, in first-seen order. *)
+  Exec.check_entry ~isa f;
+  (* Slot assignment per bank, in first-declared order: params, rets,
+     then [vars], which the entry check guarantees declares every
+     variable the body names. A scalar's declared type is its bank. *)
   let slots = Hashtbl.create 64 in
-  let param_vids = Hashtbl.create 8 in
-  List.iter
-    (fun (p : Mir.var) -> Hashtbl.replace param_vids p.Mir.vid ())
-    f.Mir.params;
   let nf = ref 0
   and ni = ref 0
   and nb = ref 0
   and nc = ref 0
-  and ng = ref 0
   and nv = ref 0 in
-  let vlanes_rev = ref [] and ginit_rev = ref [] in
+  let vlanes_rev = ref [] in
   let nfa = ref 0 and nia = ref 0 and nba = ref 0 and nca = ref 0 in
   let fsp = ref [] and isp = ref [] and bsp = ref [] and csp = ref [] in
-  List.iter
-    (fun (v : Mir.var) ->
-      match v.Mir.vty with
-      | Mir.Tscalar sty -> (
-        match Hashtbl.find kinds v.Mir.vid with
-        | KF ->
-          Hashtbl.add slots v.Mir.vid (Sreg (Rf !nf));
-          incr nf
-        | KI ->
-          Hashtbl.add slots v.Mir.vid (Sreg (Ri !ni));
-          incr ni
-        | KB ->
-          Hashtbl.add slots v.Mir.vid (Sreg (Rb !nb));
-          incr nb
-        | KC ->
-          Hashtbl.add slots v.Mir.vid (Sreg (Rc !nc));
-          incr nc
-        | KV l ->
-          Hashtbl.add slots v.Mir.vid (Sreg (Rv (!nv, l)));
-          vlanes_rev := l :: !vlanes_rev;
-          incr nv
-        | KG ->
-          Hashtbl.add slots v.Mir.vid (Sreg (Rg !ng));
-          ginit_rev := Value.Scalar (V.coerce sty (V.Si 0)) :: !ginit_rev;
-          incr ng)
-      | Mir.Tarray (sty, n) ->
-        let spec = { alen = n; aparam = Hashtbl.mem param_vids v.Mir.vid } in
-        let bank, idx =
-          match (sty.Mir.cplx, sty.Mir.base) with
-          | MT.Complex, _ ->
-            csp := spec :: !csp;
-            let i = !nca in
-            incr nca;
-            (AKc, i)
-          | MT.Real, MT.Double ->
-            fsp := spec :: !fsp;
-            let i = !nfa in
-            incr nfa;
-            (AKf, i)
-          | MT.Real, MT.Int ->
-            isp := spec :: !isp;
-            let i = !nia in
-            incr nia;
-            (AKi, i)
-          | MT.Real, MT.Bool ->
-            bsp := spec :: !bsp;
-            let i = !nba in
-            incr nba;
-            (AKb, i)
-          | MT.Real, MT.Err ->
-            invalid_arg "Plan: poison type reached the VM"
-        in
-        Hashtbl.add slots v.Mir.vid (Sarr { bank; aidx = idx; alen = n }))
-    vars;
+  let next r =
+    let i = !r in
+    incr r;
+    i
+  in
+  let assign ~aparam (v : Mir.var) =
+    if not (Hashtbl.mem slots v.Mir.vid) then
+      Hashtbl.add slots v.Mir.vid
+        (match v.Mir.vty with
+        | Mir.Tscalar sty -> (
+          match (sty.Mir.cplx, sty.Mir.base, sty.Mir.lanes) with
+          | MT.Complex, _, 1 -> Sreg (Rc (next nc))
+          | MT.Real, MT.Double, 1 -> Sreg (Rf (next nf))
+          | MT.Real, MT.Int, 1 -> Sreg (Ri (next ni))
+          | MT.Real, MT.Bool, 1 -> Sreg (Rb (next nb))
+          | MT.Real, MT.Double, l ->
+            vlanes_rev := l :: !vlanes_rev;
+            Sreg (Rv (next nv, l))
+          | _ -> invalid_arg "Plan: poison type reached the VM")
+        | Mir.Tarray (sty, n) ->
+          let spec = { alen = n; aparam } in
+          let bank, idx =
+            match (sty.Mir.cplx, sty.Mir.base) with
+            | MT.Complex, _ ->
+              csp := spec :: !csp;
+              (AKc, next nca)
+            | MT.Real, MT.Double ->
+              fsp := spec :: !fsp;
+              (AKf, next nfa)
+            | MT.Real, MT.Int ->
+              isp := spec :: !isp;
+              (AKi, next nia)
+            | MT.Real, MT.Bool ->
+              bsp := spec :: !bsp;
+              (AKb, next nba)
+            | MT.Real, MT.Err ->
+              invalid_arg "Plan: poison type reached the VM"
+          in
+          Sarr { bank; aidx = idx; alen = n })
+  in
+  List.iter (assign ~aparam:true) f.Mir.params;
+  List.iter (assign ~aparam:false) f.Mir.rets;
+  List.iter (assign ~aparam:false) f.Mir.vars;
   let env =
     { isa; mode; slots;
       cls_ids = Hashtbl.create 16; cls_rev = []; ncls = 0;
@@ -1816,16 +1518,16 @@ let compile ~isa ~mode (f : Mir.func) : t =
   let binds =
     List.map
       (fun (p : Mir.var) ->
-        match (slot_of env p, p.Mir.vty) with
-        | Sreg rs, Mir.Tscalar sty -> Bscalar (rs, sty, p.Mir.vname)
-        | Sarr a, Mir.Tarray _ -> Barray (a, p.Mir.vname)
-        | _ -> assert false)
+        match p.Mir.vty with
+        | Mir.Tscalar sty -> Bscalar (reg_slot env p, sty, p.Mir.vname)
+        | Mir.Tarray _ -> Barray (arr_slot env p, p.Mir.vname))
       f.Mir.params
   in
   { fname = f.Mir.name;
     nparams = List.length f.Mir.params;
     binds;
-    ret_slots = List.map (slot_of env) f.Mir.rets;
+    ret_slots =
+      List.map (fun (r : Mir.var) -> Hashtbl.find slots r.Mir.vid) f.Mir.rets;
     nfregs = env.nfx;
     niregs = env.nix;
     nbregs = env.nbx;
@@ -1835,7 +1537,6 @@ let compile ~isa ~mode (f : Mir.func) : t =
     binit = Array.of_list (List.rev env.binit);
     cinit = Array.of_list (List.rev env.cinit);
     vlanes = Array.of_list (List.rev !vlanes_rev);
-    ginit = Array.of_list (List.rev !ginit_rev);
     fspecs = Array.of_list (List.rev !fsp);
     ispecs = Array.of_list (List.rev !isp);
     bspecs = Array.of_list (List.rev !bsp);
@@ -1862,7 +1563,6 @@ let execute ?(max_cycles = 4_000_000_000) ?(fuel = Exec.default_fuel)
       cregs = Array.make (2 * p.ncregs) 0.0;
       vbufs = Array.map (fun l -> Array.make l 0.0) p.vlanes;
       vboxs = Array.map (fun _ -> Some (Value.Scalar (V.Sf 0.0))) p.vlanes;
-      gregs = Array.copy p.ginit;
       farrs =
         Array.map
           (fun s -> if s.aparam then [||] else Array.make s.alen 0.0)
@@ -1910,8 +1610,7 @@ let execute ?(max_cycles = 4_000_000_000) ?(fuel = Exec.default_fuel)
           let z = V.to_complex x in
           st.cregs.(2 * d) <- z.Complex.re;
           st.cregs.((2 * d) + 1) <- z.Complex.im
-        | Rv (d, _) -> st.vboxs.(d) <- Some (Value.Scalar (V.coerce sty x))
-        | Rg d -> st.gregs.(d) <- Value.Scalar (V.coerce sty x))
+        | Rv (d, _) -> st.vboxs.(d) <- Some (Value.Scalar (V.coerce sty x)))
       | Barray (a, name), Xarray arr -> (
         if Array.length arr <> a.alen then
           fail "argument %s: expected %d elements, received %d" name a.alen
@@ -1937,7 +1636,6 @@ let execute ?(max_cycles = 4_000_000_000) ?(fuel = Exec.default_fuel)
                { Complex.re = st.cregs.(2 * d);
                  im = st.cregs.((2 * d) + 1) })
         | Sreg (Rv (d, _)) -> Xscalar (vreg_scalar st d)
-        | Sreg (Rg d) -> Xscalar (scalar_of_value st.gregs.(d))
         | Sarr a -> Xarray (boxed_array a st))
       p.ret_slots
   in

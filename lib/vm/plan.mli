@@ -3,8 +3,9 @@
     A plan is a MIR function pre-compiled — once — into a tree of OCaml
     closures with variables resolved to dense slots in monomorphic
     typed register banks ([float array] for real doubles, [int array],
-    [bool array], interleaved re/im [float array] for complex, plus a
-    boxed bank for the demoted remainder), static per-instruction costs
+    [bool array], interleaved re/im [float array] for complex, and
+    per-register lane buffers for real-double vectors), static
+    per-instruction costs
     and histogram classes memoized from {!Masc_asip.Cost_model},
     constants pooled into the same banks at plan time, intrinsics
     pre-resolved to their descriptions, and fast paths for hot shapes
@@ -23,11 +24,13 @@
 
 type t
 
-(** [compile ~isa ~mode f] walks [f] once and builds its plan. Cheap
-    (linear in the static instruction count); never raises for programs
-    that the tree-walker could start executing — dynamic failures
-    (missing intrinsics, bad indices, type misuse) stay runtime errors
-    raised at the same execution point as in the tree-walker. *)
+(** [compile ~isa ~mode f] runs the engines' entry check
+    ({!Exec.check_entry}) on [f], then walks it once and builds its
+    plan. Cheap (linear in the static instruction count). Raises the
+    check's [Failure] on MIR it rejects, exactly as {!Interp.run_tree}
+    does; dynamic failures (missing intrinsics, bad indices, type
+    misuse) stay runtime errors raised at the same execution point as
+    in the tree-walker. *)
 val compile :
   isa:Masc_asip.Isa.t -> mode:Masc_asip.Cost_model.mode -> Masc_mir.Mir.func ->
   t

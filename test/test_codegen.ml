@@ -68,7 +68,9 @@ let test_runtime_header_self_contained () =
 let cc_available =
   lazy (Sys.command "cc --version > /dev/null 2>&1" = 0)
 
-let run_c_program source =
+(* Compile [source] with the host C compiler and run it; under
+   [?timeout] (seconds) a run that does not finish in time fails. *)
+let run_c_program ?timeout source =
   let dir = Filename.temp_file "masc" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
@@ -84,14 +86,22 @@ let run_c_program source =
     let log = In_channel.with_open_text (dir ^ "/cc.log") In_channel.input_all in
     Alcotest.failf "cc failed:\n%s" log
   end;
-  let ic = Unix.open_process_in exe in
+  let run =
+    match timeout with
+    | Some s -> Printf.sprintf "timeout %d %s" s exe
+    | None -> exe
+  in
+  let ic = Unix.open_process_in run in
   let lines = ref [] in
   (try
      while true do
        lines := input_line ic :: !lines
      done
    with End_of_file -> ());
-  ignore (Unix.close_process_in ic);
+  (match (Unix.close_process_in ic, timeout) with
+  | Unix.WEXITED 124, Some s ->
+    Alcotest.failf "C program did not finish within %d s" s
+  | _ -> ());
   List.rev !lines
 
 let floats_of_lines lines =
@@ -178,6 +188,69 @@ let test_gcc_widths () =
         (K.fir ~n:64 ~m:8 ()))
     [ Masc_asip.Targets.dsp4; Masc_asip.Targets.dsp16;
       Masc_asip.Targets.dsp8_simd_only; Masc_asip.Targets.dsp8_cplx_only ]
+
+(* A [for] whose variable is typed apart from its range, or whose body
+   assigns the variable, counts a fresh variable of the range's type:
+   the emitted C's [for] then counts exactly as the simulators do. Each
+   program runs with a range of three iterations and with a zero-trip
+   range, on scalar and dsp8 at O0 and O2. The tree-walker and the plan
+   must agree bit for bit on returns, cycles and histograms, and the C,
+   run through the host compiler, on every returned bit. A C [for]
+   whose body moves its own counter can run forever, hence the
+   timeout. *)
+let test_loop_variable_lowering () =
+  if Lazy.force cc_available then begin
+    let programs =
+      [ ( "double k",
+          "function [y, k] = f(n)\ny = 0;\nk = 0.5;\n\
+           for k = 1:n\n  y = y + k/2;\nend\nend" );
+        ( "complex k",
+          "function [y, k] = f(n)\ny = 0;\nk = 1i;\n\
+           for k = 1:n\n  y = y + k;\nend\nend" );
+        ( "body assigns k",
+          "function y = f(n)\ny = 0;\n\
+           for k = 1:n\n  k = k*0.5;\n  y = y + k;\nend\nend" ) ]
+    in
+    let bits (r : I.result) = List.map Int64.bits_of_float (sim_floats r) in
+    List.iter
+      (fun (pname, src) ->
+        List.iter
+          (fun (tname, isa) ->
+            List.iter
+              (fun (lname, opt_level) ->
+                let c =
+                  compile
+                    { (C.proposed ~isa ()) with C.opt_level }
+                    ~args:[ Mtype.scalar Mtype.Int ] src
+                in
+                let isa = c.C.config.C.isa and mode = c.C.config.C.mode in
+                List.iter
+                  (fun n ->
+                    let tag what =
+                      Printf.sprintf "%s/%s/%s n=%d %s" pname tname lname n
+                        what
+                    in
+                    let inputs = [ I.Xscalar (V.Si n) ] in
+                    let rt = I.run_tree ~isa ~mode c.C.mir inputs in
+                    let rp = I.run ~isa ~mode c.C.mir inputs in
+                    Alcotest.(check int) (tag "cycles") rt.I.cycles rp.I.cycles;
+                    Alcotest.(check bool) (tag "histogram") true
+                      (rt.I.histogram = rp.I.histogram);
+                    Alcotest.(check (list int64)) (tag "plan returns")
+                      (bits rt) (bits rp);
+                    let prog =
+                      H.full_program ~isa ~mode c.C.mir
+                        [ H.Hscalar (float_of_int n) ]
+                    in
+                    Alcotest.(check (list int64)) (tag "C returns") (bits rt)
+                      (List.map Int64.bits_of_float
+                         (floats_of_lines (run_c_program ~timeout:10 prog))))
+                  [ 3; 0 ])
+              [ ("O0", Masc_opt.Pipeline.O0); ("O2", Masc_opt.Pipeline.O2) ])
+          [ ("scalar", Masc_asip.Targets.scalar);
+            ("dsp8", Masc_asip.Targets.dsp8) ])
+      programs
+  end
 
 (* ---- exact bytes, strict C validity, non-finite constants ---- *)
 
@@ -363,6 +436,8 @@ let suites =
         Alcotest.test_case "cc run matches simulator (coder)" `Slow
           test_gcc_coder_kernels;
         Alcotest.test_case "cc run across widths" `Slow test_gcc_widths;
+        Alcotest.test_case "loop variables agree across engines and C" `Slow
+          test_loop_variable_lowering;
         Alcotest.test_case "C bytes pinned by digest" `Quick test_c_digests;
         Alcotest.test_case "non-finite constants in C" `Quick
           test_c_nonfinite_constants;

@@ -62,6 +62,8 @@ let corpus =
     ("non-scalar condition",
      "function y = f(x)\nif [1 2]\ny = 1;\nelse\ny = 2;\nend\nend");
     ("string arithmetic", "function y = f(x)\ny = 'abc' + x;\nend");
+    ("complex range bound",
+     "function y = f(x)\ny = 0;\nfor k = 1i:x\ny = y + k;\nend\nend");
     ("deep unclosed nesting",
      "function y = f(x)\ny = " ^ String.make 400 '(' ^ "x;\nend") ]
 
@@ -149,6 +151,21 @@ let test_json_render () =
      \"col\":5,\"end_line\":2,\"end_col\":19,\"message\":\"undefined \
      variable 'undefined_name'\"}"
     (Diag.to_json d)
+
+(* A complex for-range operand has no order to count in: it is a sema
+   error located at the operand, not a crash in a later stage. *)
+let test_complex_range_located () =
+  let source = "function y = f(z)\ny = 0;\nfor k = 1:z\ny = y + k;\nend\nend\n" in
+  match compile_file ~arg_types:[ MT.complex ] source with
+  | Some _, _ -> Alcotest.fail "a complex range bound must be rejected"
+  | None, [ d ] ->
+    Alcotest.(check string) "located at the operand"
+      "error: semantic analysis: line 3, columns 11-12: for-loop range \
+       bounds must be real"
+      (Diag.render d)
+  | None, diags ->
+    Alcotest.failf "expected exactly one diagnostic, got %d"
+      (List.length diags)
 
 (* --- error budget --- *)
 
@@ -268,6 +285,8 @@ let suites =
         Alcotest.test_case "caret rendering pinned" `Quick test_caret_render;
         Alcotest.test_case "json rendering pinned" `Quick test_json_render;
         Alcotest.test_case "error budget" `Quick test_error_budget;
+        Alcotest.test_case "complex range bound located" `Quick
+          test_complex_range_located;
         Alcotest.test_case "clean compile accumulates nothing" `Quick
           test_clean_compile_no_diags;
         Alcotest.test_case "missing ISE note" `Quick test_missing_ise_note;

@@ -176,27 +176,121 @@ let test_histogram () =
     (List.mem_assoc "loop" r.I.histogram)
 
 let test_verify_catches_breakage () =
+  let module MT = Masc_sema.Mtype in
   let arr = { Mir.vname = "a"; vid = 0; vty = Mir.Tarray (Mir.double_sty, 4) } in
   let y = { Mir.vname = "y"; vid = 1; vty = Mir.Tscalar Mir.double_sty } in
-  let bad_cases =
+  let v8 =
+    { Mir.vname = "v"; vid = 2;
+      vty = Mir.Tscalar { Mir.base = MT.Double; cplx = MT.Real; lanes = 8 } }
+  in
+  let k = { Mir.vname = "k"; vid = 3; vty = Mir.Tscalar Mir.int_sty } in
+  let t = { Mir.vname = "t"; vid = 4; vty = Mir.Tscalar Mir.double_sty } in
+  let one = Mir.Oconst (Mir.Ci 1) and three = Mir.Oconst (Mir.Ci 3) in
+  let func name body =
+    { Mir.name; params = [ arr ]; rets = [ y ]; vars = [ arr; y; v8; k; t ];
+      body = List.map Mir.instr body }
+  in
+  let loop ivar ?(lo = one) ?(hi = three) body =
+    Mir.Iloop { Mir.ivar; lo; step = one; hi; body = List.map Mir.instr body }
+  in
+  let sum iv = Mir.Idef (y, Mir.Rbin (Mir.Badd, Mir.Ovar y, Mir.Ovar iv)) in
+  (* Each case names a fragment of the message its rule raises. *)
+  let cases =
     [ (* array used as scalar operand *)
-      { Mir.name = "bad1"; params = [ arr ]; rets = [ y ]; vars = [ arr; y ];
-        body = [ Mir.instr (Mir.Idef (y, Mir.Rbin (Mir.Badd, Mir.Ovar arr, Mir.Oconst (Mir.Cf 1.0)))) ] };
+      ( "used as a scalar operand",
+        func "bad1"
+          [ Mir.Idef
+              (y, Mir.Rbin (Mir.Badd, Mir.Ovar arr, Mir.Oconst (Mir.Cf 1.0)))
+          ] );
       (* undeclared variable *)
-      { Mir.name = "bad2"; params = []; rets = [ y ]; vars = [ y ];
-        body =
-          [ Mir.instr
-              (Mir.Idef (y, Mir.Rmove (Mir.Ovar { Mir.vname = "ghost"; vid = 99; vty = Mir.Tscalar Mir.double_sty }))) ] };
+      ( "is not declared",
+        let ghost =
+          { Mir.vname = "ghost"; vid = 99; vty = Mir.Tscalar Mir.double_sty }
+        in
+        func "bad2" [ Mir.Idef (y, Mir.Rmove (Mir.Ovar ghost)) ] );
       (* break outside loop *)
-      { Mir.name = "bad3"; params = []; rets = [ y ]; vars = [ y ];
-        body = [ Mir.instr Mir.Ibreak ] } ]
+      ("break outside", func "bad3" [ Mir.Ibreak ]);
+      (* a def's rvalue lanes differ from its target's *)
+      ( "rvalue lanes 8 but target has 1",
+        func "def lanes"
+          [ Mir.Idef (v8, Mir.Rvload (arr, Mir.Oconst (Mir.Ci 0), 8));
+            Mir.Idef
+              (y, Mir.Rbin (Mir.Badd, Mir.Ovar v8, Mir.Oconst (Mir.Cf 1.0)))
+          ] );
+      (* a broadcast's width differs from its target's *)
+      ( "rvalue lanes 4 but target has 8",
+        func "broadcast lanes"
+          [ Mir.Idef (v8, Mir.Rvbroadcast (Mir.Ovar y, 4)) ] );
+      (* an int loop variable with a double bound *)
+      ( "k.3 is not a real double scalar",
+        func "int ivar, double bound"
+          [ loop k ~hi:(Mir.Oconst (Mir.Cf 3.0)) [ sum k ] ] );
+      (* a double loop variable with all-int bounds *)
+      ( "t.4 is not a real int scalar",
+        func "double ivar, int bounds" [ loop t [ sum t ] ] );
+      (* a complex bound *)
+      ( "loop bound is not a real scalar",
+        func "complex bound"
+          [ loop t
+              ~hi:(Mir.Oconst (Mir.Cc { Complex.re = 3.0; im = 1.0 }))
+              [ sum t ] ] );
+      (* the body defines the loop variable *)
+      ( "k.3 is defined in the loop body",
+        func "body defines ivar"
+          [ loop k
+              [ Mir.Idef (k, Mir.Rbin (Mir.Badd, Mir.Ovar k, one)); sum k ] ]
+      ) ]
+  in
+  (* A SIMD intrinsic gives its operands' lanes; only the target knows
+     that, so the verifier alone accepts this and the entry check does
+     not. *)
+  let simd_into_scalar =
+    ( "rvalue lanes 8 but target has 1",
+      func "simd into scalar"
+        [ Mir.Idef (v8, Mir.Rvload (arr, Mir.Oconst (Mir.Ci 0), 8));
+          Mir.Idef
+            (y, Mir.Rintrin ("vadd_f64x8", [ Mir.Ovar v8; Mir.Ovar v8 ])) ] )
+  in
+  let mentions needle msg =
+    let n = String.length needle and m = String.length msg in
+    let rec go i = i + n <= m && (String.sub msg i n = needle || go (i + 1)) in
+    go 0
   in
   List.iter
-    (fun f ->
+    (fun (rule, f) ->
       match Masc_mir.Verify.check_result f with
-      | Error _ -> ()
+      | Error msg when mentions rule msg -> ()
+      | Error msg ->
+        Alcotest.failf "%s rejected for another reason: %s" f.Mir.name msg
       | Ok () -> Alcotest.failf "verifier accepted %s" f.Mir.name)
-    bad_cases
+    cases;
+  Alcotest.(check bool) "verifier alone accepts the simd case" true
+    (Masc_mir.Verify.check_result (snd simd_into_scalar) = Ok ());
+  (* Both engines refuse each case at their shared entry check, with
+     the same message, before running anything. *)
+  let isa = T.dsp8 and mode = Masc_asip.Cost_model.Proposed in
+  let args = [ I.xarray_of_floats (Array.make 4 1.0) ] in
+  let raised run =
+    match run () with
+    | _ -> None
+    | exception Failure msg -> Some msg
+  in
+  List.iter
+    (fun (rule, (f : Mir.func)) ->
+      match raised (fun () -> Masc_vm.Exec.check_entry ~isa f) with
+      | None -> Alcotest.failf "entry check accepted %s" f.Mir.name
+      | Some msg when not (mentions rule msg) ->
+        Alcotest.failf "%s rejected for another reason: %s" f.Mir.name msg
+      | Some msg ->
+        Alcotest.(check (option string))
+          (f.Mir.name ^ ": plan raises the entry check's message")
+          (Some msg)
+          (raised (fun () -> I.run ~isa ~mode f args));
+        Alcotest.(check (option string))
+          (f.Mir.name ^ ": tree raises the entry check's message")
+          (Some msg)
+          (raised (fun () -> I.run_tree ~isa ~mode f args)))
+    (cases @ [ simd_into_scalar ])
 
 let test_print_formats () =
   let src =
@@ -568,7 +662,7 @@ let fused_shapes_function () =
 
 let test_fused_shapes () =
   let f = fused_shapes_function () in
-  Masc_mir.Verify.check f;
+  Masc_vm.Exec.check_entry ~isa:T.dsp8 f;
   let c re im = V.Sc { Complex.re; im } in
   let inputs (x, n, b, z, xs, zs, ws) =
     [ I.Xscalar (V.Sf x); I.Xscalar (V.Si n); I.Xscalar (V.Sb b);
@@ -707,6 +801,11 @@ let test_fallbacks () =
       let shape =
         Format.asprintf "%a" Masc_mir.Mir_pp.pp_instr (List.hd f.Mir.body)
       in
+      (* every shape is verified MIR: a run that fails must fail in
+         the engines, not at their shared entry check *)
+      (match Masc_vm.Exec.check_entry ~isa f with
+      | () -> ()
+      | exception Failure msg -> Alcotest.failf "%s: %s" shape msg);
       List.iteri
         (fun k args ->
           let tag what = Printf.sprintf "%s set %d %s" shape k what in
