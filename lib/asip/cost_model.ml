@@ -90,15 +90,6 @@ let def_cost (isa : Isa.t) mode (rv : Mir.rvalue) =
         (Printf.sprintf "cost model: target %s has no intrinsic %s"
            isa.Isa.tname name))
 
-(* [def_cost] raises only for an [Rintrin] the target lacks; this
-   variant lets the plan compiler precompute costs without wrapping an
-   exception handler around every instruction. *)
-let def_cost_opt (isa : Isa.t) mode (rv : Mir.rvalue) =
-  match rv with
-  | Mir.Rintrin (name, _) ->
-    Option.map (fun i -> i.Isa.latency) (Isa.find_named isa name)
-  | _ -> Some (def_cost isa mode rv)
-
 (* Histogram class of an rvalue: a static property of the instruction
    shape (and operand types), never of runtime values — so the simulator
    can resolve it once per static instruction. *)

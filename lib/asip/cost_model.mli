@@ -19,17 +19,14 @@ type mode = Proposed | Coder
 val mode_name : mode -> string
 
 (** [def_cost isa mode rvalue] cycles for evaluating an {!Masc_mir.Mir.rvalue}.
-    Raises [Invalid_argument] for an [Rintrin] the target lacks. *)
+    Raises [Invalid_argument] for an [Rintrin] the target lacks. Costs
+    depend only on the rvalue shape, operand types, ISA and mode — never
+    on runtime values — so plan compilers can memoize them per static
+    instruction. *)
 val def_cost : Isa.t -> mode -> Masc_mir.Mir.rvalue -> int
 
-(** Like {!def_cost} but total: [None] for an [Rintrin] the target
-    lacks. Costs depend only on the rvalue shape, operand types, ISA and
-    mode — never on runtime values — so plan compilers can memoize them
-    per static instruction. *)
-val def_cost_opt : Isa.t -> mode -> Masc_mir.Mir.rvalue -> int option
-
 (** Histogram class ("alu", "mem", "simd", ...) of an rvalue; static,
-    like {!def_cost_opt}. *)
+    like {!def_cost}. *)
 val class_of_rvalue : Masc_mir.Mir.rvalue -> string
 
 (** [store_cost isa mode ~cplx] cycles for a scalar array store. *)

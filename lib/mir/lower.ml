@@ -244,6 +244,16 @@ let transparent (e : T.texpr) =
       false)
   | T.Tnum _ | T.Timag _ | T.Tbool _ | T.Tmatrix _ | T.Tcall _ -> false
 
+(* Infer types a variable per program point, but its MIR variable has
+   the join of all its bindings: after [k = 1i; k = 2] a read of [k] is
+   real while [k] is complex. Such a read, [op] of expression [e], takes
+   the real part, so the expression computes in the type Infer gave
+   it. *)
+let real_read frame (e : T.texpr) (op : Mir.operand) : Mir.operand =
+  if e.T.ety.MT.cplx = MT.Real && (Mir.operand_sty op).Mir.cplx = MT.Complex
+  then un frame Mir.Ure op
+  else op
+
 let rec lower_scalar frame (e : T.texpr) : Mir.operand =
   let span = e.T.espan in
   match e.T.edesc with
@@ -257,7 +267,7 @@ let rec lower_scalar frame (e : T.texpr) : Mir.operand =
     if Mir.is_array v then
       (* A 1x1 view of an array variable cannot happen: shapes are static. *)
       err span "internal: scalar read of array variable %s" name
-    else Mir.Ovar v
+    else real_read frame e (Mir.Ovar v)
   | T.Tunop (op, a) ->
     let oa = lower_scalar frame a in
     lower_unop frame op oa
@@ -281,7 +291,7 @@ let rec lower_scalar frame (e : T.texpr) : Mir.operand =
   | T.Tindex (name, arr_mty, idx) ->
     let arr = get_var frame name in
     let lin = scalar_index frame arr_mty idx in
-    def frame (Mir.Rload (arr, lin)) (Mir.elem_ty arr)
+    real_read frame e (def frame (Mir.Rload (arr, lin)) (Mir.elem_ty arr))
   | T.Tbuiltin (b, args) -> lower_scalar_builtin frame span b args
   | T.Tcall (inst, args) -> (
     match lower_call frame inst args with
@@ -597,7 +607,7 @@ and elem frame (memo : prepared H.t) (e : T.texpr) (k : Mir.operand) :
   match H.find_opt memo e with
   | Some (Pscalar op) -> op
   | Some (Parray v) when not (transparent e) || is_tvar e ->
-    def frame (Mir.Rload (v, k)) (Mir.elem_ty v)
+    real_read frame e (def frame (Mir.Rload (v, k)) (Mir.elem_ty v))
   | Some (Parray _) | None -> (
     match e.T.edesc with
     | T.Tvar _ -> assert false (* covered above *)

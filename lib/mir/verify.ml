@@ -5,23 +5,31 @@ exception Violation of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Violation s)) fmt
 
+type intrin_shape =
+  | Lanewise of int
+  | Reduce
+  | Scalars of int
+  | Memory
+  | Absent
+
 let operand_lanes (op : operand) = (operand_sty op).lanes
 
-(* Lanes an rvalue produces, where the MIR alone decides it; an
-   [Rintrin]'s depends on the target (the [intrin_lanes] hook). *)
-let rvalue_lanes (rv : rvalue) =
-  match rv with
-  | Rbin (_, a, b) -> max (operand_lanes a) (operand_lanes b)
-  | Runop (_, a) | Rmove a -> operand_lanes a
-  | Rvload (_, _, lanes) | Rvbroadcast (_, lanes) -> lanes
-  | Rvreduce _ | Rmath _ | Rcomplex _ | Rload _ | Rintrin _ -> 1
+let rec operands check what = function
+  | [] -> ()
+  | op :: rest ->
+    check what op;
+    operands check what rest
+
+let arity name n args =
+  if List.length args <> n then
+    fail "intrinsic %s takes %d operands, given %d" name n (List.length args)
 
 (* Is [vid] the induction variable of an enclosing loop? *)
 let rec is_ivar vid = function
   | [] -> false
   | (v : var) :: rest -> v.vid = vid || is_ivar vid rest
 
-let check ?intrin_lanes (func : func) =
+let check ?intrin (func : func) =
   let declared = Hashtbl.create 64 in
   List.iter
     (fun v ->
@@ -44,7 +52,9 @@ let check ?intrin_lanes (func : func) =
     | exception Not_found ->
       fail "variable %s.%d is not declared in the function" v.vname v.vid
   in
-  let scalar_operand what (op : operand) =
+  (* A register operand of any width: a declared non-array variable or
+     a constant. *)
+  let reg_operand what (op : operand) =
     match op with
     | Ovar v ->
       check_declared v;
@@ -52,6 +62,20 @@ let check ?intrin_lanes (func : func) =
         fail "%s: array variable %s.%d used as a scalar operand" what v.vname
           v.vid
     | Oconst _ -> ()
+  in
+  (* A scalar position: a lanes-1 register operand. In the emitted C a
+     vector register is a struct only intrinsics, loads, stores and
+     broadcasts touch. *)
+  let scalar_operand what (op : operand) =
+    reg_operand what op;
+    match op with
+    | Ovar v when (elem_ty v).lanes > 1 ->
+      fail "%s: vector register %s.%d used as a scalar" what v.vname v.vid
+    | Ovar _ | Oconst _ -> ()
+  in
+  let vector_operand what (op : operand) =
+    reg_operand what op;
+    if operand_lanes op < 2 then fail "%s: scalar where a vector is expected" what
   in
   let index_operand what (op : operand) =
     scalar_operand what op;
@@ -69,52 +93,108 @@ let check ?intrin_lanes (func : func) =
     if not (is_array v) then
       fail "%s: scalar variable %s.%d used as an array" what v.vname v.vid
   in
-  let rec scalar_operands what = function
+  (* The base of a vector load or store: a real-double array, the only
+     element type a C vector register can be loaded from. *)
+  let vector_array what (v : var) lanes =
+    array_operand what v;
+    (match elem_ty v with
+    | { base = MT.Double; cplx = MT.Real; _ } -> ()
+    | _ -> fail "%s: %s.%d is not a real double array" what v.vname v.vid);
+    if lanes < 2 then fail "%s with %d lanes" what lanes
+  in
+  (* [Lanewise n]: [n] vector operands of the first one's width. *)
+  let rec same_width what lanes = function
     | [] -> ()
     | op :: rest ->
-      scalar_operand what op;
-      scalar_operands what rest
+      vector_operand what op;
+      if operand_lanes op <> lanes then
+        fail "%s: mixed vector widths %d and %d" what lanes (operand_lanes op);
+      same_width what lanes rest
+  in
+  (* Lanes intrinsic [name] gives from [args] on the target, [target]
+     when the target does not decide it. *)
+  let intrin_result name args ~target =
+    match intrin with
+    | None ->
+      operands reg_operand name args;
+      target
+    | Some shape_of -> (
+      match shape_of name with
+      | Lanewise n -> (
+        arity name n args;
+        match args with
+        | a :: _ ->
+          let lanes = operand_lanes a in
+          same_width name lanes args;
+          lanes
+        | [] -> target)
+      | Reduce ->
+        arity name 1 args;
+        operands vector_operand name args;
+        1
+      | Scalars n ->
+        arity name n args;
+        operands scalar_operand name args;
+        1
+      | Memory ->
+        fail "%s: memory intrinsics are expressed as Rvload/Ivstore" name
+      | Absent ->
+        operands reg_operand name args;
+        target)
+  in
+  (* An array prints whole; any other print operand is one scalar. *)
+  let print_operand what (op : operand) =
+    match op with
+    | Ovar v when is_array v -> check_declared v
+    | Ovar _ | Oconst _ -> scalar_operand what op
   in
   (* A loop bound is a real lanes-1 scalar; [true] when it is int-like. *)
   let int_bound (op : operand) =
     scalar_operand "loop bound" op;
     match operand_sty op with
-    | { cplx = MT.Real; lanes = 1; base = MT.Int | MT.Bool } -> true
-    | { cplx = MT.Real; lanes = 1; base = MT.Double } -> false
+    | { cplx = MT.Real; base = MT.Int | MT.Bool; _ } -> true
+    | { cplx = MT.Real; base = MT.Double; _ } -> false
     | _ -> fail "loop bound is not a real scalar"
   in
   (* Constant operand labels only: the per-def context string is added
      by the [Idef] case when a check actually fails, so the all-clear
-     path — every def of every compile — formats nothing. *)
-  let check_rvalue (rv : rvalue) =
+     path — every def of every compile — formats nothing. Returns the
+     lanes the rvalue gives. *)
+  let check_rvalue (rv : rvalue) ~target =
     let what = "def" in
     match rv with
-    | Rbin (_, a, b) ->
+    | Rbin (_, a, b) | Rcomplex (a, b) ->
       scalar_operand what a;
       scalar_operand what b;
-      let la = operand_lanes a and lb = operand_lanes b in
-      if la <> lb && la <> 1 && lb <> 1 then
-        fail "%s: mixed vector widths %d and %d" what la lb
-    | Runop (_, a) -> scalar_operand what a
-    | Rmath (_, args) -> scalar_operands what args
-    | Rcomplex (a, b) ->
+      1
+    | Runop (_, a) ->
       scalar_operand what a;
-      scalar_operand what b
+      1
+    | Rmath (_, args) ->
+      operands scalar_operand what args;
+      1
     | Rload (arr, idx) ->
       array_operand what arr;
-      index_operand what idx
-    | Rmove a -> scalar_operand what a
+      index_operand what idx;
+      1
+    | Rmove a ->
+      reg_operand what a;
+      operand_lanes a
     | Rvload (arr, base, lanes) ->
-      array_operand what arr;
+      vector_array "vector load" arr lanes;
       index_operand what base;
-      if lanes < 2 then fail "%s: vector load with %d lanes" what lanes
+      lanes
     | Rvbroadcast (a, lanes) ->
       scalar_operand what a;
-      if lanes < 2 then fail "%s: broadcast with %d lanes" what lanes
+      if (operand_sty a).cplx = MT.Complex then
+        fail "%s: broadcast of a complex scalar" what;
+      if lanes < 2 then fail "%s: broadcast with %d lanes" what lanes;
+      lanes
     | Rvreduce (_, a) ->
-      scalar_operand what a;
-      if operand_lanes a < 2 then fail "%s: reduce of a scalar" what
-    | Rintrin (_, args) -> scalar_operands what args
+      reg_operand what a;
+      if operand_lanes a < 2 then fail "%s: reduce of a scalar" what;
+      1
+    | Rintrin (name, args) -> intrin_result name args ~target
   in
   (* [ivars]: induction variables of the enclosing counted loops. *)
   let rec check_block ~in_loop ~ivars (b : block) =
@@ -132,18 +212,10 @@ let check ?intrin_lanes (func : func) =
       if is_ivar v.vid ivars then
         fail "loop variable %s.%d is defined in the loop body" v.vname
           v.vid;
-      (try check_rvalue rv
-       with Violation msg ->
-         fail "def of %s.%d: %s" v.vname v.vid msg);
       let target = (elem_ty v).lanes in
       let lanes =
-        match (rv, intrin_lanes) with
-        | Rintrin (name, args), Some lanes_of_intrin -> (
-          match lanes_of_intrin name args with
-          | Some l -> l
-          | None -> target)
-        | Rintrin _, None -> target
-        | _ -> rvalue_lanes rv
+        try check_rvalue rv ~target
+        with Violation msg -> fail "def of %s.%d: %s" v.vname v.vid msg
       in
       if lanes <> target then
         fail "def of %s.%d: rvalue lanes %d but target has %d" v.vname
@@ -153,9 +225,9 @@ let check ?intrin_lanes (func : func) =
       index_operand "store" idx;
       scalar_operand "store" x
     | Ivstore (arr, base, x, lanes) ->
-      array_operand "vstore" arr;
+      vector_array "vstore" arr lanes;
       index_operand "vstore" base;
-      scalar_operand "vstore" x;
+      reg_operand "vstore" x;
       if operand_lanes x <> lanes then
         fail "vstore: value lanes %d but store lanes %d" (operand_lanes x)
           lanes
@@ -193,18 +265,19 @@ let check ?intrin_lanes (func : func) =
     | Ibreak -> if not in_loop then fail "break outside of a loop"
     | Icontinue -> if not in_loop then fail "continue outside of a loop"
     | Ireturn -> ()
-    | Iprint (_, ops) ->
-      List.iter
-        (fun op ->
-          match op with
-          | Ovar v -> check_declared v
-          | Oconst _ -> ())
-        ops
+    | Iprint (_, ops) -> operands print_operand "print" ops
     | Icomment _ -> ()
   in
-  List.iter check_declared func.params;
-  List.iter check_declared func.rets;
-  try check_block ~in_loop:false ~ivars:[] func.body
+  (* The C signature passes scalars and arrays only. *)
+  let boundary what (v : var) =
+    check_declared v;
+    if (elem_ty v).lanes > 1 then
+      fail "%s %s.%d is a vector register" what v.vname v.vid
+  in
+  try
+    List.iter (boundary "parameter") func.params;
+    List.iter (boundary "return") func.rets;
+    check_block ~in_loop:false ~ivars:[] func.body
   with Violation msg -> failwith (Printf.sprintf "MIR verify (%s): %s" func.name msg)
 
 let check_result f =

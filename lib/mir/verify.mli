@@ -9,12 +9,19 @@
       register operands;
     - load/store indices are scalar (Int, Bool or integral Double);
     - vector registers ([lanes > 1]) are real double, the only vector
-      type the emitted C has;
-    - vector operations have consistent lane counts, and a def's rvalue
-      gives exactly its target's lanes: [Rbin] the wider operand's,
-      [Runop] and [Rmove] their operand's, [Rvload] and [Rvbroadcast]
-      their width, [Rvreduce], [Rmath], [Rcomplex] and [Rload] 1, and
-      [Rintrin] whatever [intrin_lanes] says (unchecked without it);
+      type the emitted C has, and flow only where the C can carry one:
+      - every scalar position takes a lanes-1 operand: the operands of
+        [Rbin], [Runop], [Rmath] and [Rcomplex], indices and vector
+        bases, [if]/[while] conditions, [Istore] values, print
+        operands (an array prints whole) and the operand of
+        [Rvbroadcast], which is also real;
+      - params and rets are never vector registers;
+      - [Rvload] and [Ivstore] address real-double arrays with at
+        least 2 lanes, and [Rvreduce] takes a vector;
+    - a def's rvalue gives exactly its target's lanes: [Rmove] its
+      operand's, [Rvload] and [Rvbroadcast] their width, every other
+      MIR rvalue 1, and [Rintrin] what [intrin] says (unchecked without
+      it);
     - a counted loop's bounds are real lanes-1 scalars, and its
       induction variable is a real lanes-1 scalar in their promoted
       base: int when every bound is int or bool, double when any is
@@ -25,14 +32,27 @@
     - [break]/[continue] appear only inside loops.
 
     Raises [Failure] with a description of the first violation; the
-    all-clear path allocates nothing per instruction.
+    all-clear path allocates nothing per instruction. *)
 
-    [intrin_lanes name args] gives the lanes intrinsic [name] produces
-    from [args], or [None] when the target does not constrain it (an
-    unknown name stays a run-time error). *)
+(** What an intrinsic takes and gives on a target, from its descriptor
+    kind. *)
+type intrin_shape =
+  | Lanewise of int
+      (** that many vector operands of one width, giving that width: the
+          SIMD binops (2) and mac (3) *)
+  | Reduce  (** exactly one vector operand, giving a scalar *)
+  | Scalars of int  (** that many lanes-1 operands, giving a scalar *)
+  | Memory
+      (** a load/store/broadcast descriptor, which MIR spells [Rvload],
+          [Ivstore] and [Rvbroadcast]: rejected *)
+  | Absent
+      (** the target lacks it: any operands, any lanes, and a run-time
+          error *)
 
-val check :
-  ?intrin_lanes:(string -> Mir.operand list -> int option) -> Mir.func -> unit
+(** [intrin name] is the shape of intrinsic [name] on the target;
+    without it an [Rintrin] takes any register operands and gives its
+    target's lanes. *)
+val check : ?intrin:(string -> intrin_shape) -> Mir.func -> unit
 
 (** [check_result f] returns the violation message instead of raising. *)
 val check_result : Mir.func -> (unit, string) result

@@ -50,6 +50,14 @@ let is_data_var (v : Mir.var) =
   | Mir.Tscalar { Mir.base = MT.Double; cplx = MT.Real; lanes = 1 } -> true
   | _ -> false
 
+(* A vector register loads from and stores to real-double arrays only:
+   a complex array joined from a complex and a real binding stays
+   scalar. *)
+let is_double_array (v : Mir.var) =
+  match v.Mir.vty with
+  | Mir.Tarray ({ Mir.base = MT.Double; cplx = MT.Real; _ }, _) -> true
+  | _ -> false
+
 let simd_kind_of_binop = function
   | Mir.Badd -> Some Isa.Ksimd_add
   | Mir.Bsub -> Some Isa.Ksimd_sub
@@ -318,7 +326,7 @@ let transform_body ctx (l : Mir.loop) (a : analysis)
           match rv with
           | Mir.Rload (arr, idx) -> (
             match Affine.analyze ~ivar:l.Mir.ivar ~defs:a.defs idx with
-            | Some aff when aff.Affine.coeff = 1 ->
+            | Some aff when aff.Affine.coeff = 1 && is_double_array arr ->
               let _ = instr_for ctx Isa.Kload in
               let nv = fresh ctx "v" (vec_sty w) in
               emit (vat ctx (Mir.Idef (nv, Mir.Rvload (arr, idx, w))));
@@ -351,7 +359,7 @@ let transform_body ctx (l : Mir.loop) (a : analysis)
             raise Bail))
       | Mir.Istore (arr, idx, x) -> (
         match Affine.analyze ~ivar:l.Mir.ivar ~defs:a.defs idx with
-        | Some aff when aff.Affine.coeff = 1 ->
+        | Some aff when aff.Affine.coeff = 1 && is_double_array arr ->
           let _ = instr_for ctx Isa.Kstore in
           let vx = data_operand x in
           emit (vat ctx (Mir.Ivstore (arr, idx, vx, w)))

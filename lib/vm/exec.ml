@@ -2,7 +2,7 @@
    legacy tree-walking interpreter (Interp.run_tree) and the
    closure-threaded plan executor (Plan). Everything here is
    back-end-agnostic: result/argument types, control-flow exceptions,
-   lane-wise vector semantics, and disp/fprintf formatting. *)
+   guardrail traps, the entry check, and disp/fprintf formatting. *)
 
 module Mir = Masc_mir.Mir
 module V = Value
@@ -81,30 +81,33 @@ let trap_message ~kind ~loc ~steps_executed =
 
 let fail fmt = Format.kasprintf (fun s -> raise (Runtime_error s)) fmt
 
-(* The engines' entry check: [Verify.check] plus the one rule the
-   verifier cannot decide alone, an intrinsic's result lanes, which the
-   target's descriptor kind fixes — SIMD and mac give their operands'
-   width, reductions and complex ISEs a scalar. Both engines call this
-   before running anything, so they refuse the same MIR with the same
-   message, and every plan is built from MIR whose typed slots can only
-   ever hold their declared representation. *)
+(* The engines' entry check: [Verify.check] plus the rules the
+   verifier cannot decide alone, an intrinsic's operands and result
+   lanes, which the target's descriptor kind fixes: SIMD ops take two
+   vectors of one width and mac three, giving that width; reductions
+   take one vector and the complex ISEs two or three scalars, giving a
+   scalar. An intrinsic the target lacks stays a run-time error. Both
+   engines call this before running anything, so they refuse the same
+   MIR with the same message, and every plan is built from MIR whose
+   typed slots can only ever hold their declared representation. *)
 let check_entry ~(isa : Masc_asip.Isa.t) (f : Mir.func) =
-  let intrin_lanes name args =
-    match Masc_asip.Isa.find_named isa name with
-    | None -> None
+  let module Isa = Masc_asip.Isa in
+  let module Verify = Masc_mir.Verify in
+  let intrin name : Verify.intrin_shape =
+    match Isa.find_named isa name with
+    | None -> Absent
     | Some desc -> (
-      match desc.Masc_asip.Isa.kind with
-      | Masc_asip.Isa.Ksimd_add | Ksimd_sub | Ksimd_mul | Ksimd_div
-      | Ksimd_min | Ksimd_max | Kmac ->
-        Some
-          (List.fold_left
-             (fun acc op -> max acc (Mir.operand_sty op).Mir.lanes)
-             1 args)
-      | Kreduce_add | Kreduce_min | Kreduce_max | Kcmul | Kcadd | Kcmac ->
-        Some 1
-      | Kload | Kstore | Kbroadcast -> None)
+      match desc.Isa.kind with
+      | Ksimd_add | Ksimd_sub | Ksimd_mul | Ksimd_div | Ksimd_min | Ksimd_max
+        ->
+        Lanewise 2
+      | Kmac -> Lanewise 3
+      | Kreduce_add | Kreduce_min | Kreduce_max -> Reduce
+      | Kcmul | Kcadd -> Scalars 2
+      | Kcmac -> Scalars 3
+      | Kload | Kstore | Kbroadcast -> Memory)
   in
-  Masc_mir.Verify.check ~intrin_lanes f
+  Verify.check ~intrin f
 
 (* Static array footprint of a function, in bytes, using the C layout
    the simulator banks model (complex 16, double/int 8, bool 1).
@@ -135,35 +138,6 @@ let check_alloc ~loc ~cap_bytes bytes =
     raise_trap
       ~kind:(Alloc_limit { requested_bytes = bytes; cap_bytes })
       ~loc ~steps_executed:0
-
-let scalar_of_value = function
-  | Value.Scalar s -> s
-  | Value.Vector _ -> fail "vector value used where a scalar was expected"
-
-(* Lane-wise application helpers for vector semantics. *)
-let lanewise2 f a b =
-  match (a, b) with
-  | Value.Vector x, Value.Vector y ->
-    if Array.length x <> Array.length y then fail "vector width mismatch";
-    Value.Vector (Array.init (Array.length x) (fun i -> f x.(i) y.(i)))
-  | Value.Vector x, Value.Scalar s ->
-    Value.Vector (Array.map (fun xi -> f xi s) x)
-  | Value.Scalar s, Value.Vector y ->
-    Value.Vector (Array.map (fun yi -> f s yi) y)
-  | Value.Scalar x, Value.Scalar y -> Value.Scalar (f x y)
-
-let lanewise3 f a b c =
-  match (a, b, c) with
-  | Value.Vector x, Value.Vector y, Value.Vector z
-    when Array.length x = Array.length y && Array.length y = Array.length z ->
-    Value.Vector (Array.init (Array.length x) (fun i -> f x.(i) y.(i) z.(i)))
-  | _ -> fail "three-operand vector op requires equal widths"
-
-let coerce_value (sty : Mir.scalar_ty) (v : Value.t) =
-  match v with
-  | Value.Scalar s -> Value.Scalar (V.coerce { sty with Mir.lanes = 1 } s)
-  | Value.Vector x ->
-    Value.Vector (Array.map (V.coerce { sty with Mir.lanes = 1 }) x)
 
 (* fprintf-style formatting with a flat queue of scalars; the format is
    recycled as long as arguments remain, as MATLAB does. *)

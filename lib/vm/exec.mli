@@ -2,8 +2,8 @@
 
     Both the legacy tree-walking interpreter ({!Interp.run_tree}) and
     the closure-threaded plan executor ({!Plan}) produce the same
-    {!result} from the same {!xvalue} arguments and share the vector /
-    formatting semantics defined here, so the two paths are
+    {!result} from the same {!xvalue} arguments and share the entry
+    check and formatting semantics defined here, so the two paths are
     bit-identical by construction wherever they share code. *)
 
 type xvalue = Xscalar of Value.scalar | Xarray of Value.scalar array
@@ -68,29 +68,16 @@ val array_bytes_of_func : Masc_mir.Mir.func -> int
 val check_alloc : loc:string -> cap_bytes:int -> int -> unit
 
 (** [check_entry ~isa f] is [Masc_mir.Verify.check] with the target's
-    intrinsic result lanes: SIMD and mac intrinsics give their widest
-    operand's lanes, reductions and complex ISEs give 1; names [isa]
-    lacks stay a run-time error. Both engines run it before executing
-    [f] and raise its [Failure] unchanged. *)
+    intrinsic shapes: SIMD intrinsics take two vector operands of one
+    width and mac three, giving that width; reductions take one vector
+    and complex ISEs two (cmul, cadd) or three (cmac) scalars, giving a
+    scalar; memory descriptors are refused. Names [isa] lacks stay a
+    run-time error. Both engines run it before executing [f] and raise
+    its [Failure] unchanged. *)
 val check_entry : isa:Masc_asip.Isa.t -> Masc_mir.Mir.func -> unit
 
 (** [fail fmt ...] raises {!Runtime_error} with a formatted message. *)
 val fail : ('a, Format.formatter, unit, 'b) format4 -> 'a
-
-(** Project a scalar out of a value; fails on vectors. *)
-val scalar_of_value : Value.t -> Value.scalar
-
-(** Lane-wise binary/ternary application with scalar broadcast. *)
-val lanewise2 :
-  (Value.scalar -> Value.scalar -> Value.scalar) -> Value.t -> Value.t ->
-  Value.t
-
-val lanewise3 :
-  (Value.scalar -> Value.scalar -> Value.scalar -> Value.scalar) ->
-  Value.t -> Value.t -> Value.t -> Value.t
-
-(** Coerce a value (lane-wise for vectors) to an element type. *)
-val coerce_value : Masc_mir.Mir.scalar_ty -> Value.t -> Value.t
 
 (** MATLAB [fprintf] semantics: conversion specs consume a flat queue of
     scalars and the format string is recycled while arguments remain. *)

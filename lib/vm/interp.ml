@@ -16,10 +16,6 @@ type result = Exec.result = {
 exception Runtime_error = Exec.Runtime_error
 
 let fail = Exec.fail
-let scalar_of_value = Exec.scalar_of_value
-let lanewise2 = Exec.lanewise2
-let lanewise3 = Exec.lanewise3
-let coerce_value = Exec.coerce_value
 let render_format = Exec.render_format
 
 (* ------------------------------------------------------------------ *)
@@ -91,9 +87,13 @@ let cell st (v : Mir.var) =
   match Hashtbl.find_opt st.cells v.Mir.vid with
   | Some c -> c
   | None ->
-    (* Lazily create cells: registers start at zero, arrays zero-filled. *)
+    (* Lazily create cells: registers start at zero, a vector register
+       at zero lanes of its width as the C declares it, arrays
+       zero-filled. *)
     let c =
       match v.Mir.vty with
+      | Mir.Tscalar { Mir.lanes; _ } when lanes > 1 ->
+        Creg (ref (Value.Vector (Array.make lanes (V.Sf 0.0))))
       | Mir.Tscalar sty -> Creg (ref (Value.Scalar (V.coerce sty (V.Si 0))))
       | Mir.Tarray (sty, n) -> Carr (Array.make n (V.coerce sty (V.Si 0)))
     in
@@ -118,6 +118,13 @@ let eval_operand st (op : Mir.operand) : Value.t =
   | Mir.Oconst (Mir.Cb b) -> Value.Scalar (V.Sb b)
   | Mir.Oconst (Mir.Cc z) -> Value.Scalar (V.Sc z)
 
+(* The entry check admits a vector only where the C has one, so a
+   register read in a scalar position holds a scalar, and lane-wise
+   operands are vectors of one width. *)
+let scalar_of_value = function
+  | Value.Scalar s -> s
+  | Value.Vector _ -> fail "vector value used where a scalar was expected"
+
 let eval_scalar st op = scalar_of_value (eval_operand st op)
 
 let index_of st op n what =
@@ -126,86 +133,67 @@ let index_of st op n what =
   if i < 0 || i >= n then fail "%s index %d out of bounds [0, %d)" what i n;
   i
 
+let lanewise2 f a b =
+  match (a, b) with
+  | Value.Vector x, Value.Vector y -> Value.Vector (Array.map2 f x y)
+  | _ -> fail "lane-wise operation on a scalar"
+
+let lanewise3 f a b c =
+  match (a, b, c) with
+  | Value.Vector x, Value.Vector y, Value.Vector z ->
+    Value.Vector (Array.init (Array.length x) (fun i -> f x.(i) y.(i) z.(i)))
+  | _ -> fail "lane-wise operation on a scalar"
+
+(* Horizontal reduction, left to right from lane 0. *)
+let fold_lanes combine (v : Value.t) =
+  match v with
+  | Value.Vector x ->
+    let acc = ref x.(0) in
+    for i = 1 to Array.length x - 1 do
+      acc := combine !acc x.(i)
+    done;
+    Value.Scalar !acc
+  | Value.Scalar _ -> fail "reduction of a scalar"
+
 let eval_intrin st name (args : Value.t list) : Value.t =
   match Isa.find_named st.isa name with
   | None -> fail "target %s has no intrinsic %s" st.isa.Isa.tname name
   | Some desc -> (
-    let bin2 op =
-      match args with
-      | [ a; b ] -> lanewise2 (V.binop op) a b
-      | _ -> fail "%s expects 2 operands" name
-    in
-    match desc.Isa.kind with
-    | Isa.Ksimd_add -> bin2 Mir.Badd
-    | Isa.Ksimd_sub -> bin2 Mir.Bsub
-    | Isa.Ksimd_mul -> bin2 Mir.Bmul
-    | Isa.Ksimd_div -> bin2 Mir.Bdiv
-    | Isa.Ksimd_min -> bin2 Mir.Bmin
-    | Isa.Ksimd_max -> bin2 Mir.Bmax
-    | Isa.Kmac -> (
-      match args with
-      | [ acc; a; b ] ->
-        lanewise3
-          (fun acc a b -> V.binop Mir.Badd acc (V.binop Mir.Bmul a b))
-          acc a b
-      | _ -> fail "mac expects 3 operands")
-    | Isa.Kcmul -> (
-      match args with
-      | [ a; b ] ->
-        Value.Scalar
-          (V.Sc
-             (Complex.mul
-                (V.to_complex (scalar_of_value a))
-                (V.to_complex (scalar_of_value b))))
-      | _ -> fail "cmul expects 2 operands")
-    | Isa.Kcmac -> (
-      match args with
-      | [ acc; a; b ] ->
-        Value.Scalar
-          (V.Sc
-             (Complex.add
-                (V.to_complex (scalar_of_value acc))
-                (Complex.mul
-                   (V.to_complex (scalar_of_value a))
-                   (V.to_complex (scalar_of_value b)))))
-      | _ -> fail "cmac expects 3 operands")
-    | Isa.Kcadd -> (
-      match args with
-      | [ a; b ] ->
-        Value.Scalar
-          (V.Sc
-             (Complex.add
-                (V.to_complex (scalar_of_value a))
-                (V.to_complex (scalar_of_value b))))
-      | _ -> fail "cadd expects 2 operands")
-    | Isa.Kload | Isa.Kstore | Isa.Kbroadcast ->
-      fail "%s: memory intrinsics are expressed as Rvload/Ivstore" name
-    | Isa.Kreduce_add | Isa.Kreduce_min | Isa.Kreduce_max -> (
-      match args with
-      | [ Value.Vector x ] ->
-        let combine =
-          match desc.Isa.kind with
-          | Isa.Kreduce_add -> V.binop Mir.Badd
-          | Isa.Kreduce_min -> V.binop Mir.Bmin
-          | _ -> V.binop Mir.Bmax
-        in
-        let acc = ref x.(0) in
-        for i = 1 to Array.length x - 1 do
-          acc := combine !acc x.(i)
-        done;
-        Value.Scalar !acc
-      | _ -> fail "reduce expects one vector operand"))
+    let c v = V.to_complex (scalar_of_value v) in
+    match (desc.Isa.kind, args) with
+    | Isa.Ksimd_add, [ a; b ] -> lanewise2 (V.binop Mir.Badd) a b
+    | Isa.Ksimd_sub, [ a; b ] -> lanewise2 (V.binop Mir.Bsub) a b
+    | Isa.Ksimd_mul, [ a; b ] -> lanewise2 (V.binop Mir.Bmul) a b
+    | Isa.Ksimd_div, [ a; b ] -> lanewise2 (V.binop Mir.Bdiv) a b
+    | Isa.Ksimd_min, [ a; b ] -> lanewise2 (V.binop Mir.Bmin) a b
+    | Isa.Ksimd_max, [ a; b ] -> lanewise2 (V.binop Mir.Bmax) a b
+    | Isa.Kmac, [ acc; a; b ] ->
+      lanewise3
+        (fun acc a b -> V.binop Mir.Badd acc (V.binop Mir.Bmul a b))
+        acc a b
+    | Isa.Kcmul, [ a; b ] -> Value.Scalar (V.Sc (Complex.mul (c a) (c b)))
+    | Isa.Kcadd, [ a; b ] -> Value.Scalar (V.Sc (Complex.add (c a) (c b)))
+    | Isa.Kcmac, [ acc; a; b ] ->
+      Value.Scalar (V.Sc (Complex.add (c acc) (Complex.mul (c a) (c b))))
+    | Isa.Kreduce_add, [ a ] -> fold_lanes (V.binop Mir.Badd) a
+    | Isa.Kreduce_min, [ a ] -> fold_lanes (V.binop Mir.Bmin) a
+    | Isa.Kreduce_max, [ a ] -> fold_lanes (V.binop Mir.Bmax) a
+    | _ -> fail "%s: operands the entry check refuses" name)
 
 let class_of_rvalue = Cost.class_of_rvalue
+
+let coerce_value (sty : Mir.scalar_ty) (v : Value.t) =
+  match v with
+  | Value.Scalar s -> Value.Scalar (V.coerce sty s)
+  | Value.Vector x -> Value.Vector (Array.map (V.coerce sty) x)
 
 let eval_rvalue st (rv : Mir.rvalue) : Value.t =
   match rv with
   | Mir.Rbin (op, a, b) ->
-    lanewise2 (V.binop op) (eval_operand st a) (eval_operand st b)
-  | Mir.Runop (op, a) -> (
-    match eval_operand st a with
-    | Value.Scalar s -> Value.Scalar (V.unop op s)
-    | Value.Vector x -> Value.Vector (Array.map (V.unop op) x))
+    let x = eval_scalar st a in
+    let y = eval_scalar st b in
+    Value.Scalar (V.binop op x y)
+  | Mir.Runop (op, a) -> Value.Scalar (V.unop op (eval_scalar st a))
   | Mir.Rmath (name, args) ->
     Value.Scalar (V.math name (List.map (eval_scalar st) args))
   | Mir.Rcomplex (re, im) ->
@@ -227,22 +215,15 @@ let eval_rvalue st (rv : Mir.rvalue) : Value.t =
   | Mir.Rvbroadcast (a, lanes) ->
     let s = eval_scalar st a in
     Value.Vector (Array.make lanes s)
-  | Mir.Rvreduce (r, a) -> (
-    match eval_operand st a with
-    | Value.Vector x ->
-      let combine =
-        match r with
-        | Mir.Vsum -> V.binop Mir.Badd
-        | Mir.Vprod -> V.binop Mir.Bmul
-        | Mir.Vmin -> V.binop Mir.Bmin
-        | Mir.Vmax -> V.binop Mir.Bmax
-      in
-      let acc = ref x.(0) in
-      for i = 1 to Array.length x - 1 do
-        acc := combine !acc x.(i)
-      done;
-      Value.Scalar !acc
-    | Value.Scalar _ -> fail "vreduce of a scalar")
+  | Mir.Rvreduce (r, a) ->
+    let combine =
+      match r with
+      | Mir.Vsum -> V.binop Mir.Badd
+      | Mir.Vprod -> V.binop Mir.Bmul
+      | Mir.Vmin -> V.binop Mir.Bmin
+      | Mir.Vmax -> V.binop Mir.Bmax
+    in
+    fold_lanes combine (eval_operand st a)
   | Mir.Rintrin (name, args) ->
     eval_intrin st name (List.map (eval_operand st) args)
 

@@ -1,36 +1,39 @@
-(* Closure-threaded execution plans over typed unboxed storage.
+(* Closure-threaded execution plans over typed flat storage.
 
    [compile] walks a MIR function ONCE and produces a program of OCaml
    closures ([state -> unit]): variables resolved to slots, static
    costs memoized, intrinsics pre-resolved. Every variable's static
-   [Mir.scalar_ty] selects a monomorphic unboxed bank at plan time —
+   [Mir.scalar_ty] selects a monomorphic flat bank at plan time —
 
    - real-double scalars live in a flat [float array] register bank,
      ints in [int array], bools in [bool array], complex scalars as
      re/im pairs in a [float array];
    - real-double vector registers get a per-register [float array]
-     lane buffer (with a boxed escape slot for the rare value whose
-     runtime shape defies the declared type);
+     lane buffer, the only representation a vector ever has;
    - arrays are typed banks chosen by element type, complex ones
      interleaved re/im;
    - rvalues compile to type-specialized producers, and the hot
      definitions fuse read, combine, charge and write into one closure
      that reads the banks through inlined views (see [fview]), so a
-     real-double [Rbin Badd] is a raw [( +. )] on unboxed loads — no
+     real-double [Rbin Badd] is a plain [( +. )] on raw loads — no
      tag test, no [to_float], no allocation;
-   - only the shapes the benchmark kernels run are typed: every other
-     rvalue, write and store goes through the boxed [Value] operations
-     the tree-walker itself uses.
+   - only the scalar shapes the benchmark kernels run are typed: every
+     other scalar rvalue and store goes through the boxed
+     [Value.scalar] operations the tree-walker itself uses.
 
    Plans are built from verified MIR: [compile] starts with the entry
    check both engines share ({!Exec.check_entry}), whose rules make a
-   scalar's declared type its runtime representation. Every def's
+   variable's declared type its runtime representation. Every def's
    rvalue gives its target's lanes, so no scalar slot ever receives a
-   vector; a loop's induction variable is a real scalar in its bounds'
-   promoted base and the body never defines it, so the tree-walker's
-   raw induction writes land in the slot's own representation; arrays
-   are never registers nor registers arrays. Boxed values appear only
-   in the vector escape slot and at the argument/return boundary (see
+   vector; a vector flows only where the emitted C can carry one (SIMD
+   and mac operands, reductions, moves, vector stores), so every
+   vector operand resolves to a lane buffer and every vector producer
+   is one fill of its destination's; params and rets are never vectors;
+   a loop's induction variable is a real scalar in its bounds' promoted
+   base and the body never defines it, so the tree-walker's raw
+   induction writes land in the slot's own representation; arrays are
+   never registers nor registers arrays. Boxed values appear only on
+   the generic scalar paths and at the argument/return boundary (see
    Store).
 
    Execution is bit-identical to the reference tree-walker
@@ -55,8 +58,7 @@ type state = {
   iregs : int array;  (* int scalar registers *)
   bregs : bool array;  (* bool scalar registers *)
   cregs : float array;  (* complex scalar registers, re/im interleaved *)
-  vbufs : float array array;  (* vector registers: unboxed lane buffers *)
-  vboxs : Value.t option array;  (* Some v: boxed escape overrides vbufs *)
+  vbufs : float array array;  (* vector registers: lane buffers *)
   farrs : float array array;  (* real-double arrays *)
   iarrs : int array array;  (* int arrays *)
   barrs : bool array array;  (* bool arrays *)
@@ -97,17 +99,29 @@ let charge st cls cycles =
 
 (* ---------------- slots and plan-time environment ---------------- *)
 
-type rslot =
-  | Rf of int  (* fregs *)
-  | Ri of int  (* iregs *)
-  | Rb of int  (* bregs *)
-  | Rc of int  (* cregs pair at 2s / 2s+1 *)
-  | Rv of int * int  (* vbufs/vboxs slot, declared lanes *)
+(* A scalar register slot, which is also a compiled scalar operand: its
+   static runtime representation plus the bank index to read it from.
+   The constructor IS the type — [Of] operands always read
+   [Sf]-represented values from [st.fregs], so conversions compile to
+   raw float-array loads (constants included, via the pool). Keeping
+   indices rather than reader closures matters: a closure of type
+   [state -> float] boxes its result on every call (no flambda), while
+   an [Array.unsafe_get] on a float array inlined into the consuming
+   closure is never boxed. *)
+type oper =
+  | Of of int  (* st.fregs index *)
+  | Oi of int  (* st.iregs index *)
+  | Ob of int  (* st.bregs index *)
+  | Oc of int  (* st.cregs pair index: re at 2i, im at 2i+1 *)
 
 type abank = AKf | AKi | AKb | AKc
 
 type aslot = { bank : abank; aidx : int; alen : int }
-type slot = Sreg of rslot | Sarr of aslot
+
+type slot =
+  | Sreg of oper  (* a scalar register *)
+  | Svec of int  (* a vector register: its st.vbufs index *)
+  | Sarr of aslot
 
 type env = {
   isa : Isa.t;
@@ -117,10 +131,10 @@ type env = {
   mutable cls_rev : string list;  (* reversed interned class names *)
   mutable ncls : int;
   (* Register banks are extended past the variable slots with pooled
-     constants (so every typed operand is a bank index and reads
-     compile to raw array loads) and with shadow slots (private loop
-     counters). [nfx]/[nix]/[nbx]/[ncx] are the next free indices;
-     [*init] records the constant initializers for [execute]. *)
+     constants, so every typed operand is a bank index and reads
+     compile to raw array loads. [nfx]/[nix]/[nbx]/[ncx] are the next
+     free indices; [*init] records the constant initializers for
+     [execute]. *)
   mutable nfx : int;
   mutable nix : int;
   mutable nbx : int;
@@ -178,25 +192,17 @@ let cconst env (z : Complex.t) =
     env.cinit <- (i, z) :: env.cinit;
     i
 
-(* A private fregs slot, used as an unboxed float loop counter. *)
-let fshadow env =
-  let i = env.nfx in
-  env.nfx <- i + 1;
-  i
-
-(* [Exec.check_entry] guarantees every variable is declared, and that
-   arrays and registers are never confused: an array is never a
+(* [Exec.check_entry] guarantees every variable is declared, that
+   arrays and registers are never confused (an array is never a
    register operand, def target or loop variable, a register never a
-   load/store base. *)
-let reg_slot env (v : Mir.var) =
-  match Hashtbl.find env.slots v.Mir.vid with
-  | Sreg r -> r
-  | Sarr _ -> invalid_arg "Plan: array used as a register in unverified MIR"
+   load/store base), and that a vector register appears only where a
+   vector is expected. *)
+let unverified what = invalid_arg ("Plan: " ^ what ^ " in unverified MIR")
 
 let arr_slot env (v : Mir.var) =
   match Hashtbl.find env.slots v.Mir.vid with
   | Sarr a -> a
-  | Sreg _ -> invalid_arg "Plan: register used as an array in unverified MIR"
+  | Sreg _ | Svec _ -> unverified "register used as an array"
 
 let class_id env name =
   match Hashtbl.find_opt env.cls_ids name with
@@ -210,34 +216,7 @@ let class_id env name =
 
 (* ---------------- operand readers ---------------- *)
 
-(* A compiled operand: its static runtime representation plus the bank
-   index to read it from. The constructor IS the type — [Of] operands
-   always read [Sf]-represented values from [st.fregs], so conversions
-   compile to raw float-array loads (constants included, via the pool).
-   Keeping indices rather than reader closures matters: a closure of
-   type [state -> float] boxes its result on every call (no flambda),
-   while an [Array.unsafe_get] on a float array inlined into the
-   consuming closure stays unboxed. *)
-type oper =
-  | Of of int  (* st.fregs index *)
-  | Oi of int  (* st.iregs index *)
-  | Ob of int  (* st.bregs index *)
-  | Oc of int  (* st.cregs pair index: re at 2i, im at 2i+1 *)
-  | Ov of int * int  (* vector register slot, declared lanes *)
-
-(* Boxed views of a vector register. *)
-let vreg_value st s =
-  match Array.unsafe_get st.vboxs s with
-  | Some v -> v
-  | None ->
-    Value.Vector (Array.map (fun f -> V.Sf f) (Array.unsafe_get st.vbufs s))
-
-let vreg_scalar st s =
-  match Array.unsafe_get st.vboxs s with
-  | Some (Value.Scalar x) -> x
-  | Some (Value.Vector _) | None ->
-    fail "vector value used where a scalar was expected"
-
+(* A scalar position: a register or a pooled constant. *)
 let oper_of env (op : Mir.operand) : oper =
   match op with
   | Mir.Oconst (Mir.Cf f) -> Of (fconst env f)
@@ -245,18 +224,24 @@ let oper_of env (op : Mir.operand) : oper =
   | Mir.Oconst (Mir.Cb b) -> Ob (bconst env b)
   | Mir.Oconst (Mir.Cc z) -> Oc (cconst env z)
   | Mir.Ovar v -> (
-    match reg_slot env v with
-    | Rf s -> Of s
-    | Ri s -> Oi s
-    | Rb s -> Ob s
-    | Rc s -> Oc s
-    | Rv (s, l) -> Ov (s, l))
+    match Hashtbl.find env.slots v.Mir.vid with
+    | Sreg o -> o
+    | Svec _ -> unverified "vector register used as a scalar"
+    | Sarr _ -> unverified "array used as a register")
 
-let real_scalar = function
-  | Of _ | Oi _ | Ob _ -> true
-  | Oc _ | Ov _ -> false
+(* A vector position: the operand's lane buffer. *)
+let vbuf_of env (op : Mir.operand) : int =
+  match op with
+  | Mir.Ovar v -> (
+    match Hashtbl.find env.slots v.Mir.vid with
+    | Svec s -> s
+    | Sreg _ | Sarr _ -> unverified "scalar where a vector is expected")
+  | Mir.Oconst _ -> unverified "constant where a vector is expected"
 
-let int_like = function Oi _ | Ob _ -> true | Of _ | Oc _ | Ov _ -> false
+let is_vector (op : Mir.operand) = (Mir.operand_sty op).Mir.lanes > 1
+
+let real_scalar = function Of _ | Oi _ | Ob _ -> true | Oc _ -> false
+let int_like = function Oi _ | Ob _ -> true | Of _ | Oc _ -> false
 
 (* Inlined bank views. A fused definition reads its operands through
    these instead of [state -> float] closures: a closure call boxes its
@@ -266,11 +251,10 @@ let int_like = function Oi _ | Ob _ -> true | Of _ | Oc _ | Ov _ -> false
    2 for a bool and 3 for a complex register; real operands read as
    [V.to_float]/[V.to_complex] convert them. *)
 let view_tag = function
-  | Of i -> Some (0, i)
-  | Oi i -> Some (1, i)
-  | Ob i -> Some (2, i)
-  | Oc s -> Some (3, s)
-  | Ov _ -> None
+  | Of i -> (0, i)
+  | Oi i -> (1, i)
+  | Ob i -> (2, i)
+  | Oc s -> (3, s)
 
 let[@inline always] fview st t i =
   match t with
@@ -304,8 +288,8 @@ let[@inline always] lane op x y =
   | Mir.Bmin -> if x <= y then x else y
   | _ -> if x >= y then x else y
 
-(* Fold of an unboxed lane buffer with [lane op], left to right from
-   lane 0, as [V.binop] folds boxed lanes. *)
+(* Fold of a lane buffer with [lane op], left to right from lane 0, as
+   the tree-walker folds its boxed lanes with [V.binop]. *)
 let[@inline always] fold_lanes op (x : float array) =
   let acc = ref (Array.unsafe_get x 0) in
   for i = 1 to Array.length x - 1 do
@@ -325,7 +309,6 @@ let f_read (o : oper) : state -> float =
       if Array.unsafe_get st.cregs ((2 * s) + 1) = 0.0 then
         Array.unsafe_get st.cregs (2 * s)
       else invalid_arg "Value.to_float: complex with non-zero imaginary part"
-  | Ov (s, _) -> fun st -> V.to_float (vreg_scalar st s)
 
 let i_read (o : oper) : state -> int =
   match o with
@@ -334,7 +317,6 @@ let i_read (o : oper) : state -> int =
     fun st -> int_of_float (Float.round (Array.unsafe_get st.fregs i))
   | Ob i -> fun st -> if Array.unsafe_get st.bregs i then 1 else 0
   | Oc _ -> fun _ -> invalid_arg "Value.to_int: complex"
-  | Ov (s, _) -> fun st -> V.to_int (vreg_scalar st s)
 
 let b_read (o : oper) : state -> bool =
   match o with
@@ -347,7 +329,6 @@ let b_read (o : oper) : state -> bool =
         { Complex.re = Array.unsafe_get st.cregs (2 * s);
           im = Array.unsafe_get st.cregs ((2 * s) + 1) }
       <> 0.0
-  | Ov (s, _) -> fun st -> V.to_bool (vreg_scalar st s)
 
 let c_read (o : oper) : state -> Complex.t =
   match o with
@@ -363,10 +344,8 @@ let c_read (o : oper) : state -> Complex.t =
     fun st ->
       { Complex.re = (if Array.unsafe_get st.bregs i then 1.0 else 0.0);
         im = 0.0 }
-  | Ov (s, _) -> fun st -> V.to_complex (vreg_scalar st s)
 
-(* Boxed scalar view; raises "vector value used..." like the
-   tree-walker's [eval_scalar] when the operand holds a vector. *)
+(* Boxed scalar view. *)
 let s_read (o : oper) : state -> Value.scalar =
   match o with
   | Of i -> fun st -> V.Sf (Array.unsafe_get st.fregs i)
@@ -377,24 +356,8 @@ let s_read (o : oper) : state -> Value.scalar =
       V.Sc
         { Complex.re = Array.unsafe_get st.cregs (2 * s);
           im = Array.unsafe_get st.cregs ((2 * s) + 1) }
-  | Ov (s, _) -> fun st -> vreg_scalar st s
 
-(* Boxed value view; never raises. *)
-let v_read (o : oper) : state -> Value.t =
-  match o with
-  | Of i -> fun st -> Value.Scalar (V.Sf (Array.unsafe_get st.fregs i))
-  | Oi i -> fun st -> Value.Scalar (V.Si (Array.unsafe_get st.iregs i))
-  | Ob i -> fun st -> Value.Scalar (V.Sb (Array.unsafe_get st.bregs i))
-  | Oc s ->
-    fun st ->
-      Value.Scalar
-        (V.Sc
-           { Complex.re = Array.unsafe_get st.cregs (2 * s);
-             im = Array.unsafe_get st.cregs ((2 * s) + 1) })
-  | Ov (s, _) -> fun st -> vreg_value st s
-
-(* Boxed element view of a typed array bank (printing, returns, and
-   generic vector-load fallbacks). *)
+(* Boxed element view of a typed array bank (generic loads). *)
 let boxed_elem (a : aslot) : state -> int -> Value.scalar =
   let k = a.aidx in
   match a.bank with
@@ -451,38 +414,26 @@ let index_fn env op ~len ~what : state -> int =
 
 (* ---------------- rvalue producers ---------------- *)
 
-(* A compiled vector-producing rvalue. [vgen] is the self-contained
-   exact boxed evaluation (used whenever the fast path is off); the
-   fast path runs [vready] (no side effects), then [vcheck] (raises
-   exactly the pre-charge eval failures, e.g. bounds), then [vfill]
-   into the destination lane buffer. [vfill] must be coercion-safe:
-   only reached when every element is a real float. *)
-type vprod = {
-  vlanes : int;
-  vready : state -> bool;
-  vcheck : state -> unit;
-  vfill : state -> float array -> unit;
-  vgen : state -> Value.t;
-}
-
+(* A compiled rvalue. A scalar producer gives its value typed, or boxed
+   ([Pg]) on the generic paths. A vector producer ([Pv]) fills its
+   destination's lane buffer, raising before it writes anything where
+   the tree-walker's evaluation raises (a vector load past the end);
+   every lane it writes is a real double, so no coercion follows. *)
 type prod =
   | Pf of (state -> float)
   | Pi of (state -> int)
   | Pb of (state -> bool)
   | Pc of (state -> Complex.t)
-  | Pv of vprod
-  | Pg of (state -> Value.t)
+  | Pv of (state -> float array -> unit)
+  | Pg of (state -> Value.scalar)
 
 let gen_of_prod = function
-  | Pf f -> fun st -> Value.Scalar (V.Sf (f st))
-  | Pi f -> fun st -> Value.Scalar (V.Si (f st))
-  | Pb f -> fun st -> Value.Scalar (V.Sb (f st))
-  | Pc f -> fun st -> Value.Scalar (V.Sc (f st))
-  | Pv vp -> vp.vgen
+  | Pf f -> fun st -> V.Sf (f st)
+  | Pi f -> fun st -> V.Si (f st)
+  | Pb f -> fun st -> V.Sb (f st)
+  | Pc f -> fun st -> V.Sc (f st)
   | Pg f -> f
-
-let unboxed st s =
-  match Array.unsafe_get st.vboxs s with None -> true | Some _ -> false
+  | Pv _ -> unverified "vector rvalue into a scalar register"
 
 (* Typed binary ops, statically dispatched on the operands' runtime
    representations as [V.binop] promotes them: int add, sub and mul
@@ -504,8 +455,7 @@ let compile_rbin env op a b : prod =
   | (Mir.Blt | Mir.Ble | Mir.Bgt | Mir.Bge | Mir.Beq | Mir.Bne) when reals ->
     (* compared through the views: a [float -> float -> bool] closure
        would box both operands *)
-    let ta, ia = Option.get (view_tag oa)
-    and tb, ib = Option.get (view_tag ob) in
+    let ta, ia = view_tag oa and tb, ib = view_tag ob in
     Pb
       (fun st ->
         let x = fview st ta ia and y = fview st tb ib in
@@ -518,12 +468,8 @@ let compile_rbin env op a b : prod =
         | _ -> x <> y)
   | _ ->
     let vb = V.binop op in
-    let fa = v_read oa and fb = v_read ob in
-    Pg
-      (fun st ->
-        let va = fa st in
-        let vbv = fb st in
-        lanewise2 vb va vbv)
+    let fa = s_read oa and fb = s_read ob in
+    Pg (fun st -> let x = fa st in let y = fb st in vb x y)
 
 let compile_runop env op a : prod =
   match (op, oper_of env a) with
@@ -541,15 +487,11 @@ let compile_runop env op a : prod =
     Pc (fun st -> Complex.conj (f st))
   | _, oa ->
     let u = V.unop op in
-    let fa = v_read oa in
-    Pg
-      (fun st ->
-        match fa st with
-        | Value.Scalar x -> Value.Scalar (u x)
-        | Value.Vector x -> Value.Vector (Array.map u x))
+    let fa = s_read oa in
+    Pg (fun st -> u (fa st))
 
 (* One or two real scalar arguments of a [Builtins] float function
-   call it unboxed; every other call takes [V.math] boxed. *)
+   call it on raw floats; every other call takes [V.math] boxed. *)
 let compile_rmath env name args : prod =
   let opers = List.map (oper_of env) args in
   match
@@ -565,38 +507,13 @@ let compile_rmath env name args : prod =
     Pf (fun st -> let x = ga st in let y = gb st in fn x y)
   | _ ->
     let gs = List.map s_read opers in
-    Pg (fun st -> Value.Scalar (V.math name (List.map (fun g -> g st) gs)))
+    Pg (fun st -> V.math name (List.map (fun g -> g st) gs))
 
-(* Horizontal reduction of a vector operand (the [Rvreduce] rvalue and
-   the reduce_add/min/max intrinsics). An unboxed lane buffer folds with
-   [lane]; boxed lanes fold with [V.binop], which on two [Sf] lanes is
-   the same float operation. [compile_fdef] fuses the unboxed case into
-   a float register write. *)
-let reduce_prod op (o : oper) ~err : prod =
-  let combine_s = V.binop op in
-  let fold_boxed x =
-    let acc = ref x.(0) in
-    for i = 1 to Array.length x - 1 do
-      acc := combine_s !acc x.(i)
-    done;
-    !acc
-  in
-  match o with
-  | Ov (s, _) ->
-    Pf
-      (fun st ->
-        match Array.unsafe_get st.vboxs s with
-        | None -> fold_lanes op (Array.unsafe_get st.vbufs s)
-        (* boxed escape lanes are always [Sf] (write coercion) *)
-        | Some (Value.Vector x) -> V.to_float (fold_boxed x)
-        | Some (Value.Scalar _) -> fail "%s" err)
-  | o ->
-    let fa = v_read o in
-    Pg
-      (fun st ->
-        match fa st with
-        | Value.Vector x -> Value.Scalar (fold_boxed x)
-        | Value.Scalar _ -> fail "%s" err)
+(* Horizontal reduction of vector register [s] (the [Rvreduce] rvalue
+   and the reduce_add/min/max intrinsics): a fold of its lane buffer
+   with [lane]. [compile_fdef] fuses it into a float register write. *)
+let reduce_prod op s : prod =
+  Pf (fun st -> fold_lanes op (Array.unsafe_get st.vbufs s))
 
 let vreduce_op = function
   | Mir.Vsum -> Mir.Badd
@@ -610,148 +527,67 @@ let reduce_kind_op = function
   | Isa.Kreduce_max -> Some Mir.Bmax
   | _ -> None
 
-let compile_intrin env name args : prod =
-  let opers = List.map (oper_of env) args in
-  let vreads = List.map v_read opers in
-  (* The tree-walker evaluates every operand (left to right) before
-     looking at the intrinsic, so failure closures must do the same. *)
-  let eval_all_then k =
-    Pg
+let simd_kind_op = function
+  | Isa.Ksimd_add -> Some Mir.Badd
+  | Isa.Ksimd_sub -> Some Mir.Bsub
+  | Isa.Ksimd_mul -> Some Mir.Bmul
+  | Isa.Ksimd_div -> Some Mir.Bdiv
+  | Isa.Ksimd_min -> Some Mir.Bmin
+  | Isa.Ksimd_max -> Some Mir.Bmax
+  | _ -> None
+
+(* An intrinsic the target has, on the operands the entry check admits
+   for its kind: a SIMD op or mac over lane buffers of one width, a
+   reduction of one, or a complex ISE over scalars, each operand
+   converted with [V.to_complex] as the tree-walker does. *)
+let compile_intrin env (desc : Isa.instr_desc) args : prod =
+  match (desc.Isa.kind, args) with
+  | Isa.Kmac, [ acc; a; b ] ->
+    (* binop Bmul (Sf a) (Sf b) = Sf (a *. b), then binop Badd on two
+       Sf is Sf (+.): the same float op sequence per lane *)
+    let sacc = vbuf_of env acc and sa = vbuf_of env a and sb = vbuf_of env b in
+    Pv
+      (fun st dst ->
+        let acc = Array.unsafe_get st.vbufs sacc in
+        let a = Array.unsafe_get st.vbufs sa in
+        let b = Array.unsafe_get st.vbufs sb in
+        for k = 0 to Array.length dst - 1 do
+          Array.unsafe_set dst k
+            (Array.unsafe_get acc k
+            +. (Array.unsafe_get a k *. Array.unsafe_get b k))
+        done)
+  | (Isa.Kcmul | Isa.Kcadd), [ a; b ] ->
+    let ga = c_read (oper_of env a) and gb = c_read (oper_of env b) in
+    let f = if desc.Isa.kind = Isa.Kcmul then Complex.mul else Complex.add in
+    Pc (fun st -> let x = ga st in let y = gb st in f x y)
+  | Isa.Kcmac, [ c; a; b ] ->
+    let gc = c_read (oper_of env c)
+    and ga = c_read (oper_of env a)
+    and gb = c_read (oper_of env b) in
+    Pc
       (fun st ->
-        let vals = List.map (fun f -> f st) vreads in
-        k vals)
-  in
-  let failure msg = eval_all_then (fun _ -> raise (Runtime_error msg)) in
-  match Isa.find_named env.isa name with
-  | None ->
-    failure
-      (Printf.sprintf "target %s has no intrinsic %s" env.isa.Isa.tname name)
-  | Some desc -> (
-    let generic_bin2 op =
-      match vreads with
-      | [ fa; fb ] ->
-        let f = V.binop op in
-        Pg
-          (fun st ->
-            let va = fa st in
-            let vbv = fb st in
-            lanewise2 f va vbv)
-      | _ -> failure (Printf.sprintf "%s expects 2 operands" name)
-    in
-    (* SIMD binary op on two unboxed vector registers of equal declared
-       width: a raw float loop. Any other shape (boxed escape, width
-       mismatch, scalar operand) takes the exact boxed path. *)
-    let simd2 op =
-      match opers with
-      | [ Ov (sa, la); Ov (sb, lb) ] when la = lb -> (
-        match vreads with
-        | [ fa; fb ] ->
-          let f = V.binop op in
-          Pv
-            { vlanes = la;
-              vready = (fun st -> unboxed st sa && unboxed st sb);
-              vcheck = (fun _ -> ());
-              vfill =
-                (fun st dst ->
-                  let a = Array.unsafe_get st.vbufs sa in
-                  let b = Array.unsafe_get st.vbufs sb in
-                  for k = 0 to la - 1 do
-                    Array.unsafe_set dst k
-                      (lane op (Array.unsafe_get a k) (Array.unsafe_get b k))
-                  done);
-              vgen =
-                (fun st ->
-                  let va = fa st in
-                  let vbv = fb st in
-                  lanewise2 f va vbv) }
-        | _ -> assert false)
-      | _ -> generic_bin2 op
-    in
-    match desc.Isa.kind with
-    | Isa.Ksimd_add -> simd2 Mir.Badd
-    | Isa.Ksimd_sub -> simd2 Mir.Bsub
-    | Isa.Ksimd_mul -> simd2 Mir.Bmul
-    | Isa.Ksimd_div -> simd2 Mir.Bdiv
-    | Isa.Ksimd_min -> simd2 Mir.Bmin
-    | Isa.Ksimd_max -> simd2 Mir.Bmax
-    | Isa.Kmac -> (
-      (* binop Bmul (Sf a) (Sf b) = Sf (a *. b), then binop Badd on two
-         Sf is Sf (+.): the unboxed lane below is the same float op
-         sequence. *)
-      let mac acc a b = V.binop Mir.Badd acc (V.binop Mir.Bmul a b) in
-      match opers with
-      | [ Ov (sacc, l0); Ov (sa, l1); Ov (sb, l2) ] when l0 = l1 && l1 = l2
-        -> (
-        match vreads with
-        | [ facc; fa; fb ] ->
-          Pv
-            { vlanes = l0;
-              vready =
-                (fun st -> unboxed st sacc && unboxed st sa && unboxed st sb);
-              vcheck = (fun _ -> ());
-              vfill =
-                (fun st dst ->
-                  let acc = Array.unsafe_get st.vbufs sacc in
-                  let a = Array.unsafe_get st.vbufs sa in
-                  let b = Array.unsafe_get st.vbufs sb in
-                  for k = 0 to l0 - 1 do
-                    Array.unsafe_set dst k
-                      (Array.unsafe_get acc k
-                      +. (Array.unsafe_get a k *. Array.unsafe_get b k))
-                  done);
-              vgen =
-                (fun st ->
-                  let vacc = facc st in
-                  let va = fa st in
-                  let vbv = fb st in
-                  lanewise3 mac vacc va vbv) }
-        | _ -> assert false)
-      | _ -> (
-        match vreads with
-        | [ facc; fa; fb ] ->
-          Pg
-            (fun st ->
-              let vacc = facc st in
-              let va = fa st in
-              let vbv = fb st in
-              lanewise3 mac vacc va vbv)
-        | _ -> failure "mac expects 3 operands"))
-    | (Isa.Kcmul | Isa.Kcadd | Isa.Kcmac) as kind -> (
-      (* A complex-register target is fused in [compile_cdef] for cadd
-         and cmul on register operands; every other shape converts each
-         operand boxed, as the tree-walker does. *)
-      let to_c v = V.to_complex (scalar_of_value v) in
-      let f2 = if kind = Isa.Kcmul then Complex.mul else Complex.add in
-      match (kind, vreads) with
-      | Isa.Kcmac, [ fc; fa; fb ] ->
-        Pg
-          (fun st ->
-            let vc = fc st in
-            let va = fa st in
-            let vb = fb st in
-            Value.Scalar
-              (V.Sc (Complex.add (to_c vc) (Complex.mul (to_c va) (to_c vb)))))
-      | Isa.Kcmac, _ -> failure "cmac expects 3 operands"
-      | _, [ fa; fb ] ->
-        Pg
-          (fun st ->
-            let va = fa st in
-            let vb = fb st in
-            Value.Scalar (V.Sc (f2 (to_c va) (to_c vb))))
-      | _ ->
-        failure
-          (if kind = Isa.Kcmul then "cmul expects 2 operands"
-           else "cadd expects 2 operands"))
-    | Isa.Kload | Isa.Kstore | Isa.Kbroadcast ->
-      failure
-        (Printf.sprintf "%s: memory intrinsics are expressed as Rvload/Ivstore"
-           name)
-    | (Isa.Kreduce_add | Isa.Kreduce_min | Isa.Kreduce_max) as kind -> (
-      match opers with
-      | [ o ] ->
-        reduce_prod (Option.get (reduce_kind_op kind)) o
-          ~err:"reduce expects one vector operand"
-      | _ -> failure "reduce expects one vector operand"))
+        let z = gc st in
+        let x = ga st in
+        let y = gb st in
+        Complex.add z (Complex.mul x y))
+  | kind, [ a ] -> (
+    match reduce_kind_op kind with
+    | Some op -> reduce_prod op (vbuf_of env a)
+    | None -> unverified ("intrinsic " ^ desc.Isa.iname ^ " on one operand"))
+  | kind, [ a; b ] -> (
+    match simd_kind_op kind with
+    | Some op ->
+      let sa = vbuf_of env a and sb = vbuf_of env b in
+      Pv
+        (fun st dst ->
+          let a = Array.unsafe_get st.vbufs sa in
+          let b = Array.unsafe_get st.vbufs sb in
+          for k = 0 to Array.length dst - 1 do
+            Array.unsafe_set dst k
+              (lane op (Array.unsafe_get a k) (Array.unsafe_get b k))
+          done)
+    | None -> unverified ("intrinsic " ^ desc.Isa.iname ^ " on two operands"))
+  | _ -> unverified ("intrinsic " ^ desc.Isa.iname ^ " with these operands")
 
 let compile_rvalue env (rv : Mir.rvalue) : prod =
   match rv with
@@ -762,87 +598,50 @@ let compile_rvalue env (rv : Mir.rvalue) : prod =
     let gre = s_read (oper_of env re) and gim = s_read (oper_of env im) in
     Pg
       (fun st ->
-        Value.Scalar
-          (V.Sc { Complex.re = V.to_float (gre st); im = V.to_float (gim st) }))
+        V.Sc { Complex.re = V.to_float (gre st); im = V.to_float (gim st) })
   | Mir.Rload (a, idx) ->
     let aslot = arr_slot env a in
     let gi = index_fn env idx ~len:aslot.alen ~what:a.Mir.vname in
     let elem = boxed_elem aslot in
-    Pg (fun st -> Value.Scalar (elem st (gi st)))
+    Pg (fun st -> elem st (gi st))
+  | Mir.Rmove a when is_vector a ->
+    (* CSE turns two equal vector loads into a load and a move *)
+    let s = vbuf_of env a in
+    Pv
+      (fun st dst ->
+        Array.blit (Array.unsafe_get st.vbufs s) 0 dst 0 (Array.length dst))
   | Mir.Rmove a -> (
     match oper_of env a with
     | Oi _ as o -> Pi (i_read o)
-    | o -> Pg (v_read o))
-  | Mir.Rvload (a, base, lanes) -> (
+    | o -> Pg (s_read o))
+  | Mir.Rvload (a, base, lanes) ->
     let aslot = arr_slot env a in
+    if aslot.bank <> AKf then unverified "vector load from a non-double array";
     let len = aslot.alen and k = aslot.aidx and name = a.Mir.vname in
     let gb = index_fn env base ~len ~what:name in
-    let check st =
-      let b = gb st in
-      if b + lanes > len then fail "vector load past end of %s" name;
-      b
+    Pv
+      (fun st dst ->
+        let b = gb st in
+        if b + lanes > len then fail "vector load past end of %s" name;
+        Array.blit (Array.unsafe_get st.farrs k) b dst 0 lanes)
+  | Mir.Rvbroadcast (a, _) ->
+    let t, i =
+      match oper_of env a with
+      | Oc _ -> unverified "broadcast of a complex scalar"
+      | o -> view_tag o
     in
-    match aslot.bank with
-    | AKf ->
-      Pv
-        { vlanes = lanes;
-          vready = (fun _ -> true);
-          vcheck = (fun st -> ignore (check st));
-          vfill =
-            (fun st dst ->
-              Array.blit (Array.unsafe_get st.farrs k) (gb st) dst 0 lanes);
-          vgen =
-            (fun st ->
-              let b = check st in
-              let arr = Array.unsafe_get st.farrs k in
-              Value.Vector
-                (Array.init lanes (fun j ->
-                     V.Sf (Array.unsafe_get arr (b + j))))) }
-    | _ ->
-      let elem = boxed_elem aslot in
-      Pg
-        (fun st ->
-          let b = check st in
-          Value.Vector (Array.init lanes (fun j -> elem st (b + j)))))
-  | Mir.Rvbroadcast (a, lanes) -> (
-    match oper_of env a with
-    | (Of _ | Oi _ | Ob _) as o ->
-      let t, i = Option.get (view_tag o) and gs = s_read o in
-      Pv
-        { vlanes = lanes;
-          vready = (fun _ -> true);
-          vcheck = (fun _ -> ());
-          (* a raw loop: [Array.fill] would box the float *)
-          vfill =
-            (fun st dst ->
-              let x = fview st t i in
-              for k = 0 to lanes - 1 do
-                Array.unsafe_set dst k x
-              done);
-          vgen = (fun st -> Value.Vector (Array.make lanes (gs st))) }
-    | o ->
-      let gs = s_read o in
-      Pg (fun st -> Value.Vector (Array.make lanes (gs st))))
-  | Mir.Rvreduce (r, a) ->
-    reduce_prod (vreduce_op r) (oper_of env a) ~err:"vreduce of a scalar"
-  | Mir.Rintrin (name, args) -> compile_intrin env name args
-
-(* Generic (coercing) write into a vector register: unbox into the lane
-   buffer when the coerced value is a full-width vector, otherwise park
-   it in the boxed escape slot. [sty] is the declared element type
-   (always real-double for vector slots). *)
-let write_vreg st d lanes sty v =
-  match coerce_value sty v with
-  | Value.Scalar _ as c -> st.vboxs.(d) <- Some c
-  | Value.Vector xs as c ->
-    if Array.length xs = lanes then begin
-      let buf = Array.unsafe_get st.vbufs d in
-      for k = 0 to lanes - 1 do
-        buf.(k) <- V.to_float xs.(k)
-      done;
-      st.vboxs.(d) <- None
-    end
-    else st.vboxs.(d) <- Some c
+    (* a raw loop: [Array.fill] would box the float *)
+    Pv
+      (fun st dst ->
+        let x = fview st t i in
+        for k = 0 to Array.length dst - 1 do
+          Array.unsafe_set dst k x
+        done)
+  | Mir.Rvreduce (r, a) -> reduce_prod (vreduce_op r) (vbuf_of env a)
+  | Mir.Rintrin (name, args) -> (
+    match Isa.find_named env.isa name with
+    | Some desc -> compile_intrin env desc args
+    | None -> invalid_arg ("Plan: no producer for absent intrinsic " ^ name))
 
 (* ---------------- fused definitions ---------------- *)
 
@@ -859,10 +658,7 @@ let write_vreg st d lanes sty v =
    [Complex.add]/[Complex.sub]/[Complex.mul] term-for-term so results
    stay bit-identical. *)
 let compile_cdef env d rv cls cost : (state -> unit) option =
-  let views ops =
-    let ts = List.map (fun o -> view_tag (oper_of env o)) ops in
-    if List.mem None ts then None else Some (List.map Option.get ts)
-  in
+  let views ops = List.map (fun o -> view_tag (oper_of env o)) ops in
   (* The fused formula and its operand views, or [None]. A binop fuses
      when one side is statically complex (then [V.binop] takes its
      complex branch at runtime); the complex intrinsics convert every
@@ -871,7 +667,7 @@ let compile_cdef env d rv cls cost : (state -> unit) option =
     match rv with
     | Mir.Rbin (((Mir.Badd | Mir.Bsub | Mir.Bmul) as op), a, b) -> (
       match views [ a; b ] with
-      | Some ([ (ta, _); (tb, _) ] as vs) when ta = 3 || tb = 3 ->
+      | [ (ta, _); (tb, _) ] as vs when ta = 3 || tb = 3 ->
         let form =
           match op with Mir.Badd -> `Add | Mir.Bsub -> `Sub | _ -> `Mul
         in
@@ -887,9 +683,9 @@ let compile_cdef env d rv cls cost : (state -> unit) option =
           | Isa.Kcmul -> Some `Mul
           | _ -> None
         in
-        match (form, views args) with
-        | Some form, Some vs -> Some (form, vs)
-        | _ -> None))
+        match form with
+        | Some form -> Some (form, views args)
+        | None -> None))
     | _ -> None
   in
   match (formula, rv) with
@@ -914,7 +710,7 @@ let compile_cdef env d rv cls cost : (state -> unit) option =
         let br = cre st tb ib and bi = cim st tb ib in
         charge st cls cost;
         cwrite st d ((ar *. br) -. (ai *. bi)) ((ar *. bi) +. (ai *. br)))
-  | Some _, _ -> None (* wrong arity: the generic path reports it *)
+  | Some _, _ -> None
   | None, Mir.Rload (a, idx) -> (
     let aslot = arr_slot env a in
     match aslot.bank with
@@ -930,15 +726,13 @@ let compile_cdef env d rv cls cost : (state -> unit) option =
           charge st cls cost;
           cwrite st d re im)
     | AKf | AKi | AKb -> None)
-  | None, Mir.Rmove o -> (
-    match view_tag (oper_of env o) with
-    | Some (t, i) ->
-      Some
-        (fun st ->
-          let re = cre st t i and im = cim st t i in
-          charge st cls cost;
-          cwrite st d re im)
-    | None -> None)
+  | None, Mir.Rmove o ->
+    let t, i = view_tag (oper_of env o) in
+    Some
+      (fun st ->
+        let re = cre st t i and im = cim st t i in
+        charge st cls cost;
+        cwrite st d re im)
   | None, Mir.Runop (Mir.Uconj, o) -> (
     (* only a complex register: [V.unop Uconj] returns a real operand
        unchanged, whose imaginary part is then +0.0, not -0.0 *)
@@ -956,7 +750,7 @@ let compile_cdef env d rv cls cost : (state -> unit) option =
        tree-walker's unspecified record-field evaluation order is not
        observable. *)
     match views [ ore; oim ] with
-    | Some [ (ta, ia); (tb, ib) ] when ta < 3 && tb < 3 ->
+    | [ (ta, ia); (tb, ib) ] when ta < 3 && tb < 3 ->
       Some
         (fun st ->
           let re = fview st ta ia and im = fview st tb ib in
@@ -972,23 +766,16 @@ let compile_cdef env d rv cls cost : (state -> unit) option =
    inline, charges, and writes — zero allocation. Only shapes whose
    fused text mirrors the generic path term-for-term are taken (scalar
    [min]/[max] stay on [V.binop]'s boxed path); everything else returns
-   [None]. [prod] is the rvalue's generic producer. *)
-let compile_fdef env d rv prod cls cost : (state -> unit) option =
-  (* A reduction of a vector register folds its unboxed lane buffer in
-     place; a boxed escape value takes [reduce_prod]'s exact path. *)
+   [None]. *)
+let compile_fdef env d rv cls cost : (state -> unit) option =
+  (* A reduction of a vector register folds its lane buffer in place. *)
   let reduce op a =
-    match (oper_of env a, prod) with
-    | Ov (s, _), Pf boxed ->
-      Some
-        (fun st ->
-          let x =
-            match Array.unsafe_get st.vboxs s with
-            | None -> fold_lanes op (Array.unsafe_get st.vbufs s)
-            | Some _ -> boxed st
-          in
-          charge st cls cost;
-          Array.unsafe_set st.fregs d x)
-    | _ -> None
+    let s = vbuf_of env a in
+    Some
+      (fun st ->
+        let x = fold_lanes op (Array.unsafe_get st.vbufs s) in
+        charge st cls cost;
+        Array.unsafe_set st.fregs d x)
   in
   match rv with
   | Mir.Rbin (op, a, b) -> (
@@ -1004,7 +791,7 @@ let compile_fdef env d rv prod cls cost : (state -> unit) option =
       | _ -> false
     in
     match (view_tag oa, view_tag ob) with
-    | Some (ta, ia), Some (tb, ib) when float_op && ta < 3 && tb < 3 ->
+    | (ta, ia), (tb, ib) when float_op && ta < 3 && tb < 3 ->
       Some
         (fun st ->
           let x = fview st ta ia and y = fview st tb ib in
@@ -1044,19 +831,17 @@ let compile_fdef env d rv prod cls cost : (state -> unit) option =
     | _ -> None)
   | Mir.Runop (((Mir.Ure | Mir.Uim) as u), a) -> (
     (* [V.unop] reads a real operand as the complex [x + 0i] *)
-    match view_tag (oper_of env a) with
-    | Some (t, i) ->
-      Some
-        (fun st ->
-          let x = match u with Mir.Ure -> cre st t i | _ -> cim st t i in
-          charge st cls cost;
-          Array.unsafe_set st.fregs d x)
-    | None -> None)
+    let t, i = view_tag (oper_of env a) in
+    Some
+      (fun st ->
+        let x = match u with Mir.Ure -> cre st t i | _ -> cim st t i in
+        charge st cls cost;
+        Array.unsafe_set st.fregs d x))
   | Mir.Rmath ("atan2", [ a; b ]) -> (
     (* [Builtins.float_fn2 "atan2"] is [Stdlib.atan2]; calling it by
-       name keeps its arguments and result unboxed *)
+       name keeps its arguments and result out of boxes *)
     match (view_tag (oper_of env a), view_tag (oper_of env b)) with
-    | Some (ta, ia), Some (tb, ib) when ta < 3 && tb < 3 ->
+    | (ta, ia), (tb, ib) when ta < 3 && tb < 3 ->
       Some
         (fun st ->
           let r = atan2 (fview st ta ia) (fview st tb ib) in
@@ -1098,21 +883,25 @@ let rec compile_block env (block : Mir.block) : state -> unit =
 
 and compile_instr env (desc : Mir.instr_desc) : state -> unit =
   match desc with
+  | Mir.Idef (_, Mir.Rintrin (name, _))
+    when Isa.find_named env.isa name = None ->
+    (* A run-time error, raised where the tree-walker raises it: after
+       reading the operands, which cannot fail, and before the charge. *)
+    let msg =
+      Printf.sprintf "target %s has no intrinsic %s" env.isa.Isa.tname name
+    in
+    fun _ -> raise (Runtime_error msg)
   | Mir.Idef (v, rv) -> (
     let prod = compile_rvalue env rv in
     let cls = class_id env (Cost.class_of_rvalue rv) in
-    (* Static cost; [None] only for an intrinsic the target lacks, in
-       which case the producer raises before the charge is reached. *)
-    let cost_opt = Cost.def_cost_opt env.isa env.mode rv in
-    let cost = match cost_opt with Some c -> c | None -> 0 in
-    match reg_slot env v with
-    | Rf d -> (
-      let fused =
-        if cost_opt = None then None else compile_fdef env d rv prod cls cost
-      in
-      (* Writes below follow the tree-walker's order exactly: evaluate
-         the rvalue, charge, then coerce (which may raise) and write. *)
-      match (fused, prod) with
+    let cost = Cost.def_cost env.isa env.mode rv in
+    (* Writes below follow the tree-walker's order exactly: evaluate the
+       rvalue, charge, then coerce (which may raise) and write. A
+       vector fill writes before the charge, which is unobservable: a
+       charge only ever raises a trap that ends the run. *)
+    match Hashtbl.find env.slots v.Mir.vid with
+    | Sreg (Of d) -> (
+      match (compile_fdef env d rv cls cost, prod) with
       | Some f, _ -> f
       | None, Pf f ->
         fun st ->
@@ -1127,10 +916,10 @@ and compile_instr env (desc : Mir.instr_desc) : state -> unit =
       | None, p ->
         let g = gen_of_prod p in
         fun st ->
-          let value = g st in
+          let s = g st in
           charge st cls cost;
-          Array.unsafe_set st.fregs d (V.to_float (scalar_of_value value)))
-    | Ri d -> (
+          Array.unsafe_set st.fregs d (V.to_float s))
+    | Sreg (Oi d) -> (
       match prod with
       | Pi f ->
         fun st ->
@@ -1140,11 +929,10 @@ and compile_instr env (desc : Mir.instr_desc) : state -> unit =
       | p ->
         let g = gen_of_prod p in
         fun st ->
-          let value = g st in
+          let s = g st in
           charge st cls cost;
-          Array.unsafe_set st.iregs d
-            (Store.coerce_int_exn (scalar_of_value value)))
-    | Rb d -> (
+          Array.unsafe_set st.iregs d (Store.coerce_int_exn s))
+    | Sreg (Ob d) -> (
       match prod with
       | Pb f ->
         fun st ->
@@ -1154,14 +942,11 @@ and compile_instr env (desc : Mir.instr_desc) : state -> unit =
       | p ->
         let g = gen_of_prod p in
         fun st ->
-          let value = g st in
+          let s = g st in
           charge st cls cost;
-          Array.unsafe_set st.bregs d (V.to_bool (scalar_of_value value)))
-    | Rc d -> (
-      let fused =
-        if cost_opt = None then None else compile_cdef env d rv cls cost
-      in
-      match (fused, prod) with
+          Array.unsafe_set st.bregs d (V.to_bool s))
+    | Sreg (Oc d) -> (
+      match (compile_cdef env d rv cls cost, prod) with
       | Some f, _ -> f
       | None, Pc f ->
         fun st ->
@@ -1171,32 +956,19 @@ and compile_instr env (desc : Mir.instr_desc) : state -> unit =
       | None, p ->
         let g = gen_of_prod p in
         fun st ->
-          let value = g st in
+          let s = g st in
           charge st cls cost;
-          let z = V.to_complex (scalar_of_value value) in
+          let z = V.to_complex s in
           cwrite st d z.Complex.re z.Complex.im)
-    | Rv (d, lanes) -> (
-      let sty = Mir.elem_ty v in
+    | Svec d -> (
       match prod with
-      | Pv vp when vp.vlanes = lanes ->
+      | Pv fill ->
         fun st ->
-          if vp.vready st then begin
-            vp.vcheck st;
-            charge st cls cost;
-            vp.vfill st (Array.unsafe_get st.vbufs d);
-            Array.unsafe_set st.vboxs d None
-          end
-          else begin
-            let value = vp.vgen st in
-            charge st cls cost;
-            write_vreg st d lanes sty value
-          end
-      | p ->
-        let g = gen_of_prod p in
-        fun st ->
-          let value = g st in
-          charge st cls cost;
-          write_vreg st d lanes sty value))
+          fill st (Array.unsafe_get st.vbufs d);
+          charge st cls cost
+      | Pf _ | Pi _ | Pb _ | Pc _ | Pg _ ->
+        unverified "scalar rvalue into a vector register")
+    | Sarr _ -> unverified "def of an array")
   | Mir.Istore (a, idx, x) -> (
     let aslot = arr_slot env a in
     let gi = index_fn env idx ~len:aslot.alen ~what:a.Mir.vname in
@@ -1241,47 +1013,22 @@ and compile_instr env (desc : Mir.instr_desc) : state -> unit =
         let x = gx st in
         set st i x;
         charge st cls cost)
-  | Mir.Ivstore (a, base, x, lanes) -> (
+  | Mir.Ivstore (a, base, x, lanes) ->
     let aslot = arr_slot env a in
+    if aslot.bank <> AKf then unverified "vector store to a non-double array";
     let len = aslot.alen and k = aslot.aidx and name = a.Mir.vname in
     let gb = index_fn env base ~len ~what:name in
     let cls = class_id env "simd" in
     let cost = Cost.vstore_cost env.isa in
-    let ox = oper_of env x in
-    let set = set_elem aslot in
-    let store_boxed st b v =
-      match v with
-      | Value.Vector vec when Array.length vec = lanes ->
-        for j = 0 to lanes - 1 do
-          set st (b + j) (Array.unsafe_get vec j)
-        done;
-        charge st cls cost
-      | Value.Vector _ -> fail "vector store width mismatch"
-      | Value.Scalar _ -> fail "vector store of a scalar"
-    in
-    match (aslot.bank, ox) with
-    | AKf, Ov (s, _) ->
-      (* The dominant vectorized shape: unboxed register into a
-         real-double array is a straight blit (the verifier pins the
-         register's width to the store's). *)
-      fun st ->
-        let b = gb st in
-        if b + lanes > len then fail "vector store past end of %s" name;
-        (match Array.unsafe_get st.vboxs s with
-        | None ->
-          Array.blit
-            (Array.unsafe_get st.vbufs s)
-            0
-            (Array.unsafe_get st.farrs k)
-            b lanes;
-          charge st cls cost
-        | Some v -> store_boxed st b v)
-    | _ ->
-      let gx = v_read ox in
-      fun st ->
-        let b = gb st in
-        if b + lanes > len then fail "vector store past end of %s" name;
-        store_boxed st b (gx st))
+    let s = vbuf_of env x in
+    (* a straight blit: the verifier pins the register's width to the
+       store's *)
+    fun st ->
+      let b = gb st in
+      if b + lanes > len then fail "vector store past end of %s" name;
+      Array.blit (Array.unsafe_get st.vbufs s) 0 (Array.unsafe_get st.farrs k)
+        b lanes;
+      charge st cls cost
   | Mir.Iif (c, then_b, else_b) ->
     let gc = b_read (oper_of env c) in
     let ft = compile_block env then_b and fe = compile_block env else_b in
@@ -1354,9 +1101,9 @@ and compile_loop env (ivar : Mir.var) lo step hi body : state -> unit =
      representation: an int slot has int/bool bounds, so the
      tree-walker's runtime [int_loop] test is true and its induction
      values are raw [Si]; a double slot has a double bound, so they are
-     raw [Sf]. Both loops are fully unboxed. *)
-  match reg_slot env ivar with
-  | Ri iv ->
+     raw [Sf]. Neither loop boxes anything. *)
+  match Hashtbl.find env.slots ivar.Mir.vid with
+  | Sreg (Oi iv) ->
     let gl = i_read olo and gs = i_read ostep and gh = i_read ohi in
     fun st ->
       let l = gl st in
@@ -1383,54 +1130,55 @@ and compile_loop env (ivar : Mir.var) lo step hi body : state -> unit =
          end
        with Break_exc -> ());
       charge st bcls bcost
-  | Rf iv ->
-    (* The counter lives in a private shadow slot of the float bank so
-       the loop never touches a boxed float. The bounds are read through
-       the views, since a [state -> float] reader would box each one per
-       entry. *)
-    let view o = Option.get (view_tag o) in
-    let tl, il = view olo and ts, is = view ostep and th, ih = view ohi in
-    let sh = fshadow env in
+  | Sreg (Of iv) ->
+    (* The counter is a local [float ref], as the int loop's is an
+       [int ref]: it never escapes, so the native compiler keeps it a
+       raw float, and the variable keeps the last value the loop
+       assigned it. The bounds are read through the views, since a
+       [state -> float] reader would box each one per entry. *)
+    let tl, il = view_tag olo and ts, is = view_tag ostep
+    and th, ih = view_tag ohi in
     fun st ->
-      let fr = st.fregs in
-      Array.unsafe_set fr sh (fview st tl il);
+      let l = fview st tl il in
       let s = fview st ts is in
       let h = fview st th ih in
       (try
-         if s >= 0.0 then
-           while Array.unsafe_get fr sh <= h do
-             Array.unsafe_set fr iv (Array.unsafe_get fr sh);
+         if s >= 0.0 then begin
+           let v = ref l in
+           while !v <= h do
+             Array.unsafe_set st.fregs iv !v;
              charge st lcls lcost;
              (try fbody st with Continue_exc -> ());
-             Array.unsafe_set fr sh (Array.unsafe_get fr sh +. s)
+             v := !v +. s
            done
-         else
-           while Array.unsafe_get fr sh >= h do
-             Array.unsafe_set fr iv (Array.unsafe_get fr sh);
+         end
+         else begin
+           let v = ref l in
+           while !v >= h do
+             Array.unsafe_set st.fregs iv !v;
              charge st lcls lcost;
              (try fbody st with Continue_exc -> ());
-             Array.unsafe_set fr sh (Array.unsafe_get fr sh +. s)
+             v := !v +. s
            done
+         end
        with Break_exc -> ());
       charge st bcls bcost
-  | Rb _ | Rc _ | Rv _ ->
-    invalid_arg "Plan: loop variable neither int nor double in unverified MIR"
+  | Sreg (Ob _ | Oc _) | Svec _ | Sarr _ ->
+    unverified "loop variable neither int nor double"
 
 (* ---------------- whole-function plans ---------------- *)
 
 type aspec = { alen : int; aparam : bool }
 
-type bind =
-  | Bscalar of rslot * Mir.scalar_ty * string
-  | Barray of aslot * string
+type bind = Bscalar of oper * string | Barray of aslot * string
 
 type t = {
   fname : string;
   nparams : int;
   binds : bind list;
-  ret_slots : slot list;
-  (* Bank sizes include pooled constants and loop-shadow slots past the
-     variable slots; [*init] carries the constant initializers. *)
+  rets : (state -> xvalue) list;
+  (* Bank sizes include pooled constants past the variable slots;
+     [*init] carries the constant initializers. *)
   nfregs : int;
   niregs : int;
   nbregs : int;
@@ -1474,13 +1222,13 @@ let compile ~isa ~mode (f : Mir.func) : t =
         (match v.Mir.vty with
         | Mir.Tscalar sty -> (
           match (sty.Mir.cplx, sty.Mir.base, sty.Mir.lanes) with
-          | MT.Complex, _, 1 -> Sreg (Rc (next nc))
-          | MT.Real, MT.Double, 1 -> Sreg (Rf (next nf))
-          | MT.Real, MT.Int, 1 -> Sreg (Ri (next ni))
-          | MT.Real, MT.Bool, 1 -> Sreg (Rb (next nb))
+          | MT.Complex, _, 1 -> Sreg (Oc (next nc))
+          | MT.Real, MT.Double, 1 -> Sreg (Of (next nf))
+          | MT.Real, MT.Int, 1 -> Sreg (Oi (next ni))
+          | MT.Real, MT.Bool, 1 -> Sreg (Ob (next nb))
           | MT.Real, MT.Double, l ->
             vlanes_rev := l :: !vlanes_rev;
-            Sreg (Rv (next nv, l))
+            Svec (next nv)
           | _ -> invalid_arg "Plan: poison type reached the VM")
         | Mir.Tarray (sty, n) ->
           let spec = { alen = n; aparam } in
@@ -1518,16 +1266,26 @@ let compile ~isa ~mode (f : Mir.func) : t =
   let binds =
     List.map
       (fun (p : Mir.var) ->
-        match p.Mir.vty with
-        | Mir.Tscalar sty -> Bscalar (reg_slot env p, sty, p.Mir.vname)
-        | Mir.Tarray _ -> Barray (arr_slot env p, p.Mir.vname))
+        match Hashtbl.find slots p.Mir.vid with
+        | Sreg o -> Bscalar (o, p.Mir.vname)
+        | Sarr a -> Barray (a, p.Mir.vname)
+        | Svec _ -> unverified "vector parameter")
       f.Mir.params
+  in
+  let ret (r : Mir.var) =
+    match Hashtbl.find slots r.Mir.vid with
+    | Sreg o ->
+      let g = s_read o in
+      fun st -> Xscalar (g st)
+    | Sarr a ->
+      let g = boxed_array a in
+      fun st -> Xarray (g st)
+    | Svec _ -> unverified "vector return"
   in
   { fname = f.Mir.name;
     nparams = List.length f.Mir.params;
     binds;
-    ret_slots =
-      List.map (fun (r : Mir.var) -> Hashtbl.find slots r.Mir.vid) f.Mir.rets;
+    rets = List.map ret f.Mir.rets;
     nfregs = env.nfx;
     niregs = env.nix;
     nbregs = env.nbx;
@@ -1562,7 +1320,6 @@ let execute ?(max_cycles = 4_000_000_000) ?(fuel = Exec.default_fuel)
       bregs = Array.make p.nbregs false;
       cregs = Array.make (2 * p.ncregs) 0.0;
       vbufs = Array.map (fun l -> Array.make l 0.0) p.vlanes;
-      vboxs = Array.map (fun _ -> Some (Value.Scalar (V.Sf 0.0))) p.vlanes;
       farrs =
         Array.map
           (fun s -> if s.aparam then [||] else Array.make s.alen 0.0)
@@ -1601,16 +1358,15 @@ let execute ?(max_cycles = 4_000_000_000) ?(fuel = Exec.default_fuel)
   List.iter2
     (fun bind arg ->
       match (bind, arg) with
-      | Bscalar (rs, sty, _), Xscalar x -> (
-        match rs with
-        | Rf d -> st.fregs.(d) <- V.to_float x
-        | Ri d -> st.iregs.(d) <- Store.coerce_int_exn x
-        | Rb d -> st.bregs.(d) <- V.to_bool x
-        | Rc d ->
+      | Bscalar (o, _), Xscalar x -> (
+        match o with
+        | Of d -> st.fregs.(d) <- V.to_float x
+        | Oi d -> st.iregs.(d) <- Store.coerce_int_exn x
+        | Ob d -> st.bregs.(d) <- V.to_bool x
+        | Oc d ->
           let z = V.to_complex x in
           st.cregs.(2 * d) <- z.Complex.re;
-          st.cregs.((2 * d) + 1) <- z.Complex.im
-        | Rv (d, _) -> st.vboxs.(d) <- Some (Value.Scalar (V.coerce sty x)))
+          st.cregs.((2 * d) + 1) <- z.Complex.im)
       | Barray (a, name), Xarray arr -> (
         if Array.length arr <> a.alen then
           fail "argument %s: expected %d elements, received %d" name a.alen
@@ -1620,25 +1376,11 @@ let execute ?(max_cycles = 4_000_000_000) ?(fuel = Exec.default_fuel)
         | AKi -> st.iarrs.(a.aidx) <- Store.ints_of_scalars arr
         | AKb -> st.barrs.(a.aidx) <- Store.bools_of_scalars arr
         | AKc -> st.carrs.(a.aidx) <- Store.complex_of_scalars arr)
-      | Bscalar (_, _, name), Xarray _ | Barray (_, name), Xscalar _ ->
+      | Bscalar (_, name), Xarray _ | Barray (_, name), Xscalar _ ->
         fail "argument %s: scalar/array mismatch" name)
     p.binds args;
   (try p.body_fn st with Return_exc -> ());
-  let rets =
-    List.map
-      (function
-        | Sreg (Rf d) -> Xscalar (V.Sf st.fregs.(d))
-        | Sreg (Ri d) -> Xscalar (V.Si st.iregs.(d))
-        | Sreg (Rb d) -> Xscalar (V.Sb st.bregs.(d))
-        | Sreg (Rc d) ->
-          Xscalar
-            (V.Sc
-               { Complex.re = st.cregs.(2 * d);
-                 im = st.cregs.((2 * d) + 1) })
-        | Sreg (Rv (d, _)) -> Xscalar (vreg_scalar st d)
-        | Sarr a -> Xarray (boxed_array a st))
-      p.ret_slots
-  in
+  let rets = List.map (fun ret -> ret st) p.rets in
   (* Rebuild the class histogram through a Hashtbl populated in
      first-charge order — the exact sequence of inserts the tree-walker
      performs — so fold order, and therefore tie order after the

@@ -4,13 +4,14 @@
     closures with variables resolved to dense slots in monomorphic
     typed register banks ([float array] for real doubles, [int array],
     [bool array], interleaved re/im [float array] for complex, and
-    per-register lane buffers for real-double vectors), static
+    per-register lane buffers for real-double vectors, the only form a
+    vector register has), static
     per-instruction costs
     and histogram classes memoized from {!Masc_asip.Cost_model},
     constants pooled into the same banks at plan time, intrinsics
     pre-resolved to their descriptions, and fast paths for hot shapes
     (typed loops, float and complex definitions fused through inlined
-    bank views, unboxed stores). Boxed
+    bank views, stores that copy raw floats). Boxed
     {!Value.scalar}s appear only at the argument/return boundary (see
     {!Store}).
 
@@ -28,9 +29,9 @@ type t
     ({!Exec.check_entry}) on [f], then walks it once and builds its
     plan. Cheap (linear in the static instruction count). Raises the
     check's [Failure] on MIR it rejects, exactly as {!Interp.run_tree}
-    does; dynamic failures (missing intrinsics, bad indices, type
-    misuse) stay runtime errors raised at the same execution point as
-    in the tree-walker. *)
+    does; dynamic failures (missing intrinsics, bad indices, failed
+    conversions) stay runtime errors raised at the same execution point
+    as in the tree-walker. *)
 val compile :
   isa:Masc_asip.Isa.t -> mode:Masc_asip.Cost_model.mode -> Masc_mir.Mir.func ->
   t

@@ -252,6 +252,84 @@ let test_loop_variable_lowering () =
       programs
   end
 
+(* Infer types a variable per program point, while its MIR variable
+   has the join of all its bindings: after [k = 1i; k = 2] the read of
+   [k] in [k + 1] is real and [k] is complex. The read takes the real
+   part, so [y] is the int 3 in both engines and the C compiles and
+   agrees. The array form, [k = x * 1i; k = x], also keeps the vectorizer
+   from storing a vector register into the complex [k] on dsp8. *)
+let test_joined_complex_reads () =
+  let programs =
+    [ ( "scalar", [ Mtype.double ], [ I.Xscalar (V.Sf 0.5) ],
+        "function y = f(x)
+k = 1i;
+k = 2;
+y = k + 1;
+end" );
+      ( "array",
+        [ Mtype.row_vector Mtype.Double 16 ],
+        [ I.xarray_of_floats (Array.init 16 (fun i -> float_of_int i /. 4.)) ],
+        "function y = f(x)
+k = x * 1i;
+k = x;
+y = k + 1;
+end" ) ]
+  in
+  let bits (r : I.result) = List.map Int64.bits_of_float (sim_floats r) in
+  List.iter
+    (fun (pname, args, inputs, src) ->
+      let c = compile (C.proposed ()) ~args src in
+      let isa = c.C.config.C.isa and mode = c.C.config.C.mode in
+      let rt = I.run_tree ~isa ~mode c.C.mir inputs in
+      let rp = I.run ~isa ~mode c.C.mir inputs in
+      Alcotest.(check int) (pname ^ " cycles") rt.I.cycles rp.I.cycles;
+      Alcotest.(check bool) (pname ^ " plan = tree") true
+        (compare rt.I.rets rp.I.rets = 0 && rt.I.histogram = rp.I.histogram);
+      if pname = "scalar" then
+        Alcotest.(check bool) "y is the int 3" true
+          (rt.I.rets = [ I.Xscalar (V.Si 3) ]);
+      if Lazy.force cc_available then
+        let harness_args =
+          List.map
+            (function
+              | I.Xscalar s -> H.Hscalar (V.to_float s)
+              | I.Xarray a -> H.Harray (Array.map V.to_float a))
+            inputs
+        in
+        Alcotest.(check (list int64)) (pname ^ " C returns") (bits rt)
+          (List.map Int64.bits_of_float
+             (floats_of_lines
+                (run_c_program (H.full_program ~isa ~mode c.C.mir harness_args)))))
+    programs
+
+(* A vector register starts at zero lanes of its width, as the C
+   declares it ([masc_v8f64 v = {{0.0}}]): storing or reducing one that
+   was never written gives zeros in the tree-walker, the plan and the
+   C. *)
+let test_unwritten_vector_register () =
+  let v =
+    { Mir.vname = "v"; vid = 0;
+      vty = Mir.Tscalar { Mir.base = Mtype.Double; cplx = Mtype.Real; lanes = 8 } }
+  in
+  let out = { Mir.vname = "out"; vid = 1; vty = Mir.Tarray (Mir.double_sty, 8) } in
+  let s = { Mir.vname = "s"; vid = 2; vty = Mir.Tscalar Mir.double_sty } in
+  let f =
+    { Mir.name = "f"; params = []; rets = [ out; s ]; vars = [ v; out; s ];
+      body =
+        List.map Mir.instr
+          [ Mir.Ivstore (out, Mir.Oconst (Mir.Ci 0), Mir.Ovar v, 8);
+            Mir.Idef (s, Mir.Rvreduce (Mir.Vsum, Mir.Ovar v)) ] }
+  in
+  let isa = Masc_asip.Targets.dsp8 and mode = Masc_asip.Cost_model.Proposed in
+  let zeros = List.init 9 (fun _ -> 0L) in
+  let bits (r : I.result) = List.map Int64.bits_of_float (sim_floats r) in
+  Alcotest.(check (list int64)) "tree" zeros (bits (I.run_tree ~isa ~mode f []));
+  Alcotest.(check (list int64)) "plan" zeros (bits (I.run ~isa ~mode f []));
+  if Lazy.force cc_available then
+    Alcotest.(check (list int64)) "C" zeros
+      (List.map Int64.bits_of_float
+         (floats_of_lines (run_c_program (H.full_program ~isa ~mode f []))))
+
 (* ---- exact bytes, strict C validity, non-finite constants ---- *)
 
 (* The paper kernels under every emission style the evaluation uses. *)
@@ -438,6 +516,10 @@ let suites =
         Alcotest.test_case "cc run across widths" `Slow test_gcc_widths;
         Alcotest.test_case "loop variables agree across engines and C" `Slow
           test_loop_variable_lowering;
+        Alcotest.test_case "joined complex reads agree across engines and C"
+          `Quick test_joined_complex_reads;
+        Alcotest.test_case "unwritten vector register reads as zero lanes"
+          `Quick test_unwritten_vector_register;
         Alcotest.test_case "C bytes pinned by digest" `Quick test_c_digests;
         Alcotest.test_case "non-finite constants in C" `Quick
           test_c_nonfinite_constants;
