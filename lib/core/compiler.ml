@@ -30,6 +30,7 @@ type compiled = {
   typed : Masc_sema.Tast.program;
   mir_raw : Masc_mir.Mir.func;
   mir : Masc_mir.Mir.func;
+  checked : Masc_vm.Exec.checked;
   vec_stats : Vectorizer.stats;
   cplx_stats : Complex_sel.stats;
   opt_stats : (string * Pipeline.pass_stat list) list;
@@ -98,12 +99,13 @@ let cleanup_seed opt_stats (vec : Vectorizer.stats) =
       if (not (optimized name)) || seeded name then Some name else None)
     cleanup_passes
 
-(* The final MIR is always verified before codegen; the two interior
-   checks (post-lower, post-optimize) triple the verifier cost per
-   compile for defects the final check also catches — they are worth
-   paying only when bisecting which stage broke an invariant, so they
-   are opt-in via MASC_VERIFY_STAGES (read eagerly, to keep the hot
-   path branch-on-load). *)
+(* The final MIR passes the target's entry check once, and [compiled]
+   keeps the witness its plans are built from. The two interior checks
+   (post-lower, post-optimize) are target-free [Verify.check]s for
+   defects the final check also catches — worth paying only when
+   bisecting which stage broke an invariant, so they are opt-in via
+   MASC_VERIFY_STAGES (read eagerly, to keep the hot path
+   branch-on-load). *)
 let verify_stages = Sys.getenv_opt "MASC_VERIFY_STAGES" <> None
 
 (* Internal signal: the front end recorded errors into an accumulating
@@ -178,8 +180,8 @@ let compile_with ?passes ~sink config ~source ~entry ~arg_types =
            cleanup_passes)
         mir
   in
-  Masc_mir.Verify.check mir;
-  { config; typed; mir_raw; mir; vec_stats; cplx_stats;
+  let checked = Masc_vm.Exec.check_entry ~isa:config.isa mir in
+  { config; typed; mir_raw; mir; checked; vec_stats; cplx_stats;
     opt_stats =
       (match cleanup_stats with
       | [] -> [ ("optimize", opt_stats) ]
@@ -223,9 +225,7 @@ let plan c =
       match c.plan_memo with
       | Some p -> p
       | None ->
-        let p =
-          Masc_vm.Plan.compile ~isa:c.config.isa ~mode:c.config.mode c.mir
-        in
+        let p = Masc_vm.Plan.of_checked ~mode:c.config.mode c.checked in
         c.plan_memo <- Some p;
         p)
 
@@ -304,14 +304,19 @@ let encode_payload (c : compiled) (diags : Diag.t list) : string =
 
 (* Unmarshal runs only on digest-verified bytes written under the same
    [cache_version], so a [Failure] here means our own writer produced
-   it — still treated as corruption (delete + miss), never an error. *)
+   it — still treated as corruption (delete + miss), never an error. So
+   is MIR that fails the entry check, which runs again on decode (the
+   witness is not stored): an entry written under looser rules heals. *)
 let decode_payload config (s : string) : (compiled * Diag.t list) option =
   match (Marshal.from_string s 0 : disk_payload) with
-  | typed, mir_raw, mir, vec_stats, cplx_stats, opt_stats, diags ->
-    Some
-      ( { config; typed; mir_raw; mir; vec_stats; cplx_stats; opt_stats;
-          plan_lock = Mutex.create (); plan_memo = None },
-        diags )
+  | typed, mir_raw, mir, vec_stats, cplx_stats, opt_stats, diags -> (
+    match Masc_vm.Exec.check_entry ~isa:config.isa mir with
+    | checked ->
+      Some
+        ( { config; typed; mir_raw; mir; checked; vec_stats; cplx_stats;
+            opt_stats; plan_lock = Mutex.create (); plan_memo = None },
+          diags )
+    | exception Failure _ -> None)
   | exception _ -> None
 
 let mem_find key =

@@ -37,6 +37,8 @@ type compiled = {
   typed : Masc_sema.Tast.program;
   mir_raw : Masc_mir.Mir.func;  (** after lowering, before optimization *)
   mir : Masc_mir.Mir.func;  (** final form that executes and is emitted *)
+  checked : Masc_vm.Exec.checked;
+      (** [mir]'s entry check on [config.isa]; {!plan} builds from it *)
   vec_stats : Masc_vectorize.Vectorizer.stats;
   cplx_stats : Masc_vectorize.Complex_sel.stats;
   opt_stats : (string * Masc_opt.Pipeline.pass_stat list) list;
@@ -50,7 +52,8 @@ type compiled = {
 }
 
 (** [compile config ~source ~entry ~arg_types] runs the whole pipeline.
-    Raises {!Masc_frontend.Diag.Error} on any front-end failure.
+    Raises {!Masc_frontend.Diag.Error} on any front-end failure, and
+    [Failure] when the final MIR fails {!Masc_vm.Exec.check_entry}.
 
     [?passes] replaces the scalar optimization stage
     ([Masc_opt.Pipeline.optimize config.opt_level]) with an explicit
@@ -145,9 +148,9 @@ val cache_dir : unit -> string option
     observable within one process). *)
 val clear_memory_cache : unit -> unit
 
-(** The closure-threaded execution plan for [mir], built on first use
-    and memoized for the lifetime of this compilation. Safe to call
-    from any domain. *)
+(** The closure-threaded execution plan for [mir], built from [checked]
+    on first use and memoized for the lifetime of this compilation.
+    Safe to call from any domain. *)
 val plan : compiled -> Masc_vm.Plan.t
 
 (** Generated translation unit (without the runtime header), emitted

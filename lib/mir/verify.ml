@@ -73,6 +73,11 @@ let check ?intrin (func : func) =
       fail "%s: vector register %s.%d used as a scalar" what v.vname v.vid
     | Ovar _ | Oconst _ -> ()
   in
+  let complex_operand what (op : operand) =
+    scalar_operand what op;
+    if (operand_sty op).cplx <> MT.Complex then
+      fail "%s: real operand where a complex one is expected" what
+  in
   let vector_operand what (op : operand) =
     reg_operand what op;
     if operand_lanes op < 2 then fail "%s: scalar where a vector is expected" what
@@ -134,7 +139,7 @@ let check ?intrin (func : func) =
         1
       | Scalars n ->
         arity name n args;
-        operands scalar_operand name args;
+        operands complex_operand name args;
         1
       | Memory ->
         fail "%s: memory intrinsics are expressed as Rvload/Ivstore" name
@@ -279,8 +284,3 @@ let check ?intrin (func : func) =
     List.iter (boundary "return") func.rets;
     check_block ~in_loop:false ~ivars:[] func.body
   with Violation msg -> failwith (Printf.sprintf "MIR verify (%s): %s" func.name msg)
-
-let check_result f =
-  match check f with
-  | () -> Ok ()
-  | exception Failure msg -> Error msg

@@ -1,8 +1,9 @@
 (** MIR well-formedness checker.
 
-    Catches compiler bugs early: every pass output can be checked. Both
-    simulator engines also run it on entry (see [Masc_vm.Exec]), so a
-    rule here is a guarantee the plan engine's typed slots build on.
+    Catches compiler bugs early: every pass output can be checked. The
+    target's entry check ([Masc_vm.Exec.check_entry]) runs it on every
+    compile's final MIR and in both simulator engines, so a rule here
+    is a guarantee the plan engine's typed slots build on.
     Rules:
     - operands reference variables declared in the function;
     - array variables appear only as load/store bases, scalars only as
@@ -41,7 +42,9 @@ type intrin_shape =
       (** that many vector operands of one width, giving that width: the
           SIMD binops (2) and mac (3) *)
   | Reduce  (** exactly one vector operand, giving a scalar *)
-  | Scalars of int  (** that many lanes-1 operands, giving a scalar *)
+  | Scalars of int
+      (** that many lanes-1 complex operands ([masc_cplx] in C), giving
+          a scalar *)
   | Memory
       (** a load/store/broadcast descriptor, which MIR spells [Rvload],
           [Ivstore] and [Rvbroadcast]: rejected *)
@@ -53,6 +56,3 @@ type intrin_shape =
     without it an [Rintrin] takes any register operands and gives its
     target's lanes. *)
 val check : ?intrin:(string -> intrin_shape) -> Mir.func -> unit
-
-(** [check_result f] returns the violation message instead of raising. *)
-val check_result : Mir.func -> (unit, string) result

@@ -30,7 +30,7 @@ type stats = {
   h_total_err : int;
 }
 
-let now_ms () = Int64.to_float (Monotonic_clock.now ()) /. 1e6
+let now_ms () = Int64.to_float (Journal.now_ns ()) /. 1e6
 
 let create ?(window_ms = 10_000.0) () =
   { window_ms; mu = Mutex.create (); requests = []; cache = [];

@@ -30,6 +30,10 @@ type event = {
   span : span option;  (** [Some] exactly on span events *)
 }
 
+(** The process's one monotonic clock (ns), read by event times,
+    {!Health.now_ms} and request deadlines. *)
+val now_ns : unit -> int64
+
 (** Start recording into a fresh ring of [capacity] events (default
     65536): spans iff [spans] (default false), instants iff [instants]
     (default true). *)

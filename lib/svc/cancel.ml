@@ -17,13 +17,12 @@ let () =
 type t = { deadline_ns : int64; budget_ms : float }
 
 let key : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
-let now_ns () = Monotonic_clock.now ()
 let armed () = !(Domain.DLS.get key) <> None
 
 let check () =
   match !(Domain.DLS.get key) with
-  | Some { deadline_ns; budget_ms } when Int64.compare (now_ns ()) deadline_ns > 0
-    ->
+  | Some { deadline_ns; budget_ms }
+    when Int64.compare (Masc_obs.Journal.now_ns ()) deadline_ns > 0 ->
     Masc_obs.Metrics.incr "svc.deadline_hits";
     Masc_obs.Journal.emit "deadline.hit"
       ~detail:[ ("budget_ms", Printf.sprintf "%g" budget_ms) ];
@@ -35,6 +34,7 @@ let with_deadline ~ms f =
   let saved = !cell in
   cell :=
     Some
-      { deadline_ns = Int64.add (now_ns ()) (Int64.of_float (ms *. 1e6));
+      { deadline_ns =
+          Int64.add (Masc_obs.Journal.now_ns ()) (Int64.of_float (ms *. 1e6));
         budget_ms = ms };
   Fun.protect ~finally:(fun () -> cell := saved) f

@@ -158,8 +158,6 @@ let attempt (s : spec) : status =
 
 (* ---- execution ---- *)
 
-let now_ms () = Int64.to_float (Monotonic_clock.now ()) /. 1e6
-
 let status_class = function
   | Ok_run _ | Ok_compile _ -> "ok"
   | Rejected _ -> "rejected"
@@ -197,10 +195,10 @@ let execute ?breaker ?(rid = -1) ~policy (s : spec) : outcome =
   Journal.with_request ~rid @@ fun () ->
   Metrics.incr "svc.requests";
   let key = input_key s in
-  let t0 = now_ms () in
+  let t0 = Masc_obs.Health.now_ms () in
   let finish status =
     Metrics.incr ("svc.status." ^ status_class status);
-    let latency = now_ms () -. t0 in
+    let latency = Masc_obs.Health.now_ms () -. t0 in
     Journal.emit "request.done"
       ~detail:
         [ ("class", status_class status);

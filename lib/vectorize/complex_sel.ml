@@ -40,10 +40,11 @@ let run ?(sink = Diag.Raise) (isa : Isa.t) (func : Mir.func) :
   match (cmul_i, cmac_i, cadd_i) with
   | None, None, None -> (func, !stats)
   | _ ->
-    (* Pass 1: select cmul / cadd for complex Rbin operations. *)
+    (* Pass 1: select cmul / cadd for Rbin operations on two complex
+       operands, all the ISEs take; one with a real operand stays open. *)
     let select rv =
       match rv with
-      | Mir.Rbin (Mir.Bmul, a, b) when is_complex a || is_complex b -> (
+      | Mir.Rbin (Mir.Bmul, a, b) when is_complex a && is_complex b -> (
         match cmul_i with
         | Some d ->
           stats := { !stats with cmul = !stats.cmul + 1 };
@@ -51,7 +52,7 @@ let run ?(sink = Diag.Raise) (isa : Isa.t) (func : Mir.func) :
         | None ->
           incr open_muls;
           rv)
-      | Mir.Rbin (Mir.Badd, a, b) when is_complex a || is_complex b -> (
+      | Mir.Rbin (Mir.Badd, a, b) when is_complex a && is_complex b -> (
         match cadd_i with
         | Some d ->
           stats := { !stats with cadd = !stats.cadd + 1 };
@@ -97,7 +98,7 @@ let run ?(sink = Diag.Raise) (isa : Isa.t) (func : Mir.func) :
                 | _ -> None
               in
               match acc_operand with
-              | Some x ->
+              | Some x when is_complex x ->
                 stats :=
                   { !stats with
                     cmac = !stats.cmac + 1;
@@ -105,7 +106,7 @@ let run ?(sink = Diag.Raise) (isa : Isa.t) (func : Mir.func) :
                 Mir.redesc i2
                   (Mir.Idef (acc, Mir.Rintrin (cmac_d.Isa.iname, [ x; a; b ])))
                 :: go rest
-              | None -> i1 :: go (i2 :: rest))
+              | Some _ | None -> i1 :: go (i2 :: rest))
             | i :: rest -> i :: go rest
             | [] -> []
           in

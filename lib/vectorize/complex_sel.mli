@@ -13,7 +13,8 @@
                                     → [acc = cmac(acc, a, b)]
 
     Selection only fires for instructions present in the ISA
-    description. Degradation ladder: on a target with partial
+    description, and on complex operands only, as their C prototypes
+    take. Degradation ladder: on a target with partial
     complex-ISE support, operations a missing instruction would have
     covered stay open-coded on the FPU, and with an accumulating
     [?sink] a [Note] diagnostic summarizes the count and the estimated

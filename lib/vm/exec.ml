@@ -81,15 +81,14 @@ let trap_message ~kind ~loc ~steps_executed =
 
 let fail fmt = Format.kasprintf (fun s -> raise (Runtime_error s)) fmt
 
-(* The engines' entry check: [Verify.check] plus the rules the
-   verifier cannot decide alone, an intrinsic's operands and result
-   lanes, which the target's descriptor kind fixes: SIMD ops take two
-   vectors of one width and mac three, giving that width; reductions
-   take one vector and the complex ISEs two or three scalars, giving a
-   scalar. An intrinsic the target lacks stays a run-time error. Both
-   engines call this before running anything, so they refuse the same
-   MIR with the same message, and every plan is built from MIR whose
-   typed slots can only ever hold their declared representation. *)
+(* The entry check: [Verify.check] plus the rules the verifier cannot
+   decide alone, an intrinsic's operands and result lanes, which the
+   target's descriptor kind fixes. An intrinsic the target lacks stays
+   a run-time error. Every plan is built from its witness, so from MIR
+   whose typed slots can only ever hold their declared representation,
+   and every engine refuses the same MIR with the same message. *)
+type checked = { func : Mir.func; isa : Masc_asip.Isa.t }
+
 let check_entry ~(isa : Masc_asip.Isa.t) (f : Mir.func) =
   let module Isa = Masc_asip.Isa in
   let module Verify = Masc_mir.Verify in
@@ -107,7 +106,8 @@ let check_entry ~(isa : Masc_asip.Isa.t) (f : Mir.func) =
       | Kcmac -> Scalars 3
       | Kload | Kstore | Kbroadcast -> Memory)
   in
-  Verify.check ~intrin f
+  Masc_obs.Journal.span ~cat:"stage" "verify" (fun () -> Verify.check ~intrin f);
+  { func = f; isa }
 
 (* Static array footprint of a function, in bytes, using the C layout
    the simulator banks model (complex 16, double/int 8, bool 1).

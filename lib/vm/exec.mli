@@ -67,14 +67,19 @@ val array_bytes_of_func : Masc_mir.Mir.func -> int
     [Alloc_limit] if [bytes > cap_bytes]. *)
 val check_alloc : loc:string -> cap_bytes:int -> int -> unit
 
+(** Proof that [func] passed {!check_entry} on [isa]: only the check
+    makes one. *)
+type checked = private { func : Masc_mir.Mir.func; isa : Masc_asip.Isa.t }
+
 (** [check_entry ~isa f] is [Masc_mir.Verify.check] with the target's
     intrinsic shapes: SIMD intrinsics take two vector operands of one
     width and mac three, giving that width; reductions take one vector
-    and complex ISEs two (cmul, cadd) or three (cmac) scalars, giving a
-    scalar; memory descriptors are refused. Names [isa] lacks stay a
-    run-time error. Both engines run it before executing [f] and raise
-    its [Failure] unchanged. *)
-val check_entry : isa:Masc_asip.Isa.t -> Masc_mir.Mir.func -> unit
+    and complex ISEs two (cmul, cadd) or three (cmac) complex scalars,
+    giving a scalar; memory descriptors are refused. Names [isa] lacks
+    stay a run-time error. Runs in a ["verify"] stage span. The compiler
+    runs it once per compile and plans from the witness; the engines
+    run it on raw MIR and raise its [Failure] unchanged. *)
+val check_entry : isa:Masc_asip.Isa.t -> Masc_mir.Mir.func -> checked
 
 (** [fail fmt ...] raises {!Runtime_error} with a formatted message. *)
 val fail : ('a, Format.formatter, unit, 'b) format4 -> 'a

@@ -21,20 +21,19 @@
      other scalar rvalue and store goes through the boxed
      [Value.scalar] operations the tree-walker itself uses.
 
-   Plans are built from verified MIR: [compile] starts with the entry
-   check both engines share ({!Exec.check_entry}), whose rules make a
-   variable's declared type its runtime representation. Every def's
-   rvalue gives its target's lanes, so no scalar slot ever receives a
-   vector; a vector flows only where the emitted C can carry one (SIMD
-   and mac operands, reductions, moves, vector stores), so every
-   vector operand resolves to a lane buffer and every vector producer
-   is one fill of its destination's; params and rets are never vectors;
-   a loop's induction variable is a real scalar in its bounds' promoted
-   base and the body never defines it, so the tree-walker's raw
-   induction writes land in the slot's own representation; arrays are
-   never registers nor registers arrays. Boxed values appear only on
-   the generic scalar paths and at the argument/return boundary (see
-   Store).
+   Plans are built from verified MIR, an entry check's witness
+   ({!Exec.checked}), whose rules make a variable's declared type its
+   runtime representation. Every def's rvalue gives its target's lanes,
+   so no scalar slot ever receives a vector; a vector flows only where
+   the emitted C can carry one (SIMD and mac operands, reductions,
+   moves, vector stores), so every vector operand resolves to a lane
+   buffer and every vector producer is one fill of its destination's;
+   params and rets are never vectors; a loop's induction variable is a
+   real scalar in its bounds' promoted base and the body never defines
+   it, so the tree-walker's raw induction writes land in the slot's own
+   representation; arrays are never registers nor registers arrays.
+   Boxed values appear only on the generic scalar paths and at the
+   argument/return boundary (see Store).
 
    Execution is bit-identical to the reference tree-walker
    ({!Interp.run_tree}): same results, cycles, dynamic instruction
@@ -1197,8 +1196,7 @@ type t = {
   body_fn : state -> unit;
 }
 
-let compile ~isa ~mode (f : Mir.func) : t =
-  Exec.check_entry ~isa f;
+let of_checked ~mode ({ Exec.func = f; isa } : Exec.checked) : t =
   (* Slot assignment per bank, in first-declared order: params, rets,
      then [vars], which the entry check guarantees declares every
      variable the body names. A scalar's declared type is its bank. *)
@@ -1302,6 +1300,8 @@ let compile ~isa ~mode (f : Mir.func) : t =
     classes = Array.of_list (List.rev env.cls_rev);
     abytes = Exec.array_bytes_of_func f;
     body_fn }
+
+let compile ~isa ~mode f = of_checked ~mode (Exec.check_entry ~isa f)
 
 let execute ?(max_cycles = 4_000_000_000) ?(fuel = Exec.default_fuel)
     ?(max_alloc_bytes = Exec.default_max_alloc_bytes) (p : t)

@@ -25,13 +25,15 @@
 
 type t
 
-(** [compile ~isa ~mode f] runs the engines' entry check
-    ({!Exec.check_entry}) on [f], then walks it once and builds its
-    plan. Cheap (linear in the static instruction count). Raises the
-    check's [Failure] on MIR it rejects, exactly as {!Interp.run_tree}
-    does; dynamic failures (missing intrinsics, bad indices, failed
-    conversions) stay runtime errors raised at the same execution point
-    as in the tree-walker. *)
+(** [of_checked ~mode c] walks [c.func] once and builds its plan for
+    [c.isa], without checking again. Cheap (linear in the static
+    instruction count). Dynamic failures (missing intrinsics, bad
+    indices, failed conversions) stay runtime errors raised at the same
+    execution point as in the tree-walker. *)
+val of_checked : mode:Masc_asip.Cost_model.mode -> Exec.checked -> t
+
+(** [compile ~isa ~mode f] is [of_checked ~mode (Exec.check_entry ~isa f)],
+    so it raises the check's [Failure] as {!Interp.run_tree} does. *)
 val compile :
   isa:Masc_asip.Isa.t -> mode:Masc_asip.Cost_model.mode -> Masc_mir.Mir.func ->
   t

@@ -302,6 +302,60 @@ end" ) ]
                 (run_c_program (H.full_program ~isa ~mode c.C.mir harness_args)))))
     programs
 
+(* The complex ISEs take [masc_cplx] operands only, as
+   masc_runtime.h declares them, so an add, multiply or multiply-add
+   with a real operand stays open-coded, and the C promotes the real
+   operand. Each program compiles under [cc -std=c99] on scalar and
+   dsp8 at O0 and O2, and the tree-walker, the plan and the C agree on
+   every returned bit, cycles and histograms included for the two
+   engines. *)
+let test_real_operand_complex_ops () =
+  let programs =
+    [ ("x + 1i", [ Mtype.double ], "function y = f(x)\ny = x + 1i;\nend");
+      ("x * 1i", [ Mtype.double ], "function y = f(x)\ny = x * 1i;\nend");
+      ( "x + z * z",
+        [ Mtype.double; Mtype.complex ],
+        "function y = f(x, z)\ny = x + z * z;\nend" ) ]
+  in
+  let inputs =
+    [ I.Xscalar (V.Sf (-0.75));
+      I.Xscalar (V.Sc { Complex.re = 0.5; im = -1.25 }) ]
+  in
+  let bits (r : I.result) = List.map Int64.bits_of_float (sim_floats r) in
+  List.iter
+    (fun (pname, args, src) ->
+      List.iter
+        (fun (tname, isa) ->
+          List.iter
+            (fun (lname, opt_level) ->
+              let tag what = Printf.sprintf "%s/%s/%s %s" pname tname lname what in
+              let c = compile { (C.proposed ~isa ()) with C.opt_level } ~args src in
+              let mode = c.C.config.C.mode in
+              let inputs = List.filteri (fun i _ -> i < List.length args) inputs in
+              let rt = I.run_tree ~isa ~mode c.C.mir inputs in
+              let rp = C.run c inputs in
+              Alcotest.(check int) (tag "cycles") rt.I.cycles rp.I.cycles;
+              Alcotest.(check bool) (tag "histogram") true
+                (rt.I.histogram = rp.I.histogram);
+              Alcotest.(check (list int64)) (tag "plan returns") (bits rt)
+                (bits rp);
+              if Lazy.force cc_available then
+                let harness_args =
+                  List.map
+                    (function
+                      | I.Xscalar (V.Sc z) -> H.Hcomplex z
+                      | I.Xscalar s -> H.Hscalar (V.to_float s)
+                      | I.Xarray _ -> assert false)
+                    inputs
+                in
+                Alcotest.(check (list int64)) (tag "C returns") (bits rt)
+                  (List.map Int64.bits_of_float
+                     (floats_of_lines
+                        (run_c_program (H.full_program ~isa ~mode c.C.mir harness_args)))))
+            [ ("O0", Masc_opt.Pipeline.O0); ("O2", Masc_opt.Pipeline.O2) ])
+        [ ("scalar", Masc_asip.Targets.scalar); ("dsp8", Masc_asip.Targets.dsp8) ])
+    programs
+
 (* A vector register starts at zero lanes of its width, as the C
    declares it ([masc_v8f64 v = {{0.0}}]): storing or reducing one that
    was never written gives zeros in the tree-walker, the plan and the
@@ -518,6 +572,8 @@ let suites =
           test_loop_variable_lowering;
         Alcotest.test_case "joined complex reads agree across engines and C"
           `Quick test_joined_complex_reads;
+        Alcotest.test_case "complex ops with a real operand agree across \
+                            engines and C" `Quick test_real_operand_complex_ops;
         Alcotest.test_case "unwritten vector register reads as zero lanes"
           `Quick test_unwritten_vector_register;
         Alcotest.test_case "C bytes pinned by digest" `Quick test_c_digests;

@@ -204,6 +204,35 @@ let test_trace_summary () =
     (contains ~sub:"  pass:dce" s);
   Alcotest.(check bool) "counts merged" true (contains ~sub:"x3" s)
 
+(* The target's entry check runs once per compile, in a "verify" stage
+   span: a compile, two runs and one emission record exactly one, and a
+   further run of the same compilation adds none, since its plan is
+   built from the witness the compile kept. *)
+let test_one_verify_per_compile () =
+  let k = K.fir ~n:64 ~m:8 () in
+  let verifies () =
+    List.filter
+      (fun (e : Obs.Journal.event) -> e.Obs.Journal.kind = "verify")
+      (Obs.Journal.events ())
+  in
+  trace_only ();
+  let c =
+    C.compile (C.proposed ()) ~source:k.K.source ~entry:k.K.entry
+      ~arg_types:k.K.arg_types
+  in
+  let inputs = k.K.inputs () in
+  ignore (C.run c inputs);
+  ignore (C.run c inputs);
+  ignore (C.c_source c);
+  let after_compile = verifies () in
+  ignore (C.run c inputs);
+  let after_rerun = List.length (verifies ()) in
+  Obs.Journal.disable ();
+  Alcotest.(check (list string)) "one verify span, a stage"
+    [ "stage" ]
+    (List.map (fun e -> (span_of e).Obs.Journal.cat) after_compile);
+  Alcotest.(check int) "a further run adds none" 1 after_rerun
+
 (* ---- metrics ---- *)
 
 let test_metrics () =
@@ -719,6 +748,8 @@ let suites =
       [ Alcotest.test_case "trace spans" `Quick test_trace_spans;
         Alcotest.test_case "chrome json" `Quick test_trace_chrome_json;
         Alcotest.test_case "trace summary" `Quick test_trace_summary;
+        Alcotest.test_case "one verify per compile" `Quick
+          test_one_verify_per_compile;
         Alcotest.test_case "metrics registry" `Quick test_metrics;
         Alcotest.test_case "profile snapshot and render" `Quick
           test_profile_snapshot_render;

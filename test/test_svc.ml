@@ -296,6 +296,61 @@ let test_cache_version_skew () =
         ^ "v:masc-cc-0|ancient\n"
         ^ String.sub raw (nl2 + 1) (String.length raw - nl2 - 1)))
 
+(* The layout [Compiler] marshals into a disk entry. *)
+type disk_payload =
+  Masc_sema.Tast.program
+  * Masc_mir.Mir.func
+  * Masc_mir.Mir.func
+  * Masc_vectorize.Vectorizer.stats
+  * Masc_vectorize.Complex_sel.stats
+  * (string * Masc_opt.Pipeline.pass_stat list) list
+  * Masc_frontend.Diag.t list
+
+(* The entry check's witness is not stored: a decoded entry's MIR is
+   checked again, and MIR that fails the check, as an entry written
+   under looser rules can, is corruption. The entry here is rewritten
+   through the cache's own writer, so its header and digest are valid;
+   only its final MIR is bad: a cmul of two real constants, which the
+   target's complex ISE cannot take. *)
+let test_cache_entry_fails_check () =
+  corruption_case "fails the entry check" (fun path ->
+      let module Mir = Masc_mir.Mir in
+      let raw = read_bytes path in
+      let header = String.split_on_char '\n' raw in
+      let field tag =
+        let line = List.find (String.starts_with ~prefix:tag) header in
+        String.sub line 2 (String.length line - 2)
+      in
+      let body_at =
+        List.fold_left
+          (fun at line -> at + String.length line + 1)
+          0
+          (List.filteri (fun i _ -> i < 5) header)
+      in
+      let typed, mir_raw, (mir : Mir.func), vec, cplx, opt, diags =
+        (Marshal.from_string raw body_at : disk_payload)
+      in
+      let bad =
+        { Mir.vname = "bad";
+          vid = 1 + List.fold_left (fun m (v : Mir.var) -> max m v.Mir.vid) 0 mir.Mir.vars;
+          vty = Mir.Tscalar Mir.complex_sty }
+      in
+      let cmul =
+        Mir.Rintrin ("cmul_f64", [ Mir.Oconst (Mir.Cf 2.0); Mir.Oconst (Mir.Cf 3.0) ])
+      in
+      let mir =
+        { mir with
+          Mir.vars = mir.Mir.vars @ [ bad ];
+          body = Mir.instr (Mir.Idef (bad, cmul)) :: mir.Mir.body }
+      in
+      Sys.remove path;
+      Masc.Disk_cache.store
+        ~dir:(Filename.dirname (Filename.dirname path))
+        ~version:(field "v:") ~key:(field "k:")
+        (Marshal.to_string
+           ((typed, mir_raw, mir, vec, cplx, opt, diags) : disk_payload)
+           []))
+
 let test_cache_io_errors_are_misses () =
   (* Real I/O failures, not corruption: an entry path that is a
      directory cannot be read, and a shard path that is a file cannot
@@ -487,6 +542,8 @@ let suites =
         Alcotest.test_case "bit-flip recovery" `Quick test_cache_bitflip;
         Alcotest.test_case "version-skew recovery" `Quick
           test_cache_version_skew;
+        Alcotest.test_case "entry failing the entry check recompiles" `Quick
+          test_cache_entry_fails_check;
         Alcotest.test_case "I/O errors are misses" `Quick
           test_cache_io_errors_are_misses ] );
     ( "svc batch",

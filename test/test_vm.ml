@@ -330,6 +330,15 @@ let test_verify_catches_breakage () =
         func "cmul of a vector"
           [ load8; Mir.Idef (z, Mir.Rintrin ("cmul_f64", [ v; Mir.Ovar z ])) ]
       );
+      (* ... of complex scalars, the C's masc_cplx *)
+      ( "cadd_f64: real operand where a complex one is expected",
+        func "cadd of a real"
+          [ Mir.Idef (z, Mir.Rintrin ("cadd_f64", [ Mir.Ovar y; Mir.Ovar z ]))
+          ] );
+      ( "cmac_f64: real operand where a complex one is expected",
+        func "cmac of a real constant"
+          [ Mir.Idef (z, Mir.Rintrin ("cmac_f64", [ Mir.Ovar z; Mir.Ovar z; half ]))
+          ] );
       (* memory descriptors are spelled Rvload/Ivstore/Rvbroadcast *)
       ( "vld_f64x8: memory intrinsics are expressed as Rvload/Ivstore",
         func "memory intrinsic"
@@ -340,33 +349,33 @@ let test_verify_catches_breakage () =
     let rec go i = i + n <= m && (String.sub msg i n = needle || go (i + 1)) in
     go 0
   in
-  List.iter
-    (fun (rule, f) ->
-      match Masc_mir.Verify.check_result f with
-      | Error msg when mentions rule msg -> ()
-      | Error msg ->
-        Alcotest.failf "%s rejected for another reason: %s" f.Mir.name msg
-      | Ok () -> Alcotest.failf "verifier accepted %s" f.Mir.name)
-    cases;
-  List.iter
-    (fun (_, f) ->
-      match Masc_mir.Verify.check_result f with
-      | Ok () -> ()
-      | Error msg ->
-        Alcotest.failf "verifier alone rejected %s: %s" f.Mir.name msg)
-    entry_cases;
-  (* Both engines refuse each case at their shared entry check, with
-     the same message, before running anything. *)
-  let isa = T.dsp8 and mode = Masc_asip.Cost_model.Proposed in
-  let args = [ I.xarray_of_floats (Array.make 4 1.0) ] in
   let raised run =
     match run () with
     | _ -> None
     | exception Failure msg -> Some msg
   in
   List.iter
+    (fun (rule, f) ->
+      match raised (fun () -> Masc_mir.Verify.check f) with
+      | Some msg when mentions rule msg -> ()
+      | Some msg ->
+        Alcotest.failf "%s rejected for another reason: %s" f.Mir.name msg
+      | None -> Alcotest.failf "verifier accepted %s" f.Mir.name)
+    cases;
+  List.iter
+    (fun (_, f) ->
+      match raised (fun () -> Masc_mir.Verify.check f) with
+      | None -> ()
+      | Some msg ->
+        Alcotest.failf "verifier alone rejected %s: %s" f.Mir.name msg)
+    entry_cases;
+  (* Both engines refuse each case at their shared entry check, with
+     the same message, before running anything. *)
+  let isa = T.dsp8 and mode = Masc_asip.Cost_model.Proposed in
+  let args = [ I.xarray_of_floats (Array.make 4 1.0) ] in
+  List.iter
     (fun (rule, (f : Mir.func)) ->
-      match raised (fun () -> Masc_vm.Exec.check_entry ~isa f) with
+      match raised (fun () -> ignore (Masc_vm.Exec.check_entry ~isa f)) with
       | None -> Alcotest.failf "entry check accepted %s" f.Mir.name
       | Some msg when not (mentions rule msg) ->
         Alcotest.failf "%s rejected for another reason: %s" f.Mir.name msg
@@ -624,8 +633,8 @@ let check_same tag (rt : I.result) (rp : I.result) =
 (* Every fused definition shape the plan compiles, on operand mixes no
    paper kernel reaches: real-double arithmetic over double/int/bool
    registers and constants, complex add/sub/mul with a real operand on
-   either side, complex(re, im) from int/bool, the complex ISEs with
-   mixed operands, moves, loads, re/im/conj, atan2 and both reduction
+   either side, complex(re, im) from int/bool, the complex ISEs on a
+   complex register and constant, moves, loads, re/im/conj, atan2 and both reduction
    forms; and the vector shapes: the six SIMD binops and mac on lane
    buffers in both operand orders, and broadcasts of a double, int
    and bool register, stored to a returned array. The inputs put
@@ -679,6 +688,9 @@ let fused_shapes_function () =
   List.iter
     (fun (re, im) -> ignore (def Mir.complex_sty (Mir.Rcomplex (re, im))))
     (pairs reals);
+  let complexes =
+    [ Mir.Ovar z; Mir.Oconst (Mir.Cc { Complex.re = -2.5; im = 0.5 }) ]
+  in
   List.iter
     (fun (a, c) ->
       ignore (def Mir.complex_sty (Mir.Rintrin ("cmul_f64", [ a; c ])));
@@ -686,8 +698,8 @@ let fused_shapes_function () =
       List.iter
         (fun acc ->
           ignore (def Mir.complex_sty (Mir.Rintrin ("cmac_f64", [ acc; a; c ]))))
-        [ Mir.Ovar z; Mir.Ovar x; Mir.Ovar n; Mir.Ovar b ])
-    (pairs cplx);
+        complexes)
+    (pairs complexes);
   List.iter (fun o -> ignore (def Mir.complex_sty (Mir.Rmove o))) cplx;
   ignore (def Mir.double_sty (Mir.Rmove (Mir.Ovar x)));
   List.iter
@@ -751,7 +763,7 @@ let fused_shapes_function () =
 
 let test_fused_shapes () =
   let f = fused_shapes_function () in
-  Masc_vm.Exec.check_entry ~isa:T.dsp8 f;
+  ignore (Masc_vm.Exec.check_entry ~isa:T.dsp8 f);
   let c re im = V.Sc { Complex.re; im } in
   let inputs (x, n, b, z, xs, zs, ws) =
     [ I.Xscalar (V.Sf x); I.Xscalar (V.Si n); I.Xscalar (V.Sb b);
@@ -838,9 +850,12 @@ let fallback_functions () =
         (fun (a, c) ->
           [ Mir.Rintrin ("cmul_f64", [ a; c ]);
             Mir.Rintrin ("cadd_f64", [ a; c ]);
-            Mir.Rintrin ("cmac_f64", [ Mir.Ovar z; a; c ]);
-            Mir.Rintrin ("cmac_f64", [ Mir.Ovar n; a; c ]) ])
-        pairs
+            Mir.Rintrin ("cmac_f64", [ Mir.Ovar z; a; c ]) ])
+        (List.filter
+           (fun (a, c) ->
+             (Mir.operand_sty a).Mir.cplx = Masc_sema.Mtype.Complex
+             && (Mir.operand_sty c).Mir.cplx = Masc_sema.Mtype.Complex)
+           pairs)
     @ List.concat_map
         (fun arr ->
           [ Mir.Rload (arr, Mir.Ovar n);
@@ -893,7 +908,7 @@ let test_fallbacks () =
       (* every shape is verified MIR: a run that fails must fail in
          the engines, not at their shared entry check *)
       (match Masc_vm.Exec.check_entry ~isa f with
-      | () -> ()
+      | _ -> ()
       | exception Failure msg -> Alcotest.failf "%s: %s" shape msg);
       List.iteri
         (fun k args ->
@@ -1027,8 +1042,9 @@ let test_nan_comparisons () =
 
 (* The compile-large programs of seed 1, from the benchmark's own
    generator: every function the compiler emits for them on dsp8 and
-   dsp16 passes the engines' entry check, whose intrinsic rules the
-   compiler's own target-free verification does not apply. *)
+   dsp16 passes the entry check on its target, which the compiler runs
+   on its final MIR, and again on that MIR when it is handed to the
+   engines. *)
 let test_generated_entry_check () =
   List.iter
     (fun (isa : Masc_asip.Isa.t) ->
@@ -1040,11 +1056,45 @@ let test_generated_entry_check () =
               ~source ~entry ~arg_types:Gen.arg_types
           in
           match Masc_vm.Exec.check_entry ~isa c.Masc.Compiler.mir with
-          | () -> ()
+          | _ -> ()
           | exception Failure msg ->
             Alcotest.failf "%s on %s: %s" entry isa.Masc_asip.Isa.tname msg)
         (Gen.pool ~seed:1))
     [ T.dsp8; T.dsp16 ]
+
+(* The compiler's one check is the target's entry check. A pass that
+   turns every add into a two-operand cmac leaves final MIR that the
+   target-free verifier accepts. On scalar, which has no cmac, the
+   entry check accepts it too and the call stays a run-time error. On
+   dsp8 it is refused: [Compiler.compile] must raise the entry check's
+   message rather than emit the call. *)
+let test_compile_checks_target () =
+  let to_cmac =
+    Masc_opt.Rewrite.map_rvalues (function
+      | Mir.Rbin (Mir.Badd, a, b) -> Mir.Rintrin ("cmac_f64", [ a; b ])
+      | rv -> rv)
+  in
+  let compile isa =
+    Masc.Compiler.compile ~passes:[ ("to-cmac", to_cmac) ]
+      (Masc.Compiler.proposed ~isa ())
+      ~source:"function y = f(x)\ny = x * 2 + 1;\nend" ~entry:"f"
+      ~arg_types:[ Masc_sema.Mtype.double ]
+  in
+  let mir = (compile T.scalar).Masc.Compiler.mir in
+  Masc_mir.Verify.check mir;
+  let expected =
+    match Masc_vm.Exec.check_entry ~isa:T.dsp8 mir with
+    | _ -> Alcotest.fail "dsp8's entry check accepted a two-operand cmac"
+    | exception Failure msg -> msg
+  in
+  Alcotest.(check bool) "refused for its arity" true
+    (String.ends_with ~suffix:"intrinsic cmac_f64 takes 3 operands, given 2"
+       expected);
+  match compile T.dsp8 with
+  | _ -> Alcotest.fail "compile emitted a two-operand cmac on dsp8"
+  | exception Failure msg ->
+    Alcotest.(check string) "compile raises the entry check's message"
+      expected msg
 
 let plan_suites =
   [ ( "vm plan",
@@ -1059,6 +1109,8 @@ let plan_suites =
           test_plan_allocation_pin;
         Alcotest.test_case "IEEE NaN comparisons" `Quick test_nan_comparisons;
         Alcotest.test_case "generated programs pass the entry check" `Quick
-          test_generated_entry_check ] ) ]
+          test_generated_entry_check;
+        Alcotest.test_case "compile runs the target's entry check" `Quick
+          test_compile_checks_target ] ) ]
 
 let suites = base_suites @ extra_suites @ plan_suites
