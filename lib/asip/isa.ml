@@ -45,7 +45,13 @@ let default_costs =
     loop_overhead = 2; branch = 2; bounds_check = 2; descriptor = 1;
     call_overhead = 20 }
 
-let find t kind = List.find_opt (fun i -> i.kind = kind) t.instrs
+(* [find] and [find_named] are plain recursive scans: a [List.find_opt]
+   predicate closes over the key, a closure built on every lookup. *)
+let rec find_kind kind = function
+  | [] -> None
+  | i :: tl -> if i.kind = kind then Some i else find_kind kind tl
+
+let find t kind = find_kind kind t.instrs
 let has t kind = Option.is_some (find t kind)
 
 (* Intrinsic lookups by name happen once per dynamic instruction in the
@@ -61,26 +67,33 @@ let has t kind = Option.is_some (find t kind)
    domains always observe a complete table. The builder lock only
    serializes (rare) insertions; a reader that races an insertion either
    sees the new list or rebuilds redundantly — both are correct. *)
-let named_cache : (t * (string, instr_desc) Hashtbl.t) list Atomic.t =
+let named_cache : (t * (string, instr_desc option) Hashtbl.t) list Atomic.t =
   Atomic.make []
 
 let named_cache_cap = 32
 let named_cache_lock = Mutex.create ()
 
+let rec cached t = function
+  | [] -> raise Not_found
+  | (t', tbl) :: tl -> if t' == t then tbl else cached t tl
+
 let intrinsic_table t =
-  match List.find_opt (fun (t', _) -> t' == t) (Atomic.get named_cache) with
-  | Some (_, tbl) -> tbl
-  | None ->
+  match cached t (Atomic.get named_cache) with
+  | tbl -> tbl
+  | exception Not_found ->
     Mutex.protect named_cache_lock (fun () ->
         let cur = Atomic.get named_cache in
-        match List.find_opt (fun (t', _) -> t' == t) cur with
-        | Some (_, tbl) -> tbl
-        | None ->
+        match cached t cur with
+        | tbl -> tbl
+        | exception Not_found ->
           let tbl = Hashtbl.create 16 in
-          (* First description wins, matching List.find_opt order. *)
+          (* First description wins, matching [find]'s order. The
+             table holds each answer as the option [find_named]
+             returns, so a lookup allocates nothing. *)
           List.iter
             (fun i ->
-              if not (Hashtbl.mem tbl i.iname) then Hashtbl.add tbl i.iname i)
+              if not (Hashtbl.mem tbl i.iname) then
+                Hashtbl.add tbl i.iname (Some i))
             t.instrs;
           let keep =
             if List.length cur >= named_cache_cap then
@@ -90,7 +103,10 @@ let intrinsic_table t =
           Atomic.set named_cache ((t, tbl) :: keep);
           tbl)
 
-let find_named t name = Hashtbl.find_opt (intrinsic_table t) name
+let find_named t name =
+  match Hashtbl.find (intrinsic_table t) name with
+  | d -> d
+  | exception Not_found -> None
 
 let kind_table =
   [ ("simd.add", Ksimd_add); ("simd.sub", Ksimd_sub); ("simd.mul", Ksimd_mul);

@@ -121,43 +121,6 @@ let rec iter_block g (b : Mir.block) =
 
 let iter_instrs g (func : Mir.func) = iter_block g func.Mir.body
 
-(* List-free operand walks for the pass analyses: rebuilding use/read tables
-   is the dominant per-run allocation of the whole fixpoint (the trees
-   themselves are shared, see [smap]), so the hot counters must not
-   materialize an operand list per instruction. *)
-let iter_operands f = function
-  | Mir.Rbin (_, a, b) ->
-    f a;
-    f b
-  | Mir.Runop (_, a) -> f a
-  | Mir.Rmath (_, args) -> List.iter f args
-  | Mir.Rcomplex (a, b) ->
-    f a;
-    f b
-  | Mir.Rload (arr, idx) ->
-    f (Mir.Ovar arr);
-    f idx
-  | Mir.Rmove a -> f a
-  | Mir.Rvload (arr, base, _) ->
-    f (Mir.Ovar arr);
-    f base
-  | Mir.Rvbroadcast (a, _) -> f a
-  | Mir.Rvreduce (_, a) -> f a
-  | Mir.Rintrin (_, args) -> List.iter f args
-
-let forall_operands p rv =
-  match rv with
-  | Mir.Rbin (_, a, b) -> p a && p b
-  | Mir.Runop (_, a) -> p a
-  | Mir.Rmath (_, args) -> List.for_all p args
-  | Mir.Rcomplex (a, b) -> p a && p b
-  | Mir.Rload (arr, idx) -> p (Mir.Ovar arr) && p idx
-  | Mir.Rmove a -> p a
-  | Mir.Rvload (arr, base, _) -> p (Mir.Ovar arr) && p base
-  | Mir.Rvbroadcast (a, _) -> p a
-  | Mir.Rvreduce (_, a) -> p a
-  | Mir.Rintrin (_, args) -> List.for_all p args
-
 (* Direct per-constructor checks, no callback and no boxing: CSE's
    [kill] asks this of every available entry that may mention a
    redefined variable. *)

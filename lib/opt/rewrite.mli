@@ -38,17 +38,6 @@ val map_operands : (Mir.operand -> Mir.operand) -> Mir.rvalue -> Mir.rvalue
 (** [iter_instrs f func] visits every instruction, innermost first. *)
 val iter_instrs : (Mir.instr -> unit) -> Mir.func -> unit
 
-(** [iter_operands f rv] applies [f] to each operand [rv] reads without
-    materializing a list. The base array of a load is passed boxed as
-    [Ovar], a fresh two-word block per load visited, and a callback that
-    closes over a local value is itself a closure allocated wherever it
-    is built: hoist it out of per-instruction code. *)
-val iter_operands : (Mir.operand -> unit) -> Mir.rvalue -> unit
-
-(** [forall_operands p rv] — [p] holds for every operand of [rv];
-    short-circuiting and list-free. *)
-val forall_operands : (Mir.operand -> bool) -> Mir.rvalue -> bool
-
 (** [reads_var vid rv] — [rv] reads variable [vid], as an operand or as
     the base array of a load. Allocation-free. *)
 val reads_var : int -> Mir.rvalue -> bool

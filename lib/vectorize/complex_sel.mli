@@ -21,6 +21,9 @@
     per-operation cycle delta (dropped under the default [Raise]
     sink). *)
 
+(** How many of each intrinsic the function calls after selection: a
+    fused multiply-add counts as one [cmac], neither a [cmul] nor a
+    [cadd]. *)
 type stats = { cmul : int; cmac : int; cadd : int }
 
 val run :

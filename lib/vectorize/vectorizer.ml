@@ -1,9 +1,23 @@
+(* The SIMD loop vectorizer (see vectorizer.mli for the idioms and the
+   legality rules).
+
+   A run allocates for the code it emits, not per analyzed loop or per
+   unchanged block. The scratch a loop analysis needs (the body's def
+   table and data defs, the vector map, the broadcast cache and the
+   body's use counts) lives in [ctx], is built once per [run] and is
+   cleared per loop, and [process_block] rebuilds only the blocks that
+   hold a vectorized loop. The scratch is per run rather than module
+   level because compiles run concurrently on several domains (the
+   batch service and [--jobs]). *)
+
 module Mir = Masc_mir.Mir
 module Affine = Masc_mir.Affine
 module Isa = Masc_asip.Isa
 module MT = Masc_sema.Mtype
 module Diag = Masc_frontend.Diag
 module Loc = Masc_frontend.Loc
+module Vid_counts = Masc_opt.Rewrite.Vid_counts
+module Vid_set = Masc_opt.Rewrite.Vid_set
 
 type stats = { map_loops : int; reduction_loops : int; run_time_trips : int }
 
@@ -26,7 +40,15 @@ type ctx = {
       (* span of the loop being vectorized: every synthesized
          instruction inherits it so profiles attribute vector code to
          the original loop's source line *)
-  func_uses : Masc_opt.Rewrite.Vid_counts.t;  (* whole-function use counts *)
+  func_uses : Vid_counts.t;  (* whole-function use counts *)
+  (* Per-loop scratch, built once per [run] and cleared per loop: *)
+  body_uses : Vid_counts.t;
+      (* all zero, except while one loop body's uses are added to it *)
+  defs : (int, Mir.rvalue) Hashtbl.t;  (* the analyzed body's defs *)
+  data_defs : Vid_set.t;  (* its real-double defs *)
+  vmap : (int, Mir.operand) Hashtbl.t;  (* data def -> its vector operand *)
+  bcast : (Mir.operand, Mir.operand) Hashtbl.t;  (* invariant -> its splat *)
+  mutable out : Mir.instr list;  (* the transformed body, reversed *)
 }
 
 let vat ctx d = Mir.at ctx.cur_loc d
@@ -102,107 +124,92 @@ let note_missing ctx kind =
     ctx.fname ctx.isa.Isa.tname (Isa.kind_to_string kind) ctx.width delta
     ctx.width
 
-(* Uses of variables within a block (including nested). *)
-let block_uses (b : Mir.block) : (int, int) Hashtbl.t =
-  let tbl = Hashtbl.create 32 in
-  let bump = function
-    | Mir.Ovar v ->
-      Hashtbl.replace tbl v.Mir.vid
-        (1 + (try Hashtbl.find tbl v.Mir.vid with Not_found -> 0))
-    | Mir.Oconst _ -> ()
-  in
-  let rec go b =
-    List.iter
-      (fun (i : Mir.instr) ->
-        match i.Mir.idesc with
-        | Mir.Idef (_, rv) -> Masc_opt.Rewrite.iter_operands bump rv
-        | Mir.Istore (arr, idx, v) ->
-          bump (Mir.Ovar arr);
-          bump idx;
-          bump v
-        | Mir.Ivstore (arr, base, v, _) ->
-          bump (Mir.Ovar arr);
-          bump base;
-          bump v
-        | Mir.Iif (c, t, e) ->
-          bump c;
-          go t;
-          go e
-        | Mir.Iloop l ->
-          bump l.Mir.lo;
-          bump l.Mir.step;
-          bump l.Mir.hi;
-          go l.Mir.body
-        | Mir.Iwhile { cond_block; cond; body } ->
-          go cond_block;
-          bump cond;
-          go body
-        | Mir.Iprint (_, ops) -> List.iter bump ops
-        | Mir.Ibreak | Mir.Icontinue | Mir.Ireturn | Mir.Icomment _ -> ())
-      b
-  in
-  go b;
-  tbl
-
-(* [body_uses] is the candidate loop body's own use-count table, built
-   once per loop analysis — callers query it for every data variable, so
-   rebuilding it per query would scan the body quadratically. *)
-let used_outside ctx body_uses vid =
-  let inside = try Hashtbl.find body_uses vid with Not_found -> 0 in
-  let total = Masc_opt.Rewrite.Vid_counts.get ctx.func_uses vid in
-  total > inside
-
 (* ---------- loop analysis ---------- *)
 
-type analysis = {
-  defs : (int, Mir.rvalue) Hashtbl.t;  (* unique defs in body *)
-  data_ids : (int, unit) Hashtbl.t;
-  index_ids : (int, unit) Hashtbl.t;
-  stores : (Mir.var * Mir.operand * Mir.operand) list;
-}
+(* [note_defs ctx b false] fills [ctx.defs] and [ctx.data_defs] from the
+   loop body [b] and returns whether it stores. A body qualifies with
+   straight-line code only and one def per variable, each an index or
+   a real-double data variable. *)
+let rec note_defs ctx (b : Mir.block) stores =
+  match b with
+  | [] -> stores
+  | i :: tl -> (
+    match i.Mir.idesc with
+    | Mir.Icomment _ -> note_defs ctx tl stores
+    | Mir.Idef (v, rv) ->
+      if Hashtbl.mem ctx.defs v.Mir.vid then raise Bail;
+      Hashtbl.replace ctx.defs v.Mir.vid rv;
+      if is_data_var v then Vid_set.add ctx.data_defs v.Mir.vid
+      else if not (is_index_var v) then raise Bail;
+      note_defs ctx tl stores
+    | Mir.Istore _ -> note_defs ctx tl true
+    | Mir.Ivstore _ | Mir.Iif _ | Mir.Iloop _ | Mir.Iwhile _ | Mir.Ibreak
+    | Mir.Icontinue | Mir.Ireturn | Mir.Iprint _ ->
+      raise Bail)
 
-let analyze_body (l : Mir.loop) : analysis =
-  let defs = Hashtbl.create 16 in
-  let data_ids = Hashtbl.create 16 in
-  let index_ids = Hashtbl.create 16 in
-  let stores = ref [] in
-  List.iter
-    (fun (i : Mir.instr) ->
-      match i.Mir.idesc with
-      | Mir.Icomment _ -> ()
-      | Mir.Idef (v, rv) ->
-        if Hashtbl.mem defs v.Mir.vid then raise Bail;
-        Hashtbl.replace defs v.Mir.vid rv;
-        if is_index_var v then Hashtbl.replace index_ids v.Mir.vid ()
-        else if is_data_var v then Hashtbl.replace data_ids v.Mir.vid ()
-        else raise Bail
-      | Mir.Istore (arr, idx, x) -> stores := (arr, idx, x) :: !stores
-      | Mir.Ivstore _ | Mir.Iif _ | Mir.Iloop _ | Mir.Iwhile _ | Mir.Ibreak
-      | Mir.Icontinue | Mir.Ireturn | Mir.Iprint _ ->
-        raise Bail)
-    l.Mir.body;
-  (* Stored arrays: at most one store per array. A stored array may be
-     loaded only at exactly the store's index (the read-modify-write
-     [c(i) = c(i) + ...] idiom, which is lane-safe); any other overlap
-     could carry a dependence across iterations. With CSE the two index
-     computations share one variable, so operand equality suffices. *)
-  let stored = List.map (fun (a, _, _) -> a.Mir.vid) !stores in
-  let module IS = Set.Make (Int) in
-  if IS.cardinal (IS.of_list stored) <> List.length stored then raise Bail;
-  Hashtbl.iter
-    (fun _ rv ->
-      match rv with
-      | Mir.Rload (arr, load_idx) when List.mem arr.Mir.vid stored ->
-        let same_slot =
-          List.exists
-            (fun (sarr, sidx, _) ->
-              sarr.Mir.vid = arr.Mir.vid && sidx = load_idx)
-            !stores
-        in
-        if not same_slot then raise Bail
-      | _ -> ())
-    defs;
-  { defs; data_ids; index_ids; stores = List.rev !stores }
+let rec stores_to vid (b : Mir.block) =
+  match b with
+  | [] -> 0
+  | { Mir.idesc = Mir.Istore (arr, _, _); _ } :: tl when arr.Mir.vid = vid ->
+    1 + stores_to vid tl
+  | _ :: tl -> stores_to vid tl
+
+let rec stores_at vid idx (b : Mir.block) =
+  match b with
+  | [] -> false
+  | { Mir.idesc = Mir.Istore (arr, sidx, _); _ } :: tl ->
+    (arr.Mir.vid = vid && sidx = idx) || stores_at vid idx tl
+  | _ :: tl -> stores_at vid idx tl
+
+(* Stored arrays: at most one store per array. A stored array may be
+   loaded only at exactly the store's index (the read-modify-write
+   [c(i) = c(i) + ...] idiom, which is lane-safe); any other overlap
+   could carry a dependence across iterations. With CSE the two index
+   computations share one variable, so operand equality suffices. *)
+let rec stores_legal body (b : Mir.block) =
+  match b with
+  | [] -> true
+  | i :: tl ->
+    (match i.Mir.idesc with
+    | Mir.Istore (arr, _, _) -> stores_to arr.Mir.vid body = 1
+    | Mir.Idef (_, Mir.Rload (arr, idx)) ->
+      stores_to arr.Mir.vid body = 0 || stores_at arr.Mir.vid idx body
+    | _ -> true)
+    && stores_legal body tl
+
+(* Analyzes the body of [l] into [ctx.defs] and [ctx.data_defs],
+   raising [Bail] when it cannot be vectorized; returns whether it
+   stores. *)
+let analyze_body ctx (l : Mir.loop) : bool =
+  Hashtbl.clear ctx.defs;
+  Vid_set.clear ctx.data_defs;
+  let stores = note_defs ctx l.Mir.body false in
+  if not (stores_legal l.Mir.body l.Mir.body) then raise Bail;
+  stores
+
+(* While [ctx.body_uses] holds a loop body's uses: [vid] is also read
+   outside that body. *)
+let used_outside ctx vid =
+  Vid_counts.get ctx.func_uses vid > Vid_counts.get ctx.body_uses vid
+
+let rec data_def_escapes ctx except (b : Mir.block) =
+  match b with
+  | [] -> false
+  | { Mir.idesc = Mir.Idef (v, _); _ } :: tl ->
+    (v.Mir.vid <> except && is_data_var v && used_outside ctx v.Mir.vid)
+    || data_def_escapes ctx except tl
+  | _ :: tl -> data_def_escapes ctx except tl
+
+(* The data defs of [l]'s body other than [acc] are not observed after
+   the loop, and [acc], when it is a variable id (not -1), is. *)
+let defs_stay_local ctx (l : Mir.loop) ~acc =
+  Vid_counts.add_block_uses ctx.body_uses 1 l.Mir.body;
+  let ok =
+    (acc < 0 || used_outside ctx acc)
+    && not (data_def_escapes ctx acc l.Mir.body)
+  in
+  Vid_counts.add_block_uses ctx.body_uses (-1) l.Mir.body;
+  ok
 
 (* Emission of the strip-mined structure shared by map and reduction
    loops: returns (prologue defs, main-loop hi operand, epilogue lo
@@ -244,131 +251,155 @@ let emit_strip_mine ctx (l : Mir.loop) :
     in
     ([ i1; i2; i3; i3b; i4; i5; i6 ], main_hi, main_hi_plus1)
 
-(* Transform the body instructions into vector form. [acc] is the
-   reduction accumulator (if any) with its vector counterpart. *)
-let transform_body ctx (l : Mir.loop) (a : analysis)
-    ~(acc : (Mir.var * Mir.var * Mir.binop) option) : Mir.block =
+let emit ctx i = ctx.out <- i :: ctx.out
+
+let broadcast ctx (op : Mir.operand) =
+  match Hashtbl.find ctx.bcast op with
+  | o -> o
+  | exception Not_found ->
+    let _ = instr_for ctx Isa.Kbroadcast in
+    let v = fresh ctx "bc" (vec_sty ctx.width) in
+    emit ctx (vat ctx (Mir.Idef (v, Mir.Rvbroadcast (op, ctx.width))));
+    let o = Mir.Ovar v in
+    Hashtbl.replace ctx.bcast op o;
+    o
+
+(* The vector operand standing for a scalar data operand of [l]'s body. *)
+let data_operand ctx (l : Mir.loop) (op : Mir.operand) : Mir.operand =
+  match op with
+  | Mir.Ovar v when Hashtbl.mem ctx.vmap v.Mir.vid ->
+    Hashtbl.find ctx.vmap v.Mir.vid
+  | Mir.Ovar v when Hashtbl.mem ctx.defs v.Mir.vid ->
+    (* Body-defined but not yet mapped: use before def (loop-carried)
+       or a lane-varying index feeding the data path. *)
+    raise Bail
+  | Mir.Ovar v when v.Mir.vid = l.Mir.ivar.Mir.vid ->
+    (* The induction variable itself varies per lane; without an iota
+       instruction this cannot be broadcast. *)
+    raise Bail
+  | Mir.Ovar v when is_data_var v || is_index_var v ->
+    (* Defined outside the loop: invariant, splat it. *)
+    broadcast ctx op
+  | Mir.Ovar _ -> raise Bail
+  | Mir.Oconst (Mir.Cf _ | Mir.Ci _) -> broadcast ctx op
+  | Mir.Oconst _ -> raise Bail
+
+(* [acc] is the reduction accumulator (if any) with its vector
+   counterpart. *)
+let transform_instr ctx (l : Mir.loop)
+    (acc : (Mir.var * Mir.var * Mir.binop) option) (i : Mir.instr) =
   let w = ctx.width in
-  let out = ref [] in
-  let emit i = out := i :: !out in
-  let vmap : (int, Mir.operand) Hashtbl.t = Hashtbl.create 16 in
-  let bcast_cache : (Mir.operand, Mir.operand) Hashtbl.t = Hashtbl.create 8 in
-  let broadcast (op : Mir.operand) =
-    match Hashtbl.find_opt bcast_cache op with
-    | Some v -> v
-    | None ->
-      let _ = instr_for ctx Isa.Kbroadcast in
-      let v = fresh ctx "bc" (vec_sty w) in
-      emit (vat ctx (Mir.Idef (v, Mir.Rvbroadcast (op, w))));
-      let o = Mir.Ovar v in
-      Hashtbl.replace bcast_cache op o;
-      o
-  in
-  let data_operand (op : Mir.operand) : Mir.operand =
-    match op with
-    | Mir.Ovar v when Hashtbl.mem vmap v.Mir.vid ->
-      Hashtbl.find vmap v.Mir.vid
-    | Mir.Ovar v when Hashtbl.mem a.defs v.Mir.vid ->
-      (* Body-defined but not yet mapped: use before def (loop-carried)
-         or a lane-varying index feeding the data path. *)
-      raise Bail
-    | Mir.Ovar v when v.Mir.vid = l.Mir.ivar.Mir.vid ->
-      (* The induction variable itself varies per lane; without an iota
-         instruction this cannot be broadcast. *)
-      raise Bail
-    | Mir.Ovar v when is_data_var v || is_index_var v ->
-      (* Defined outside the loop: invariant, splat it. *)
-      broadcast op
-    | Mir.Ovar _ -> raise Bail
-    | Mir.Oconst (Mir.Cf _ | Mir.Ci _) -> broadcast op
-    | Mir.Oconst _ -> raise Bail
-  in
-  let index_operand_ok (op : Mir.operand) =
-    match op with
-    | Mir.Ovar v -> not (Hashtbl.mem a.data_ids v.Mir.vid)
-    | Mir.Oconst _ -> true
-  in
-  List.iter
-    (fun (i : Mir.instr) ->
-      match i.Mir.idesc with
-      | Mir.Icomment _ -> emit i
-      | Mir.Idef (v, rv) when Hashtbl.mem a.index_ids v.Mir.vid ->
-        (* Index computation stays scalar; it must not read data vars. *)
-        if not (Masc_opt.Rewrite.forall_operands index_operand_ok rv) then
-          raise Bail;
-        emit i
-      | Mir.Idef (v, rv) -> (
-        match acc with
-        | Some (acc_var, vacc, op) when v.Mir.vid = acc_var.Mir.vid ->
-          (* accumulator update: vacc = vop(vacc, x) *)
-          let x =
-            match rv with
-            | Mir.Rbin (op', p, q) when op' = op -> (
-              match (p, q) with
-              | Mir.Ovar pv, x when pv.Mir.vid = acc_var.Mir.vid -> x
-              | x, Mir.Ovar qv when qv.Mir.vid = acc_var.Mir.vid -> x
-              | _ -> raise Bail)
-            | _ -> raise Bail
-          in
-          let kind =
-            match op with
-            | Mir.Badd -> Isa.Ksimd_add
-            | Mir.Bmin -> Isa.Ksimd_min
-            | Mir.Bmax -> Isa.Ksimd_max
-            | _ -> raise Bail
-          in
-          let d = instr_for ctx kind in
-          let vx = data_operand x in
-          emit
-            (vat ctx
-               (Mir.Idef (vacc, Mir.Rintrin (d.Isa.iname, [ Mir.Ovar vacc; vx ]))))
-        | _ -> (
-          match rv with
-          | Mir.Rload (arr, idx) -> (
-            match Affine.analyze ~ivar:l.Mir.ivar ~defs:a.defs idx with
-            | Some aff when aff.Affine.coeff = 1 && is_double_array arr ->
-              let _ = instr_for ctx Isa.Kload in
-              let nv = fresh ctx "v" (vec_sty w) in
-              emit (vat ctx (Mir.Idef (nv, Mir.Rvload (arr, idx, w))));
-              Hashtbl.replace vmap v.Mir.vid (Mir.Ovar nv)
-            | Some aff when aff.Affine.coeff = 0 ->
-              let sv = fresh ctx "s" (Mir.Tscalar Mir.double_sty) in
-              emit (vat ctx (Mir.Idef (sv, rv)));
-              Hashtbl.replace vmap v.Mir.vid (broadcast (Mir.Ovar sv))
-            | Some _ | None -> raise Bail)
-          | Mir.Rmove op -> Hashtbl.replace vmap v.Mir.vid (data_operand op)
-          | Mir.Rbin (op, p, q) -> (
-            match simd_kind_of_binop op with
-            | Some kind ->
-              let d = instr_for ctx kind in
-              let vp = data_operand p in
-              let vq = data_operand q in
-              let nv = fresh ctx "v" (vec_sty w) in
-              emit (vat ctx (Mir.Idef (nv, Mir.Rintrin (d.Isa.iname, [ vp; vq ]))));
-              Hashtbl.replace vmap v.Mir.vid (Mir.Ovar nv)
-            | None -> raise Bail)
-          | Mir.Runop (Mir.Uneg, p) ->
-            let d = instr_for ctx Isa.Ksimd_sub in
-            let zero = broadcast (Mir.Oconst (Mir.Cf 0.0)) in
-            let vp = data_operand p in
-            let nv = fresh ctx "v" (vec_sty w) in
-            emit (vat ctx (Mir.Idef (nv, Mir.Rintrin (d.Isa.iname, [ zero; vp ]))));
-            Hashtbl.replace vmap v.Mir.vid (Mir.Ovar nv)
-          | Mir.Runop _ | Mir.Rmath _ | Mir.Rcomplex _ | Mir.Rvload _
-          | Mir.Rvbroadcast _ | Mir.Rvreduce _ | Mir.Rintrin _ ->
-            raise Bail))
-      | Mir.Istore (arr, idx, x) -> (
-        match Affine.analyze ~ivar:l.Mir.ivar ~defs:a.defs idx with
+  match i.Mir.idesc with
+  | Mir.Icomment _ -> emit ctx i
+  | Mir.Idef (v, rv) when is_index_var v ->
+    (* Index computation stays scalar; it must not read data vars. *)
+    if Vid_set.reads_any ctx.data_defs rv then raise Bail;
+    emit ctx i
+  | Mir.Idef (v, rv) -> (
+    match acc with
+    | Some (acc_var, vacc, op) when v.Mir.vid = acc_var.Mir.vid ->
+      (* accumulator update: vacc = vop(vacc, x) *)
+      let x =
+        match rv with
+        | Mir.Rbin (op', p, q) when op' = op -> (
+          match (p, q) with
+          | Mir.Ovar pv, x when pv.Mir.vid = acc_var.Mir.vid -> x
+          | x, Mir.Ovar qv when qv.Mir.vid = acc_var.Mir.vid -> x
+          | _ -> raise Bail)
+        | _ -> raise Bail
+      in
+      let kind =
+        match op with
+        | Mir.Badd -> Isa.Ksimd_add
+        | Mir.Bmin -> Isa.Ksimd_min
+        | Mir.Bmax -> Isa.Ksimd_max
+        | _ -> raise Bail
+      in
+      let d = instr_for ctx kind in
+      let vx = data_operand ctx l x in
+      emit ctx
+        (vat ctx
+           (Mir.Idef (vacc, Mir.Rintrin (d.Isa.iname, [ Mir.Ovar vacc; vx ]))))
+    | _ -> (
+      match rv with
+      | Mir.Rload (arr, idx) -> (
+        match Affine.analyze ~ivar:l.Mir.ivar ~defs:ctx.defs idx with
         | Some aff when aff.Affine.coeff = 1 && is_double_array arr ->
-          let _ = instr_for ctx Isa.Kstore in
-          let vx = data_operand x in
-          emit (vat ctx (Mir.Ivstore (arr, idx, vx, w)))
+          let _ = instr_for ctx Isa.Kload in
+          let nv = fresh ctx "v" (vec_sty w) in
+          emit ctx (vat ctx (Mir.Idef (nv, Mir.Rvload (arr, idx, w))));
+          Hashtbl.replace ctx.vmap v.Mir.vid (Mir.Ovar nv)
+        | Some aff when aff.Affine.coeff = 0 ->
+          let sv = fresh ctx "s" (Mir.Tscalar Mir.double_sty) in
+          emit ctx (vat ctx (Mir.Idef (sv, rv)));
+          Hashtbl.replace ctx.vmap v.Mir.vid (broadcast ctx (Mir.Ovar sv))
         | Some _ | None -> raise Bail)
-      | Mir.Ivstore _ | Mir.Iif _ | Mir.Iloop _ | Mir.Iwhile _ | Mir.Ibreak
-      | Mir.Icontinue | Mir.Ireturn | Mir.Iprint _ ->
-        raise Bail)
-    l.Mir.body;
-  List.rev !out
+      | Mir.Rmove op -> Hashtbl.replace ctx.vmap v.Mir.vid (data_operand ctx l op)
+      | Mir.Rbin (op, p, q) -> (
+        match simd_kind_of_binop op with
+        | Some kind ->
+          let d = instr_for ctx kind in
+          let vp = data_operand ctx l p in
+          let vq = data_operand ctx l q in
+          let nv = fresh ctx "v" (vec_sty w) in
+          emit ctx
+            (vat ctx (Mir.Idef (nv, Mir.Rintrin (d.Isa.iname, [ vp; vq ]))));
+          Hashtbl.replace ctx.vmap v.Mir.vid (Mir.Ovar nv)
+        | None -> raise Bail)
+      | Mir.Runop (Mir.Uneg, p) ->
+        let d = instr_for ctx Isa.Ksimd_sub in
+        let zero = broadcast ctx (Mir.Oconst (Mir.Cf 0.0)) in
+        let vp = data_operand ctx l p in
+        let nv = fresh ctx "v" (vec_sty w) in
+        emit ctx
+          (vat ctx (Mir.Idef (nv, Mir.Rintrin (d.Isa.iname, [ zero; vp ]))));
+        Hashtbl.replace ctx.vmap v.Mir.vid (Mir.Ovar nv)
+      | Mir.Runop _ | Mir.Rmath _ | Mir.Rcomplex _ | Mir.Rvload _
+      | Mir.Rvbroadcast _ | Mir.Rvreduce _ | Mir.Rintrin _ ->
+        raise Bail))
+  | Mir.Istore (arr, idx, x) -> (
+    match Affine.analyze ~ivar:l.Mir.ivar ~defs:ctx.defs idx with
+    | Some aff when aff.Affine.coeff = 1 && is_double_array arr ->
+      let _ = instr_for ctx Isa.Kstore in
+      let vx = data_operand ctx l x in
+      emit ctx (vat ctx (Mir.Ivstore (arr, idx, vx, w)))
+    | Some _ | None -> raise Bail)
+  | Mir.Ivstore _ | Mir.Iif _ | Mir.Iloop _ | Mir.Iwhile _ | Mir.Ibreak
+  | Mir.Icontinue | Mir.Ireturn | Mir.Iprint _ ->
+    raise Bail
+
+let rec transform_instrs ctx l acc (b : Mir.block) =
+  match b with
+  | [] -> ()
+  | i :: tl ->
+    transform_instr ctx l acc i;
+    transform_instrs ctx l acc tl
+
+(* Transform the analyzed body of [l] into vector form. *)
+let transform_body ctx (l : Mir.loop) ~acc : Mir.block =
+  Hashtbl.clear ctx.vmap;
+  Hashtbl.clear ctx.bcast;
+  ctx.out <- [];
+  transform_instrs ctx l acc l.Mir.body;
+  List.rev ctx.out
+
+let rec fuse_pairs ctx mac_name mul_name add_name (b : Mir.block) =
+  match b with
+  | { Mir.idesc = Mir.Idef (t, Mir.Rintrin (m, [ a; b ])); _ }
+    :: ({ Mir.idesc =
+            Mir.Idef (acc, Mir.Rintrin (ad, [ Mir.Ovar accu; Mir.Ovar t' ]));
+          _ } as i2)
+    :: rest
+    when String.equal m mul_name
+         && String.equal ad add_name
+         && t'.Mir.vid = t.Mir.vid
+         && accu.Mir.vid = acc.Mir.vid
+         && Vid_counts.get ctx.body_uses t.Mir.vid = 1 ->
+    Mir.redesc i2
+      (Mir.Idef (acc, Mir.Rintrin (mac_name, [ Mir.Ovar accu; a; b ])))
+    :: fuse_pairs ctx mac_name mul_name add_name rest
+  | i :: rest -> i :: fuse_pairs ctx mac_name mul_name add_name rest
+  | [] -> []
 
 (* Fuse vmul feeding the vacc vadd into the MAC instruction when the ISA
    has one: [t = vmul a b; vacc = vadd vacc t] -> [vacc = vmac vacc a b]. *)
@@ -386,25 +417,10 @@ let fuse_mac ctx (block : Mir.block) : Mir.block =
       | Some d -> d.Isa.iname
       | None -> ""
     in
-    let uses = block_uses block in
-    let rec go = function
-      | { Mir.idesc = Mir.Idef (t, Mir.Rintrin (m, [ a; b ])); _ }
-        :: ({ Mir.idesc =
-                Mir.Idef (acc, Mir.Rintrin (ad, [ Mir.Ovar accu; Mir.Ovar t' ]));
-              _ } as i2)
-        :: rest
-        when String.equal m mul_name
-             && String.equal ad add_name
-             && t'.Mir.vid = t.Mir.vid
-             && accu.Mir.vid = acc.Mir.vid
-             && (try Hashtbl.find uses t.Mir.vid = 1 with Not_found -> false) ->
-        Mir.redesc i2
-          (Mir.Idef (acc, Mir.Rintrin (mac.Isa.iname, [ Mir.Ovar accu; a; b ])))
-        :: go rest
-      | i :: rest -> i :: go rest
-      | [] -> []
-    in
-    go block
+    Vid_counts.add_block_uses ctx.body_uses 1 block;
+    let fused = fuse_pairs ctx mac.Isa.iname mul_name add_name block in
+    Vid_counts.add_block_uses ctx.body_uses (-1) block;
+    fused
 
 (* A vectorized loop without constant bounds got the run-time
    strip-mine prologue of [emit_strip_mine]. *)
@@ -413,16 +429,13 @@ let count_run_time_trips ctx (l : Mir.loop) =
   | Mir.Oconst (Mir.Ci _), Mir.Oconst (Mir.Ci _) -> ()
   | _ -> ctx.dyns <- ctx.dyns + 1
 
-let try_map_loop ctx (l : Mir.loop) : Mir.instr list option =
+(* The replacement of [l] as a map loop, or [] when it is not one. *)
+let try_map_loop ctx (l : Mir.loop) : Mir.instr list =
   match
-    let a = analyze_body l in
-    if a.stores = [] then raise Bail;
+    if not (analyze_body ctx l) then raise Bail;
     (* Data defs must not be observed after the loop. *)
-    let body_uses = block_uses l.Mir.body in
-    Hashtbl.iter
-      (fun vid () -> if used_outside ctx body_uses vid then raise Bail)
-      a.data_ids;
-    let body' = transform_body ctx l a ~acc:None in
+    if not (defs_stay_local ctx l ~acc:(-1)) then raise Bail;
+    let body' = transform_body ctx l ~acc:None in
     let pre, main_hi, epi_lo = emit_strip_mine ctx l in
     let main =
       vat ctx
@@ -438,48 +451,37 @@ let try_map_loop ctx (l : Mir.loop) : Mir.instr list option =
   | instrs ->
     ctx.maps <- ctx.maps + 1;
     count_run_time_trips ctx l;
-    Some instrs
-  | exception Bail -> None
+    instrs
+  | exception Bail -> []
 
-let try_reduction_loop ctx (l : Mir.loop) : Mir.instr list option =
+let self_ref (v : Mir.var) = function
+  | Mir.Ovar u -> u.Mir.vid = v.Mir.vid
+  | Mir.Oconst _ -> false
+
+(* The body's unique self-referential [+]/[min]/[max] def: the
+   accumulator and its operator. *)
+let rec find_acc found (b : Mir.block) =
+  match b with
+  | [] -> ( match found with Some x -> x | None -> raise Bail)
+  | { Mir.idesc =
+        Mir.Idef (v, Mir.Rbin (((Mir.Badd | Mir.Bmin | Mir.Bmax) as op), p, q));
+      _ }
+    :: tl
+    when self_ref v p || self_ref v q ->
+    if Option.is_some found then raise Bail;
+    find_acc (Some (v, op)) tl
+  | _ :: tl -> find_acc found tl
+
+(* The replacement of [l] as a reduction loop, or [] when it is not
+   one. *)
+let try_reduction_loop ctx (l : Mir.loop) : Mir.instr list =
   match
-    let a = analyze_body l in
-    if a.stores <> [] then raise Bail;
-    (* Find the unique self-referential accumulator definition. *)
-    let accs =
-      Hashtbl.fold
-        (fun vid rv acc ->
-          match rv with
-          | Mir.Rbin (((Mir.Badd | Mir.Bmin | Mir.Bmax) as op), p, q) ->
-            let self o =
-              match o with
-              | Mir.Ovar v -> v.Mir.vid = vid
-              | Mir.Oconst _ -> false
-            in
-            if self p || self q then (vid, op) :: acc else acc
-          | _ -> acc)
-        a.defs []
-    in
-    let acc_vid, op = match accs with [ x ] -> x | _ -> raise Bail in
-    if not (Hashtbl.mem a.data_ids acc_vid) then raise Bail;
-    let body_uses = block_uses l.Mir.body in
-    if not (used_outside ctx body_uses acc_vid) then raise Bail;
-    (* Locate the accumulator variable record. *)
-    let acc_var =
-      let found = ref None in
-      List.iter
-        (fun (i : Mir.instr) ->
-          match i.Mir.idesc with
-          | Mir.Idef (v, _) when v.Mir.vid = acc_vid -> found := Some v
-          | _ -> ())
-        l.Mir.body;
-      match !found with Some v -> v | None -> raise Bail
-    in
-    (* Other data defs must be loop-local. *)
-    Hashtbl.iter
-      (fun vid () ->
-        if vid <> acc_vid && used_outside ctx body_uses vid then raise Bail)
-      a.data_ids;
+    if analyze_body ctx l then raise Bail;
+    let acc_var, op = find_acc None l.Mir.body in
+    if not (Vid_set.mem ctx.data_defs acc_var.Mir.vid) then raise Bail;
+    (* The accumulator is read after the loop; the other data defs
+       are loop-local. *)
+    if not (defs_stay_local ctx l ~acc:acc_var.Mir.vid) then raise Bail;
     let red_kind, vred =
       match op with
       | Mir.Badd -> (Isa.Kreduce_add, Mir.Vsum)
@@ -489,10 +491,7 @@ let try_reduction_loop ctx (l : Mir.loop) : Mir.instr list option =
     in
     let _ = instr_for ctx red_kind in
     let vacc = fresh ctx "vacc" (vec_sty ctx.width) in
-    (* Remove the accumulator from defs so that loads of it broadcast...
-       it cannot be loaded (it is scalar); data_operand of acc inside
-       body would hit vmap only via the special case. *)
-    let body' = transform_body ctx l a ~acc:(Some (acc_var, vacc, op)) in
+    let body' = transform_body ctx l ~acc:(Some (acc_var, vacc, op)) in
     let body' = fuse_mac ctx body' in
     let pre, main_hi, epi_lo = emit_strip_mine ctx l in
     let init =
@@ -522,8 +521,8 @@ let try_reduction_loop ctx (l : Mir.loop) : Mir.instr list option =
   | instrs ->
     ctx.reds <- ctx.reds + 1;
     count_run_time_trips ctx l;
-    Some instrs
-  | exception Bail -> None
+    instrs
+  | exception Bail -> []
 
 let vectorizable_header (l : Mir.loop) =
   l.Mir.step = Mir.Oconst (Mir.Ci 1)
@@ -532,39 +531,70 @@ let vectorizable_header (l : Mir.loop) =
   | Mir.Tscalar { Mir.base = MT.Int; cplx = MT.Real; lanes = 1 } -> true
   | _ -> false
 
+(* The instructions replacing loop [l], or [] to keep it. *)
+let vectorize_loop ctx (l : Mir.loop) : Mir.instr list =
+  if not (vectorizable_header l) then []
+  else begin
+    ctx.missing <- None;
+    match try_map_loop ctx l with
+    | [] -> (
+      match try_reduction_loop ctx l with
+      | [] ->
+        (match ctx.missing with
+        | Some kind -> note_missing ctx kind
+        | None -> ());
+        []
+      | instrs -> instrs)
+    | instrs -> instrs
+  end
+
+(* [b] with its head replaced by [i'] and its tail by [tl'], or [b]
+   itself when both are unchanged. *)
+let relink (b : Mir.block) i' tl' =
+  match b with
+  | i :: tl when i == i' && tl == tl' -> b
+  | _ -> i' :: tl'
+
+(* Rebuilds only the blocks holding a vectorized loop, in the manner of
+   [Rewrite.smap]. The order of the recursive calls fixes the order in
+   which fresh variables are numbered, and so their names in the C:
+   inner loops before their own loop, the else branch before the then
+   branch, a while body before its condition block, and each
+   instruction before the ones after it. *)
 let rec process_block ctx (b : Mir.block) : Mir.block =
-  List.concat_map
-    (fun (i : Mir.instr) ->
-      match i.Mir.idesc with
-      | Mir.Iloop l ->
-        let l = { l with Mir.body = process_block ctx l.Mir.body } in
-        ctx.cur_loc <- i.Mir.iloc;
-        if vectorizable_header l then begin
-          ctx.missing <- None;
-          match try_map_loop ctx l with
-          | Some instrs -> instrs
-          | None -> (
-            match try_reduction_loop ctx l with
-            | Some instrs -> instrs
-            | None ->
-              (match ctx.missing with
-              | Some kind -> note_missing ctx kind
-              | None -> ());
-              [ Mir.redesc i (Mir.Iloop l) ])
-        end
-        else [ Mir.redesc i (Mir.Iloop l) ]
-      | Mir.Iif (c, t, e) ->
-        [ Mir.redesc i (Mir.Iif (c, process_block ctx t, process_block ctx e)) ]
-      | Mir.Iwhile { cond_block; cond; body } ->
-        [ Mir.redesc i
-            (Mir.Iwhile
-               { cond_block = process_block ctx cond_block;
-                 cond;
-                 body = process_block ctx body }) ]
-      | Mir.Idef _ | Mir.Istore _ | Mir.Ivstore _ | Mir.Ibreak
-      | Mir.Icontinue | Mir.Ireturn | Mir.Iprint _ | Mir.Icomment _ ->
-        [ i ])
-    b
+  match b with
+  | [] -> b
+  | i :: tl -> (
+    match i.Mir.idesc with
+    | Mir.Iloop l -> (
+      let body = process_block ctx l.Mir.body in
+      let l' = if body == l.Mir.body then l else { l with Mir.body } in
+      ctx.cur_loc <- i.Mir.iloc;
+      match vectorize_loop ctx l' with
+      | [] ->
+        let i' = if l' == l then i else Mir.redesc i (Mir.Iloop l') in
+        relink b i' (process_block ctx tl)
+      | instrs -> instrs @ process_block ctx tl)
+    | Mir.Iif (c, t, e) ->
+      let e' = process_block ctx e in
+      let t' = process_block ctx t in
+      let i' =
+        if t' == t && e' == e then i else Mir.redesc i (Mir.Iif (c, t', e'))
+      in
+      relink b i' (process_block ctx tl)
+    | Mir.Iwhile { cond_block; cond; body } ->
+      let body' = process_block ctx body in
+      let cond_block' = process_block ctx cond_block in
+      let i' =
+        if body' == body && cond_block' == cond_block then i
+        else
+          Mir.redesc i
+            (Mir.Iwhile { cond_block = cond_block'; cond; body = body' })
+      in
+      relink b i' (process_block ctx tl)
+    | Mir.Idef _ | Mir.Istore _ | Mir.Ivstore _ | Mir.Ibreak
+    | Mir.Icontinue | Mir.Ireturn | Mir.Iprint _ | Mir.Icomment _ ->
+      relink b i (process_block ctx tl))
 
 let run ?(sink = Diag.Raise) (isa : Isa.t) (func : Mir.func) :
     Mir.func * stats =
@@ -578,10 +608,17 @@ let run ?(sink = Diag.Raise) (isa : Isa.t) (func : Mir.func) :
       { isa; width = isa.Isa.vector_width; sink; fname = func.Mir.name;
         next_id = max_id + 1; new_vars = []; maps = 0; reds = 0; dyns = 0;
         missing = None; cur_loc = Loc.dummy;
-        func_uses = Masc_opt.Rewrite.use_counts func }
+        func_uses = Masc_opt.Rewrite.use_counts func;
+        body_uses = Vid_counts.create (max_id + 1);
+        defs = Hashtbl.create 16; data_defs = Vid_set.create (max_id + 1);
+        vmap = Hashtbl.create 16; bcast = Hashtbl.create 8; out = [] }
     in
     let body = process_block ctx func.Mir.body in
-    ( { func with Mir.body; vars = func.Mir.vars @ List.rev ctx.new_vars },
+    let func =
+      if body == func.Mir.body && ctx.new_vars = [] then func
+      else { func with Mir.body; vars = func.Mir.vars @ List.rev ctx.new_vars }
+    in
+    ( func,
       { map_loops = ctx.maps; reduction_loops = ctx.reds;
         run_time_trips = ctx.dyns } )
   end

@@ -229,6 +229,45 @@ let test_cmac_fusion () =
     Alcotest.(check bool) "same value" true (V.close a b)
   | _ -> Alcotest.fail "expected scalar returns"
 
+(* Fresh vector variables are numbered in the order the vectorizer has
+   always drawn them, which names them in the C: an if's else branch
+   before its then branch. *)
+let test_fresh_id_order () =
+  let src =
+    "function y = f(a, b, c)\n\
+     y = zeros(1, 16);\nz = zeros(1, 16);\n\
+     if c > 0\nfor i = 1:16\ny(i) = a(i) * 2 + c;\nend\n\
+     else\nfor i = 1:16\nz(i) = b(i) + 3;\nend\ny = z;\nend\nend"
+  in
+  let args =
+    [ Mtype.row_vector Mtype.Double 16; Mtype.row_vector Mtype.Double 16;
+      Mtype.double ]
+  in
+  let vectorized, _ = Vect.run T.dsp8 (compile_scalar ~args src) in
+  let rec vector_ids acc (b : Mir.block) =
+    List.fold_left
+      (fun acc (i : Mir.instr) ->
+        match i.Mir.idesc with
+        | Mir.Idef ({ Mir.vty = Mir.Tscalar { Mir.lanes; _ }; vid; _ }, _)
+          when lanes > 1 ->
+          vid :: acc
+        | Mir.Iloop l -> vector_ids acc l.Mir.body
+        | _ -> acc)
+      acc b
+  in
+  match
+    List.find_map
+      (fun (i : Mir.instr) ->
+        match i.Mir.idesc with
+        | Mir.Iif (_, t, e) -> Some (vector_ids [] t, vector_ids [] e)
+        | _ -> None)
+      vectorized.Mir.body
+  with
+  | Some ((_ :: _ as t), (_ :: _ as e)) ->
+    Alcotest.(check bool) "else-branch ids below then-branch ids" true
+      (List.fold_left max 0 e < List.fold_left min max_int t)
+  | _ -> Alcotest.fail "expected a vectorized loop in both branches"
+
 (* --- property: vectorized execution == scalar execution --- *)
 
 let gen_mapexpr_src : (string * int) QCheck.Gen.t =
@@ -283,6 +322,7 @@ let suites =
         Alcotest.test_case "width parameterization" `Quick test_width_respected;
         Alcotest.test_case "scalar target untouched" `Quick
           test_scalar_target_unchanged;
+        Alcotest.test_case "fresh id order" `Quick test_fresh_id_order;
         QCheck_alcotest.to_alcotest prop_vectorize_equiv ] );
     ( "complex-sel",
       [ Alcotest.test_case "cmul selection" `Quick test_complex_selection;
