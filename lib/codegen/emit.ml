@@ -597,8 +597,8 @@ let ret_decl env (r : Mir.var) =
     int env n;
     chr env ']'
 
-(* Declarations: every non-parameter variable up front (C89 style, as
-   ASIP toolchains prefer). *)
+(* Declarations: every non-parameter variable the function mentions
+   ([Mir.iter_vars]) up front (C89 style, as ASIP toolchains prefer). *)
 let var_decl env (v : Mir.var) =
   start_line env;
   (match v.Mir.vty with
@@ -684,7 +684,7 @@ let emit_func env (f : Mir.func) =
   chr env '{';
   end_line env;
   env.indent <- 1;
-  List.iter
+  Mir.iter_vars
     (fun (v : Mir.var) ->
       if
         not
@@ -692,7 +692,7 @@ let emit_func env (f : Mir.func) =
              (fun (p : Mir.var) -> p.Mir.vid = v.Mir.vid)
              f.Mir.params)
       then var_decl env v)
-    f.Mir.vars;
+    f;
   start_line env;
   end_line env;
   emit_block env f.Mir.body;
@@ -712,7 +712,7 @@ let emit_func env (f : Mir.func) =
    statement per variable. *)
 let create ~isa ~mode (f : Mir.func) =
   { isa; mode; indent = 0;
-    buf = Buffer.create (1024 + (64 * List.length f.Mir.vars)) }
+    buf = Buffer.create (1024 + (64 * f.Mir.next_vid)) }
 
 let func ~isa ~mode (f : Mir.func) : string =
   let env = create ~isa ~mode f in

@@ -261,7 +261,7 @@ let cache_cap = 256
    bump the format number, and a different OCaml runtime must never
    unmarshal our payloads. The digest check runs before unmarshal, so a
    skewed entry is deleted without ever being decoded. *)
-let cache_version = "masc-cc-1|" ^ Sys.ocaml_version
+let cache_version = "masc-cc-2|" ^ Sys.ocaml_version
 
 let disk_dir : string option Atomic.t = Atomic.make None
 let set_cache_dir dir = Atomic.set disk_dir dir

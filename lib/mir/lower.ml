@@ -141,27 +141,38 @@ let one_of (sty : Mir.scalar_ty) =
   | MT.Real, MT.Err -> invalid_arg "Lower.one_of: poison type reached lowering"
 
 (* Does a typed expression reference variable [name]? Used to detect
-   read/write overlap in whole-array assignment. *)
+   read/write overlap in whole-array assignment and reads of a loop
+   variable after its loop. Plain recursion, so a query allocates
+   nothing. *)
 let rec refs_var name (e : T.texpr) =
   match e.T.edesc with
   | T.Tvar v -> String.equal v name
-  | T.Tindex (v, _, idx) ->
-    String.equal v name
-    || List.exists
-         (function
-           | T.Tidx_scalar s -> refs_var name s
-           | T.Tidx_colon _ -> false
-           | T.Tidx_range { lo; _ } -> refs_var name lo
-           | T.Tidx_gather (g, _) -> refs_var name g)
-         idx
+  | T.Tindex (v, _, idx) -> String.equal v name || refs_idx name idx
   | T.Tnum _ | T.Timag _ | T.Tbool _ -> false
-  | T.Trange (a, s, b) ->
+  | T.Trange (a, Some s, b) ->
+    refs_var name a || refs_var name s || refs_var name b
+  | T.Trange (a, None, b) | T.Tbinop (_, a, b) ->
     refs_var name a || refs_var name b
-    || Option.fold ~none:false ~some:(refs_var name) s
   | T.Tunop (_, a) | T.Ttranspose (_, a) -> refs_var name a
-  | T.Tbinop (_, a, b) -> refs_var name a || refs_var name b
-  | T.Tbuiltin (_, args) | T.Tcall (_, args) -> List.exists (refs_var name) args
-  | T.Tmatrix rows -> List.exists (List.exists (refs_var name)) rows
+  | T.Tbuiltin (_, args) | T.Tcall (_, args) -> refs_any name args
+  | T.Tmatrix rows -> refs_rows name rows
+
+and refs_any name = function
+  | [] -> false
+  | e :: tl -> refs_var name e || refs_any name tl
+
+and refs_rows name = function
+  | [] -> false
+  | row :: tl -> refs_any name row || refs_rows name tl
+
+and refs_idx name = function
+  | [] -> false
+  | i :: tl ->
+    (match i with
+    | T.Tidx_scalar e | T.Tidx_range { lo = e; _ } | T.Tidx_gather (e, _) ->
+      refs_var name e
+    | T.Tidx_colon _ -> false)
+    || refs_idx name tl
 
 (* Which parameters of an instance body are written (stores, assignments,
    multi-assignment targets)? Such parameters cannot alias caller arrays. *)
@@ -211,6 +222,82 @@ let rec contains_return (body : T.tblock) =
       | T.Tcontinue ->
         false)
     body
+
+(* ---------- loop variables read after their loop ---------- *)
+
+(* Where control goes once a statement is done: on through the rest of
+   a block, back to the head of the enclosing loop, or to the end of the
+   function, whose outputs the caller reads. *)
+type cont =
+  | Then of T.tblock * cont
+  | Again of T.tstmt_desc * cont  (* the loop, and where it exits to *)
+  | Exit of (string * MT.t) list
+
+(* What running a block does to [name]'s incoming value: reads it on
+   some path, overwrites it on every path first, or neither. A [break],
+   [continue] or [return] counts as a read, which only costs a loop its
+   direct counter. *)
+type fate = Read | Killed | Through
+
+let rec block_fate name (b : T.tblock) =
+  match b with
+  | [] -> Through
+  | s :: rest -> (
+    match stmt_fate name s.T.sdesc with
+    | Through -> block_fate name rest
+    | (Read | Killed) as f -> f)
+
+and stmt_fate name d =
+  match d with
+  | T.Tassign (_, e) | T.Tmulti (_, e) when refs_var name e -> Read
+  | T.Tassign (n, _) -> if String.equal n name then Killed else Through
+  | T.Tmulti (ns, _) -> if List.mem name ns then Killed else Through
+  | T.Tstore (_, _, idx, e) ->
+    if refs_idx name idx || refs_var name e then Read else Through
+  | T.Tif (arms, els) -> arms_fate name arms els
+  | T.Tfor (_, T.Titer_range (lo, Some e, hi), _)
+    when refs_var name lo || refs_var name e || refs_var name hi ->
+    Read
+  | T.Tfor (_, T.Titer_range (e, None, hi), _)
+    when refs_var name e || refs_var name hi ->
+    Read
+  | T.Tfor (_, T.Titer_vector e, _) when refs_var name e -> Read
+  | T.Tfor _ | T.Twhile _ -> if head_reads name d then Read else Through
+  | T.Tprint (_, es) -> if refs_any name es then Read else Through
+  | T.Tbreak | T.Tcontinue | T.Treturn -> Read
+
+(* An [if]: a condition or a branch may read; every branch must
+   overwrite for the [if] to. *)
+and arms_fate name arms els =
+  match arms with
+  | [] -> block_fate name els
+  | (c, _) :: _ when refs_var name c -> Read
+  | (_, b) :: rest -> (
+    match (block_fate name b, arms_fate name rest els) with
+    | Read, _ | _, Read -> Read
+    | Killed, Killed -> Killed
+    | _ -> Through)
+
+(* Does the head of loop [d] read [name] before the loop exits? A [for]
+   over [name] assigns it before each iteration; any other loop reads
+   it in its condition or on a path through its body. A loop may run no
+   iteration, so it overwrites nothing for certain. *)
+and head_reads name d =
+  match d with
+  | T.Tfor (v, _, body) ->
+    (not (String.equal v name)) && block_fate name body = Read
+  | T.Twhile (c, body) -> refs_var name c || block_fate name body = Read
+  | _ -> false
+
+(* Is [name] read before it is overwritten once control reaches [k]? *)
+let rec live name = function
+  | Exit outs -> List.mem_assoc name outs
+  | Then (b, k) -> (
+    match block_fate name b with
+    | Read -> true
+    | Killed -> false
+    | Through -> live name k)
+  | Again (d, k) -> head_reads name d || live name k
 
 (* ---------- element-wise machinery ---------- *)
 
@@ -1078,7 +1165,7 @@ and lower_call frame (inst_idx : int) (args : T.texpr list) : Mir.operand list =
   (* Callee statements set their own spans; restore the call site's so
      glue emitted after the inlined body is attributed to the caller. *)
   let call_loc = B.current_loc frame.b in
-  lower_block callee tf.T.tbody;
+  lower_block callee ~k:(Exit tf.T.trets) tf.T.tbody;
   B.set_loc frame.b call_loc;
   List.map
     (fun (rname, _) ->
@@ -1094,18 +1181,25 @@ and copy_array frame ~dst ~src =
 
 (* ---------- statements ---------- *)
 
-and lower_block frame (block : T.tblock) =
-  List.iter (lower_stmt frame) block
+(* [k]: where control goes after [block]. *)
+and lower_block frame ~k (block : T.tblock) =
+  match block with
+  | [] -> ()
+  | stmt :: rest ->
+    lower_stmt frame ~rest ~k stmt;
+    lower_block frame ~k rest
 
-and lower_stmt frame (stmt : T.tstmt) =
+and lower_stmt frame ~rest ~k (stmt : T.tstmt) =
   let span = stmt.T.sspan in
   (* Every instruction emitted for this statement — including glue such
      as bounds defs and inlined-call copies — inherits its span, which
      is what the simulator profiler attributes cycles to. *)
   B.set_loc frame.b span;
-  lower_stmt_desc frame span stmt.T.sdesc
+  lower_stmt_desc frame ~rest ~k span stmt.T.sdesc
 
-and lower_stmt_desc frame span sdesc =
+(* Once the statement is done, control goes on to the rest of its block,
+   [rest], and then to [k]. *)
+and lower_stmt_desc frame ~rest ~k span sdesc =
   match sdesc with
   | T.Tassign (name, rhs) ->
     let dst = get_var frame name in
@@ -1247,11 +1341,14 @@ and lower_stmt_desc frame span sdesc =
         targets
     | _ -> err span "internal: unsupported multi-assignment right-hand side")
   | T.Tif (arms, els) ->
+    let after = Then (rest, k) in
     let rec build = function
-      | [] -> lower_block frame els
+      | [] -> lower_block frame ~k:after els
       | (cond, body) :: rest ->
         let c = lower_scalar frame cond in
-        let then_b = B.nested frame.b (fun () -> lower_block frame body) in
+        let then_b =
+          B.nested frame.b (fun () -> lower_block frame ~k:after body)
+        in
         let else_b = B.nested frame.b (fun () -> build rest) in
         (* Branch overhead belongs to the if line, not the last line of
            a lowered arm. *)
@@ -1260,6 +1357,7 @@ and lower_stmt_desc frame span sdesc =
     in
     build arms
   | T.Tfor (var, iter, body) -> (
+    let after = Then (rest, k) in
     match iter with
     | T.Titer_range (lo, step, hi) ->
       let olo = lower_scalar frame lo in
@@ -1269,12 +1367,15 @@ and lower_stmt_desc frame span sdesc =
       let ohi = lower_scalar frame hi in
       let var_v = get_var frame var in
       (* A loop counts in its bounds' promoted base, as the emitted C's
-         [for] does. When the variable's own type differs, or the body
-         assigns it (C would then count on from the assigned value),
-         count a fresh variable instead and begin each iteration with
-         the coerced [var = counter]. A body that never assigns the
-         variable reads the counter itself: Infer types the loop
-         variable by its range there, whatever its type elsewhere. *)
+         [for] does. When the variable's own type differs, the body
+         assigns it (C would then count on from the assigned value), or
+         it is read after the loop (C leaves it at [hi + step], or at
+         [lo] after no iteration, where the simulators leave the last
+         value it took, or the one it came in with), count a fresh
+         variable instead and begin each iteration with the coerced
+         [var = counter]. A body that never assigns the variable reads
+         the counter itself: Infer types the loop variable by its range
+         there, whatever its type elsewhere. *)
       let int_bound op =
         match (Mir.operand_sty op).Mir.base with
         | MT.Int | MT.Bool -> true
@@ -1287,9 +1388,10 @@ and lower_stmt_desc frame span sdesc =
       let assigned = assigns var body in
       let direct =
         (not assigned)
-        && match var_v.Mir.vty with
+        && (match var_v.Mir.vty with
            | Mir.Tscalar s -> s = counted
-           | Mir.Tarray _ -> false
+           | Mir.Tarray _ -> false)
+        && not (live var after)
       in
       let ivar =
         if direct then var_v
@@ -1301,7 +1403,7 @@ and lower_stmt_desc frame span sdesc =
               B.emit frame.b (Mir.Idef (var_v, Mir.Rmove (Mir.Ovar ivar)));
               if not assigned then Hashtbl.replace frame.vars var ivar
             end;
-            lower_block frame body;
+            lower_block frame ~k:(Again (sdesc, after)) body;
             Hashtbl.replace frame.vars var var_v)
       in
       (* Loop overhead belongs to the for line. *)
@@ -1315,12 +1417,16 @@ and lower_stmt_desc frame span sdesc =
       B.set_loc frame.b span;
       counted_loop frame n (fun k ->
           B.emit frame.b (Mir.Idef (xvar, Mir.Rload (vv, k)));
-          lower_block frame body))
+          lower_block frame ~k:(Again (sdesc, after)) body))
   | T.Twhile (cond, body) ->
+    let after = Then (rest, k) in
     let cond_block, c =
       B.nested_with frame.b (fun () -> lower_scalar frame cond)
     in
-    let blk = B.nested frame.b (fun () -> lower_block frame body) in
+    let blk =
+      B.nested frame.b (fun () ->
+          lower_block frame ~k:(Again (sdesc, after)) body)
+    in
     B.set_loc frame.b span;
     B.emit frame.b (Mir.Iwhile { cond_block; cond = c; body = blk })
   | T.Tprint (fmt, args) ->
@@ -1381,6 +1487,6 @@ let lower_program (prog : T.program) : Mir.func =
       decls = tf.T.tparams @ tf.T.trets @ tf.T.tlocals }
   in
   let params = List.map (fun (p, _) -> get_var frame p) tf.T.tparams in
-  lower_block frame tf.T.tbody;
+  lower_block frame ~k:(Exit tf.T.trets) tf.T.tbody;
   let rets = List.map (fun (r, _) -> get_var frame r) tf.T.trets in
   B.finish b ~params ~rets

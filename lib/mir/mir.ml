@@ -83,8 +83,8 @@ type func = {
   name : string;
   params : var list;
   rets : var list;
-  vars : var list;
   body : block;
+  next_vid : int;
 }
 
 let scalar_of_mtype (t : Masc_sema.Mtype.t) =
@@ -123,23 +123,78 @@ let operand_sty = function
   | Oconst (Cb _) -> bool_sty
   | Oconst (Cc _) -> complex_sty
 
+(* Every variable [f] mentions, in mention order (params, rets, then
+   the body's defs and operands), folded through [g]. [g] and the
+   accumulator are passed down as arguments, so a walk allocates nothing
+   when [g] is closed. *)
+let fold_operand g acc = function Ovar v -> g acc v | Oconst _ -> acc
+
+let rec fold_operands g acc = function
+  | [] -> acc
+  | op :: tl -> fold_operands g (fold_operand g acc op) tl
+
+let fold_rvalue g acc = function
+  | Rbin (_, a, b) | Rcomplex (a, b) -> fold_operand g (fold_operand g acc a) b
+  | Runop (_, a) | Rmove a | Rvbroadcast (a, _) | Rvreduce (_, a) ->
+    fold_operand g acc a
+  | Rmath (_, args) | Rintrin (_, args) -> fold_operands g acc args
+  | Rload (arr, idx) | Rvload (arr, idx, _) -> fold_operand g (g acc arr) idx
+
+let rec fold_block g acc = function
+  | [] -> acc
+  | i :: tl -> fold_block g (fold_instr g acc i) tl
+
+and fold_instr g acc i =
+  match i.idesc with
+  | Idef (v, rv) -> fold_rvalue g (g acc v) rv
+  | Istore (arr, idx, x) | Ivstore (arr, idx, x, _) ->
+    fold_operand g (fold_operand g (g acc arr) idx) x
+  | Iif (c, t, e) -> fold_block g (fold_block g (fold_operand g acc c) t) e
+  | Iloop l ->
+    let acc = fold_operand g (g acc l.ivar) l.lo in
+    fold_block g (fold_operand g (fold_operand g acc l.step) l.hi) l.body
+  | Iwhile { cond_block; cond; body } ->
+    fold_block g (fold_operand g (fold_block g acc cond_block) cond) body
+  | Iprint (_, ops) -> fold_operands g acc ops
+  | Ibreak | Icontinue | Ireturn | Icomment _ -> acc
+
+let fold_mentions g acc f =
+  fold_block g (List.fold_left g (List.fold_left g acc f.params) f.rets) f.body
+
+let max_vid f =
+  fold_mentions (fun m v -> if v.vid > m then v.vid else m) (-1) f
+
+(* The first record met per vid, in a vid-indexed array: one block of
+   [max_vid f + 1] words, which the major heap takes directly once it is
+   over 256 words. *)
+let unlisted = { vname = ""; vid = -1; vty = Tscalar int_sty }
+
+let iter_vars ?conflict g f =
+  let first = Array.make (max_vid f + 1) unlisted in
+  let note first v =
+    let v0 = first.(v.vid) in
+    if v0 == unlisted then first.(v.vid) <- v
+    else if v0 != v && v0 <> v then
+      (match conflict with Some c -> c v0 v | None -> ());
+    first
+  in
+  Array.iter (fun v -> if v != unlisted then g v) (fold_mentions note first f)
+
 module Builder = struct
   type t = {
     fname : string;
     mutable next_id : int;
-    mutable all_vars : var list;  (* reversed *)
     mutable stack : instr list list;  (* stack of reversed blocks *)
     mutable cur_loc : Masc_frontend.Loc.span;
   }
 
   let create fname =
-    { fname; next_id = 0; all_vars = []; stack = [ [] ];
+    { fname; next_id = 0; stack = [ [] ];
       cur_loc = Masc_frontend.Loc.dummy }
 
   let fresh_var b ?(hint = "t") ty =
     let v = { vname = hint; vid = b.next_id; vty = ty } in
     b.next_id <- b.next_id + 1;
-    b.all_vars <- v :: b.all_vars;
     v
 
   (* Emission sites stay loc-free: [set_loc] is called once per source
@@ -171,5 +226,5 @@ module Builder = struct
       | [ top ] -> List.rev top
       | _ -> invalid_arg "Builder.finish: unbalanced nesting"
     in
-    { name = b.fname; params; rets; vars = List.rev b.all_vars; body }
+    { name = b.fname; params; rets; body; next_vid = b.next_id }
 end

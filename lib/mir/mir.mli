@@ -92,12 +92,21 @@ and loop = {
 
 and block = instr list
 
+(** A function's variables are what it mentions: its params, its rets
+    and every variable its body defines or reads ({!iter_vars}). No
+    separate list is kept, so nothing can declare a variable the body
+    does not use. *)
 type func = {
   name : string;
   params : var list;
   rets : var list;
-  vars : var list;  (** every variable, including params and rets *)
   body : block;
+  next_vid : int;
+      (** above every vid drawn for the function, including variables
+          passes have since deleted. Fresh variables take ids from here,
+          so the ids (and the C names) a later stage draws do not depend
+          on what earlier passes deleted; vid-indexed tables are sized
+          by it. *)
 }
 
 (** [at loc d] / [instr d] wrap a description into an instruction (with
@@ -135,6 +144,14 @@ val elem_ty : var -> scalar_ty
 (** Element scalar type of an operand; unlike {!operand_ty}, it
     allocates nothing. *)
 val operand_sty : operand -> scalar_ty
+
+(** [iter_vars g f] calls [g] on each of [f]'s variables (its params,
+    its rets and every variable its body mentions) once each, in
+    ascending vid order. The first record met for a vid (params, then
+    rets, then the body in order) stands for it; [?conflict first other]
+    is called on every later record of that vid that differs from it.
+    Allocates one array, a word per vid up to the highest it meets. *)
+val iter_vars : ?conflict:(var -> var -> unit) -> (var -> unit) -> func -> unit
 
 (** Builder for constructing MIR with fresh variables. *)
 module Builder : sig

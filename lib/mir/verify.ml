@@ -30,34 +30,24 @@ let rec is_ivar vid = function
   | (v : var) :: rest -> v.vid = vid || is_ivar vid rest
 
 let check ?intrin (func : func) =
-  let declared = Hashtbl.create 64 in
-  List.iter
-    (fun v ->
-      Hashtbl.replace declared v.vid v;
-      match v.vty with
-      | Tscalar { lanes; base = MT.Double; cplx = MT.Real } when lanes > 1 -> ()
-      | Tscalar { lanes; _ } when lanes > 1 ->
-        failwith
-          (Printf.sprintf
-             "MIR verify (%s): vector register %s.%d is not real double"
-             func.name v.vname v.vid)
-      | Tscalar _ | Tarray _ -> ())
-    func.vars;
-  (* [find] rather than [find_opt]: no option box per operand. *)
-  let check_declared (v : var) =
-    match Hashtbl.find declared v.vid with
-    | v' when v' == v || v' = v -> ()
-    | _ ->
-      fail "variable %s.%d conflicts with another declaration" v.vname v.vid
-    | exception Not_found ->
-      fail "variable %s.%d is not declared in the function" v.vname v.vid
+  (* A function's variables are the ones it mentions, so each is
+     declared by construction; the records of one vid must agree, and a
+     vector register must be real double. *)
+  let conflict _ (v : var) =
+    fail "variable %s.%d conflicts with another declaration" v.vname v.vid
   in
-  (* A register operand of any width: a declared non-array variable or
-     a constant. *)
+  let check_var (v : var) =
+    match v.vty with
+    | Tscalar { lanes; base = MT.Double; cplx = MT.Real } when lanes > 1 -> ()
+    | Tscalar { lanes; _ } when lanes > 1 ->
+      fail "vector register %s.%d is not real double" v.vname v.vid
+    | Tscalar _ | Tarray _ -> ()
+  in
+  (* A register operand of any width: a non-array variable or a
+     constant. *)
   let reg_operand what (op : operand) =
     match op with
     | Ovar v ->
-      check_declared v;
       if is_array v then
         fail "%s: array variable %s.%d used as a scalar operand" what v.vname
           v.vid
@@ -94,7 +84,6 @@ let check ?intrin (func : func) =
     | Oconst _ -> fail "%s: non-integral constant index" what
   in
   let array_operand what (v : var) =
-    check_declared v;
     if not (is_array v) then
       fail "%s: scalar variable %s.%d used as an array" what v.vname v.vid
   in
@@ -150,7 +139,7 @@ let check ?intrin (func : func) =
   (* An array prints whole; any other print operand is one scalar. *)
   let print_operand what (op : operand) =
     match op with
-    | Ovar v when is_array v -> check_declared v
+    | Ovar v when is_array v -> ()
     | Ovar _ | Oconst _ -> scalar_operand what op
   in
   (* A loop bound is a real lanes-1 scalar; [true] when it is int-like. *)
@@ -211,7 +200,6 @@ let check ?intrin (func : func) =
   and check_instr ~in_loop ~ivars (i : instr) =
     match i.idesc with
     | Idef (v, rv) ->
-      check_declared v;
       if is_array v then
         fail "def target %s.%d is an array variable" v.vname v.vid;
       if is_ivar v.vid ivars then
@@ -242,7 +230,6 @@ let check ?intrin (func : func) =
       check_block ~in_loop ~ivars e
     | Iloop l ->
       let iv = l.ivar in
-      check_declared iv;
       if is_array iv then fail "loop variable is an array";
       if is_ivar iv.vid ivars then
         fail "loop variable %s.%d is defined in the loop body" iv.vname
@@ -275,11 +262,11 @@ let check ?intrin (func : func) =
   in
   (* The C signature passes scalars and arrays only. *)
   let boundary what (v : var) =
-    check_declared v;
     if (elem_ty v).lanes > 1 then
       fail "%s %s.%d is a vector register" what v.vname v.vid
   in
   try
+    iter_vars ~conflict check_var func;
     List.iter (boundary "parameter") func.params;
     List.iter (boundary "return") func.rets;
     check_block ~in_loop:false ~ivars:[] func.body

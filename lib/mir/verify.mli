@@ -5,7 +5,10 @@
     compile's final MIR and in both simulator engines, so a rule here
     is a guarantee the plan engine's typed slots build on.
     Rules:
-    - operands reference variables declared in the function;
+    - every record of one vid agrees: a function's variables are the
+      ones it mentions ({!Mir.iter_vars}), so each is declared by
+      construction and two mentions of a vid must carry the same name
+      and type;
     - array variables appear only as load/store bases, scalars only as
       register operands;
     - load/store indices are scalar (Int, Bool or integral Double);

@@ -17,7 +17,7 @@ let run (func : Mir.func) : Mir.func =
      an entry per copy it records: about 0.15 kwords per run on
      compile-large's programs (EXPERIMENTS.md, "Optimizer no-change
      runs"). *)
-  let sources = Rewrite.Vid_set.create (List.length func.Mir.vars) in
+  let sources = Rewrite.Vid_set.create func.Mir.next_vid in
   let clear_map () =
     Hashtbl.clear map;
     Rewrite.Vid_set.clear sources

@@ -25,7 +25,7 @@ let run (func : Mir.func) : Mir.func =
      this set and a hash-table bucket per cacheable def and per store:
      about 2.8–3.7 kwords per run on compile-large's programs
      (EXPERIMENTS.md, "Optimizer no-change runs"). *)
-  let mentioned = Rewrite.Vid_set.create (List.length func.Mir.vars) in
+  let mentioned = Rewrite.Vid_set.create func.Mir.next_vid in
   let mention = Rewrite.Vid_set.add mentioned in
   let mention_op = Rewrite.Vid_set.add_operand mentioned in
   let clear_tables () =

@@ -68,7 +68,7 @@ let rec block_has_effects (b : Mir.block) =
    most tables are over 256 ids and go straight to the major heap
    (EXPERIMENTS.md, "Optimizer no-change runs"). *)
 let run (func : Mir.func) : Mir.func =
-  let reads = Vid_counts.create (List.length func.Mir.vars) in
+  let reads = Vid_counts.create func.Mir.next_vid in
   count_block reads 1 func.Mir.body;
   List.iter (fun (r : Mir.var) -> Vid_counts.add reads r.Mir.vid 1) func.Mir.rets;
   let read vid = Vid_counts.get reads vid > 0 in

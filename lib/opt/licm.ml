@@ -10,7 +10,7 @@ let run (func : Mir.func) : Mir.func =
      hoisting walk. A def count is only ever compared with 1, so two
      byte-per-id sets replace a count table and fill without
      allocating. *)
-  let nvars = List.length func.Mir.vars in
+  let nvars = func.Mir.next_vid in
   let defined = Vid_set.create nvars in
   let redefined = Vid_set.create nvars in
   let stored = Vid_set.create nvars in

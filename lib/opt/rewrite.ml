@@ -303,7 +303,7 @@ module Vid_counts = struct
 end
 
 let use_counts (func : Mir.func) : Vid_counts.t =
-  let c = Vid_counts.create (List.length func.Mir.vars) in
+  let c = Vid_counts.create func.Mir.next_vid in
   Vid_counts.add_block_uses c 1 func.Mir.body;
   List.iter (fun (r : Mir.var) -> Vid_counts.add c r.Mir.vid 1) func.Mir.rets;
   c

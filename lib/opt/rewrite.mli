@@ -72,7 +72,7 @@ end
 
 (** Counts per variable id, for per-run pass analyses. Ids are dense
     per function, so a table is four bytes per id, sized from
-    [func.vars] and grown on an unseen id: [get] and [add] allocate
+    [func.next_vid] and grown on an unseen id: [get] and [add] allocate
     nothing once it covers the ids. *)
 module Vid_counts : sig
   type t

@@ -29,7 +29,6 @@ type ctx = {
   sink : Diag.sink;
   fname : string;
   mutable next_id : int;
-  mutable new_vars : Mir.var list;
   mutable maps : int;
   mutable reds : int;
   mutable dyns : int;
@@ -56,7 +55,6 @@ let vat ctx d = Mir.at ctx.cur_loc d
 let fresh ctx hint ty =
   let v = { Mir.vname = hint; vid = ctx.next_id; vty = ty } in
   ctx.next_id <- ctx.next_id + 1;
-  ctx.new_vars <- v :: ctx.new_vars;
   v
 
 let vec_sty lanes = Mir.Tscalar { Mir.base = MT.Double; cplx = MT.Real; lanes }
@@ -601,22 +599,20 @@ let run ?(sink = Diag.Raise) (isa : Isa.t) (func : Mir.func) :
   if isa.Isa.vector_width < 2 then
     (func, { map_loops = 0; reduction_loops = 0; run_time_trips = 0 })
   else begin
-    let max_id =
-      List.fold_left (fun m (v : Mir.var) -> max m v.Mir.vid) 0 func.Mir.vars
-    in
+    let next_id = func.Mir.next_vid in
     let ctx =
       { isa; width = isa.Isa.vector_width; sink; fname = func.Mir.name;
-        next_id = max_id + 1; new_vars = []; maps = 0; reds = 0; dyns = 0;
+        next_id; maps = 0; reds = 0; dyns = 0;
         missing = None; cur_loc = Loc.dummy;
         func_uses = Masc_opt.Rewrite.use_counts func;
-        body_uses = Vid_counts.create (max_id + 1);
-        defs = Hashtbl.create 16; data_defs = Vid_set.create (max_id + 1);
+        body_uses = Vid_counts.create next_id;
+        defs = Hashtbl.create 16; data_defs = Vid_set.create next_id;
         vmap = Hashtbl.create 16; bcast = Hashtbl.create 8; out = [] }
     in
     let body = process_block ctx func.Mir.body in
     let func =
-      if body == func.Mir.body && ctx.new_vars = [] then func
-      else { func with Mir.body; vars = func.Mir.vars @ List.rev ctx.new_vars }
+      if body == func.Mir.body then func
+      else { func with Mir.body; next_vid = ctx.next_id }
     in
     ( func,
       { map_loops = ctx.maps; reduction_loops = ctx.reds;

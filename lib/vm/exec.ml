@@ -109,9 +109,31 @@ let check_entry ~(isa : Masc_asip.Isa.t) (f : Mir.func) =
   Masc_obs.Journal.span ~cat:"stage" "verify" (fun () -> Verify.check ~intrin f);
   { func = f; isa }
 
+(* The lane operator of a reduction and of a reduce or SIMD intrinsic
+   kind, which both engines apply lane by lane. *)
+let vreduce_op = function
+  | Mir.Vsum -> Mir.Badd
+  | Mir.Vprod -> Mir.Bmul
+  | Mir.Vmin -> Mir.Bmin
+  | Mir.Vmax -> Mir.Bmax
+
+let reduce_kind_op = function
+  | Masc_asip.Isa.Kreduce_add -> Some Mir.Badd
+  | Kreduce_min -> Some Mir.Bmin
+  | Kreduce_max -> Some Mir.Bmax
+  | _ -> None
+
+let simd_kind_op = function
+  | Masc_asip.Isa.Ksimd_add -> Some Mir.Badd
+  | Ksimd_sub -> Some Mir.Bsub
+  | Ksimd_mul -> Some Mir.Bmul
+  | Ksimd_div -> Some Mir.Bdiv
+  | Ksimd_min -> Some Mir.Bmin
+  | Ksimd_max -> Some Mir.Bmax
+  | _ -> None
+
 (* Static array footprint of a function, in bytes, using the C layout
-   the simulator banks model (complex 16, double/int 8, bool 1).
-   Deduplicated by vid: params and returns also appear in [vars]. *)
+   the simulator banks model (complex 16, double/int 8, bool 1). *)
 let array_bytes_of_func (f : Mir.func) =
   let elem_bytes (sty : Mir.scalar_ty) =
     if sty.Mir.cplx = Masc_sema.Mtype.Complex then 16
@@ -120,18 +142,14 @@ let array_bytes_of_func (f : Mir.func) =
       | Masc_sema.Mtype.Double | Masc_sema.Mtype.Int | Masc_sema.Mtype.Err -> 8
       | Masc_sema.Mtype.Bool -> 1
   in
-  let seen = Hashtbl.create 32 in
-  List.fold_left
-    (fun acc (v : Mir.var) ->
-      if Hashtbl.mem seen v.Mir.vid then acc
-      else begin
-        Hashtbl.add seen v.Mir.vid ();
-        match v.Mir.vty with
-        | Mir.Tscalar _ -> acc
-        | Mir.Tarray (sty, n) -> acc + (n * elem_bytes sty)
-      end)
-    0
-    (f.Mir.params @ f.Mir.rets @ f.Mir.vars)
+  let bytes = ref 0 in
+  Mir.iter_vars
+    (fun (v : Mir.var) ->
+      match v.Mir.vty with
+      | Mir.Tscalar _ -> ()
+      | Mir.Tarray (sty, n) -> bytes := !bytes + (n * elem_bytes sty))
+    f;
+  !bytes
 
 let check_alloc ~loc ~cap_bytes bytes =
   if bytes > cap_bytes then

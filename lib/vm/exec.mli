@@ -59,8 +59,16 @@ val raise_trap : kind:trap_kind -> loc:string -> steps_executed:int -> 'a
 (** Human-readable rendering of a trap. *)
 val trap_message : kind:trap_kind -> loc:string -> steps_executed:int -> string
 
+(** The lane operator of a reduction, and of a reduce or SIMD
+    intrinsic kind ([None] for other kinds). *)
+val vreduce_op : Masc_mir.Mir.vreduce -> Masc_mir.Mir.binop
+
+val reduce_kind_op : Masc_asip.Isa.kind -> Masc_mir.Mir.binop option
+val simd_kind_op : Masc_asip.Isa.kind -> Masc_mir.Mir.binop option
+
 (** Static array footprint of a function in bytes (complex 16,
-    double/int 8, bool 1 per element), deduplicated by variable id. *)
+    double/int 8, bool 1 per element), over its variables
+    ({!Masc_mir.Mir.iter_vars}). *)
 val array_bytes_of_func : Masc_mir.Mir.func -> int
 
 (** [check_alloc ~loc ~cap_bytes bytes] raises {!Trap} with

@@ -38,7 +38,10 @@ let run ?max_cycles ?fuel ?max_alloc_bytes ~isa ~mode (f : Mir.func)
 (* demands bit-identical results.                                      *)
 (* ------------------------------------------------------------------ *)
 
-type cell = Creg of Value.t ref | Carr of Value.scalar array
+(* A register holds a scalar, a vector register a lane buffer of its
+   width (the form the plan engine and the C hold one in), an array its
+   elements. *)
+type cell = Creg of V.scalar ref | Cvec of float array | Carr of V.scalar array
 
 type state = {
   isa : Isa.t;
@@ -93,139 +96,135 @@ let cell st (v : Mir.var) =
     let c =
       match v.Mir.vty with
       | Mir.Tscalar { Mir.lanes; _ } when lanes > 1 ->
-        Creg (ref (Value.Vector (Array.make lanes (V.Sf 0.0))))
-      | Mir.Tscalar sty -> Creg (ref (Value.Scalar (V.coerce sty (V.Si 0))))
+        Cvec (Array.make lanes 0.0)
+      | Mir.Tscalar sty -> Creg (ref (V.coerce sty (V.Si 0)))
       | Mir.Tarray (sty, n) -> Carr (Array.make n (V.coerce sty (V.Si 0)))
     in
     Hashtbl.replace st.cells v.Mir.vid c;
     c
 
+(* The entry check admits a vector only where the C has one, so a
+   scalar position reads a register, a vector position a vector
+   register, and a def's rvalue gives its target's lanes. The failures
+   below are for MIR that skipped it. *)
+let unchecked what = fail "%s in MIR the entry check refuses" what
+
 let reg st v =
   match cell st v with
   | Creg r -> r
-  | Carr _ -> fail "variable %s.%d used as a register" v.Mir.vname v.Mir.vid
+  | Cvec _ | Carr _ -> unchecked "non-scalar register operand"
 
 let arr st v =
   match cell st v with
   | Carr a -> a
-  | Creg _ -> fail "variable %s.%d used as an array" v.Mir.vname v.Mir.vid
+  | Creg _ | Cvec _ -> unchecked "register used as an array"
 
-let eval_operand st (op : Mir.operand) : Value.t =
+let vreg st (op : Mir.operand) =
+  match op with
+  | Mir.Ovar v -> (
+    match cell st v with
+    | Cvec x -> x
+    | Creg _ | Carr _ -> unchecked "scalar where a vector is expected")
+  | Mir.Oconst _ -> unchecked "constant where a vector is expected"
+
+let eval_scalar st (op : Mir.operand) : V.scalar =
   match op with
   | Mir.Ovar v -> !(reg st v)
-  | Mir.Oconst (Mir.Cf f) -> Value.Scalar (V.Sf f)
-  | Mir.Oconst (Mir.Ci i) -> Value.Scalar (V.Si i)
-  | Mir.Oconst (Mir.Cb b) -> Value.Scalar (V.Sb b)
-  | Mir.Oconst (Mir.Cc z) -> Value.Scalar (V.Sc z)
-
-(* The entry check admits a vector only where the C has one, so a
-   register read in a scalar position holds a scalar, and lane-wise
-   operands are vectors of one width. *)
-let scalar_of_value = function
-  | Value.Scalar s -> s
-  | Value.Vector _ -> fail "vector value used where a scalar was expected"
-
-let eval_scalar st op = scalar_of_value (eval_operand st op)
+  | Mir.Oconst (Mir.Cf f) -> V.Sf f
+  | Mir.Oconst (Mir.Ci i) -> V.Si i
+  | Mir.Oconst (Mir.Cb b) -> V.Sb b
+  | Mir.Oconst (Mir.Cc z) -> V.Sc z
 
 let index_of st op n what =
-  let s = eval_scalar st op in
-  let i = V.to_int s in
+  let i = V.to_int (eval_scalar st op) in
   if i < 0 || i >= n then fail "%s index %d out of bounds [0, %d)" what i n;
   i
 
-let lanewise2 f a b =
-  match (a, b) with
-  | Value.Vector x, Value.Vector y -> Value.Vector (Array.map2 f x y)
-  | _ -> fail "lane-wise operation on a scalar"
-
-let lanewise3 f a b c =
-  match (a, b, c) with
-  | Value.Vector x, Value.Vector y, Value.Vector z ->
-    Value.Vector (Array.init (Array.length x) (fun i -> f x.(i) y.(i) z.(i)))
-  | _ -> fail "lane-wise operation on a scalar"
+(* One SIMD lane or reduction step: [V.binop] on two [Sf] lanes, so the
+   tree-walker stays the reference for the plan engine's unboxed [lane]
+   (min/max are OCaml's, NaN order included). *)
+let lane op x y = V.to_float (V.binop op (V.Sf x) (V.Sf y))
 
 (* Horizontal reduction, left to right from lane 0. *)
-let fold_lanes combine (v : Value.t) =
-  match v with
-  | Value.Vector x ->
-    let acc = ref x.(0) in
-    for i = 1 to Array.length x - 1 do
-      acc := combine !acc x.(i)
-    done;
-    Value.Scalar !acc
-  | Value.Scalar _ -> fail "reduction of a scalar"
+let fold_lanes op (x : float array) =
+  let acc = ref x.(0) in
+  for i = 1 to Array.length x - 1 do
+    acc := lane op !acc x.(i)
+  done;
+  V.Sf !acc
 
-let eval_intrin st name (args : Value.t list) : Value.t =
+let intrin st name =
   match Isa.find_named st.isa name with
   | None -> fail "target %s has no intrinsic %s" st.isa.Isa.tname name
-  | Some desc -> (
-    let c v = V.to_complex (scalar_of_value v) in
-    match (desc.Isa.kind, args) with
-    | Isa.Ksimd_add, [ a; b ] -> lanewise2 (V.binop Mir.Badd) a b
-    | Isa.Ksimd_sub, [ a; b ] -> lanewise2 (V.binop Mir.Bsub) a b
-    | Isa.Ksimd_mul, [ a; b ] -> lanewise2 (V.binop Mir.Bmul) a b
-    | Isa.Ksimd_div, [ a; b ] -> lanewise2 (V.binop Mir.Bdiv) a b
-    | Isa.Ksimd_min, [ a; b ] -> lanewise2 (V.binop Mir.Bmin) a b
-    | Isa.Ksimd_max, [ a; b ] -> lanewise2 (V.binop Mir.Bmax) a b
-    | Isa.Kmac, [ acc; a; b ] ->
-      lanewise3
-        (fun acc a b -> V.binop Mir.Badd acc (V.binop Mir.Bmul a b))
-        acc a b
-    | Isa.Kcmul, [ a; b ] -> Value.Scalar (V.Sc (Complex.mul (c a) (c b)))
-    | Isa.Kcadd, [ a; b ] -> Value.Scalar (V.Sc (Complex.add (c a) (c b)))
-    | Isa.Kcmac, [ acc; a; b ] ->
-      Value.Scalar (V.Sc (Complex.add (c acc) (Complex.mul (c a) (c b))))
-    | Isa.Kreduce_add, [ a ] -> fold_lanes (V.binop Mir.Badd) a
-    | Isa.Kreduce_min, [ a ] -> fold_lanes (V.binop Mir.Bmin) a
-    | Isa.Kreduce_max, [ a ] -> fold_lanes (V.binop Mir.Bmax) a
-    | _ -> fail "%s: operands the entry check refuses" name)
+  | Some desc -> desc.Isa.kind
 
-let class_of_rvalue = Cost.class_of_rvalue
-
-let coerce_value (sty : Mir.scalar_ty) (v : Value.t) =
-  match v with
-  | Value.Scalar s -> Value.Scalar (V.coerce sty s)
-  | Value.Vector x -> Value.Vector (Array.map (V.coerce sty) x)
-
-let eval_rvalue st (rv : Mir.rvalue) : Value.t =
+(* A def into a scalar register. *)
+let eval_rvalue st (rv : Mir.rvalue) : V.scalar =
   match rv with
   | Mir.Rbin (op, a, b) ->
     let x = eval_scalar st a in
     let y = eval_scalar st b in
-    Value.Scalar (V.binop op x y)
-  | Mir.Runop (op, a) -> Value.Scalar (V.unop op (eval_scalar st a))
-  | Mir.Rmath (name, args) ->
-    Value.Scalar (V.math name (List.map (eval_scalar st) args))
+    V.binop op x y
+  | Mir.Runop (op, a) -> V.unop op (eval_scalar st a)
+  | Mir.Rmath (name, args) -> V.math name (List.map (eval_scalar st) args)
   | Mir.Rcomplex (re, im) ->
-    Value.Scalar
-      (V.Sc
-         { Complex.re = V.to_float (eval_scalar st re);
-           im = V.to_float (eval_scalar st im) })
+    V.Sc
+      { Complex.re = V.to_float (eval_scalar st re);
+        im = V.to_float (eval_scalar st im) }
   | Mir.Rload (a, idx) ->
     let arr = arr st a in
-    let i = index_of st idx (Array.length arr) a.Mir.vname in
-    Value.Scalar arr.(i)
-  | Mir.Rmove a -> eval_operand st a
-  | Mir.Rvload (a, base, lanes) ->
+    arr.(index_of st idx (Array.length arr) a.Mir.vname)
+  | Mir.Rmove a -> eval_scalar st a
+  | Mir.Rvreduce (r, a) -> fold_lanes (Exec.vreduce_op r) (vreg st a)
+  | Mir.Rintrin (name, args) -> (
+    let c op = V.to_complex (eval_scalar st op) in
+    match (intrin st name, args) with
+    | Isa.Kcmul, [ a; b ] -> V.Sc (Complex.mul (c a) (c b))
+    | Isa.Kcadd, [ a; b ] -> V.Sc (Complex.add (c a) (c b))
+    | Isa.Kcmac, [ acc; a; b ] ->
+      V.Sc (Complex.add (c acc) (Complex.mul (c a) (c b)))
+    | kind, [ a ] -> (
+      match Exec.reduce_kind_op kind with
+      | Some op -> fold_lanes op (vreg st a)
+      | None -> unchecked name)
+    | _ -> unchecked name)
+  | Mir.Rvload _ | Mir.Rvbroadcast _ -> unchecked "vector rvalue"
+
+(* A def into a vector register: the rvalue's lanes into its buffer. *)
+let eval_lanes st (rv : Mir.rvalue) (dst : float array) =
+  let n = Array.length dst in
+  match rv with
+  | Mir.Rmove a -> Array.blit (vreg st a) 0 dst 0 n
+  | Mir.Rvload (a, base, _) ->
     let arr = arr st a in
     let b = index_of st base (Array.length arr) a.Mir.vname in
-    if b + lanes > Array.length arr then
+    if b + n > Array.length arr then
       fail "vector load past end of %s" a.Mir.vname;
-    Value.Vector (Array.sub arr b lanes)
-  | Mir.Rvbroadcast (a, lanes) ->
-    let s = eval_scalar st a in
-    Value.Vector (Array.make lanes s)
-  | Mir.Rvreduce (r, a) ->
-    let combine =
-      match r with
-      | Mir.Vsum -> V.binop Mir.Badd
-      | Mir.Vprod -> V.binop Mir.Bmul
-      | Mir.Vmin -> V.binop Mir.Bmin
-      | Mir.Vmax -> V.binop Mir.Bmax
-    in
-    fold_lanes combine (eval_operand st a)
-  | Mir.Rintrin (name, args) ->
-    eval_intrin st name (List.map (eval_operand st) args)
+    for k = 0 to n - 1 do
+      dst.(k) <- V.to_float arr.(b + k)
+    done
+  | Mir.Rvbroadcast (a, _) -> Array.fill dst 0 n (V.to_float (eval_scalar st a))
+  | Mir.Rintrin (name, args) -> (
+    match (intrin st name, args) with
+    | Isa.Kmac, [ acc; a; b ] ->
+      let z = vreg st acc and x = vreg st a and y = vreg st b in
+      for k = 0 to n - 1 do
+        dst.(k) <- lane Mir.Badd z.(k) (lane Mir.Bmul x.(k) y.(k))
+      done
+    | kind, [ a; b ] -> (
+      match Exec.simd_kind_op kind with
+      | Some op ->
+        let x = vreg st a and y = vreg st b in
+        for k = 0 to n - 1 do
+          dst.(k) <- lane op x.(k) y.(k)
+        done
+      | None -> unchecked name)
+    | _ -> unchecked name)
+  | Mir.Rbin _ | Mir.Runop _ | Mir.Rmath _ | Mir.Rcomplex _ | Mir.Rload _
+  | Mir.Rvreduce _ ->
+    unchecked "scalar rvalue"
+
+let class_of_rvalue = Cost.class_of_rvalue
 
 let rec exec_block st (block : Mir.block) = List.iter (exec_instr st) block
 
@@ -233,15 +232,16 @@ and exec_instr st (instr : Mir.instr) =
   let line = Mir.line_of instr in
   match instr.Mir.idesc with
   | Mir.Idef (v, rv) ->
-    let value = eval_rvalue st rv in
+    (match cell st v with
+    | Cvec dst -> eval_lanes st rv dst
+    | Creg r -> r := V.coerce (Mir.elem_ty v) (eval_rvalue st rv)
+    | Carr _ -> unchecked "def of an array");
     let cost = Cost.def_cost st.isa st.mode rv in
     charge st line (class_of_rvalue rv) cost;
     (match (st.prof, rv) with
     | Some p, Mir.Rintrin (name, _) ->
       Masc_obs.Profile.add_intrin p name ~cycles:cost ~instrs:1
-    | _ -> ());
-    let sty = Mir.elem_ty v in
-    reg st v := coerce_value sty value
+    | _ -> ())
   | Mir.Istore (a, idx, x) ->
     let arr = arr st a in
     let i = index_of st idx (Array.length arr) a.Mir.vname in
@@ -256,12 +256,10 @@ and exec_instr st (instr : Mir.instr) =
     let b = index_of st base (Array.length arr) a.Mir.vname in
     if b + lanes > Array.length arr then
       fail "vector store past end of %s" a.Mir.vname;
-    (match eval_operand st x with
-    | Value.Vector vec when Array.length vec = lanes ->
-      let sty = Mir.elem_ty a in
-      Array.iteri (fun k s -> arr.(b + k) <- V.coerce sty s) vec
-    | Value.Vector _ -> fail "vector store width mismatch"
-    | Value.Scalar _ -> fail "vector store of a scalar");
+    let x = vreg st x in
+    for k = 0 to lanes - 1 do
+      arr.(b + k) <- V.Sf x.(k)
+    done;
     charge st line "simd" (Cost.vstore_cost st.isa)
   | Mir.Iif (c, then_b, else_b) ->
     charge st line "branch" (Cost.branch_cost st.isa);
@@ -290,7 +288,7 @@ and exec_instr st (instr : Mir.instr) =
     in
     let rec go v =
       if continue_loop v then begin
-        iv := Value.Scalar v;
+        iv := v;
         charge st line "loop" (Cost.loop_iter_cost st.isa);
         (try exec_block st body with Exec.Continue_exc -> ());
         go (next v)
@@ -351,7 +349,7 @@ let run_tree ?(max_cycles = 4_000_000_000) ?(fuel = Exec.default_fuel)
       match (p.Mir.vty, arg) with
       | Mir.Tscalar sty, Xscalar s ->
         Hashtbl.replace st.cells p.Mir.vid
-          (Creg (ref (Value.Scalar (V.coerce sty s))))
+          (Creg (ref (V.coerce sty s)))
       | Mir.Tarray (sty, n), Xarray a ->
         if Array.length a <> n then
           fail "argument %s: expected %d elements, received %d" p.Mir.vname n
@@ -365,8 +363,8 @@ let run_tree ?(max_cycles = 4_000_000_000) ?(fuel = Exec.default_fuel)
     List.map
       (fun (r : Mir.var) ->
         match cell st r with
-        | Creg v -> Xscalar (scalar_of_value !v)
-        | Carr a -> Xarray (Array.copy a))
+        | Carr a -> Xarray (Array.copy a)
+        | Creg _ | Cvec _ -> Xscalar !(reg st r))
       f.Mir.rets
   in
   { rets; cycles = st.cycles; dyn_instrs = st.dyn;

@@ -191,7 +191,7 @@ let cconst env (z : Complex.t) =
     env.cinit <- (i, z) :: env.cinit;
     i
 
-(* [Exec.check_entry] guarantees every variable is declared, that
+(* [Exec.check_entry] guarantees that the records of a vid agree, that
    arrays and registers are never confused (an array is never a
    register operand, def target or loop variable, a register never a
    load/store base), and that a vector register appears only where a
@@ -514,27 +514,6 @@ let compile_rmath env name args : prod =
 let reduce_prod op s : prod =
   Pf (fun st -> fold_lanes op (Array.unsafe_get st.vbufs s))
 
-let vreduce_op = function
-  | Mir.Vsum -> Mir.Badd
-  | Mir.Vprod -> Mir.Bmul
-  | Mir.Vmin -> Mir.Bmin
-  | Mir.Vmax -> Mir.Bmax
-
-let reduce_kind_op = function
-  | Isa.Kreduce_add -> Some Mir.Badd
-  | Isa.Kreduce_min -> Some Mir.Bmin
-  | Isa.Kreduce_max -> Some Mir.Bmax
-  | _ -> None
-
-let simd_kind_op = function
-  | Isa.Ksimd_add -> Some Mir.Badd
-  | Isa.Ksimd_sub -> Some Mir.Bsub
-  | Isa.Ksimd_mul -> Some Mir.Bmul
-  | Isa.Ksimd_div -> Some Mir.Bdiv
-  | Isa.Ksimd_min -> Some Mir.Bmin
-  | Isa.Ksimd_max -> Some Mir.Bmax
-  | _ -> None
-
 (* An intrinsic the target has, on the operands the entry check admits
    for its kind: a SIMD op or mac over lane buffers of one width, a
    reduction of one, or a complex ISE over scalars, each operand
@@ -570,11 +549,11 @@ let compile_intrin env (desc : Isa.instr_desc) args : prod =
         let y = gb st in
         Complex.add z (Complex.mul x y))
   | kind, [ a ] -> (
-    match reduce_kind_op kind with
+    match Exec.reduce_kind_op kind with
     | Some op -> reduce_prod op (vbuf_of env a)
     | None -> unverified ("intrinsic " ^ desc.Isa.iname ^ " on one operand"))
   | kind, [ a; b ] -> (
-    match simd_kind_op kind with
+    match Exec.simd_kind_op kind with
     | Some op ->
       let sa = vbuf_of env a and sb = vbuf_of env b in
       Pv
@@ -636,7 +615,7 @@ let compile_rvalue env (rv : Mir.rvalue) : prod =
         for k = 0 to Array.length dst - 1 do
           Array.unsafe_set dst k x
         done)
-  | Mir.Rvreduce (r, a) -> reduce_prod (vreduce_op r) (vbuf_of env a)
+  | Mir.Rvreduce (r, a) -> reduce_prod (Exec.vreduce_op r) (vbuf_of env a)
   | Mir.Rintrin (name, args) -> (
     match Isa.find_named env.isa name with
     | Some desc -> compile_intrin env desc args
@@ -847,11 +826,11 @@ let compile_fdef env d rv cls cost : (state -> unit) option =
           charge st cls cost;
           Array.unsafe_set st.fregs d r)
     | _ -> None)
-  | Mir.Rvreduce (r, a) -> reduce (vreduce_op r) a
+  | Mir.Rvreduce (r, a) -> reduce (Exec.vreduce_op r) a
   | Mir.Rintrin (name, [ a ]) -> (
     match Isa.find_named env.isa name with
     | Some desc ->
-      Option.bind (reduce_kind_op desc.Isa.kind) (fun op -> reduce op a)
+      Option.bind (Exec.reduce_kind_op desc.Isa.kind) (fun op -> reduce op a)
     | None -> None)
   | Mir.Runop _ | Mir.Rmath _ | Mir.Rcomplex _ | Mir.Rintrin _ | Mir.Rvload _
   | Mir.Rvbroadcast _ ->
@@ -1197,9 +1176,10 @@ type t = {
 }
 
 let of_checked ~mode ({ Exec.func = f; isa } : Exec.checked) : t =
-  (* Slot assignment per bank, in first-declared order: params, rets,
-     then [vars], which the entry check guarantees declares every
-     variable the body names. A scalar's declared type is its bank. *)
+  (* Slot assignment per bank: params, rets, then the function's other
+     variables in ascending vid order ([Mir.iter_vars]), which the entry
+     check guarantees agree on each vid's type. A scalar's type is its
+     bank. *)
   let slots = Hashtbl.create 64 in
   let nf = ref 0
   and ni = ref 0
@@ -1251,7 +1231,7 @@ let of_checked ~mode ({ Exec.func = f; isa } : Exec.checked) : t =
   in
   List.iter (assign ~aparam:true) f.Mir.params;
   List.iter (assign ~aparam:false) f.Mir.rets;
-  List.iter (assign ~aparam:false) f.Mir.vars;
+  Mir.iter_vars (assign ~aparam:false) f;
   let env =
     { isa; mode; slots;
       cls_ids = Hashtbl.create 16; cls_rev = []; ncls = 0;

@@ -2,7 +2,6 @@ module Mir = Masc_mir.Mir
 module MT = Masc_sema.Mtype
 
 type scalar = Sf of float | Si of int | Sb of bool | Sc of Complex.t
-type t = Scalar of scalar | Vector of scalar array
 
 let to_float = function
   | Sf f -> f
@@ -153,12 +152,3 @@ let pp_scalar ppf = function
   | Si i -> Format.fprintf ppf "%d" i
   | Sb b -> Format.fprintf ppf "%b" b
   | Sc z -> Format.fprintf ppf "%g%+gi" z.Complex.re z.Complex.im
-
-let pp ppf = function
-  | Scalar s -> pp_scalar ppf s
-  | Vector v ->
-    Format.fprintf ppf "<%a>"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-         pp_scalar)
-      (Array.to_list v)

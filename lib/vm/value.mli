@@ -9,9 +9,6 @@ type scalar =
   | Sb of bool
   | Sc of Complex.t
 
-(** A register value: scalar or a SIMD vector of scalars. *)
-type t = Scalar of scalar | Vector of scalar array
-
 val to_float : scalar -> float
 val to_int : scalar -> int
 val to_bool : scalar -> bool
@@ -38,4 +35,3 @@ val math : string -> scalar list -> scalar
 val close : ?tol:float -> scalar -> scalar -> bool
 
 val pp_scalar : Format.formatter -> scalar -> unit
-val pp : Format.formatter -> t -> unit

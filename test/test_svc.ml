@@ -332,7 +332,7 @@ let test_cache_entry_fails_check () =
       in
       let bad =
         { Mir.vname = "bad";
-          vid = 1 + List.fold_left (fun m (v : Mir.var) -> max m v.Mir.vid) 0 mir.Mir.vars;
+          vid = mir.Mir.next_vid;
           vty = Mir.Tscalar Mir.complex_sty }
       in
       let cmul =
@@ -340,8 +340,8 @@ let test_cache_entry_fails_check () =
       in
       let mir =
         { mir with
-          Mir.vars = mir.Mir.vars @ [ bad ];
-          body = Mir.instr (Mir.Idef (bad, cmul)) :: mir.Mir.body }
+          Mir.body = Mir.instr (Mir.Idef (bad, cmul)) :: mir.Mir.body;
+          next_vid = bad.Mir.vid + 1 }
       in
       Sys.remove path;
       Masc.Disk_cache.store
