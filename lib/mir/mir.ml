@@ -113,6 +113,16 @@ let operand_ty = function
   | Oconst (Cc _) -> Tscalar complex_sty
 
 let var_of_operand = function Ovar v -> Some v | Oconst _ -> None
+
+let equal_sty a b =
+  a.base == b.base && a.cplx == b.cplx && Int.equal a.lanes b.lanes
+
+let equal_ty a b =
+  match (a, b) with
+  | Tscalar s, Tscalar t -> equal_sty s t
+  | Tarray (s, n), Tarray (t, m) -> Int.equal n m && equal_sty s t
+  | (Tscalar _ | Tarray _), _ -> false
+
 let is_array v = match v.vty with Tarray _ -> true | Tscalar _ -> false
 let elem_ty v = match v.vty with Tarray (s, _) | Tscalar s -> s
 

@@ -136,6 +136,10 @@ val complex_sty : scalar_ty
 
 val operand_ty : operand -> ty
 val var_of_operand : operand -> var option
+
+(** Structural equality of types without the polymorphic compare. *)
+val equal_ty : ty -> ty -> bool
+
 val is_array : var -> bool
 
 (** Element scalar type of an array or scalar variable. *)

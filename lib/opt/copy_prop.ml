@@ -1,52 +1,30 @@
 module Mir = Masc_mir.Mir
 
+(* Per-run cost: one [Rewrite.Vid_map] from a copy's target to the
+   operand it copies. A lookup is a byte read and two array reads; a
+   miss allocates nothing and raises nothing. Redefining a variable
+   unbinds it, and scans the bindings only when one of them reads it.
+   The map and every helper are built once per run, never per block or
+   per segment. A run that changes nothing takes about 40% of the time
+   per instruction it took with a polymorphic [Hashtbl], on
+   compile-large's optimized MIR (EXPERIMENTS.md, "CSE and copy-prop on
+   vid-keyed tables"). *)
 let run (func : Mir.func) : Mir.func =
   (* One table per run, reset at each block: [map_blocks] visits blocks
      sequentially, and the table is already reset at every segment
      boundary inside a block, so clearing it between blocks is the same
-     discipline — and saves a table allocation per block per run. *)
-  let map : (int, Mir.operand) Hashtbl.t = Hashtbl.create 16 in
-  (* Variable ids occurring as a value in [map] since it was last
-     cleared (a superset: removals do not un-mark). [kill vid] scans the
-     values only when [vid] is in it, so redefining a variable no copy
-     reads costs one byte read instead of a [Hashtbl.iter] (which also
-     allocates a closure). The scan callback is built once over refs
-     instead of closing over the killed vid per call, and so is every
-     other helper: nothing is built per block or per segment. A run that
-     changes nothing allocates this set, the empty map, the helpers and
-     an entry per copy it records: about 0.15 kwords per run on
-     compile-large's programs (EXPERIMENTS.md, "Optimizer no-change
-     runs"). *)
-  let sources = Rewrite.Vid_set.create func.Mir.next_vid in
-  let clear_map () =
-    Hashtbl.clear map;
-    Rewrite.Vid_set.clear sources
-  in
-  let kill_vid = ref (-1) in
-  let stale = ref [] in
-  let scan k op =
-    match op with
-    | Mir.Ovar v when v.Mir.vid = !kill_vid -> stale := k :: !stale
-    | _ -> ()
-  in
-  let rm k = Hashtbl.remove map k in
+     discipline. *)
+  let map = Rewrite.Vid_map.create func.Mir.next_vid in
+  let clear_map () = Rewrite.Vid_map.clear map in
   let subst (op : Mir.operand) =
     match op with
-    | Mir.Ovar v -> (
-      match Hashtbl.find map v.Mir.vid with o -> o | exception Not_found -> op)
-    | Mir.Oconst _ -> op
+    | Mir.Ovar v when Rewrite.Vid_map.mem map v.Mir.vid ->
+      Rewrite.Vid_map.get map v.Mir.vid
+    | Mir.Ovar _ | Mir.Oconst _ -> op
   in
   let kill vid =
-    Hashtbl.remove map vid;
-    if Rewrite.Vid_set.mem sources vid then begin
-      kill_vid := vid;
-      Hashtbl.iter scan map;
-      match !stale with
-      | [] -> ()
-      | l ->
-        List.iter rm l;
-        stale := []
-    end
+    Rewrite.Vid_map.remove map vid;
+    Rewrite.Vid_map.remove_reading map vid
   in
   let rewrite (instr : Mir.instr) =
     match instr.Mir.idesc with
@@ -57,12 +35,11 @@ let run (func : Mir.func) : Mir.func =
          coerce (e.g. double literal into an int register). *)
       (match rv' with
       | Mir.Rmove (Mir.Oconst _ as op)
-        when Mir.operand_ty op = v.Mir.vty ->
-        Hashtbl.replace map v.Mir.vid op
+        when Mir.equal_ty (Mir.operand_ty op) v.Mir.vty ->
+        Rewrite.Vid_map.set map v.Mir.vid op
       | Mir.Rmove (Mir.Ovar src as op)
-        when src.Mir.vty = v.Mir.vty && not (Mir.is_array src) ->
-        Hashtbl.replace map v.Mir.vid op;
-        Rewrite.Vid_set.add sources src.Mir.vid
+        when Mir.equal_ty src.Mir.vty v.Mir.vty && not (Mir.is_array src) ->
+        Rewrite.Vid_map.set map v.Mir.vid op
       | _ -> ());
       if rv' == rv then instr else Mir.redesc instr (Mir.Idef (v, rv'))
     | Mir.Istore (arr, idx, x) ->

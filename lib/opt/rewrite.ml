@@ -221,6 +221,95 @@ module Vid_set = struct
     end
 end
 
+module Vid_map = struct
+  (* A sparse set with an operand per member. Entry [i < n] binds
+     [keys.(i)] to [vals.(i)]; [slots] holds, four bytes per id, the
+     entry an id was last given, and an id is bound when that entry is
+     below [n] and names it back. So [clear] is [n <- 0], a lookup is a
+     byte read and two array reads, and [remove_reading] scans the [n]
+     entries. [reads] holds every variable an operand bound since the
+     last clear reads (removals do not un-mark it), so
+     [remove_reading] of any other id is one byte read. [slots] is
+     allocated on the first [set], and the entry arrays grow with the
+     bindings, so a run that never binds allocates only [reads]. *)
+  type t = {
+    mutable slots : Bytes.t;
+    mutable keys : int array;
+    mutable vals : Mir.operand array;
+    mutable n : int;
+    reads : Vid_set.t;
+    size : int;
+  }
+
+  let create n =
+    { slots = Bytes.empty; keys = [||]; vals = [||]; n = 0;
+      reads = Vid_set.create n; size = max n 1 }
+
+  (* [vid]'s entry, or -1. *)
+  let entry m vid =
+    if 4 * vid >= Bytes.length m.slots then -1
+    else
+      let e = Int32.to_int (Bytes.get_int32_ne m.slots (4 * vid)) in
+      if e < m.n && Array.unsafe_get m.keys e = vid then e else -1
+
+  let mem m vid = entry m vid >= 0
+  let get m vid = m.vals.(entry m vid)
+
+  let set m vid op =
+    Vid_set.add_operand m.reads op;
+    match entry m vid with
+    | -1 ->
+      let nb = Bytes.length m.slots in
+      if 4 * vid >= nb then begin
+        let len = max (4 * (vid + 1)) (max (4 * m.size) (2 * nb)) in
+        let grown = Bytes.make len '\000' in
+        Bytes.blit m.slots 0 grown 0 nb;
+        m.slots <- grown
+      end;
+      let e = m.n in
+      if e = Array.length m.keys then begin
+        let cap = max 8 (2 * e) in
+        let keys = Array.make cap 0 and vals = Array.make cap op in
+        Array.blit m.keys 0 keys 0 e;
+        Array.blit m.vals 0 vals 0 e;
+        m.keys <- keys;
+        m.vals <- vals
+      end;
+      m.keys.(e) <- vid;
+      m.vals.(e) <- op;
+      Bytes.set_int32_ne m.slots (4 * vid) (Int32.of_int e);
+      m.n <- e + 1
+    | e -> m.vals.(e) <- op
+
+  (* The last entry moves into [e]. *)
+  let remove_entry m e =
+    let last = m.n - 1 in
+    if e < last then begin
+      let k = m.keys.(last) in
+      m.keys.(e) <- k;
+      m.vals.(e) <- m.vals.(last);
+      Bytes.set_int32_ne m.slots (4 * k) (Int32.of_int e)
+    end;
+    m.n <- last
+
+  let remove m vid =
+    match entry m vid with -1 -> () | e -> remove_entry m e
+
+  let remove_reading m vid =
+    if Vid_set.mem m.reads vid then begin
+      let e = ref 0 in
+      while !e < m.n do
+        match Array.unsafe_get m.vals !e with
+        | Mir.Ovar v when v.Mir.vid = vid -> remove_entry m !e
+        | Mir.Ovar _ | Mir.Oconst _ -> incr e
+      done
+    end
+
+  let clear m =
+    m.n <- 0;
+    Vid_set.clear m.reads
+end
+
 module Vid_counts = struct
   (* Four bytes per id, dense from 0 like [Vid_set]: half an int array.
      A block of more than 256 words is allocated directly in the major

@@ -70,6 +70,36 @@ module Vid_set : sig
   val clear : t -> unit
 end
 
+(** An operand per variable id, for the per-run substitution tables of
+    copy-prop and CSE: a sparse set, four bytes per id naming the
+    binding's entry in two dense arrays (ids and operands). [clear] is
+    constant-time, and [remove_reading] scans only the bindings since
+    the last [clear]. Nothing allocates once the tables cover the ids
+    and the bindings; the per-id bytes are allocated on the first
+    [set]. *)
+module Vid_map : sig
+  type t
+
+  (** [create n] is an empty map presized for ids below [n]; larger
+      ids grow it. *)
+  val create : int -> t
+
+  val mem : t -> int -> bool
+
+  (** [get m vid] is [vid]'s operand; [vid] must be bound ([mem]). *)
+  val get : t -> int -> Mir.operand
+
+  val set : t -> int -> Mir.operand -> unit
+  val remove : t -> int -> unit
+
+  (** [remove_reading m vid] unbinds every id whose operand is variable
+      [vid]. It scans only when some operand bound since the last
+      [clear] was [vid]. *)
+  val remove_reading : t -> int -> unit
+
+  val clear : t -> unit
+end
+
 (** Counts per variable id, for per-run pass analyses. Ids are dense
     per function, so a table is four bytes per id, sized from
     [func.next_vid] and grown on an unseen id: [get] and [add] allocate

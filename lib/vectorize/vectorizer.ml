@@ -190,21 +190,24 @@ let analyze_body ctx (l : Mir.loop) : bool =
 let used_outside ctx vid =
   Vid_counts.get ctx.func_uses vid > Vid_counts.get ctx.body_uses vid
 
-let rec data_def_escapes ctx except (b : Mir.block) =
+let rec def_escapes ctx except (b : Mir.block) =
   match b with
   | [] -> false
   | { Mir.idesc = Mir.Idef (v, _); _ } :: tl ->
-    (v.Mir.vid <> except && is_data_var v && used_outside ctx v.Mir.vid)
-    || data_def_escapes ctx except tl
-  | _ :: tl -> data_def_escapes ctx except tl
+    (v.Mir.vid <> except && used_outside ctx v.Mir.vid)
+    || def_escapes ctx except tl
+  | _ :: tl -> def_escapes ctx except tl
 
-(* The data defs of [l]'s body other than [acc] are not observed after
-   the loop, and [acc], when it is a variable id (not -1), is. *)
+(* The defs of [l]'s body other than [acc] are not observed after the
+   loop, and [acc], when it is a variable id (not -1), is. A data def
+   becomes a vector lane; an index def stays scalar in the vector body,
+   so after the main loop it holds the last strip's first index, which
+   is wrong when the epilogue runs no iteration (a [for] variable read
+   after its loop is such a def). *)
 let defs_stay_local ctx (l : Mir.loop) ~acc =
   Vid_counts.add_block_uses ctx.body_uses 1 l.Mir.body;
   let ok =
-    (acc < 0 || used_outside ctx acc)
-    && not (data_def_escapes ctx acc l.Mir.body)
+    (acc < 0 || used_outside ctx acc) && not (def_escapes ctx acc l.Mir.body)
   in
   Vid_counts.add_block_uses ctx.body_uses (-1) l.Mir.body;
   ok
@@ -431,7 +434,7 @@ let count_run_time_trips ctx (l : Mir.loop) =
 let try_map_loop ctx (l : Mir.loop) : Mir.instr list =
   match
     if not (analyze_body ctx l) then raise Bail;
-    (* Data defs must not be observed after the loop. *)
+    (* Body defs must not be observed after the loop. *)
     if not (defs_stay_local ctx l ~acc:(-1)) then raise Bail;
     let body' = transform_body ctx l ~acc:None in
     let pre, main_hi, epi_lo = emit_strip_mine ctx l in
@@ -477,8 +480,8 @@ let try_reduction_loop ctx (l : Mir.loop) : Mir.instr list =
     if analyze_body ctx l then raise Bail;
     let acc_var, op = find_acc None l.Mir.body in
     if not (Vid_set.mem ctx.data_defs acc_var.Mir.vid) then raise Bail;
-    (* The accumulator is read after the loop; the other data defs
-       are loop-local. *)
+    (* The accumulator is read after the loop; the other defs are
+       loop-local. *)
     if not (defs_stay_local ctx l ~acc:acc_var.Mir.vid) then raise Bail;
     let red_kind, vred =
       match op with

@@ -261,6 +261,118 @@ let test_loop_variable_lowering () =
       programs
   end
 
+(* Programs whose optimized forms once disagreed with their O0 form,
+   each run with one double argument in tree, plan and C at every
+   level and target given. Tree and plan must agree bit for bit on
+   returns, cycles and histograms; the C, run through the host
+   compiler, and every level must return the bits O0 returns (any NaN
+   matches any NaN, since the C prints a NaN without its payload). *)
+let check_levels_agree ~levels ~targets (pname, x, src) =
+  let bits (r : I.result) = List.map Int64.bits_of_float (sim_floats r) in
+  let same a b =
+    List.length a = List.length b
+    && List.for_all2
+         (fun a b ->
+           Int64.equal a b
+           || (Float.is_nan (Int64.float_of_bits a)
+              && Float.is_nan (Int64.float_of_bits b)))
+         a b
+  in
+  List.iter
+    (fun (tname, isa) ->
+      let o0 = ref None in
+      List.iter
+        (fun (lname, opt_level) ->
+          let tag what = Printf.sprintf "%s/%s/%s %s" pname tname lname what in
+          let c =
+            compile { (C.proposed ~isa ()) with C.opt_level } ~args:[ Mtype.double ]
+              src
+          in
+          let isa = c.C.config.C.isa and mode = c.C.config.C.mode in
+          let inputs = [ I.Xscalar (V.Sf x) ] in
+          let rt = I.run_tree ~isa ~mode c.C.mir inputs in
+          let rp = I.run ~isa ~mode c.C.mir inputs in
+          Alcotest.(check int) (tag "cycles") rt.I.cycles rp.I.cycles;
+          Alcotest.(check bool) (tag "histogram") true
+            (rt.I.histogram = rp.I.histogram);
+          Alcotest.(check (list int64)) (tag "plan returns") (bits rt) (bits rp);
+          if Lazy.force cc_available then begin
+            let prog = H.full_program ~isa ~mode c.C.mir [ H.Hscalar x ] in
+            let cb =
+              List.map Int64.bits_of_float
+                (floats_of_lines (run_c_program ~timeout:10 prog))
+            in
+            if not (same (bits rt) cb) then
+              Alcotest.failf "%s: C returns %s, simulators %s" (tag "")
+                (String.concat " " (List.map Int64.to_string cb))
+                (String.concat " " (List.map Int64.to_string (bits rt)))
+          end;
+          match !o0 with
+          | None -> o0 := Some (bits rt)
+          | Some b0 ->
+            if not (same b0 (bits rt)) then
+              Alcotest.failf "%s: returns %s, O0 returns %s" (tag "")
+                (String.concat " "
+                   (List.map (fun b -> Printf.sprintf "%h" (Int64.float_of_bits b))
+                      (bits rt)))
+                (String.concat " "
+                   (List.map (fun b -> Printf.sprintf "%h" (Int64.float_of_bits b))
+                      b0)))
+        levels)
+    targets
+
+(* Signed zeros survive optimization. [negz]: [z + 0] is +0 when [z] is
+   -0.0, so const-fold must not fold it to [z] (O1 returned -inf where
+   O0 returns NaN). [negz3]: [z * 0.0] and [z * -0.0] are different
+   values, so CSE must not merge them (O1 returned inf). *)
+let test_signed_zeros () =
+  List.iter
+    (check_levels_agree
+       ~levels:
+         [ ("O0", Masc_opt.Pipeline.O0); ("O1", Masc_opt.Pipeline.O1);
+           ("O2", Masc_opt.Pipeline.O2) ]
+       ~targets:
+         [ ("scalar", Masc_asip.Targets.scalar); ("dsp8", Masc_asip.Targets.dsp8) ])
+    [ ( "negz", 0.75,
+        "function y = f(x)
+z = -(x * x * 0);
+a = z + 0;
+b = z + (-0);
+         y = 1 / a + 2 / b;
+end" );
+      ( "negz3", 0.75,
+        "function y = f(x)
+z = x * x;
+a = z * (0.5 * 0);
+         b = z * -(0.5 * 0);
+y = 1 / a + 1 / b;
+end" ) ]
+
+(* A [for] variable read after a loop the vectorizer would strip-mine:
+   its copy in the body ([k_3 = k_4]) would stay scalar in the vector
+   loop and end at the last strip's first index whenever the epilogue
+   runs no iteration (n = 8 and 16 on dsp8, 16 on dsp16), so the loop
+   stays scalar. *)
+let test_loop_variable_after_vector_loop () =
+  List.iter
+    (fun n ->
+      check_levels_agree
+        ~levels:[ ("O0", Masc_opt.Pipeline.O0); ("O2", Masc_opt.Pipeline.O2) ]
+        ~targets:
+          [ ("dsp8", Masc_asip.Targets.dsp8); ("dsp16", Masc_asip.Targets.dsp16) ]
+        ( Printf.sprintf "n=%d" n, 0.5,
+          Printf.sprintf
+            "function y = f(x)
+n = %d;
+y = 0;
+             for k = 1:n
+  y = y + 1;
+end
+y = y + 10*k + x;
+end"
+            n ))
+    [ 0; 3; 8; 16 ]
+
 (* Infer types a variable per program point, while its MIR variable
    has the join of all its bindings: after [k = 1i; k = 2] the read of
    [k] in [k + 1] is real and [k] is complex. The read takes the real
@@ -632,6 +744,10 @@ let suites =
         Alcotest.test_case "cc run across widths" `Slow test_gcc_widths;
         Alcotest.test_case "loop variables agree across engines and C" `Slow
           test_loop_variable_lowering;
+        Alcotest.test_case "signed zeros agree across levels, engines and C"
+          `Quick test_signed_zeros;
+        Alcotest.test_case "loop variable after a vector loop agrees across \
+                            levels" `Quick test_loop_variable_after_vector_loop;
         Alcotest.test_case "joined complex reads agree across engines and C"
           `Quick test_joined_complex_reads;
         Alcotest.test_case "complex ops with a real operand agree across \

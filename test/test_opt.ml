@@ -93,6 +93,136 @@ let test_cse_merges () =
   (* a*b once, then squared once: two multiplies, not three *)
   Alcotest.(check int) "a*b computed once" 2 muls
 
+(* Passes on hand-built MIR: [defs_after pass build] is each def's
+   rvalue after one run of [pass] over the straight-line function
+   [build] emits, in order. *)
+let defs_after pass build =
+  let module B = Mir.Builder in
+  let b = B.create "k" in
+  let params = build b in
+  let f = pass (B.finish b ~params ~rets:[]) in
+  List.filter_map
+    (fun (i : Mir.instr) ->
+      match i.Mir.idesc with Mir.Idef (_, rv) -> Some rv | _ -> None)
+    f.Mir.body
+
+let dvar b hint = Mir.Builder.fresh_var b ~hint (Mir.Tscalar Mir.double_sty)
+let cf f = Mir.Oconst (Mir.Cf f)
+
+let is_move_of (v : Mir.var) = function
+  | Mir.Rmove (Mir.Ovar u) -> u.Mir.vid = v.Mir.vid
+  | _ -> false
+
+(* [x + 0] is [x] only for an int or bool [x]: a double [x] may be
+   -0.0, and -0 + 0 = +0. Adding -0.0 and subtracting +0.0 or int 0
+   are the identity on a double. *)
+let test_const_fold_signed_zeros () =
+  let held = ref [] in
+  let defs =
+    defs_after Masc_opt.Const_fold.run (fun b ->
+        let t = dvar b "t" in
+        let i = Mir.Builder.fresh_var b ~hint:"i" (Mir.Tscalar Mir.int_sty) in
+        let ci0 = Mir.Oconst (Mir.Ci 0) in
+        let emit rv = Mir.Builder.emit b (Mir.Idef (dvar b "d", rv)) in
+        emit (Mir.Rbin (Mir.Badd, Mir.Ovar t, ci0));
+        emit (Mir.Rbin (Mir.Badd, cf 0.0, Mir.Ovar t));
+        emit (Mir.Rbin (Mir.Badd, Mir.Ovar i, ci0));
+        emit (Mir.Rbin (Mir.Badd, cf (-0.0), Mir.Ovar t));
+        emit (Mir.Rbin (Mir.Bsub, Mir.Ovar t, cf 0.0));
+        emit (Mir.Rbin (Mir.Bsub, Mir.Ovar t, ci0));
+        emit (Mir.Rbin (Mir.Bsub, Mir.Ovar t, cf (-0.0)));
+        held := [ t; i ];
+        [ t; i ])
+  in
+  match (defs, !held) with
+  | [ a; b; c; d; e; f; g ], [ t; i ] ->
+    let kept = function Mir.Rbin _ -> true | _ -> false in
+    Alcotest.(check bool) "t + 0 kept" true (kept a);
+    Alcotest.(check bool) "0.0 + t kept" true (kept b);
+    Alcotest.(check bool) "i + 0 folded" true (is_move_of i c);
+    Alcotest.(check bool) "-0.0 + t folded" true (is_move_of t d);
+    Alcotest.(check bool) "t - 0.0 folded" true (is_move_of t e);
+    Alcotest.(check bool) "t - 0 folded" true (is_move_of t f);
+    Alcotest.(check bool) "t - -0.0 kept" true (kept g)
+  | _ -> Alcotest.fail "unexpected defs"
+
+let test_cse_signed_zeros () =
+  let cc re im = Mir.Oconst (Mir.Cc { Complex.re; im }) in
+  let defs =
+    defs_after Masc_opt.Cse.run (fun b ->
+        let t = dvar b "t" in
+        let emit v rv = Mir.Builder.emit b (Mir.Idef (v, rv)) in
+        let cty = Mir.Tscalar Mir.complex_sty in
+        let c1 = Mir.Builder.fresh_var b ~hint:"c" cty in
+        let c2 = Mir.Builder.fresh_var b ~hint:"c" cty in
+        emit (dvar b "p") (Mir.Rbin (Mir.Bmul, Mir.Ovar t, cf 0.0));
+        emit (dvar b "n") (Mir.Rbin (Mir.Bmul, Mir.Ovar t, cf (-0.0)));
+        emit c1 (Mir.Rbin (Mir.Badd, Mir.Ovar t, cc 1.0 0.0));
+        emit c2 (Mir.Rbin (Mir.Badd, Mir.Ovar t, cc 1.0 (-0.0)));
+        [ t ])
+  in
+  match defs with
+  | [ Mir.Rbin (Mir.Bmul, _, Mir.Oconst (Mir.Cf p));
+      Mir.Rbin (Mir.Bmul, _, Mir.Oconst (Mir.Cf n));
+      Mir.Rbin (Mir.Badd, _, Mir.Oconst (Mir.Cc _));
+      Mir.Rbin (Mir.Badd, _, Mir.Oconst (Mir.Cc z)) ] ->
+    Alcotest.(check bool) "t * 0.0 kept" false (Float.sign_bit p);
+    Alcotest.(check bool) "t * -0.0 kept" true (Float.sign_bit n);
+    Alcotest.(check bool) "t + (1, -0.0) kept" true (Float.sign_bit z.Complex.im)
+  | _ -> Alcotest.fail "a signed-zero expression was merged"
+
+let test_cse_same_vids_merge () =
+  let held = ref [] in
+  let defs =
+    defs_after Masc_opt.Cse.run (fun b ->
+        let t = dvar b "t" in
+        (* another record of [t]'s vid: equal, not physically equal *)
+        let t' = { t with Mir.vname = "t" } in
+        let x = Mir.Builder.fresh_var b ~hint:"x" (Mir.Tarray (Mir.double_sty, 4)) in
+        let i = Mir.Oconst (Mir.Ci 2) in
+        let nan () = cf (Int64.float_of_bits (Int64.bits_of_float Float.nan)) in
+        let p = dvar b "p" and l = dvar b "l" and q = dvar b "q" in
+        let emit v rv = Mir.Builder.emit b (Mir.Idef (v, rv)) in
+        emit p (Mir.Rbin (Mir.Bmul, Mir.Ovar t, cf 2.0));
+        emit (dvar b "p2") (Mir.Rbin (Mir.Bmul, Mir.Ovar t', cf 2.0));
+        emit l (Mir.Rload (x, i));
+        emit (dvar b "l2") (Mir.Rload (x, i));
+        emit q (Mir.Rbin (Mir.Badd, Mir.Ovar t, nan ()));
+        emit (dvar b "q2") (Mir.Rbin (Mir.Badd, Mir.Ovar t', nan ()));
+        held := [ p; l; q ];
+        [ t; x ])
+  in
+  match (defs, !held) with
+  | [ _; p2; _; l2; _; q2 ], [ p; l; q ] ->
+    Alcotest.(check bool) "t * 2.0 merged" true (is_move_of p p2);
+    Alcotest.(check bool) "x(2) merged" true (is_move_of l l2);
+    Alcotest.(check bool) "t + NaN merged" true (is_move_of q q2)
+  | _ -> Alcotest.fail "unexpected defs"
+
+let test_cse_store_kills_loads () =
+  let held = ref [] in
+  let defs =
+    defs_after Masc_opt.Cse.run (fun b ->
+        let t = dvar b "t" in
+        let x = Mir.Builder.fresh_var b ~hint:"x" (Mir.Tarray (Mir.double_sty, 4)) in
+        let i = Mir.Oconst (Mir.Ci 2) and j = Mir.Oconst (Mir.Ci 3) in
+        let l = dvar b "l" in
+        let emit v rv = Mir.Builder.emit b (Mir.Idef (v, rv)) in
+        emit l (Mir.Rload (x, i));
+        Mir.Builder.emit b (Mir.Istore (x, j, Mir.Ovar t));
+        emit (dvar b "l2") (Mir.Rload (x, i));
+        emit (dvar b "s") (Mir.Rload (x, j));
+        held := [ t; l ];
+        [ t; x ])
+  in
+  match (defs, !held) with
+  | [ _; l2; s ], [ t; l ] ->
+    Alcotest.(check bool) "x(2) reloaded after the store" false (is_move_of l l2);
+    Alcotest.(check bool) "x(2) still a load" true
+      (match l2 with Mir.Rload _ -> true | _ -> false);
+    Alcotest.(check bool) "x(3) forwarded from the store" true (is_move_of t s)
+  | _ -> Alcotest.fail "unexpected defs"
+
 let test_licm_hoists () =
   let f =
     lower
@@ -379,6 +509,14 @@ let base_suites =
         Alcotest.test_case "dce scalars" `Quick test_dce_removes_dead;
         Alcotest.test_case "dce arrays" `Quick test_dce_removes_dead_array;
         Alcotest.test_case "cse" `Quick test_cse_merges;
+        Alcotest.test_case "constant folding keeps signed zeros" `Quick
+          test_const_fold_signed_zeros;
+        Alcotest.test_case "cse keeps signed zeros apart" `Quick
+          test_cse_signed_zeros;
+        Alcotest.test_case "cse merges by vid and constant bits" `Quick
+          test_cse_same_vids_merge;
+        Alcotest.test_case "cse loads die at a store" `Quick
+          test_cse_store_kills_loads;
         Alcotest.test_case "licm" `Quick test_licm_hoists;
         Alcotest.test_case "licm hoists chains in one run" `Quick
           test_licm_one_run;
@@ -681,17 +819,18 @@ let test_kill_scans_linear () =
    block or per unchanged instruction doing so. Each limit is about 25%
    over the pass's count, and at least 32 words; a run that built a
    closure per block or a hash-table entry per variable exceeds it.
-   CSE's limit is the exception: its available-expression table holds a
-   bucket per cacheable def. The byte sets and count tables of
-   copy-prop, DCE and licm are counted
-   where they are under 256 words; above that they go straight to the
-   major heap, which minor words do not show (EXPERIMENTS.md,
-   "Optimizer no-change runs"). *)
+   CSE's available expressions live in entry arrays grown to the run's
+   largest segment, not a bucket per cacheable def (8,276 and 10,812
+   words per run before). The byte sets and count tables of copy-prop,
+   CSE, DCE and licm are counted where they are under 256 words; above
+   that they go straight to the major heap, which minor words do not
+   show (EXPERIMENTS.md, "Optimizer no-change runs" and "CSE and
+   copy-prop on vid-keyed tables"). *)
 let no_change_limits =
-  [ ("optimize", [ ("const-fold", 32); ("copy-prop", 350); ("collapse", 32);
-                   ("global-const", 80); ("dce", 48); ("cse", 10350);
+  [ ("optimize", [ ("const-fold", 32); ("copy-prop", 300); ("collapse", 32);
+                   ("global-const", 80); ("dce", 48); ("cse", 1950);
                    ("licm", 1150); ("fusion", 32) ]);
-    ("cleanup", [ ("const-fold", 32); ("copy-prop", 88); ("cse", 13500);
+    ("cleanup", [ ("const-fold", 32); ("copy-prop", 43); ("cse", 910);
                   ("licm", 110); ("dce", 48) ]) ]
 
 let test_no_change_runs_cheap () =
